@@ -225,13 +225,34 @@ def _parities(records: np.ndarray, cols: list[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Bounds on one ``run_batch`` call: rows, and bytes of the per-row state it
+# holds (records, the record-major diff and up to four packed frame arrays,
+# 2 * n_records + 32 * words bytes a row).  A sweep point's samples are split
+# into calls of whole samples within both, so memory stays bounded in m*shots.
+_MAX_BATCH_ROWS = 1 << 16
+_MAX_BATCH_BYTES = 1 << 24
+
+
 class CircuitStateSource:
     """Measures Pauli expectation parities on the output state of a circuit.
 
-    Calling ``source(pauli, shots, seed)`` appends a basis-rotated readout of
-    the (sign-free) ``pauli`` — given on the ``data_qubits`` register — runs
-    the batch with the attached noise sites, and returns the +-1 parity of
-    each shot.  Readout circuits are cached per distinct operator.
+    ``source.parities(paulis, shots, seeds)`` samples ``shots`` shots of
+    each (sign-free) Pauli in ``paulis`` — given on the ``data_qubits``
+    register — under its own seed, with the attached noise sites.  All
+    samples go through one :func:`tableau.run_batch` call on the circuit
+    itself (split into calls of bounded rows and bytes), and each
+    shot's parity is read from its end frame: the shot ends in ``F * ref``,
+    so a Pauli S with expectation e = +-1 on the reference state reads
+    ``e * (-1)^<F, S>``.  In post-processing mode the records are corrected
+    through the outstanding operator, so F is multiplied by the reference
+    correction and the replayed correction delta.  An operator with e = 0
+    on the reference has a random outcome per shot; it falls back to a
+    readout circuit (:func:`pauli_readout_circuit`) run on its own.  The
+    shot-for-shot values equal those of that readout circuit.
+
+    ``parities`` and ``n_data`` are the state-source protocol that
+    :func:`estimate_ghz_fidelity` uses; ``source(pauli, shots, seed)`` is
+    the one-sample form.
     """
 
     def __init__(self, circuit: Circuit, data_qubits=None, noise=(), mode: str = "feed_forward"):
@@ -239,25 +260,84 @@ class CircuitStateSource:
         self.data = tuple(data_qubits) if data_qubits is not None else tuple(range(circuit.n_qubits))
         self.noise = list(noise)
         self.mode = mode
-        self._cache: dict[tuple[int, int], tuple[Circuit, list[int]]] = {}
+        # per operator key: (operator on the circuit register, reference expectation)
+        self._ops: dict[tuple[int, int], tuple[PauliString, int]] = {}
 
     @property
     def n_data(self) -> int:
         return len(self.data)
 
     def __call__(self, pauli: PauliString, shots: int, seed: int) -> np.ndarray:
-        if pauli.n != self.n_data:
-            raise ValueError(f"operator on {pauli.n} qubits, source exposes {self.n_data}")
-        if pauli.is_identity():
-            return np.ones(shots)
-        key = pauli.key()
-        if key not in self._cache:
-            basis = {self.data[q]: pauli.letter(q) for q in pauli.support}
-            circ, recs = pauli_readout_circuit(self.circuit, basis)
-            self._cache[key] = (circ, [recs[q] for q in sorted(basis)])
-        circ, cols = self._cache[key]
-        res = tb.run_batch(circ, shots, master_seed=seed, noise=self.noise, mode=self.mode)
-        return _parities(res.records, cols)
+        return self.parities([pauli], shots, [seed])[0]
+
+    def parities(self, paulis, shots: int, seeds) -> np.ndarray:
+        """(len(paulis), shots) array of +-1 parities; row k measures
+        ``paulis[k]`` with randomness drawn from ``seeds[k]``."""
+        if len(paulis) != len(seeds):
+            raise ValueError(f"{len(paulis)} operators but {len(seeds)} seeds")
+        for p in paulis:
+            if p.n != self.n_data:
+                raise ValueError(f"operator on {p.n} qubits, source exposes {self.n_data}")
+        words = (self.circuit.n_qubits + 63) // 64
+        row_bytes = 2 * self.circuit.n_records + 32 * words
+        max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
+        out = np.empty((len(paulis), shots))
+        for rows, cols in _blocks(len(paulis), shots, max_rows):
+            seeds_k = [int(s) for s in seeds[rows]]
+            res = tb.run_batch(
+                self.circuit,
+                len(seeds_k) * (cols.stop - cols.start),
+                master_seed=seeds_k,
+                noise=self.noise,
+                mode=self.mode,
+                shot_offset=cols.start,
+            )
+            out[rows, cols] = self._read(res, paulis[rows], seeds_k, cols)
+        return out
+
+    def _on_circuit(self, pauli: PauliString) -> PauliString:
+        """``pauli`` moved from the data register onto the circuit's qubits."""
+        x = z = 0
+        for q in pauli.support:
+            x |= pauli.x_bit(q) << self.data[q]
+            z |= pauli.z_bit(q) << self.data[q]
+        return PauliString(self.circuit.n_qubits, x, z)
+
+    def _read(self, res: tb.BatchResult, paulis, seeds, cols: slice) -> np.ndarray:
+        # the reference state is the same in every batch of this circuit
+        new = {p.key(): self._on_circuit(p) for p in paulis if p.key() not in self._ops}
+        for (key, full), e in zip(new.items(), res.reference.expectations(list(new.values()))):
+            self._ops[key] = (full, int(e))
+        full, e = zip(*(self._ops[p.key()] for p in paulis))
+        e = np.array(e, dtype=float)
+        par = e[:, None] * np.where(res.readout_flips(list(full)), -1.0, 1.0)
+        for k in np.nonzero(e == 0)[0]:
+            par[k] = self._read_out(paulis[k], cols.stop - cols.start, seeds[k], cols.start)
+        return par
+
+    def _read_out(self, pauli: PauliString, shots: int, seed: int, shot_offset: int) -> np.ndarray:
+        """Parities of an operator the reference state does not fix, from its
+        own readout circuit."""
+        basis = {self.data[q]: pauli.letter(q) for q in pauli.support}
+        circ, recs = pauli_readout_circuit(self.circuit, basis)
+        res = tb.run_batch(
+            circ, shots, master_seed=seed, noise=self.noise, mode=self.mode, shot_offset=shot_offset
+        )
+        return _parities(res.records, [recs[q] for q in sorted(basis)])
+
+
+def _blocks(m: int, shots: int, max_rows: int):
+    """(sample slice, shot range) blocks covering an m x shots draw, each at
+    most ``max_rows`` rows: whole samples together, or one sample's shots in
+    pieces when a single sample is larger than that."""
+    if shots <= max_rows:
+        step = max_rows // max(shots, 1)
+        for lo in range(0, m, step):
+            yield slice(lo, min(lo + step, m)), slice(0, shots)
+        return
+    for k in range(m):
+        for lo in range(0, shots, max_rows):
+            yield slice(k, k + 1), slice(lo, min(lo + max_rows, shots))
 
 
 class CircuitChannelSource:
@@ -335,6 +415,12 @@ def estimate_ghz_fidelity(
     """Unbiased GHZ_n fidelity estimate from ``m_samples`` uniformly drawn
     stabilizers, each measured with ``shots_per_sample`` shots.
 
+    ``state_source`` exposes ``n_data`` and ``parities(paulis, shots,
+    seeds)``, a (len(paulis), shots) array of +-1 values, as
+    :class:`CircuitStateSource` does.  All m (stabilizer, seed) pairs are
+    drawn first and measured in that one call; sample k's values depend
+    only on (seed, k).
+
     Returns (estimate, standard error).  The error bar is the across-sample
     standard deviation over sqrt(m) (the widest noise source; for a single
     sample it falls back to the within-sample binomial error).  The estimate
@@ -345,25 +431,22 @@ def estimate_ghz_fidelity(
         raise ValueError(f"need m_samples >= 1, got {m_samples}")
     if shots_per_sample < 1:
         raise ValueError(f"need shots_per_sample >= 1, got {shots_per_sample}")
-    src_n = getattr(state_source, "n_data", n)
-    if src_n != n:
-        raise ValueError(f"state source exposes {src_n} qubits, estimator asked for {n}")
+    if state_source.n_data != n:
+        raise ValueError(f"state source exposes {state_source.n_data} qubits, estimator asked for {n}")
     group = ghz_stabilizer_group(n)
     words = (n + 62) // 63
     params = _sample_params(seed, _STATE_DOMAIN, m_samples, words + 1)
-    vals = np.empty(m_samples)
-    last_shot_std = 0.0
+    stabs, seeds = [], []
     for k in range(m_samples):
         mask = 0
         for j in range(words):
             mask |= int(params[k, j]) << (63 * j)
-        mask &= (1 << n) - 1
-        stab = group[mask]
-        shot_seed = int(params[k, words])
-        par = np.asarray(state_source(stab.mod_phase(), shots_per_sample, shot_seed), dtype=float)
+        stabs.append(group[mask & ((1 << n) - 1)])
+        seeds.append(int(params[k, words]))
+    pars = state_source.parities([stab.mod_phase() for stab in stabs], shots_per_sample, seeds)
+    vals = np.empty(m_samples)
+    for k, (stab, par) in enumerate(zip(stabs, pars)):
         vals[k] = stab.sign * par.mean()
-        if shots_per_sample > 1:
-            last_shot_std = par.std(ddof=1) / math.sqrt(shots_per_sample)
         _emit(
             sink,
             {
@@ -377,8 +460,10 @@ def estimate_ghz_fidelity(
     estimate = float(vals.mean())
     if m_samples > 1:
         std_err = float(vals.std(ddof=1) / math.sqrt(m_samples))
+    elif shots_per_sample > 1:
+        std_err = float(pars[0].std(ddof=1) / math.sqrt(shots_per_sample))
     else:
-        std_err = float(last_shot_std)
+        std_err = 0.0
     return estimate, std_err
 
 

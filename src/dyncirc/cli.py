@@ -288,11 +288,15 @@ def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
             w.writerow({k: _cell(row.get(k)) for k in fieldnames})
 
 
+def _sidecar_path(out: str) -> Path:
+    return Path(out).with_suffix(".json")
+
+
 def _write_sidecar(path: str, command: str, cfg: ExperimentConfig, reproducible: bool) -> Path:
     doc = {"command": command, "config": cfg.to_doc(), "output": str(path)}
     if not reproducible:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    sidecar = Path(path).with_suffix(".json")
+    sidecar = _sidecar_path(path)
     sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return sidecar
 
@@ -425,9 +429,20 @@ def _require_out(cfg: ExperimentConfig) -> str:
     return cfg.out
 
 
+def _check_sidecar(out: str, config: str) -> None:
+    """Refuse an output path whose sidecar would overwrite the config file."""
+    sidecar = _sidecar_path(out)
+    if sidecar.resolve() == Path(config).resolve():
+        raise ValueError(
+            f"the sidecar of --out {out} is {sidecar}, which would overwrite the config file; "
+            "pick an output path with another stem or directory"
+        )
+
+
 def cmd_cnot_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = _require_out(cfg)
+    _check_sidecar(out, args.config)
     tasks = [
         (n, v, cfg.noise, cfg.shots, cfg.m_samples, cfg.mode, _point_seed(cfg.seed, n, v))
         for n in cfg.sizes()
@@ -444,6 +459,7 @@ def cmd_cnot_sweep(args) -> int:
 def cmd_ghz_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = _require_out(cfg)
+    _check_sidecar(out, args.config)
     tasks = [
         (n, m, cfg.noise, cfg.shots, cfg.m_samples, cfg.mode, _point_seed(cfg.seed, n, m))
         for n in cfg.sizes()
@@ -488,6 +504,7 @@ def cmd_crossover(args) -> int:
     out = _require_out(cfg)
     if not cfg.lambda_cnot_values or not cfg.lambda_meas_values:
         raise ValueError("crossover needs lambda_cnot_values and lambda_meas_values in the config")
+    _check_sidecar(out, args.config)
     points = noise_mod.crossover_map(
         cfg.noise,
         cfg.lambda_cnot_values,

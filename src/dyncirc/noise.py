@@ -361,18 +361,17 @@ def attach_noise(circuit: Circuit, params: NoiseParams, cnot_pauli: str = "ZX") 
                 q = ins.qubits[0]
                 meas_sites.setdefault(k, []).append(NoiseSite(k, PauliString.single(n, q, "X"), om))
 
+    # each qubit's instruction indices in list order, so that an idle
+    # interval scans only its own qubit's instructions for its site index
+    touching: dict[int, list[int]] = {}
+    for i, ins in enumerate(circuit.instructions):
+        for q in dict.fromkeys(ins.qubits):
+            touching.setdefault(q, []).append(i)
     for q, a, b in C.idle_intervals(circuit):
         rates = params.idle_rates(b - a)
         if not rates:
             continue
-        k = next(
-            (
-                i
-                for i, ins in enumerate(circuit.instructions)
-                if q in ins.qubits and ins.start >= b - 1e-9
-            ),
-            n_ins,
-        )
+        k = next((i for i in touching.get(q, ()) if circuit.instructions[i].start >= b - 1e-9), n_ins)
         for letter, rate in rates:
             idle_sites.setdefault(k, []).append(NoiseSite(k, PauliString.single(n, q, letter), omega(rate)))
 

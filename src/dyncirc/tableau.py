@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -44,6 +45,9 @@ _U0 = np.uint64(0)
 _NOISE_STREAM_BASE = 1 << 32
 
 _ONE_QUBIT_CLIFFORDS = ("h", "s", "sdg", "x", "y", "z")
+
+# Most (operators x rows x words) words one expectation chunk holds
+_EXPECTATION_WORDS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +81,37 @@ class CounterRandom:
 
     The draw for a given address never depends on how many draws came before
     it, which is what makes sharded runs reproduce a single-process run
-    bit for bit.
+    bit for bit.  ``master_seed`` is one seed or a sequence of m seeds; with
+    m seeds, :meth:`uniform` draws row k of its (m, r) result under seed k.
     """
 
-    def __init__(self, master_seed: int):
-        k = np.random.SeedSequence(master_seed).generate_state(2, dtype=np.uint64)
-        self._key = int(k[0]) ^ _mix_int(int(k[1]))
+    def __init__(self, master_seed):
+        if isinstance(master_seed, (int, np.integer)):
+            self._key = _seed_key(master_seed)
+            self._keys = None
+        else:
+            keys = [_seed_key(s) for s in master_seed]
+            self._keys = np.array(keys, dtype=np.uint64).reshape(-1, 1)
+
+    @property
+    def n_seeds(self) -> int:
+        return 1 if self._keys is None else self._keys.shape[0]
 
     def uniform(self, stream_id: int, shot_ids: np.ndarray) -> np.ndarray:
-        """Floats in [0, 1), one per entry of ``shot_ids`` (uint64 array)."""
-        h = _mix_int(self._key ^ _mix_int((stream_id + 1) * _GOLDEN))
-        x = (shot_ids + _U1) * np.uint64(_GOLDEN) + np.uint64(h)
+        """Floats in [0, 1), one per entry of ``shot_ids`` (uint64 array),
+        or an (m, len(shot_ids)) array under m seeds."""
+        c = _mix_int((stream_id + 1) * _GOLDEN)
+        if self._keys is None:
+            h = np.uint64(_mix_int(self._key ^ c))
+        else:
+            h = _mix_u64(self._keys ^ np.uint64(c))
+        x = (shot_ids + _U1) * np.uint64(_GOLDEN) + h
         return (_mix_u64(x) >> np.uint64(11)) * 2.0**-53
+
+
+def _seed_key(master_seed: int) -> int:
+    k = np.random.SeedSequence(master_seed).generate_state(2, dtype=np.uint64)
+    return int(k[0]) ^ _mix_int(int(k[1]))
 
 
 def _pack_bits(bits: int, n_words: int) -> np.ndarray:
@@ -100,6 +123,22 @@ def _unpack_bits(words: np.ndarray) -> int:
     for w, v in enumerate(words):
         out |= int(v) << (64 * w)
     return out
+
+
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _bit_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits of a (m, rows, words) uint64 array, summed per m."""
+    return _BYTE_BITS[words.view(np.uint8)].sum(axis=(1, 2), dtype=np.int64)
+
+
+def _odd_parity(words: np.ndarray) -> np.ndarray:
+    """Whether each uint64 word has an odd number of set bits."""
+    v = words.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(shift)
+    return (v & _U1).astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +288,32 @@ class StabilizerState:
         self._X[targets] = Xt ^ xs
         self._Z[targets] = Zt ^ zs
 
-    def _accumulate(self, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray, int]:
-        """Ordered product of the given generator rows; returns packed bits
-        and the phase exponent of i (mod 4)."""
-        xs = np.zeros(self._w, dtype=np.uint64)
-        zs = np.zeros(self._w, dtype=np.uint64)
-        e = 0
-        for i in rows:
-            xr, zr = self._X[i], self._Z[i]
-            ax, ay, az = xs & ~zs, xs & zs, zs & ~xs
-            bx, by, bz = xr & ~zr, xr & zr, zr & ~xr
-            plus = (ax & by) | (ay & bz) | (az & bx)
-            minus = (ay & bx) | (az & by) | (ax & bz)
-            e += (
-                int(np.bitwise_count(plus).sum())
-                - int(np.bitwise_count(minus).sum())
-                + 2 * int(self._r[i])
-            )
-            xs ^= xr
-            zs ^= zr
-        return xs, zs, e % 4
+    def _stabilizer_products(
+        self, rows: np.ndarray, take: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each line k of ``take`` (m x len(rows) booleans), the product in
+        row order of the stabilizers ``n + rows[j]`` with ``take[k, j]``: packed
+        x and z bits (m x words) and the phase exponent of i (mod 4).  Step j
+        multiplies the running product by row j, so all steps are taken at
+        once from the prefix products; a row not taken is the identity,
+        which changes neither the running product nor its phase."""
+        n = self.n
+        xr = np.where(take[:, :, None], self._X[n + rows], _U0)
+        zr = np.where(take[:, :, None], self._Z[n + rows], _U0)
+        # step j >= 1: (product of rows before j) * row j
+        xs = np.bitwise_xor.accumulate(xr, axis=1)[:, :-1]
+        zs = np.bitwise_xor.accumulate(zr, axis=1)[:, :-1]
+        xb, zb = xr[:, 1:], zr[:, 1:]
+        ax, ay, az = xs & ~zs, xs & zs, zs & ~xs
+        bx, by, bz = xb & ~zb, xb & zb, zb & ~xb
+        plus = (ax & by) | (ay & bz) | (az & bx)
+        minus = (ay & bx) | (az & by) | (ax & bz)
+        e = (
+            _bit_counts(plus)
+            - _bit_counts(minus)
+            + 2 * (take & (self._r[n + rows] != 0)).sum(axis=1)
+        ) % 4
+        return np.bitwise_xor.reduce(xr, axis=1), np.bitwise_xor.reduce(zr, axis=1), e
 
     # -- measurement -----------------------------------------------------------
 
@@ -318,15 +363,15 @@ class StabilizerState:
             self._Z[p, w] = m
             self._r[p] = outcome
             return outcome, True, flip
-        rows = [n + int(i) for i in np.nonzero(xcol[:n])[0]]
-        xs, zs, e = self._accumulate(rows)
-        if _unpack_bits(xs) != 0:
+        rows = np.nonzero(xcol[:n])[0]
+        xs, zs, e = self._stabilizer_products(rows, np.ones((1, rows.size), dtype=bool))
+        if xs.any():
             raise AssertionError("deterministic-outcome product is not Z-type")
-        if _unpack_bits(zs) != (1 << q):
+        if _unpack_bits(zs[0]) != (1 << q):
             raise AssertionError("deterministic-outcome product is not Z_q")
-        if e not in (0, 2):
+        if e[0] not in (0, 2):
             raise AssertionError("deterministic outcome has imaginary phase")
-        return e // 2, False, None
+        return int(e[0]) // 2, False, None
 
     def measure(
         self,
@@ -402,26 +447,38 @@ class StabilizerState:
     def expectation(self, p: PauliString) -> int:
         """Exact <P> for a signed Pauli: 0 when any stabilizer anticommutes
         with it, otherwise +/-1 read off the matching stabilizer product."""
-        if p.n != self.n:
-            raise ValueError(f"operator on {p.n} qubits, state on {self.n}")
-        sign = p.sign  # raises on imaginary phase
-        px = _pack_bits(p.x_bits, self._w)
-        pz = _pack_bits(p.z_bits, self._w)
-        anti = (
-            np.bitwise_count(self._X & pz).sum(axis=1)
-            + np.bitwise_count(self._Z & px).sum(axis=1)
-        ) & 1
-        if anti[self.n :].any():
-            return 0
-        rows = [self.n + int(i) for i in np.nonzero(anti[: self.n])[0]]
-        xs, zs, e = self._accumulate(rows)
-        if _unpack_bits(xs) != p.x_bits or _unpack_bits(zs) != p.z_bits:
+        return int(self.expectations([p])[0])
+
+    def expectations(self, paulis: list[PauliString]) -> np.ndarray:
+        """:meth:`expectation` of each operator, as an int array.  Operators
+        are taken together, in chunks of bounded (operators x rows x words)
+        size."""
+        n, W = self.n, self._w
+        for p in paulis:
+            if p.n != n:
+                raise ValueError(f"operator on {p.n} qubits, state on {n}")
+        out = np.empty(len(paulis), dtype=np.int64)
+        step = max(1, _EXPECTATION_WORDS // (2 * n * W))
+        for lo in range(0, len(paulis), step):
+            out[lo : lo + step] = self._expectations(paulis[lo : lo + step])
+        return out
+
+    def _expectations(self, paulis: list[PauliString]) -> np.ndarray:
+        n, W, m = self.n, self._w, len(paulis)
+        signs = np.array([p.sign for p in paulis], dtype=np.int64)  # raises on imaginary phase
+        px = np.array([_pack_bits(p.x_bits, W) for p in paulis]).reshape(m, 1, W)
+        pz = np.array([_pack_bits(p.z_bits, W) for p in paulis]).reshape(m, 1, W)
+        anti = _odd_parity(np.bitwise_xor.reduce((self._X & pz) ^ (self._Z & px), axis=2))
+        fixed = ~anti[:, n:].any(axis=1)
+        # the stabilizers whose destabilizer anticommutes with the operator
+        rows = np.nonzero(anti[:, :n].any(axis=0))[0]
+        xs, zs, e = self._stabilizer_products(rows, anti[:, rows])
+        generated = (xs == px[:, 0]).all(axis=1) & (zs == pz[:, 0]).all(axis=1)
+        if (fixed & ~generated).any():
             raise AssertionError("commuting operator not generated by the stabilizers")
-        if e == 0:
-            return sign
-        if e == 2:
-            return -sign
-        raise AssertionError("stabilizer product has imaginary phase")
+        if (fixed & (e % 2 == 1)).any():
+            raise AssertionError("stabilizer product has imaginary phase")
+        return np.where(fixed, np.where(e == 0, signs, -signs), 0)
 
     def canonical_stabilizers(self) -> list[PauliString]:
         """Unique generator set under Gaussian elimination (X-part pivots
@@ -618,18 +675,18 @@ class InjectedError(NamedTuple):
 
 @dataclass
 class ShotResult:
-    """One shot's classical record, optional outstanding correction operator
-    (post-processing mode), and the noise operators that actually fired."""
+    """One shot's classical record, its frame (:attr:`BatchResult.frames`),
+    and the noise operators that actually fired."""
 
     classical_bits: list[int]
-    pauli_frame: PauliString | None
+    pauli_frame: PauliString
     sampled_errors: list[InjectedError]
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "bits": self.classical_bits,
-                "frame": None if self.pauli_frame is None else str(self.pauli_frame),
+                "frame": str(self.pauli_frame),
                 "errors": [
                     {"time": e.time, "pauli": str(e.pauli), "before_index": e.before_index}
                     for e in self.sampled_errors
@@ -641,22 +698,72 @@ class ShotResult:
 
 @dataclass
 class BatchResult:
-    """Vectorised shot batch: ``records[s, r]`` is record r of shot s."""
+    """Vectorised shot batch: ``records[s, r]`` is record r of shot s.
+
+    ``reference`` is the reference execution's end state (random outcomes
+    pinned to 0; in post-processing mode its ``pending`` is the reference
+    correction).  Shot s ends in ``frame_s * reference``, with the physical
+    frame packed 64 qubits per word in ``frame_x[s]``/``frame_z[s]``.  In
+    post-processing mode ``delta_x``/``delta_z`` hold the replayed change to
+    the outstanding correction, which for shot s is ``reference.pending``
+    times that delta.  :attr:`frames` unpacks these into per-shot operators
+    only when read.
+    """
 
     records: np.ndarray
-    frames: list[PauliString] | None
     errors: list[list[InjectedError]]
     mode: str
+    reference: StabilizerState
+    frame_x: np.ndarray
+    frame_z: np.ndarray
+    delta_x: np.ndarray | None = None
+    delta_z: np.ndarray | None = None
 
     @property
     def shots(self) -> int:
         return self.records.shape[0]
 
+    @cached_property
+    def frames(self) -> list[PauliString]:
+        """Per shot: the outstanding correction operator (post-processing
+        mode) or the physical end-of-circuit frame (feed-forward mode)."""
+        n = self.reference.n
+        if self.mode == "post_process":
+            bx, bz = self.reference.pending.x_bits, self.reference.pending.z_bits
+            return [
+                PauliString(n, bx ^ _unpack_bits(dx), bz ^ _unpack_bits(dz))
+                for dx, dz in zip(self.delta_x, self.delta_z)
+            ]
+        return [
+            PauliString(n, _unpack_bits(fx), _unpack_bits(fz))
+            for fx, fz in zip(self.frame_x, self.frame_z)
+        ]
+
+    def readout_flips(self, paulis: list[PauliString]) -> np.ndarray:
+        """(m, shots/m) booleans for m operators on the circuit register,
+        operator k read on its own block of shots/m consecutive rows: True
+        where a noiseless readout of the operator on that shot records the
+        opposite of its value on the reference state.  That is where it
+        anticommutes with the shot's frame, times the outstanding correction
+        in post-processing mode (records are corrected through it)."""
+        m = len(paulis)
+        W = self.frame_x.shape[1]
+        fx = self.frame_x.reshape(m, self.shots // m, W)
+        fz = self.frame_z.reshape(m, self.shots // m, W)
+        if self.mode == "post_process":
+            pending = self.reference.pending
+            fx = fx ^ self.delta_x.reshape(fx.shape) ^ _pack_bits(pending.x_bits, W)
+            fz = fz ^ self.delta_z.reshape(fz.shape) ^ _pack_bits(pending.z_bits, W)
+        sx = np.array([_pack_bits(p.x_bits, W) for p in paulis]).reshape(m, 1, W)
+        sz = np.array([_pack_bits(p.z_bits, W) for p in paulis]).reshape(m, 1, W)
+        return _odd_parity(np.bitwise_xor.reduce((fx & sz) ^ (fz & sx), axis=2))
+
     def shot_results(self) -> list[ShotResult]:
+        frames = self.frames
         return [
             ShotResult(
                 classical_bits=self.records[i].tolist(),
-                pauli_frame=None if self.frames is None else self.frames[i],
+                pauli_frame=frames[i],
                 sampled_errors=self.errors[i],
             )
             for i in range(self.shots)
@@ -742,25 +849,34 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
 def run_batch(
     circuit: Circuit,
     shots: int,
-    master_seed: int = 0,
+    master_seed=0,
     noise=None,
     mode: str = "feed_forward",
     shot_offset: int = 0,
-    keep_frames: bool = False,
 ) -> BatchResult:
     """Sample ``shots`` executions; shot i's randomness depends only on
     (master_seed, shot_offset + i), so splitting a batch across workers
-    reproduces the single-batch output exactly."""
+    reproduces the single-batch output exactly.
+
+    ``master_seed`` may also be a sequence of m seeds, with ``shots`` a
+    multiple of m: rows k*shots/m .. (k+1)*shots/m - 1 are then shots
+    ``shot_offset + 0 .. shots/m - 1`` under seed k, identical to the rows
+    of a call with ``master_seed=seeds[k]`` and ``shots/m`` shots.  All m
+    samples share one validation and one reference pass.
+    """
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")
     if shots < 0:
         raise ValueError(f"negative shot count {shots}")
+    stream = CounterRandom(master_seed)
+    if stream.n_seeds == 0 or shots % stream.n_seeds:
+        raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
+    per_seed = shots // stream.n_seeds
     circuit.validate()
     prog, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
-    n, W = circuit.n_qubits, (circuit.n_qubits + 63) // 64
+    W = (circuit.n_qubits + 63) // 64
     post = mode == "post_process"
-    stream = CounterRandom(master_seed)
-    ids = (np.arange(shots, dtype=np.uint64) + np.uint64(shot_offset)).astype(np.uint64)
+    ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
 
     FX = np.zeros((shots, W), dtype=np.uint64)
     FZ = np.zeros((shots, W), dtype=np.uint64)
@@ -771,7 +887,8 @@ def run_batch(
     records = np.tile(ref_bits, (shots, 1)) if circuit.n_records else np.zeros(
         (shots, 0), dtype=np.uint8
     )
-    diff = np.zeros((shots, circuit.n_records), dtype=np.uint8)
+    # record-major, so that a cpauli parity XOR-reduces whole rows
+    diff = np.zeros((circuit.n_records, shots), dtype=np.uint8)
     errors: list[list[InjectedError]] = [[] for _ in range(shots)]
 
     for entry in prog:
@@ -803,7 +920,7 @@ def run_batch(
             d = ((FX[:, w] >> np.uint64(b)) & _U1).astype(np.uint8)
             if post:
                 d ^= ((DX[:, w] >> np.uint64(b)) & _U1).astype(np.uint8)
-            diff[:, rec] = d
+            diff[rec] = d
             records[:, rec] = refbit ^ d
         elif tag == "reset":
             w, b = divmod(entry[1], 64)
@@ -812,41 +929,35 @@ def run_batch(
             FZ[:, w] &= ~m
         elif tag == "flip":
             _, lx, lz, sid = entry
-            hit = stream.uniform(sid, ids) < 0.5
+            hit = stream.uniform(sid, ids).reshape(shots) < 0.5
             FX ^= np.where(hit[:, None], lx[None, :], _U0)
             FZ ^= np.where(hit[:, None], lz[None, :], _U0)
         elif tag == "noise":
             _, px, pz, om, sid, err = entry
-            hit = stream.uniform(sid, ids) < om
+            hit = stream.uniform(sid, ids).reshape(shots) < om
             FX ^= np.where(hit[:, None], px[None, :], _U0)
             FZ ^= np.where(hit[:, None], pz[None, :], _U0)
             for i in np.nonzero(hit)[0]:
                 errors[int(i)].append(err)
         elif tag == "cpauli":
             _, px, pz, recs = entry
-            dpar = np.zeros(shots, dtype=bool)
-            for ridx in recs:
-                dpar ^= diff[:, ridx].astype(bool)
+            dpar = np.bitwise_xor.reduce(diff[list(recs)], axis=0).astype(bool)
             TX, TZ = frames[-1]  # the pending-difference frame in post mode
             TX ^= np.where(dpar[:, None], px[None, :], _U0)
             TZ ^= np.where(dpar[:, None], pz[None, :], _U0)
         else:  # pragma: no cover - compiler and replayer agree on tags
             raise AssertionError(f"unknown program entry {tag!r}")
 
-    frame_list: list[PauliString] | None = None
-    if post:
-        # outstanding correction operator per shot (reference pending + delta)
-        bx, bz = ref_state.pending.x_bits, ref_state.pending.z_bits
-        frame_list = [
-            PauliString(n, bx ^ _unpack_bits(DX[i]), bz ^ _unpack_bits(DZ[i]))
-            for i in range(shots)
-        ]
-    elif keep_frames:
-        # physical end-of-circuit frame: shot state = frame * reference state
-        frame_list = [
-            PauliString(n, _unpack_bits(FX[i]), _unpack_bits(FZ[i])) for i in range(shots)
-        ]
-    return BatchResult(records=records, frames=frame_list, errors=errors, mode=mode)
+    return BatchResult(
+        records=records,
+        errors=errors,
+        mode=mode,
+        reference=ref_state,
+        frame_x=FX,
+        frame_z=FZ,
+        delta_x=DX,
+        delta_z=DZ,
+    )
 
 
 def run_shots(
@@ -856,7 +967,6 @@ def run_shots(
     noise=None,
     mode: str = "feed_forward",
     shot_offset: int = 0,
-    keep_frames: bool = False,
 ) -> list[ShotResult]:
     """Batched sampling of a dynamic Clifford circuit under Pauli noise.
 
@@ -871,5 +981,4 @@ def run_shots(
         noise=noise,
         mode=mode,
         shot_offset=shot_offset,
-        keep_frames=keep_frames,
     ).shot_results()

@@ -153,6 +153,103 @@ def test_state_source_basics():
     assert abs(par.mean()) < 0.1
 
 
+def _readout_parities(circ, data, pauli, shots, seed, noise, mode):
+    """Per-shot parities the long way: a readout circuit per operator."""
+    basis = {data[q]: pauli.letter(q) for q in pauli.support}
+    if not basis:
+        return np.ones(shots)
+    readout, recs = cert.pauli_readout_circuit(circ, basis)
+    res = tb.run_batch(readout, shots, master_seed=seed, noise=noise, mode=mode)
+    bits = res.records[:, [recs[q] for q in sorted(basis)]].sum(axis=1) % 2
+    return 1.0 - 2.0 * bits
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("n", [6, 67])
+def test_batched_parities_match_readout_circuits_per_shot(mode, n):
+    """The one-batch source reads every shot's parity from its end frame;
+    each must equal the parity a readout circuit records for that shot,
+    noisy sites, operators the state does not fix (e = 0) and two frame
+    words (n = 67) included."""
+    circ = C.ghz_dynamic(n, mode=mode)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.03, lambda_meas=0.05))
+    rng = np.random.default_rng(n)
+    group = cert.ghz_stabilizer_group(n)
+    ops = [group[int(rng.integers(1 << min(n, 62)))].mod_phase() for _ in range(5)]
+    ops += [group[(1 << n) - 1].mod_phase(), PauliString.identity(n)]
+    ops += [PauliString.from_text("Z" + "I" * (n - 1)), PauliString.from_text("I" * (n - 2) + "XY")]
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
+    shots = 24
+    for data in (tuple(range(n)), tuple(reversed(range(n)))):
+        src = cert.CircuitStateSource(circ, data_qubits=data, noise=sites, mode=mode)
+        got = src.parities(ops, shots, seeds)
+        assert got.shape == (len(ops), shots)
+        for k, (op, seed) in enumerate(zip(ops, seeds)):
+            want = _readout_parities(circ, data, op, shots, seed, sites, mode)
+            np.testing.assert_array_equal(got[k], want)
+            np.testing.assert_array_equal(src(op, shots, seed), want)
+    # the operators the GHZ state does not fix really are random here
+    assert set(got[-2]) == {-1.0, 1.0}
+
+    # m seeds and zero shots, as a zero-shot replay of a batched call makes
+    empty = tb.run_batch(circ, 0, master_seed=seeds, noise=sites, mode=mode)
+    assert empty.records.shape == (0, circ.n_records)
+    assert empty.readout_flips(ops).shape == (len(ops), 0)
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_batched_parities_fold_in_the_reference_correction(mode):
+    """A deterministic 1 fires the corrections of the reference run itself,
+    so in post-processing mode the reference carries a nontrivial pending
+    operator, and the records must see it."""
+    circ = C.Circuit(3)
+    circ.add("h", 0, start=0.0)
+    circ.add("x", 2, start=0.0)
+    circ.add("cx", 0, 1, start=1.0)
+    rec = circ.measure(2, start=1.0)
+    circ.add("cpauli", 0, start=3.0, pauli="Z", parity=(rec,))
+    circ.add("cpauli", 1, start=3.0, pauli="X", parity=(rec,))
+    sites = [_site(2, PauliString.from_text("XII"), 0.2), _site(6, PauliString.from_text("IZI"), 0.3)]
+    ops = [PauliString.from_text(t) for t in ("XXI", "ZZI", "YYI", "ZII", "IIZ", "XYZ")]
+    seeds = [5, 6, 7, 8, 9, 10]
+    src = cert.CircuitStateSource(circ, noise=sites, mode=mode)
+    got = src.parities(ops, 32, seeds)
+    for k, (op, seed) in enumerate(zip(ops, seeds)):
+        np.testing.assert_array_equal(got[k], _readout_parities(circ, range(3), op, 32, seed, sites, mode))
+    noiseless = cert.CircuitStateSource(circ, mode=mode).parities(ops[:3], 4, seeds[:3])
+    # corrected state: -XX, -ZZ (hence -YY) in both modes
+    np.testing.assert_array_equal(noiseless, -np.ones((3, 4)))
+
+
+def test_batched_parities_split_into_bounded_calls(monkeypatch):
+    circ = C.ghz_dynamic(5)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.05, lambda_meas=0.1))
+    src = cert.CircuitStateSource(circ, noise=sites)
+    group = cert.ghz_stabilizer_group(5)
+    ops = [group[k].mod_phase() for k in (3, 7, 12, 31, 0)]
+    seeds = [11, 12, 13, 14, 15]
+    whole = {shots: src.parities(ops, shots, seeds) for shots in (16, 100)}
+    calls = []
+    run_batch = tb.run_batch
+
+    def counted(circuit, shots, *args, **kwargs):
+        calls.append(shots)
+        return run_batch(circuit, shots, *args, **kwargs)
+
+    monkeypatch.setattr(tb, "run_batch", counted)
+    row_bytes = 2 * circ.n_records + 32 * ((circ.n_qubits + 63) // 64)
+    # a row cap, then a byte cap that allows fewer rows than the row cap
+    for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * row_bytes + 7)):
+        monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
+        monkeypatch.setattr(cert, "_MAX_BATCH_BYTES", nbytes)
+        for shots in (16, 100):
+            calls.clear()
+            np.testing.assert_array_equal(src.parities(ops, shots, seeds), whole[shots])
+            assert max(calls) <= min(rows, nbytes // row_bytes) and sum(calls) == len(ops) * shots
+    with pytest.raises(ValueError):
+        src.parities(ops, 4, seeds[:2])
+
+
 def test_channel_source_validation():
     base = C.Circuit(2)
     base.add("cx", 0, 1, start=0.0)
@@ -347,10 +444,8 @@ class _SaturatedFlipSource:
 
     n_data = 3
 
-    def __call__(self, pauli, shots, seed):
-        if pauli.z_bit(0):
-            return _hash_pm1(seed, shots)
-        return np.ones(shots)
+    def parities(self, paulis, shots, seeds):
+        return np.array([_hash_pm1(s, shots) if p.z_bit(0) else np.ones(shots) for p, s in zip(paulis, seeds)])
 
 
 def test_ghz_error_scales_as_inverse_sqrt_m():

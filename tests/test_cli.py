@@ -229,7 +229,7 @@ def test_post_process_model_drops_mu_idle(tmp_path, capsys):
         m_samples=4,
     )
     for mode in ("feed_forward", "post_process"):
-        cfg = _write_cfg(tmp_path / f"{mode}.json", mode=mode, out=str(tmp_path / f"{mode}.csv"), **common)
+        cfg = _write_cfg(tmp_path / f"{mode}.cfg.json", mode=mode, out=str(tmp_path / f"{mode}.csv"), **common)
         assert cli.main(["cnot-sweep", "--config", cfg, "--reproducible"]) == 0
     ff = _read_csv(tmp_path / "feed_forward.csv")
     pp = _read_csv(tmp_path / "post_process.csv")
@@ -250,7 +250,7 @@ def test_post_process_model_drops_mu_idle(tmp_path, capsys):
 
 def test_ghz_sweep_artifacts(tmp_path, capsys):
     cfg = _write_cfg(
-        tmp_path / "g.json",
+        tmp_path / "g.cfg.json",
         lambda_idle=0.001,
         lambda_cnot=0.01,
         lambda_meas=0.003,
@@ -279,9 +279,44 @@ def test_ghz_sweep_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+README_GHZ = dict(
+    lambda_idle=0.002, lambda_cnot=0.01, lambda_meas=0.02, mu=3.65,
+    n_min=4, n_max=4, n_step=2, shots=64, m_samples=200, seed=7,
+)
+
+
+@pytest.mark.parametrize(
+    "mode, rows",
+    [
+        (
+            "feed_forward",
+            [
+                "4,dynamic,0.9262602836290034,0.92703125,0.003838706244667826,true",
+                "4,unitary,0.9704455335485082,0.9709375,0.002339270216215382,true",
+            ],
+        ),
+        (
+            "post_process",
+            [
+                "4,dynamic,0.9398828867910889,0.93359375,0.0035852737596795492,true",
+                "4,unitary,0.9704455335485082,0.9709375,0.002339270216215382,true",
+            ],
+        ),
+    ],
+)
+def test_ghz_sweep_readme_rows_are_pinned(tmp_path, capsys, mode, rows):
+    # the n = 4 rows of the README sweep, byte for byte
+    cfg = _write_cfg(tmp_path / "sweep.json", mode=mode, **README_GHZ)
+    out = tmp_path / "ghz.csv"
+    assert cli.main(["ghz-sweep", "--config", cfg, "--out", str(out), "--reproducible"]) == 0
+    header = "n,method,model_bound,simulated_F,std_err,entangled_flag"
+    assert out.read_bytes() == "".join(line + "\r\n" for line in [header, *rows]).encode()
+    capsys.readouterr()
+
+
 def test_ghz_sweep_row_with_no_builder_is_blank(tmp_path, capsys):
     cfg = _write_cfg(
-        tmp_path / "g.json",
+        tmp_path / "g.cfg.json",
         n_min=1,
         n_max=2,
         n_step=1,
@@ -326,7 +361,7 @@ def test_budget_rejects_undefined_size(capsys):
 
 def test_crossover_grid_matches_library(tmp_path, capsys):
     cfg = _write_cfg(
-        tmp_path / "x.json",
+        tmp_path / "x.cfg.json",
         lambda_idle=0.001,
         mu=3.65,
         lambda_cnot_values=[0.001, 0.01],
@@ -382,6 +417,33 @@ def test_missing_out_and_bad_config(tmp_path, capsys):
     bad = _write_cfg(tmp_path / "bad.json", lambda_idel=0.1)
     assert cli.main(["ghz-sweep", "--config", bad, "--out", "x.csv"]) == 2
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_sidecar_may_not_overwrite_the_config(tmp_path, capsys):
+    doc = dict(n_min=4, n_max=4, methods=["unitary"], shots=2, m_samples=2)
+    cfg = _write_cfg(tmp_path / "g.json", **doc)
+    before = (tmp_path / "g.json").read_bytes()
+    for command in ("ghz-sweep", "cnot-sweep"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 2
+        assert "overwrite the config" in capsys.readouterr().err
+    # the same file reached through another spelling of the path
+    other = str(tmp_path / "sub" / ".." / "g.csv")
+    (tmp_path / "sub").mkdir()
+    assert cli.main(["ghz-sweep", "--config", cfg, "--out", other]) == 2
+    assert "overwrite the config" in capsys.readouterr().err
+    assert (tmp_path / "g.json").read_bytes() == before
+    assert not (tmp_path / "g.csv").exists()
+
+    grid = _write_cfg(tmp_path / "x.json", lambda_cnot_values=[0.01], lambda_meas_values=[0.01])
+    assert cli.main(["crossover", "--config", grid, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "overwrite the config" in capsys.readouterr().err
+
+    # a config next to its output under another stem runs, and reruns
+    ok = _write_cfg(tmp_path / "g.cfg.json", **doc)
+    for _ in range(2):
+        assert cli.main(["ghz-sweep", "--config", ok, "--out", str(tmp_path / "g.csv")]) == 0
+    assert (tmp_path / "g.json").exists()
+    capsys.readouterr()
 
 
 def test_sidecar_timestamp_without_reproducible(tmp_path, capsys):

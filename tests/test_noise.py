@@ -315,7 +315,7 @@ def test_propagate_matches_frame_sampler_per_shot():
     n = circ.n_qubits
     n_ins = len(circ.instructions)
     rng = np.random.default_rng(424242)
-    clean = tb.run_batch(circ, 1, master_seed=77, keep_frames=True)
+    clean = tb.run_batch(circ, 1, master_seed=77)
     for rep in range(1000):
         k = int(rng.integers(n_ins + 1))
         x = int(rng.integers(1 << n))
@@ -324,7 +324,7 @@ def test_propagate_matches_frame_sampler_per_shot():
             x = 1
         err = PauliString(n, x, z)
         noisy = tb.run_batch(
-            circ, 1, master_seed=77, noise=[N.NoiseSite(k, err, 1.0)], keep_frames=True
+            circ, 1, master_seed=77, noise=[N.NoiseSite(k, err, 1.0)]
         )
         want = N.propagate(err, circ, start_index=k)
         got_x = noisy.frames[0].x_bits ^ clean.frames[0].x_bits

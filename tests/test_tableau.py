@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dyncirc import circuits as C
+from dyncirc import noise as N
 from dyncirc import statevector as sv
 from dyncirc import tableau as tb
 from dyncirc.pauli import PauliString
@@ -116,9 +117,11 @@ def test_gate_errors():
         st.apply_clifford("h", 5)
 
 
-def test_expectation_matches_dense_exhaustively():
+def test_expectation_matches_dense_exhaustively(monkeypatch):
     """Random gate sequences, then <P> for every signed Pauli vs the dense
-    state -- exercises every sign rule in the tableau."""
+    state -- exercises every sign rule in the tableau, one operator at a
+    time and all together in chunks of a few operators."""
+    monkeypatch.setattr(tb, "_EXPECTATION_WORDS", 40)
     rng = np.random.default_rng(424243)
     gates1 = ["h", "s", "sdg", "x", "y", "z"]
     for n in (1, 2, 3, 4):
@@ -136,12 +139,11 @@ def test_expectation_matches_dense_exhaustively():
                     st.apply_clifford(g, q)
                     psi = sv.apply_gate(psi, g, q)
             st.check_invariants()
-            for x in range(1 << n):
-                for z in range(1 << n):
-                    for sign in (1, -1):
-                        p = PauliString(n, x, z, sign)
-                        want = np.vdot(psi, p.to_matrix() @ psi).real
-                        assert st.expectation(p) == pytest.approx(want, abs=1e-9)
+            ps = [PauliString(n, x, z, sign) for x in range(1 << n) for z in range(1 << n) for sign in (1, -1)]
+            wants = [np.vdot(psi, p.to_matrix() @ psi).real for p in ps]
+            for p, want in zip(ps, wants):
+                assert st.expectation(p) == pytest.approx(want, abs=1e-9)
+            np.testing.assert_allclose(st.expectations(ps), wants, atol=1e-9)
 
 
 def test_apply_pauli_flips_signs():
@@ -530,7 +532,7 @@ def test_sampled_error_bookkeeping_exact_per_shot():
     circ = C.long_range_cnot_dynamic(4, mu=1.0)
     n = circ.n_qubits
     rng = np.random.default_rng(8181)
-    clean = tb.run_batch(circ, 1, master_seed=40, keep_frames=True)
+    clean = tb.run_batch(circ, 1, master_seed=40)
     n_ins = len(circ.instructions)
     for rep in range(1000):
         k = int(rng.integers(n_ins + 1))
@@ -540,7 +542,7 @@ def test_sampled_error_bookkeeping_exact_per_shot():
             z = 1
         err = PauliString(n, x, z)
         noisy = tb.run_batch(
-            circ, 1, master_seed=40, noise=[_site(k, err, 1.0)], keep_frames=True
+            circ, 1, master_seed=40, noise=[_site(k, err, 1.0)]
         )
         want_p, want_flips = _propagate_reference(circ, err, k)
         got_x = noisy.frames[0].x_bits ^ clean.frames[0].x_bits
@@ -600,3 +602,21 @@ def test_non_clifford_circuit_rejected():
     circ = C.ccz_dynamic(2, mu=1.0)
     with pytest.raises(ValueError, match="not .*simulable|non-Clifford|Clifford"):
         tb.run_batch(circ, 4, master_seed=0)
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_seed_sequence_rows_match_single_seed_batches(mode):
+    circ = C.ghz_dynamic(7, mode=mode)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05))
+    seeds = [3, 2**63 - 5, 0]
+    res = tb.run_batch(circ, 30, master_seed=seeds, noise=sites, mode=mode, shot_offset=4)
+    for k, seed in enumerate(seeds):
+        one = tb.run_batch(circ, 10, master_seed=seed, noise=sites, mode=mode, shot_offset=4)
+        rows = slice(10 * k, 10 * (k + 1))
+        np.testing.assert_array_equal(res.records[rows], one.records)
+        assert res.errors[rows] == one.errors
+        assert res.frames[rows] == one.frames
+    with pytest.raises(ValueError):
+        tb.run_batch(circ, 31, master_seed=seeds, noise=sites, mode=mode)
+    with pytest.raises(ValueError):
+        tb.run_batch(circ, 0, master_seed=[], mode=mode)
