@@ -1,32 +1,35 @@
 """Monte-Carlo certification of prepared states and teleported gates.
 
-Two estimators built on the stabilizer engine:
+Two estimators built on the stabilizer engine, both direct fidelity
+estimation (DFE) of a stabilizer state:
 
 - GHZ state fidelity by uniform stabilizer sampling: F = 2^-n sum_S <S> over
   the full stabilizer group, so averaging measured expectations of uniformly
   drawn group elements is unbiased, with a 1/sqrt(m) error bar.
-- CNOT gate fidelity by Pauli-transfer sampling: only 16 input/output Pauli
-  pairs carry nonzero ideal weight; drawing them uniformly, preparing random
-  eigenstates of the input pair, and measuring the output pair averages to the
-  process fidelity, converted to average gate fidelity at d = 4.
+- CNOT gate fidelity on the circuit's Choi state: two reference qubits are
+  Bell-paired with the inputs (:func:`choi_state_source`), and the ideal
+  Choi state of CNOT has 16 stabilizers, one per nonzero Pauli-transfer
+  tuple.  Averaging uniformly drawn ones gives the process fidelity,
+  converted to average gate fidelity at d = 4.
 
-Sample evaluations are independent jobs keyed by (seed, sample_index); results
-do not depend on evaluation order.  Estimates are returned raw — sampling
-noise may push them outside [0, 1] and they are never clipped.
+Every sample of an estimate is drawn in one Pauli-frame pass of the
+circuit (:class:`CircuitStateSource`).  Sample k depends only on
+(seed, k); results do not depend on evaluation order.  Estimates are
+returned raw — sampling noise may push them outside [0, 1] and they are
+never clipped.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import tableau as tb
 from .circuits import Circuit
+from .noise import NoiseSite
 from .pauli import PauliString
 
 __all__ = [
@@ -36,11 +39,11 @@ __all__ = [
     "ProcessSample",
     "ghz_stabilizer_group",
     "cnot_process_support",
+    "cnot_choi_stabilizers",
     "estimate_ghz_fidelity",
     "estimate_cnot_gate_fidelity",
     "CircuitStateSource",
-    "CircuitChannelSource",
-    "eigenstate_prepared_circuit",
+    "choi_state_source",
     "pauli_readout_circuit",
 ]
 
@@ -140,52 +143,32 @@ def cnot_process_support() -> list[tuple[str, str, str, str, int]]:
     return out
 
 
+def cnot_choi_stabilizers() -> list[PauliString]:
+    """The 16 signed stabilizers of CNOT's Choi state on (out_control,
+    out_target, ref_control, ref_target), in :func:`cnot_process_support`
+    order.  A Bell pair is fixed by P (x) P*, so transfer tuple
+    (P -> value * Q) gives value * (-1)^{#Y in P} * (Q (x) P): the reference
+    half carries the transpose, which flips the sign once per Y letter."""
+    return [
+        PauliString.from_text(lk + ll + li + lj).with_sign(rho * (-1) ** (li + lj).count("Y"))
+        for li, lj, lk, ll, rho in cnot_process_support()
+    ]
+
+
 # ---------------------------------------------------------------------------
 # circuit composition helpers
 # ---------------------------------------------------------------------------
 
-# Gates (applied left to right to |0>) preparing the +-1 eigenstate of a
-# single-qubit Pauli letter.
-_EIGENSTATE_GATES = {
-    ("Z", 1): (),
-    ("Z", -1): ("x",),
-    ("X", 1): ("h",),
-    ("X", -1): ("x", "h"),
-    ("Y", 1): ("h", "s"),
-    ("Y", -1): ("h", "sdg"),
-}
-
-
-def eigenstate_prepared_circuit(
-    circuit: Circuit, prep: dict[int, tuple[str, int]]
-) -> tuple[Circuit, int]:
-    """A copy of ``circuit`` with each qubit q in ``prep`` initialised to the
-    ``sign`` eigenstate of Pauli ``letter`` (prep[q] = (letter, sign)), via
-    gates scheduled before time 0.  Returns (circuit, number of instructions
-    prepended)."""
-    gates: list[tuple[str, int]] = []
-    for q in sorted(prep):
-        letter, sign = prep[q]
-        try:
-            seq = _EIGENSTATE_GATES[(letter, sign)]
-        except KeyError:
-            raise ValueError(f"no eigenstate for letter {letter!r} with sign {sign}") from None
-        gates += [(g, q) for g in seq]
-    new = Circuit(circuit.n_qubits, name=circuit.name)
-    t = -float(len(gates)) - 1.0
-    for g, q in gates:
-        new.add(g, q, start=t)
-        t += 1.0
-    new.instructions.extend(circuit.instructions)
-    new.n_records = circuit.n_records
-    return new, len(gates)
-
-
 def pauli_readout_circuit(circuit: Circuit, basis: dict[int, str]) -> tuple[Circuit, dict[int, int]]:
     """A copy of ``circuit`` with basis-rotated Z measurements appended for
     each qubit in ``basis`` (letter X, Y or Z).  Returns the new circuit and
-    {qubit: record index}."""
-    new = copy.deepcopy(circuit)
+    {qubit: record index}.  The copy shares the (immutable) instructions."""
+    new = Circuit(circuit.n_qubits, name=circuit.name)
+    new.instructions = list(circuit.instructions)
+    new.n_records = circuit.n_records
+    new.data_qubits = circuit.data_qubits
+    new.output_map = None if circuit.output_map is None else dict(circuit.output_map)
+    new.meta = dict(circuit.meta)
     t0 = new.makespan
     for q in sorted(basis):
         letter = basis[q]
@@ -198,20 +181,6 @@ def pauli_readout_circuit(circuit: Circuit, basis: dict[int, str]) -> tuple[Circ
             raise ValueError(f"cannot read out letter {letter!r}")
     recs = {q: new.measure(q, start=t0 + 1.0) for q in sorted(basis)}
     return new, recs
-
-
-def _shifted_sites(noise, offset: int):
-    if offset == 0:
-        return list(noise)
-    out = []
-    for s in noise:
-        shifted = SimpleNamespace(before_index=s.before_index + offset, pauli=s.pauli)
-        if hasattr(s, "omega"):
-            shifted.omega = s.omega
-        else:
-            shifted.rate = s.rate
-        out.append(shifted)
-    return out
 
 
 def _parities(records: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -251,8 +220,8 @@ class CircuitStateSource:
     shot-for-shot values equal those of that readout circuit.
 
     ``parities`` and ``n_data`` are the state-source protocol that
-    :func:`estimate_ghz_fidelity` uses; ``source(pauli, shots, seed)`` is
-    the one-sample form.
+    :func:`estimate_ghz_fidelity` and :func:`estimate_cnot_gate_fidelity`
+    use; ``source(pauli, shots, seed)`` is the one-sample form.
     """
 
     def __init__(self, circuit: Circuit, data_qubits=None, noise=(), mode: str = "feed_forward"):
@@ -305,8 +274,9 @@ class CircuitStateSource:
 
     def _read(self, res: tb.BatchResult, paulis, seeds, cols: slice) -> np.ndarray:
         # the reference state is the same in every batch of this circuit
-        new = {p.key(): self._on_circuit(p) for p in paulis if p.key() not in self._ops}
-        for (key, full), e in zip(new.items(), res.reference.expectations(list(new.values()))):
+        new = {p.key(): p for p in paulis if p.key() not in self._ops}
+        fulls = [self._on_circuit(p) for p in new.values()]
+        for key, full, e in zip(new, fulls, res.reference.expectations(fulls)):
             self._ops[key] = (full, int(e))
         full, e = zip(*(self._ops[p.key()] for p in paulis))
         e = np.array(e, dtype=float)
@@ -340,42 +310,41 @@ def _blocks(m: int, shots: int, max_rows: int):
             yield slice(k, k + 1), slice(lo, min(lo + max_rows, shots))
 
 
-class CircuitChannelSource:
-    """Drives a circuit as a channel on its data qubits: prepares product
-    eigenstates on ``data_in``, runs the batch with the attached noise, and
-    reads out a Pauli on ``data_out`` (defaults to ``data_in``; pass the
-    permuted positions for relabeling constructions)."""
+def choi_state_source(
+    circuit: Circuit, data_in, data_out=None, noise=(), mode: str = "feed_forward"
+) -> CircuitStateSource:
+    """The Choi state of ``circuit`` as a channel on ``data_in``, as a
+    :class:`CircuitStateSource`.
 
-    def __init__(self, circuit: Circuit, data_in, data_out=None, noise=(), mode: str = "feed_forward"):
-        self.circuit = circuit
-        self.data_in = tuple(data_in)
-        self.data_out = tuple(data_out) if data_out is not None else self.data_in
-        if len(self.data_out) != len(self.data_in):
-            raise ValueError("data_in and data_out must have the same length")
-        self.noise = list(noise)
-        self.mode = mode
-        self._cache: dict = {}
-
-    @property
-    def n_data(self) -> int:
-        return len(self.data_in)
-
-    def __call__(
-        self, prep: tuple[tuple[str, int], ...], meas: PauliString, shots: int, seed: int
-    ) -> np.ndarray:
-        if len(prep) != self.n_data or meas.n != self.n_data:
-            raise ValueError(f"source exposes {self.n_data} data qubits")
-        key = (prep, meas.key())
-        if key not in self._cache:
-            prep_map = {self.data_in[i]: spec for i, spec in enumerate(prep)}
-            circ, n_prep = eigenstate_prepared_circuit(self.circuit, prep_map)
-            sites = _shifted_sites(self.noise, n_prep)
-            basis = {self.data_out[q]: meas.letter(q) for q in meas.support}
-            circ, recs = pauli_readout_circuit(circ, basis)
-            self._cache[key] = (circ, sites, [recs[q] for q in sorted(basis)])
-        circ, sites, cols = self._cache[key]
-        res = tb.run_batch(circ, shots, master_seed=seed, noise=sites, mode=self.mode)
-        return _parities(res.records, cols)
+    The circuit is widened by one reference qubit per ``data_in`` qubit.
+    Before time 0 each reference is Bell-paired with its data qubit (``h``
+    on the reference, then ``cx`` reference -> data, as
+    :func:`statevector.choi_input` does).  Each noise site moves onto the
+    wider register at the same instruction, so the noise streams and the
+    shots they draw are those of the circuit itself.  The source exposes
+    ``data_out + references``; ``data_out`` defaults to ``data_in`` (pass
+    the permuted positions for relabeling constructions).
+    """
+    data_in = tuple(data_in)
+    data_out = data_in if data_out is None else tuple(data_out)
+    if len(data_out) != len(data_in):
+        raise ValueError("data_in and data_out must have the same length")
+    n = circuit.n_qubits
+    refs = tuple(range(n, n + len(data_in)))
+    wide = Circuit(n + len(refs), name=circuit.name + "+ref")
+    for r in refs:
+        wide.add("h", r, start=-2.0)
+    for r, q in zip(refs, data_in):
+        wide.add("cx", r, q, start=-1.0)
+    shift = len(wide.instructions)
+    wide.instructions.extend(circuit.instructions)
+    wide.n_records = circuit.n_records
+    width = wide.n_qubits
+    sites = [
+        NoiseSite(s.before_index + shift, PauliString(width, s.pauli.x_bits, s.pauli.z_bits), s.omega)
+        for s in noise
+    ]
+    return CircuitStateSource(wide, data_out + refs, noise=sites, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +353,6 @@ class CircuitChannelSource:
 
 
 def _emit(sink, record: dict) -> None:
-    if sink is None:
-        return
     if hasattr(sink, "write"):
         sink.write(json.dumps(record) + "\n")
     else:
@@ -444,19 +411,19 @@ def estimate_ghz_fidelity(
         stabs.append(group[mask & ((1 << n) - 1)])
         seeds.append(int(params[k, words]))
     pars = state_source.parities([stab.mod_phase() for stab in stabs], shots_per_sample, seeds)
-    vals = np.empty(m_samples)
-    for k, (stab, par) in enumerate(zip(stabs, pars)):
-        vals[k] = stab.sign * par.mean()
-        _emit(
-            sink,
-            {
-                "sample_index": k,
-                "operator": str(stab),
-                "ideal_value": 1,
-                "measured_value": float(vals[k]),
-                "shots": shots_per_sample,
-            },
-        )
+    vals = np.array([stab.sign * par.mean() for stab, par in zip(stabs, pars)])
+    if sink is not None:
+        for k, stab in enumerate(stabs):
+            _emit(
+                sink,
+                {
+                    "sample_index": k,
+                    "operator": str(stab),
+                    "ideal_value": 1,
+                    "measured_value": float(vals[k]),
+                    "shots": shots_per_sample,
+                },
+            )
     estimate = float(vals.mean())
     if m_samples > 1:
         std_err = float(vals.std(ddof=1) / math.sqrt(m_samples))
@@ -468,19 +435,22 @@ def estimate_ghz_fidelity(
 
 
 def estimate_cnot_gate_fidelity(
-    channel_source,
+    choi_source,
     m_samples: int,
     shots_per_sample: int = DEFAULT_SHOTS_PER_SAMPLE,
     seed: int = 0,
     sink=None,
 ) -> tuple[float, float]:
-    """Average gate fidelity of a circuit-as-channel against CNOT.
+    """Average gate fidelity of a channel against CNOT, by stabilizer DFE on
+    its Choi state.
 
-    Each sample draws one of the 16 nonzero transfer tuples uniformly,
-    prepares an independent random product of input-Pauli eigenstates (an
-    identity input letter becomes a random computational-basis state whose
-    sign is *not* folded), measures the output pair, and folds the ideal
-    value and eigenvalue signs in.  The mean estimates process fidelity;
+    ``choi_source`` exposes the channel's Choi state on (out_control,
+    out_target, ref_control, ref_target) through ``n_data`` (4) and
+    ``parities(paulis, shots, seeds)``, as :func:`choi_state_source` builds
+    it.  Each sample draws one of the 16 nonzero transfer tuples uniformly,
+    reads the matching Choi stabilizer (:func:`cnot_choi_stabilizers`) and
+    folds its sign into the mean parity; all m (stabilizer, seed) pairs are
+    measured in one ``parities`` call.  The mean estimates process fidelity;
     conversion to gate fidelity uses (d F + 1)/(d + 1) at d = 4.  Raw values
     are never clipped.
     """
@@ -488,39 +458,29 @@ def estimate_cnot_gate_fidelity(
         raise ValueError(f"need m_samples >= 1, got {m_samples}")
     if shots_per_sample < 1:
         raise ValueError(f"need shots_per_sample >= 1, got {shots_per_sample}")
-    if getattr(channel_source, "n_data", 2) != 2:
-        raise ValueError("channel source must expose exactly 2 data qubits")
-    support = cnot_process_support()
+    if choi_source.n_data != 4:
+        raise ValueError(f"Choi source exposes {choi_source.n_data} qubits, need 2 outputs and 2 refs")
+    stabs = cnot_choi_stabilizers()
+    ops = [stab.mod_phase() for stab in stabs]
     params = _sample_params(seed, _PROCESS_DOMAIN, m_samples, 2)
-    vals = np.empty(m_samples)
-    for k in range(m_samples):
-        draw = int(params[k, 0])
-        li, lj, lk, ll, rho = support[draw % 16]
-        folded = float(rho)
-        prep = []
-        for bit, letter in enumerate((li, lj)):
-            sign = 1 - 2 * ((draw >> (4 + bit)) & 1)
-            if letter == "I":
-                prep.append(("Z", sign))  # basis-state average; sign not folded
-            else:
-                prep.append((letter, sign))
-                folded *= sign
-        meas = PauliString.from_text(lk + ll)
-        shot_seed = int(params[k, 1])
-        par = np.asarray(
-            channel_source(tuple(prep), meas, shots_per_sample, shot_seed), dtype=float
-        )
-        vals[k] = folded * par.mean()
-        _emit(
-            sink,
-            {
-                "sample_index": k,
-                "operator": {"input": li + lj, "output": lk + ll},
-                "ideal_value": rho,
-                "measured_value": float(vals[k]),
-                "shots": shots_per_sample,
-            },
-        )
+    draws = [int(d) % 16 for d in params[:, 0]]
+    seeds = [int(s) for s in params[:, 1]]
+    pars = choi_source.parities([ops[i] for i in draws], shots_per_sample, seeds)
+    vals = np.array([stabs[i].sign * par.mean() for i, par in zip(draws, pars)])
+    if sink is not None:
+        support = cnot_process_support()
+        for k, i in enumerate(draws):
+            li, lj, lk, ll, rho = support[i]
+            _emit(
+                sink,
+                {
+                    "sample_index": k,
+                    "operator": {"input": li + lj, "output": lk + ll},
+                    "ideal_value": rho,
+                    "measured_value": float(vals[k]),
+                    "shots": shots_per_sample,
+                },
+            )
     f_proc = float(vals.mean())
     f_gate = (4.0 * f_proc + 1.0) / 5.0
     if m_samples > 1:

@@ -17,7 +17,6 @@ their messages rather than the targets being adjusted to match:
 
 import csv
 import dataclasses
-import itertools
 import json
 import time
 
@@ -38,26 +37,21 @@ def _conclude(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-_EIGS = [("X", 1), ("X", -1), ("Y", 1), ("Y", -1), ("Z", 1), ("Z", -1)]
-
-
 # ---------------------------------------------------------------------------
 # 1. long-range CNOT equivalence
 # ---------------------------------------------------------------------------
 
 
-def _pauli_io_pairs_exact(n: int, shots: int, seed: int) -> bool:
-    """All 36 eigenstate inputs map to the conjugated stabilizer outputs with
-    deterministic per-shot parity on the stabilizer engine."""
-    chan = cert.CircuitChannelSource(C.long_range_cnot_dynamic(n), data_in=(0, n + 1))
+def _choi_stabilizers_exact(n: int, shots: int, seed: int) -> bool:
+    """Every non-identity stabilizer of CNOT's Choi state reads its ideal
+    sign on every shot of the stabilizer engine; together they pin the
+    Choi state, hence the channel."""
+    src = cert.choi_state_source(C.long_range_cnot_dynamic(n), data_in=(0, n + 1))
+    stabs = [s for s in cert.cnot_choi_stabilizers() if not s.is_identity()]
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    for (l1, s1), (l2, s2) in itertools.product(_EIGS, _EIGS):
-        for text, sgn in ((l1 + "I", s1), ("I" + l2, s2)):
-            q = PauliString.from_text(text).conjugated("cx", 0, 1)
-            par = chan(((l1, s1), (l2, s2)), q.mod_phase(), shots, int(rng.integers(2**63)))
-            if not (par == float(sgn * q.sign)).all():
-                return False
-    return True
+    seeds = [int(rng.integers(2**63)) for _ in stabs]
+    pars = src.parities([s.mod_phase() for s in stabs], shots, seeds)
+    return all((par == s.sign).all() for s, par in zip(stabs, pars))
 
 
 def test_criterion_01_long_range_cnot_equivalence():
@@ -67,12 +61,12 @@ def test_criterion_01_long_range_cnot_equivalence():
         f = sv.process_fidelity(C.long_range_cnot_dynamic(n), sv.cnot_matrix(), data=(0, n + 1))
         worst = max(worst, abs(f - 1.0))
     dense_ok = worst <= 1e-12
-    stab_ok = all(_pauli_io_pairs_exact(n, shots=8, seed=2026) for n in (16, 32, 99))
+    stab_ok = all(_choi_stabilizers_exact(n, shots=8, seed=2026) for n in (16, 32, 99))
     dt = time.monotonic() - t0
     _conclude(
         1,
         dense_ok and stab_ok and dt < 120,
-        f"dense choi max|F-1|={worst:.2e} (n=1..8); 36 eigenstate pairs bit-exact at "
+        f"dense choi max|F-1|={worst:.2e} (n=1..8); 15 choi stabilizers bit-exact at "
         f"n=16,32,99: {stab_ok}; {dt:.1f}s",
     )
 
@@ -272,9 +266,9 @@ def test_criterion_06_two_fifths_floor():
     f_gate = N.gate_fidelity_from_process(f_proc, 4)
     exact_ok = abs(f_proc - 0.25) <= 1e-12 and abs(f_gate - 0.4) <= 1e-12
 
-    chan = cert.CircuitChannelSource(base, data_in=(0, 1), noise=sites)
+    src = cert.choi_state_source(base, data_in=(0, 1), noise=sites)
     # 400 operator draws x 25 shots = 10^4 measurements
-    est, se = cert.estimate_cnot_gate_fidelity(chan, 400, shots_per_sample=25, seed=0)
+    est, se = cert.estimate_cnot_gate_fidelity(src, 400, shots_per_sample=25, seed=0)
     mc_ok = se > 0 and abs(est - 0.4) < 3 * se
     _conclude(
         6,
@@ -385,14 +379,14 @@ def test_criterion_09_estimator_statistics():
     cn_exact = N.gate_fidelity_from_process(
         sv.process_fidelity(cn, sv.cnot_matrix(), data=(0, 3), sites=cn_sites), 4
     )
-    chan = cert.CircuitChannelSource(cn, data_in=(0, 3), noise=cn_sites)
+    choi = cert.choi_state_source(cn, data_in=(0, 3), noise=cn_sites)
 
     reps = np.array(
         [cert.estimate_ghz_fidelity(src, 4, 16, shots_per_sample=8, seed=s)[0] for s in range(200)]
     )
     z_ghz = abs(reps.mean() - ghz_exact) / (reps.std(ddof=1) / np.sqrt(len(reps)))
     reps = np.array(
-        [cert.estimate_cnot_gate_fidelity(chan, 12, shots_per_sample=6, seed=s)[0] for s in range(200)]
+        [cert.estimate_cnot_gate_fidelity(choi, 12, shots_per_sample=6, seed=s)[0] for s in range(200)]
     )
     z_cnot = abs(reps.mean() - cn_exact) / (reps.std(ddof=1) / np.sqrt(len(reps)))
     unbiased_ok = z_ghz < 3 and z_cnot < 3
@@ -400,7 +394,7 @@ def test_criterion_09_estimator_statistics():
     ratios = []
     for fn in (
         lambda m, s: cert.estimate_ghz_fidelity(src, 4, m, 4, seed=s)[0],
-        lambda m, s: cert.estimate_cnot_gate_fidelity(chan, m, 4, seed=s)[0],
+        lambda m, s: cert.estimate_cnot_gate_fidelity(choi, m, 4, seed=s)[0],
     ):
         stds = {
             m: np.array([fn(m, 100 + 1000 * m + r) for r in range(72)]).std(ddof=1)

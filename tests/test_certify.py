@@ -14,6 +14,7 @@ import pytest
 
 import dyncirc.certify as cert
 import dyncirc.circuits as C
+import dyncirc.cli as cli
 import dyncirc.noise as N
 import dyncirc.statevector as sv
 import dyncirc.tableau as tb
@@ -119,19 +120,22 @@ def test_support_table_against_dense_brute_force():
 # ---------------------------------------------------------------------------
 
 
-def test_eigenstate_prep_and_readout_round_trip():
-    # preparing the -1 eigenstate of each letter and reading the same letter
-    # back must give parity -1 on every shot
-    for letter in "XYZ":
-        for sign in (1, -1):
-            circ, n_prep = cert.eigenstate_prepared_circuit(C.Circuit(1), {0: (letter, sign)})
-            assert n_prep == len(cert._EIGENSTATE_GATES[(letter, sign)])
-            circ, recs = cert.pauli_readout_circuit(circ, {0: letter})
-            res = tb.run_batch(circ, 8, master_seed=2)
-            want = 0 if sign == 1 else 1
-            assert (res.records[:, recs[0]] == want).all()
-    with pytest.raises(ValueError):
-        cert.eigenstate_prepared_circuit(C.Circuit(1), {0: ("I", 1)})
+def test_pauli_readout_round_trip():
+    # preparing the +-1 eigenstate of each letter from plain gates and
+    # reading the same letter back must record the matching bit on every shot
+    prep = {
+        ("X", 1): ("h",), ("X", -1): ("x", "h"), ("Y", 1): ("h", "s"),
+        ("Y", -1): ("h", "sdg"), ("Z", 1): (), ("Z", -1): ("x",),
+    }
+    for (letter, sign), gates in prep.items():
+        circ = C.Circuit(1)
+        for g in gates:
+            circ.add(g, 0)
+        readout, recs = cert.pauli_readout_circuit(circ, {0: letter})
+        res = tb.run_batch(readout, 8, master_seed=2)
+        assert (res.records[:, recs[0]] == (0 if sign == 1 else 1)).all()
+        # the readout is appended to a copy; the circuit itself is untouched
+        assert len(circ.instructions) == len(gates) and circ.n_records == 0
     with pytest.raises(ValueError):
         cert.pauli_readout_circuit(C.Circuit(1), {0: "Q"})
 
@@ -250,16 +254,46 @@ def test_batched_parities_split_into_bounded_calls(monkeypatch):
         src.parities(ops, 4, seeds[:2])
 
 
-def test_channel_source_validation():
+def test_choi_source_validation():
     base = C.Circuit(2)
     base.add("cx", 0, 1, start=0.0)
     with pytest.raises(ValueError):
-        cert.CircuitChannelSource(base, data_in=(0, 1), data_out=(0,))
-    chan = cert.CircuitChannelSource(base, data_in=(0, 1))
+        cert.choi_state_source(base, data_in=(0, 1), data_out=(0,))
+    src = cert.choi_state_source(base, data_in=(0, 1))
+    assert src.n_data == 4 and src.circuit.n_qubits == 4
     with pytest.raises(ValueError):
-        chan((("Z", 1),), PauliString.from_text("XX"), 4, seed=0)
-    with pytest.raises(ValueError):
-        chan((("Z", 1), ("Z", 1)), PauliString.from_text("X"), 4, seed=0)
+        src.parities([PauliString.from_text("XX")], 4, [0])
+
+
+@pytest.mark.parametrize(
+    "variant,mode", [("dynamic", "feed_forward"), ("dynamic", "post_process"), ("II", "feed_forward")]
+)
+def test_choi_source_matches_readout_circuits_per_shot(variant, mode):
+    """Every Choi stabilizer, and operators the Choi state does not fix,
+    read the same parity shot for shot from the end frames as from a
+    readout circuit on the widened circuit; and the widened circuit fires
+    the same noise on the same shots as the circuit itself."""
+    circ, data_in, data_out = cli._cnot_circuit(variant, 3, 3.65, mode)
+    assert (data_out is not None) == (variant == "II")
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.03, lambda_cnot=0.05, lambda_meas=0.05, mu=3.65))
+    src = cert.choi_state_source(circ, data_in, data_out, noise=sites, mode=mode)
+    ops = [s.mod_phase() for s in cert.cnot_choi_stabilizers()]
+    ops += [PauliString.from_text(t) for t in ("ZIII", "IXZI", "YYYY")]
+    rng = np.random.default_rng(3)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
+    shots = 32
+    got = src.parities(ops, shots, seeds)
+    for k, (op, seed) in enumerate(zip(ops, seeds)):
+        want = _readout_parities(src.circuit, src.data, op, shots, seed, src.noise, mode)
+        np.testing.assert_array_equal(got[k], want)
+    assert set(got[-3]) == {-1.0, 1.0}  # ZIII is random on a Choi state
+    assert (got[:16] != 1.0).any()  # the noise does flip stabilizers
+
+    shift = len(src.circuit.instructions) - len(circ.instructions)
+    wide = tb.run_batch(src.circuit, 64, master_seed=9, noise=src.noise, mode=mode)
+    own = tb.run_batch(circ, 64, master_seed=9, noise=sites, mode=mode)
+    fired = lambda res, d: [[(e.before_index - d, e.pauli.key()) for e in shot] for shot in res.errors]
+    assert fired(wide, shift) == fired(own, 0) and any(own.errors)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +368,40 @@ def test_ghz_estimator_validation():
 
 
 def test_cnot_noiseless_teleported_is_exactly_one():
-    chan = cert.CircuitChannelSource(C.long_range_cnot_dynamic(3, mu=1.0), data_in=(0, 4))
-    est, se = cert.estimate_cnot_gate_fidelity(chan, 24, shots_per_sample=4, seed=5)
+    src = cert.choi_state_source(C.long_range_cnot_dynamic(3, mu=1.0), data_in=(0, 4))
+    est, se = cert.estimate_cnot_gate_fidelity(src, 24, shots_per_sample=4, seed=5)
     assert est == 1.0 and se == 0.0
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_cnot_noiseless_is_exactly_one_at_99_ancillas(mode):
+    circ = C.long_range_cnot_dynamic(99, mu=3.65, mode=mode)
+    src = cert.choi_state_source(circ, data_in=(0, 100), mode=mode)
+    est, se = cert.estimate_cnot_gate_fidelity(src, 64, shots_per_sample=8, seed=11)
+    assert est == 1.0 and se == 0.0
+
+
+@pytest.mark.parametrize("variant", ["dynamic", "Ia", "Ib", "Ic", "II"])
+def test_cnot_variants_match_dense_at_readme_rates(variant):
+    circ, data_in, data_out = cli._cnot_circuit(variant, 2, 3.65, "feed_forward")
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.03, lambda_cnot=0.02, lambda_meas=0.03, mu=3.65))
+    exact_gate = N.gate_fidelity_from_process(
+        sv.process_fidelity(circ, sv.cnot_matrix(), data=data_in, sites=sites, data_out=data_out), 4
+    )
+    src = cert.choi_state_source(circ, data_in, data_out, noise=sites)
+    est, se = cert.estimate_cnot_gate_fidelity(src, 1000, shots_per_sample=16, seed=21)
+    assert se > 0.0
+    assert abs(est - exact_gate) < 3 * se
+
+
+def test_cnot_estimate_unchanged_by_batch_splits(monkeypatch):
+    circ = C.long_range_cnot_dynamic(2, mu=1.0)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.08, lambda_meas=0.1))
+    src = cert.choi_state_source(circ, data_in=(0, 3), noise=sites)
+    whole = cert.estimate_cnot_gate_fidelity(src, 40, shots_per_sample=10, seed=4)
+    for rows in (10, 30, 7):  # whole samples per call, and one sample in pieces
+        monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
+        assert cert.estimate_cnot_gate_fidelity(src, 40, shots_per_sample=10, seed=4) == whole
 
 
 def test_cnot_saturated_floor_is_two_fifths():
@@ -346,8 +411,8 @@ def test_cnot_saturated_floor_is_two_fifths():
     exact = sv.process_fidelity(base, sv.cnot_matrix(), data=(0, 1), sites=sites)
     assert exact == pytest.approx(0.25, abs=1e-12)
     assert N.gate_fidelity_from_process(exact, 4) == pytest.approx(0.4, abs=1e-12)
-    chan = cert.CircuitChannelSource(base, data_in=(0, 1), noise=sites)
-    est, se = cert.estimate_cnot_gate_fidelity(chan, 400, shots_per_sample=25, seed=0)
+    src = cert.choi_state_source(base, data_in=(0, 1), noise=sites)
+    est, se = cert.estimate_cnot_gate_fidelity(src, 400, shots_per_sample=25, seed=0)
     assert se > 0.0
     assert abs(est - 0.4) < 3 * se
 
@@ -359,8 +424,8 @@ def test_cnot_dephased_control_matches_dense():
     exact_gate = N.gate_fidelity_from_process(
         sv.process_fidelity(base, sv.cnot_matrix(), data=(0, 1), sites=sites), 4
     )
-    chan = cert.CircuitChannelSource(base, data_in=(0, 1), noise=sites)
-    est, se = cert.estimate_cnot_gate_fidelity(chan, 300, shots_per_sample=16, seed=0)
+    src = cert.choi_state_source(base, data_in=(0, 1), noise=sites)
+    est, se = cert.estimate_cnot_gate_fidelity(src, 300, shots_per_sample=16, seed=0)
     assert abs(est - exact_gate) < 3 * se
 
 
@@ -370,28 +435,28 @@ def test_cnot_noisy_teleported_matches_dense():
     exact_gate = N.gate_fidelity_from_process(
         sv.process_fidelity(circ, sv.cnot_matrix(), data=(0, 3), sites=sites), 4
     )
-    chan = cert.CircuitChannelSource(circ, data_in=(0, 3), noise=sites)
-    est, se = cert.estimate_cnot_gate_fidelity(chan, 300, shots_per_sample=16, seed=0)
+    src = cert.choi_state_source(circ, data_in=(0, 3), noise=sites)
+    est, se = cert.estimate_cnot_gate_fidelity(src, 300, shots_per_sample=16, seed=0)
     assert abs(est - exact_gate) < 3 * se
 
 
 def test_cnot_estimate_can_go_negative():
     base = C.Circuit(2)
     base.add("cx", 0, 1, start=0.0)
-    chan = cert.CircuitChannelSource(base, data_in=(0, 1), noise=[_end_site(base, "XZ", 1.0)])
-    est, se = cert.estimate_cnot_gate_fidelity(chan, 8, shots_per_sample=2, seed=7)
+    src = cert.choi_state_source(base, data_in=(0, 1), noise=[_end_site(base, "XZ", 1.0)])
+    est, se = cert.estimate_cnot_gate_fidelity(src, 8, shots_per_sample=2, seed=7)
     assert est < 0.0
 
 
 def test_cnot_estimator_validation():
     base = C.Circuit(2)
     base.add("cx", 0, 1, start=0.0)
-    narrow = cert.CircuitChannelSource(base, data_in=(0,))
+    narrow = cert.choi_state_source(base, data_in=(0,))
     with pytest.raises(ValueError):
         cert.estimate_cnot_gate_fidelity(narrow, 4)
-    chan = cert.CircuitChannelSource(base, data_in=(0, 1))
+    src = cert.choi_state_source(base, data_in=(0, 1))
     with pytest.raises(ValueError):
-        cert.estimate_cnot_gate_fidelity(chan, 0)
+        cert.estimate_cnot_gate_fidelity(src, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +483,9 @@ def test_cnot_estimator_unbiased_over_repetitions():
     exact_gate = N.gate_fidelity_from_process(
         sv.process_fidelity(circ, sv.cnot_matrix(), data=(0, 3), sites=sites), 4
     )
-    chan = cert.CircuitChannelSource(circ, data_in=(0, 3), noise=sites)
+    src = cert.choi_state_source(circ, data_in=(0, 3), noise=sites)
     reps = np.array(
-        [cert.estimate_cnot_gate_fidelity(chan, 12, shots_per_sample=6, seed=s)[0] for s in range(200)]
+        [cert.estimate_cnot_gate_fidelity(src, 12, shots_per_sample=6, seed=s)[0] for s in range(200)]
     )
     spread = reps.std(ddof=1)
     assert abs(reps.mean() - exact_gate) < 3 * spread / np.sqrt(len(reps))
@@ -477,9 +542,9 @@ def test_estimates_are_deterministic_in_seed():
     c = cert.estimate_ghz_fidelity(src, 4, 24, shots_per_sample=8, seed=10)
     assert a == b and a != c
 
-    chan = cert.CircuitChannelSource(C.long_range_cnot_dynamic(2, mu=1.0), data_in=(0, 3), noise=[])
-    x = cert.estimate_cnot_gate_fidelity(chan, 12, shots_per_sample=4, seed=3)
-    y = cert.estimate_cnot_gate_fidelity(chan, 12, shots_per_sample=4, seed=3)
+    src = cert.choi_state_source(C.long_range_cnot_dynamic(2, mu=1.0), data_in=(0, 3), noise=[])
+    x = cert.estimate_cnot_gate_fidelity(src, 12, shots_per_sample=4, seed=3)
+    y = cert.estimate_cnot_gate_fidelity(src, 12, shots_per_sample=4, seed=3)
     assert x == y
 
 
@@ -503,9 +568,9 @@ def test_sample_records_as_json_lines():
     cert.estimate_ghz_fidelity(src, 4, 6, shots_per_sample=4, seed=2, sink=got.append)
     assert got == docs
 
-    chan = cert.CircuitChannelSource(C.long_range_cnot_dynamic(1, mu=1.0), data_in=(0, 2))
+    src = cert.choi_state_source(C.long_range_cnot_dynamic(1, mu=1.0), data_in=(0, 2))
     sink = io.StringIO()
-    cert.estimate_cnot_gate_fidelity(chan, 5, shots_per_sample=4, seed=2, sink=sink)
+    cert.estimate_cnot_gate_fidelity(src, 5, shots_per_sample=4, seed=2, sink=sink)
     docs = [json.loads(line) for line in sink.getvalue().splitlines()]
     assert len(docs) == 5
     for d in docs:
