@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .pauli import PauliString
 __all__ = [
     "CHOI_DIMENSION",
     "DEFAULT_SHOTS_PER_SAMPLE",
-    "StabilizerSample",
-    "ProcessSample",
     "ghz_stabilizer_group",
     "cnot_process_support",
     "cnot_choi_stabilizers",
@@ -52,28 +49,6 @@ CHOI_DIMENSION = 16
 
 # Per-sample shot count giving single-operator precision ~0.1 at unit weight.
 DEFAULT_SHOTS_PER_SAMPLE = 100
-
-
-@dataclass(frozen=True)
-class StabilizerSample:
-    """One state-certification draw: a signed group element and its measured
-    expectation value."""
-
-    stabilizer: PauliString
-    measured_expectation: float
-    shots_used: int
-
-
-@dataclass(frozen=True)
-class ProcessSample:
-    """One process-certification draw: input/output Pauli letter pairs, the
-    ideal transfer value (+-1), and the sign-folded measured value."""
-
-    input_pair: tuple[str, str]
-    output_pair: tuple[str, str]
-    ideal_value: int
-    measured_value: float
-    shots_used: int
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +170,11 @@ def _parities(records: np.ndarray, cols: list[int]) -> np.ndarray:
 
 
 # Bounds on one ``run_batch`` call: rows, and bytes of the per-row state it
-# holds (records, the record-major diff and up to four packed frame arrays,
-# 2 * n_records + 32 * words bytes a row).  A sweep point's samples are split
-# into calls of whole samples within both, so memory stays bounded in m*shots.
+# holds.  A row (shot) takes a byte per record, and one bit per record (the
+# packed diff), per noise site or random collapse (the fired mask), and per
+# qubit in each of up to six frame rows (four replayed, two read out).  A
+# sweep point's samples are split into calls of whole samples within both,
+# so memory stays bounded in m*shots.
 _MAX_BATCH_ROWS = 1 << 16
 _MAX_BATCH_BYTES = 1 << 24
 
@@ -247,8 +224,9 @@ class CircuitStateSource:
         for p in paulis:
             if p.n != self.n_data:
                 raise ValueError(f"operator on {p.n} qubits, source exposes {self.n_data}")
-        words = (self.circuit.n_qubits + 63) // 64
-        row_bytes = 2 * self.circuit.n_records + 32 * words
+        c = self.circuit
+        draws = len(self.noise) + sum(ins.op in ("measure", "reset") for ins in c.instructions)
+        row_bytes = c.n_records + (c.n_records + draws + 6 * c.n_qubits + 7) // 8
         max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
         out = np.empty((len(paulis), shots))
         for rows, cols in _blocks(len(paulis), shots, max_rows):

@@ -8,11 +8,15 @@ Two execution styles share one tableau core:
   Pauli corrections.  Generator rows are packed 64 qubits per machine word so
   a column update touches every row at once.
 
-* :func:`run_shots` — a two-pass sampler for many shots of one circuit: a
+* :func:`run_batch` — a two-pass sampler for many shots of one circuit: a
   single reference execution (random outcomes pinned to 0, with a flip
-  operator captured at every random collapse) followed by a vectorised
-  Pauli-frame pass that replays all shots against that reference.  Per-shot
-  cost is O(instructions) word operations, independent of the tableau.
+  operator captured at every random collapse) followed by a Pauli-frame
+  replay of all shots against that reference.  Frames are stored
+  qubit-major with 64 shots per word (the frame-simulator layout of Gidney,
+  Quantum 5, 497 (2021)): a gate is a word operation on one or two frame
+  rows, and a noise site or collapse XORs its packed fired row into the
+  rows on its support, so replay cost is O(instructions x shots / 64)
+  words, independent of the tableau.
 
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
@@ -22,7 +26,6 @@ sharded across workers or runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,18 +58,8 @@ _EXPECTATION_WORDS = 1 << 18
 # ---------------------------------------------------------------------------
 
 
-def _mix_int(x: int) -> int:
-    """SplitMix64 finalizer on a plain Python integer."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def _mix_u64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, elementwise on uint64 (arithmetic wraps)."""
     x = x.copy()
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -97,21 +90,25 @@ class CounterRandom:
     def n_seeds(self) -> int:
         return 1 if self._keys is None else self._keys.shape[0]
 
-    def uniform(self, stream_id: int, shot_ids: np.ndarray) -> np.ndarray:
+    def uniform(self, stream_id, shot_ids: np.ndarray) -> np.ndarray:
         """Floats in [0, 1), one per entry of ``shot_ids`` (uint64 array),
-        or an (m, len(shot_ids)) array under m seeds."""
-        c = _mix_int((stream_id + 1) * _GOLDEN)
+        or an (m, len(shot_ids)) array under m seeds.  ``stream_id`` may
+        also be a 1-D array of k stream ids, which adds a leading axis of
+        length k: one row of draws per stream."""
+        sids = np.asarray(stream_id, dtype=np.uint64)
+        c = _mix_u64((sids.reshape(-1, 1) + _U1) * np.uint64(_GOLDEN))
         if self._keys is None:
-            h = np.uint64(_mix_int(self._key ^ c))
+            h = _mix_u64(np.uint64(self._key) ^ c)
         else:
-            h = _mix_u64(self._keys ^ np.uint64(c))
+            h = _mix_u64(self._keys ^ c[:, None])
         x = (shot_ids + _U1) * np.uint64(_GOLDEN) + h
-        return (_mix_u64(x) >> np.uint64(11)) * 2.0**-53
+        u = (_mix_u64(x) >> np.uint64(11)) * 2.0**-53
+        return u.reshape(sids.shape + u.shape[1:])
 
 
 def _seed_key(master_seed: int) -> int:
     k = np.random.SeedSequence(master_seed).generate_state(2, dtype=np.uint64)
-    return int(k[0]) ^ _mix_int(int(k[1]))
+    return int(k[0] ^ _mix_u64(k[1:])[0])
 
 
 def _pack_bits(bits: int, n_words: int) -> np.ndarray:
@@ -587,7 +584,7 @@ def execute(
     noise=None,
 ) -> StabilizerState:
     """One shot, straight on the tableau; returns the final state with its
-    classical record.  Slower than :func:`run_shots` but has no compiled
+    classical record.  Slower than :func:`run_batch` but has no compiled
     program between the circuit and the tableau, which makes it a useful
     cross-check."""
     if mode not in ("feed_forward", "post_process"):
@@ -666,6 +663,56 @@ def enumerate_outcomes(circuit: Circuit, mode: str = "feed_forward") -> dict[tup
 # batched shot sampling (reference pass + Pauli-frame replay)
 # ---------------------------------------------------------------------------
 
+# Most uniform values one draw chunk holds: the draws of a batch are taken
+# in chunks of whole streams, so their temporaries stay small
+_DRAW_VALUES = 1 << 14
+# Shots transposed at a time when a shot-major view is derived (a multiple
+# of 64, so that every block starts on a word)
+_VIEW_SHOTS = 1 << 12
+
+
+def _n_words(bits: int) -> int:
+    return (bits + 63) // 64
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(rows, k) booleans as (rows, ceil(k/64)) words: bit j of a row lands
+    in bit j % 64 of word j // 64."""
+    rows, k = bits.shape
+    out = np.zeros((rows, 8 * _n_words(k)), dtype=np.uint8)
+    out[:, : (k + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of each row of :func:`_pack_rows` words, as uint8."""
+    le = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(le, axis=1, count=count, bitorder="little")
+
+
+def _support(bits: int, dtype):
+    """The set bits of a non-negative integer as a frame-row index: None
+    for none, an int for one (a cheap scalar index; most noise sites), and
+    otherwise an ascending array of ``dtype``."""
+    if not bits & (bits - 1):
+        return bits.bit_length() - 1 if bits else None
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(dtype)
+
+
+def _shot_major(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Shots ``lo``..``hi``-1 (``lo`` a multiple of 64) of qubit-major frame
+    rows (n, words) as (hi - lo, ceil(n/64)) words, 64 qubits a word."""
+    return _pack_rows(_unpack_rows(rows[:, lo // 64 : _n_words(hi)], hi - lo).T)
+
+
+def _shot_major_all(rows: np.ndarray, shots: int) -> np.ndarray:
+    out = np.empty((shots, _n_words(rows.shape[0])), dtype=np.uint64)
+    for lo in range(0, shots, _VIEW_SHOTS):
+        hi = min(shots, lo + _VIEW_SHOTS)
+        out[lo:hi] = _shot_major(rows, lo, hi)
+    return out
+
 
 class InjectedError(NamedTuple):
     time: float
@@ -674,54 +721,55 @@ class InjectedError(NamedTuple):
 
 
 @dataclass
-class ShotResult:
-    """One shot's classical record, its frame (:attr:`BatchResult.frames`),
-    and the noise operators that actually fired."""
-
-    classical_bits: list[int]
-    pauli_frame: PauliString
-    sampled_errors: list[InjectedError]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bits": self.classical_bits,
-                "frame": str(self.pauli_frame),
-                "errors": [
-                    {"time": e.time, "pauli": str(e.pauli), "before_index": e.before_index}
-                    for e in self.sampled_errors
-                ],
-            },
-            sort_keys=True,
-        )
-
-
-@dataclass
 class BatchResult:
     """Vectorised shot batch: ``records[s, r]`` is record r of shot s.
 
     ``reference`` is the reference execution's end state (random outcomes
     pinned to 0; in post-processing mode its ``pending`` is the reference
-    correction).  Shot s ends in ``frame_s * reference``, with the physical
-    frame packed 64 qubits per word in ``frame_x[s]``/``frame_z[s]``.  In
-    post-processing mode ``delta_x``/``delta_z`` hold the replayed change to
-    the outstanding correction, which for shot s is ``reference.pending``
-    times that delta.  :attr:`frames` unpacks these into per-shot operators
-    only when read.
+    correction).  Shot s ends in ``frame_s * reference``.  Frames are
+    stored qubit-major with 64 shots a word: bit s % 64 of word s // 64 in
+    row q of ``fx``/``fz`` is the X/Z part of shot s's frame on qubit q.  In
+    post-processing mode ``dx``/``dz`` hold, in the same layout, the
+    replayed change to the outstanding correction, which for shot s is
+    ``reference.pending`` times that delta.  Row j of ``fired`` marks, in
+    the same layout, the shots on which noise site ``sites[j]`` fired.
+
+    The shot-major views (:attr:`frame_x`, :attr:`frame_z`,
+    :attr:`delta_x`, :attr:`delta_z`, :attr:`frames`, :attr:`errors`) are
+    derived only when read.
     """
 
     records: np.ndarray
-    errors: list[list[InjectedError]]
     mode: str
     reference: StabilizerState
-    frame_x: np.ndarray
-    frame_z: np.ndarray
-    delta_x: np.ndarray | None = None
-    delta_z: np.ndarray | None = None
+    fx: np.ndarray
+    fz: np.ndarray
+    fired: np.ndarray
+    sites: list[InjectedError]
+    dx: np.ndarray | None = None
+    dz: np.ndarray | None = None
 
     @property
     def shots(self) -> int:
         return self.records.shape[0]
+
+    @property
+    def frame_x(self) -> np.ndarray:
+        """Row s: shot s's physical X frame, packed 64 qubits a word."""
+        return _shot_major_all(self.fx, self.shots)
+
+    @property
+    def frame_z(self) -> np.ndarray:
+        return _shot_major_all(self.fz, self.shots)
+
+    @property
+    def delta_x(self) -> np.ndarray | None:
+        """Row s: shot s's X correction delta (post-processing mode only)."""
+        return None if self.dx is None else _shot_major_all(self.dx, self.shots)
+
+    @property
+    def delta_z(self) -> np.ndarray | None:
+        return None if self.dz is None else _shot_major_all(self.dz, self.shots)
 
     @cached_property
     def frames(self) -> list[PauliString]:
@@ -739,6 +787,14 @@ class BatchResult:
             for fx, fz in zip(self.frame_x, self.frame_z)
         ]
 
+    @cached_property
+    def errors(self) -> list[list[InjectedError]]:
+        """Per shot, the noise operators that fired on it, in program order."""
+        out: list[list[InjectedError]] = [[] for _ in range(self.shots)]
+        for j, s in zip(*np.nonzero(_unpack_rows(self.fired, self.shots))):
+            out[s].append(self.sites[j])
+        return out
+
     def readout_flips(self, paulis: list[PauliString]) -> np.ndarray:
         """(m, shots/m) booleans for m operators on the circuit register,
         operator k read on its own block of shots/m consecutive rows: True
@@ -747,58 +803,57 @@ class BatchResult:
         anticommutes with the shot's frame, times the outstanding correction
         in post-processing mode (records are corrected through it)."""
         m = len(paulis)
-        W = self.frame_x.shape[1]
-        fx = self.frame_x.reshape(m, self.shots // m, W)
-        fz = self.frame_z.reshape(m, self.shots // m, W)
+        W = _n_words(self.reference.n)
+        sx = np.array([_pack_bits(p.x_bits, W) for p in paulis]).reshape(m, W)
+        sz = np.array([_pack_bits(p.z_bits, W) for p in paulis]).reshape(m, W)
+        fx, fz = self.fx, self.fz
+        if self.mode == "post_process":
+            fx, fz = fx ^ self.dx, fz ^ self.dz
+        op = np.arange(self.shots) // (self.shots // m)
+        out = np.empty(self.shots, dtype=bool)
+        for lo in range(0, self.shots, _VIEW_SHOTS):
+            hi = min(self.shots, lo + _VIEW_SHOTS)
+            k = op[lo:hi]
+            anti = (_shot_major(fx, lo, hi) & sz[k]) ^ (_shot_major(fz, lo, hi) & sx[k])
+            out[lo:hi] = _odd_parity(np.bitwise_xor.reduce(anti, axis=1))
+        out = out.reshape(m, self.shots // m)
         if self.mode == "post_process":
             pending = self.reference.pending
-            fx = fx ^ self.delta_x.reshape(fx.shape) ^ _pack_bits(pending.x_bits, W)
-            fz = fz ^ self.delta_z.reshape(fz.shape) ^ _pack_bits(pending.z_bits, W)
-        sx = np.array([_pack_bits(p.x_bits, W) for p in paulis]).reshape(m, 1, W)
-        sz = np.array([_pack_bits(p.z_bits, W) for p in paulis]).reshape(m, 1, W)
-        return _odd_parity(np.bitwise_xor.reduce((fx & sz) ^ (fz & sx), axis=2))
-
-    def shot_results(self) -> list[ShotResult]:
-        frames = self.frames
-        return [
-            ShotResult(
-                classical_bits=self.records[i].tolist(),
-                pauli_frame=frames[i],
-                sampled_errors=self.errors[i],
-            )
-            for i in range(self.shots)
-        ]
+            out ^= np.array([not pending.commutes(p) for p in paulis])[:, None]
+        return out
 
 
 def _compile_reference(circuit: Circuit, noise, mode: str):
     """Run the circuit once with random outcomes pinned to 0, emitting the
-    frame-replay program and the reference record."""
+    frame-replay program, its draws, its noise sites and the reference
+    record.
+
+    A draw is a (stream id, weight) pair: it fires on the shots whose
+    uniform on that stream is below the weight.  A program entry
+    ``("pauli", xq, zq, j)`` XORs the fired row of draw j into the X frame
+    rows ``xq`` and the Z frame rows ``zq`` (each a :func:`_support`); it is
+    a noise site, or the flip operator of a random collapse (weight 1/2)."""
     st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
     by_index = _sites_by_index(circuit, noise)
-    W = st._w
+    qdt = np.min_scalar_type(circuit.n_qubits)  # supports are held as qubit indices
     prog: list[tuple] = []
+    draws: list[tuple[int, float]] = []
+    sites: list[InjectedError] = []
     n_ins = len(circuit.instructions)
     coin_streams = 0
-    noise_streams = 0
+
+    def emit_pauli(p: PauliString, stream_id: int, weight: float) -> None:
+        prog.append(("pauli", _support(p.x_bits, qdt), _support(p.z_bits, qdt), len(draws)))
+        draws.append((stream_id, weight))
 
     def emit_noise(k: int) -> None:
-        nonlocal noise_streams
         for s in by_index.get(k, ()):
             om = float(s.omega)
             if not 0.0 <= om <= 1.0:
                 raise ValueError(f"error weight {om} outside [0, 1]")
             t = circuit.instructions[k].start if k < n_ins else circuit.makespan
-            prog.append(
-                (
-                    "noise",
-                    _pack_bits(s.pauli.x_bits, W),
-                    _pack_bits(s.pauli.z_bits, W),
-                    om,
-                    _NOISE_STREAM_BASE + noise_streams,
-                    InjectedError(t, s.pauli.mod_phase(), k),
-                )
-            )
-            noise_streams += 1
+            emit_pauli(s.pauli, _NOISE_STREAM_BASE + len(sites), om)
+            sites.append(InjectedError(t, s.pauli.mod_phase(), k))
 
     for k, ins in enumerate(circuit.instructions):
         emit_noise(k)
@@ -816,26 +871,21 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
             q = ins.qubits[0]
             outcome, was_random, flip = st.measure_flip(q, forced=0)
             if was_random:
-                prog.append(
-                    ("flip", _pack_bits(flip.x_bits, W), _pack_bits(flip.z_bits, W), coin_streams)
-                )
+                emit_pauli(flip, coin_streams, 0.5)
                 coin_streams += 1
             if op == "measure":
                 recorded = outcome
                 if st.pending is not None:
                     recorded ^= st.pending.x_bit(q)
                 st.classical_bits[ins.record] = recorded
-                prog.append(("meas", q, ins.record, recorded))
+                prog.append(("meas", q, ins.record))
             else:
                 if outcome:
                     st.apply_clifford("x", q)
                 prog.append(("reset", q))
         elif op == "cpauli":
             st.conditional_pauli(ins.qubits[0], ins.pauli, ins.parity)
-            p = PauliString.single(circuit.n_qubits, ins.qubits[0], ins.pauli)
-            prog.append(
-                ("cpauli", _pack_bits(p.x_bits, W), _pack_bits(p.z_bits, W), tuple(ins.parity))
-            )
+            prog.append(("cpauli", ins.qubits[0], ins.pauli, np.array(ins.parity, dtype=np.intp)))
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)
@@ -843,7 +893,21 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     ref_bits = np.zeros(circuit.n_records, dtype=np.uint8)
     for idx, bit in st.classical_bits.items():
         ref_bits[idx] = bit
-    return prog, ref_bits, st
+    return prog, draws, sites, ref_bits, st
+
+
+def _draw(stream: CounterRandom, draws: list[tuple[int, float]], shot_ids: np.ndarray, shots: int) -> np.ndarray:
+    """Packed fired mask, one row per (stream id, weight) draw: bit s of row
+    j is set where shot s's uniform on stream j is below its weight."""
+    sids = np.array([sid for sid, _ in draws], dtype=np.uint64)
+    weights = np.array([w for _, w in draws], dtype=float)
+    out = np.empty((len(draws), _n_words(shots)), dtype=np.uint64)
+    step = max(1, _DRAW_VALUES // max(shots, 1))
+    for lo in range(0, len(draws), step):
+        hi = min(len(draws), lo + step)
+        u = stream.uniform(sids[lo:hi], shot_ids).reshape(hi - lo, shots)
+        out[lo:hi] = _pack_rows(u < weights[lo:hi, None])
+    return out
 
 
 def run_batch(
@@ -858,6 +922,8 @@ def run_batch(
     (master_seed, shot_offset + i), so splitting a batch across workers
     reproduces the single-batch output exactly.
 
+    ``noise`` is a sequence of sites, each with a ``before_index`` into the
+    instruction list, a ``pauli`` operator, and a firing weight ``omega``.
     ``master_seed`` may also be a sequence of m seeds, with ``shots`` a
     multiple of m: rows k*shots/m .. (k+1)*shots/m - 1 are then shots
     ``shot_offset + 0 .. shots/m - 1`` under seed k, identical to the rows
@@ -873,112 +939,68 @@ def run_batch(
         raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
     per_seed = shots // stream.n_seeds
     circuit.validate()
-    prog, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
-    W = (circuit.n_qubits + 63) // 64
+    prog, draws, sites, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
     post = mode == "post_process"
     ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
+    fired = _draw(stream, draws, ids, shots)
 
-    FX = np.zeros((shots, W), dtype=np.uint64)
-    FZ = np.zeros((shots, W), dtype=np.uint64)
-    DX = np.zeros((shots, W), dtype=np.uint64) if post else None
-    DZ = np.zeros((shots, W), dtype=np.uint64) if post else None
+    # qubit-major: row q holds qubit q of every shot, 64 shots a word
+    shape = (circuit.n_qubits, _n_words(shots))
+    FX = np.zeros(shape, dtype=np.uint64)
+    FZ = np.zeros(shape, dtype=np.uint64)
+    DX = np.zeros(shape, dtype=np.uint64) if post else None
+    DZ = np.zeros(shape, dtype=np.uint64) if post else None
     frames = [(FX, FZ)] + ([(DX, DZ)] if post else [])
-
-    records = np.tile(ref_bits, (shots, 1)) if circuit.n_records else np.zeros(
-        (shots, 0), dtype=np.uint8
-    )
     # record-major, so that a cpauli parity XOR-reduces whole rows
-    diff = np.zeros((circuit.n_records, shots), dtype=np.uint8)
-    errors: list[list[InjectedError]] = [[] for _ in range(shots)]
+    diff = np.zeros((circuit.n_records, shape[1]), dtype=np.uint64)
 
     for entry in prog:
         tag = entry[0]
         if tag == "cx":
             _, c, t = entry
-            wc, bc = divmod(c, 64)
-            wt, bt = divmod(t, 64)
             for A, B in frames:
-                xc = (A[:, wc] >> np.uint64(bc)) & _U1
-                A[:, wt] ^= xc << np.uint64(bt)
-                zt = (B[:, wt] >> np.uint64(bt)) & _U1
-                B[:, wc] ^= zt << np.uint64(bc)
+                A[t] ^= A[c]
+                B[c] ^= B[t]
         elif tag == "h":
-            w, b = divmod(entry[1], 64)
-            m = _U1 << np.uint64(b)
+            q = entry[1]
             for A, B in frames:
-                d = (A[:, w] ^ B[:, w]) & m
-                A[:, w] ^= d
-                B[:, w] ^= d
+                A[q], B[q] = B[q], A[q].copy()
         elif tag in ("s", "sdg"):
-            w, b = divmod(entry[1], 64)
-            m = _U1 << np.uint64(b)
+            q = entry[1]
             for A, B in frames:
-                B[:, w] ^= A[:, w] & m
+                B[q] ^= A[q]
         elif tag == "meas":
-            _, q, rec, refbit = entry
-            w, b = divmod(q, 64)
-            d = ((FX[:, w] >> np.uint64(b)) & _U1).astype(np.uint8)
-            if post:
-                d ^= ((DX[:, w] >> np.uint64(b)) & _U1).astype(np.uint8)
-            diff[rec] = d
-            records[:, rec] = refbit ^ d
+            _, q, rec = entry
+            diff[rec] = FX[q] ^ DX[q] if post else FX[q]
         elif tag == "reset":
-            w, b = divmod(entry[1], 64)
-            m = _U1 << np.uint64(b)
-            FX[:, w] &= ~m
-            FZ[:, w] &= ~m
-        elif tag == "flip":
-            _, lx, lz, sid = entry
-            hit = stream.uniform(sid, ids).reshape(shots) < 0.5
-            FX ^= np.where(hit[:, None], lx[None, :], _U0)
-            FZ ^= np.where(hit[:, None], lz[None, :], _U0)
-        elif tag == "noise":
-            _, px, pz, om, sid, err = entry
-            hit = stream.uniform(sid, ids).reshape(shots) < om
-            FX ^= np.where(hit[:, None], px[None, :], _U0)
-            FZ ^= np.where(hit[:, None], pz[None, :], _U0)
-            for i in np.nonzero(hit)[0]:
-                errors[int(i)].append(err)
+            q = entry[1]
+            FX[q] = _U0
+            FZ[q] = _U0
+        elif tag == "pauli":
+            _, xq, zq, j = entry
+            if xq is not None:
+                FX[xq] ^= fired[j]
+            if zq is not None:
+                FZ[zq] ^= fired[j]
         elif tag == "cpauli":
-            _, px, pz, recs = entry
-            dpar = np.bitwise_xor.reduce(diff[list(recs)], axis=0).astype(bool)
+            _, q, letter, recs = entry
             TX, TZ = frames[-1]  # the pending-difference frame in post mode
-            TX ^= np.where(dpar[:, None], px[None, :], _U0)
-            TZ ^= np.where(dpar[:, None], pz[None, :], _U0)
+            (TX if letter == "X" else TZ)[q] ^= np.bitwise_xor.reduce(diff[recs], axis=0)
         else:  # pragma: no cover - compiler and replayer agree on tags
             raise AssertionError(f"unknown program entry {tag!r}")
 
+    records = np.empty((shots, circuit.n_records), dtype=np.uint8)
+    for lo in range(0, circuit.n_records, 64):
+        records[:, lo : lo + 64] = (_unpack_rows(diff[lo : lo + 64], shots) ^ ref_bits[lo : lo + 64, None]).T
+    noise_rows = np.array([sid >= _NOISE_STREAM_BASE for sid, _ in draws], dtype=bool)
     return BatchResult(
         records=records,
-        errors=errors,
         mode=mode,
         reference=ref_state,
-        frame_x=FX,
-        frame_z=FZ,
-        delta_x=DX,
-        delta_z=DZ,
+        fx=FX,
+        fz=FZ,
+        fired=fired[noise_rows],
+        sites=sites,
+        dx=DX,
+        dz=DZ,
     )
-
-
-def run_shots(
-    circuit: Circuit,
-    shots: int,
-    master_seed: int = 0,
-    noise=None,
-    mode: str = "feed_forward",
-    shot_offset: int = 0,
-) -> list[ShotResult]:
-    """Batched sampling of a dynamic Clifford circuit under Pauli noise.
-
-    ``noise`` is a sequence of sites, each with a ``before_index`` into the
-    instruction list, a ``pauli`` operator, and a firing weight ``omega``.
-    Results are deterministic in (master_seed, shot_offset + i) per shot.
-    """
-    return run_batch(
-        circuit,
-        shots,
-        master_seed,
-        noise=noise,
-        mode=mode,
-        shot_offset=shot_offset,
-    ).shot_results()

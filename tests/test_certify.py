@@ -241,7 +241,8 @@ def test_batched_parities_split_into_bounded_calls(monkeypatch):
         return run_batch(circuit, shots, *args, **kwargs)
 
     monkeypatch.setattr(tb, "run_batch", counted)
-    row_bytes = 2 * circ.n_records + 32 * ((circ.n_qubits + 63) // 64)
+    draws = len(sites) + sum(ins.op in ("measure", "reset") for ins in circ.instructions)
+    row_bytes = circ.n_records + (circ.n_records + draws + 6 * circ.n_qubits + 7) // 8
     # a row cap, then a byte cap that allows fewer rows than the row cap
     for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * row_bytes + 7)):
         monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
@@ -292,8 +293,10 @@ def test_choi_source_matches_readout_circuits_per_shot(variant, mode):
     shift = len(src.circuit.instructions) - len(circ.instructions)
     wide = tb.run_batch(src.circuit, 64, master_seed=9, noise=src.noise, mode=mode)
     own = tb.run_batch(circ, 64, master_seed=9, noise=sites, mode=mode)
-    fired = lambda res, d: [[(e.before_index - d, e.pauli.key()) for e in shot] for shot in res.errors]
-    assert fired(wide, shift) == fired(own, 0) and any(own.errors)
+    where = lambda res, d: [(e.before_index - d, e.pauli.key()) for e in res.sites]
+    assert where(wide, shift) == where(own, 0)
+    np.testing.assert_array_equal(wide.fired, own.fired)
+    assert own.fired.any()
 
 
 # ---------------------------------------------------------------------------

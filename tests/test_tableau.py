@@ -473,14 +473,65 @@ def _two_qubit_expectations(obs):
     return out
 
 
-def test_shot_result_json_round_trip():
+def test_batch_rows_parse_without_noise():
     circ = C.ghz_dynamic(4, mu=1.0, mode="post_process")
-    shots = tb.run_shots(circ, 3, master_seed=9, mode="post_process")
-    for s in shots:
-        doc = json.loads(s.to_json())
-        assert doc["bits"] == s.classical_bits
-        assert isinstance(doc["frame"], str)
-        assert doc["errors"] == []
+    res = tb.run_batch(circ, 3, master_seed=9, mode="post_process")
+    for s in range(res.shots):
+        doc = json.loads(json.dumps({"bits": res.records[s].tolist(), "frame": str(res.frames[s])}))
+        assert doc["bits"] == res.records[s].tolist()
+        assert PauliString.from_text(doc["frame"]).key() == res.frames[s].key()
+        assert res.errors[s] == []
+    assert res.fired.shape == (0, 1) and res.sites == []
+
+
+def _fired_bits(res):
+    """(sites, shots) 0/1 array: where each noise site fired."""
+    raw = res.fired.astype("<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=res.shots, bitorder="little")
+
+
+def test_counter_random_stream_vector_matches_scalar_draws():
+    ids = np.arange(5, 75, dtype=np.uint64)
+    sids = np.array([0, 7, tb._NOISE_STREAM_BASE + 3], dtype=np.uint64)
+    for seed in (11, [11, 2**63 - 5, 0]):
+        rnd = tb.CounterRandom(seed)
+        want = np.stack([rnd.uniform(int(s), ids) for s in sids])
+        np.testing.assert_array_equal(rnd.uniform(sids, ids), want)
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("build", [C.ghz_dynamic, C.long_range_cnot_dynamic], ids=["ghz65", "cnot130"])
+def test_word_boundaries_match_single_seed_and_shards(build, mode):
+    """Shot counts and shard or seed blocks on and off the 64-shot word
+    boundary, on registers just past one and two words, give the rows of
+    single-seed calls and of shot_offset shards: records, frames and fired
+    mask alike."""
+    circ = build(65 if build is C.ghz_dynamic else 128, mode=mode)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05))
+
+    def rows(res):
+        views = [res.records, res.frame_x, res.frame_z, _fired_bits(res).T]
+        return views + ([res.delta_x, res.delta_z] if mode == "post_process" else [])
+
+    def run(shots, seed, offset=0):
+        return tb.run_batch(circ, shots, master_seed=seed, noise=sites, mode=mode, shot_offset=offset)
+
+    for shots in (1, 63, 64, 65, 1000):
+        whole = run(shots, 5)
+        assert whole.fired.shape == (len(sites), (shots + 63) // 64)
+        cuts = sorted({0, shots // 3, min(shots, 64), shots})
+        parts = [rows(run(hi - lo, 5, lo)) for lo, hi in zip(cuts, cuts[1:])]
+        for got, *want in zip(rows(whole), *parts):
+            np.testing.assert_array_equal(got, np.concatenate(want))
+        assert whole.errors == [
+            [whole.sites[j] for j in np.flatnonzero(col)] for col in _fired_bits(whole).T
+        ]
+    seeds = [3, 2**63 - 5, 0]
+    res = rows(run(63, seeds, 7))
+    for k, seed in enumerate(seeds):
+        for got, want in zip(res, rows(run(21, seed, 7))):
+            np.testing.assert_array_equal(got[21 * k : 21 * (k + 1)], want)
+    assert _fired_bits(run(1000, 5)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +571,7 @@ def test_forced_bitflip_before_measure():
     site = _site(0, PauliString.from_text("X"), 1.0)
     res = tb.run_batch(circ, 8, master_seed=1, noise=[site])
     assert res.records.ravel().tolist() == [1] * 8
+    assert [e.before_index for e in res.sites] == [0] and _fired_bits(res).all()
     assert all(len(e) == 1 and e[0].before_index == 0 for e in res.errors)
 
 
@@ -614,7 +666,8 @@ def test_seed_sequence_rows_match_single_seed_batches(mode):
         one = tb.run_batch(circ, 10, master_seed=seed, noise=sites, mode=mode, shot_offset=4)
         rows = slice(10 * k, 10 * (k + 1))
         np.testing.assert_array_equal(res.records[rows], one.records)
-        assert res.errors[rows] == one.errors
+        np.testing.assert_array_equal(_fired_bits(res)[:, rows], _fired_bits(one))
+        assert res.sites == one.sites and res.errors[rows] == one.errors
         assert res.frames[rows] == one.frames
     with pytest.raises(ValueError):
         tb.run_batch(circ, 31, master_seed=seeds, noise=sites, mode=mode)
