@@ -56,13 +56,16 @@ DEFAULT_SHOTS_PER_SAMPLE = 100
 # ---------------------------------------------------------------------------
 
 
+_bit_count = np.frompyfunc(int.bit_count, 1, 1)
+
+
 class GhzStabilizerGroup:
     """The 2^n signed stabilizers of the n-qubit GHZ state, lazily generated.
 
-    Element ``mask`` is the product of the selected generators (bit 0: X on
-    every qubit; bit i >= 1: Z on qubits i-1 and i), with the sign tracked
-    exactly through the group multiplication — e.g. for n = 2, mask 0b11
-    gives XX * ZZ = -YY.
+    Element ``mask`` is the product, in generator order, of the selected
+    generators (bit 0: X on every qubit; bit i >= 1: Z on qubits i-1 and
+    i), with its exact sign — e.g. for n = 2, mask 0b11 gives XX * ZZ = -YY.
+    It has a closed form (:meth:`element_bits`).
     """
 
     def __init__(self, n: int):
@@ -82,13 +85,24 @@ class GhzStabilizerGroup:
         return PauliString(n, 0, 0b11 << (i - 1))
 
     def __getitem__(self, mask: int) -> PauliString:
+        mask = int(mask)
         if not 0 <= mask < (1 << self.n):
             raise IndexError(f"mask {mask} out of range for n={self.n}")
-        p = PauliString.identity(self.n)
-        for i in range(self.n):
-            if (mask >> i) & 1:
-                p = p * self.generator(i)
-        return p
+        x, z, sign = self.element_bits(np.array([mask], dtype=object))
+        return PauliString(self.n, x[0], z[0], int(sign[0]))
+
+    def element_bits(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X bits and Z bits (object arrays of ints) and signs (int array) of
+        the elements for an object array of masks, all at once.  With
+        m' = mask >> 1, each generator i >= 1 puts Z on qubits i-1 and i,
+        so the Z bits are m' ^ (m' << 1); the X bits are all ones iff bit 0
+        is set.  X^n Z^z holds one XZ = -iY per Z, so its sign is
+        (-1)^(popcount(z)/2) when the X bits are set, and +1 otherwise."""
+        half = masks >> 1
+        z = half ^ (half << 1)
+        with_x = masks & 1
+        odd = (_bit_count(z) >> 1) & 1
+        return with_x * ((1 << self.n) - 1), z, 1 - 2 * (with_x & odd).astype(np.int64)
 
     def __iter__(self):
         return (self[m] for m in range(len(self)))
@@ -198,7 +212,7 @@ class CircuitStateSource:
 
     ``parities`` and ``n_data`` are the state-source protocol that
     :func:`estimate_ghz_fidelity` and :func:`estimate_cnot_gate_fidelity`
-    use; ``source(pauli, shots, seed)`` is the one-sample form.
+    use.
     """
 
     def __init__(self, circuit: Circuit, data_qubits=None, noise=(), mode: str = "feed_forward"):
@@ -206,62 +220,45 @@ class CircuitStateSource:
         self.data = tuple(data_qubits) if data_qubits is not None else tuple(range(circuit.n_qubits))
         self.noise = list(noise)
         self.mode = mode
-        # per operator key: (operator on the circuit register, reference expectation)
-        self._ops: dict[tuple[int, int], tuple[PauliString, int]] = {}
 
     @property
     def n_data(self) -> int:
         return len(self.data)
 
-    def __call__(self, pauli: PauliString, shots: int, seed: int) -> np.ndarray:
-        return self.parities([pauli], shots, [seed])[0]
-
     def parities(self, paulis, shots: int, seeds) -> np.ndarray:
         """(len(paulis), shots) array of +-1 parities; row k measures
-        ``paulis[k]`` with randomness drawn from ``seeds[k]``."""
+        ``paulis[k]`` with randomness drawn from ``seeds[k]`` (a sequence or
+        integer array of seeds)."""
         if len(paulis) != len(seeds):
             raise ValueError(f"{len(paulis)} operators but {len(seeds)} seeds")
         for p in paulis:
             if p.n != self.n_data:
                 raise ValueError(f"operator on {p.n} qubits, source exposes {self.n_data}")
         c = self.circuit
+        # every operator on the circuit register, packed once
+        x, z = tb.pauli_words(paulis, c.n_qubits, qubits=self.data)
         draws = len(self.noise) + sum(ins.op in ("measure", "reset") for ins in c.instructions)
         row_bytes = c.n_records + (c.n_records + draws + 6 * c.n_qubits + 7) // 8
         max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
         out = np.empty((len(paulis), shots))
+        e = None
         for rows, cols in _blocks(len(paulis), shots, max_rows):
-            seeds_k = [int(s) for s in seeds[rows]]
+            seeds_k = seeds[rows]
             res = tb.run_batch(
-                self.circuit,
+                c,
                 len(seeds_k) * (cols.stop - cols.start),
                 master_seed=seeds_k,
                 noise=self.noise,
                 mode=self.mode,
                 shot_offset=cols.start,
             )
-            out[rows, cols] = self._read(res, paulis[rows], seeds_k, cols)
+            if e is None:  # the reference state is the same in every batch of this circuit
+                e = res.reference.word_expectations(x, z)
+            par = e[rows, None] * np.where(res.readout_flips(x[rows], z[rows]), -1.0, 1.0)
+            for k in np.nonzero(e[rows] == 0)[0]:
+                par[k] = self._read_out(paulis[rows][k], cols.stop - cols.start, seeds_k[k], cols.start)
+            out[rows, cols] = par
         return out
-
-    def _on_circuit(self, pauli: PauliString) -> PauliString:
-        """``pauli`` moved from the data register onto the circuit's qubits."""
-        x = z = 0
-        for q in pauli.support:
-            x |= pauli.x_bit(q) << self.data[q]
-            z |= pauli.z_bit(q) << self.data[q]
-        return PauliString(self.circuit.n_qubits, x, z)
-
-    def _read(self, res: tb.BatchResult, paulis, seeds, cols: slice) -> np.ndarray:
-        # the reference state is the same in every batch of this circuit
-        new = {p.key(): p for p in paulis if p.key() not in self._ops}
-        fulls = [self._on_circuit(p) for p in new.values()]
-        for key, full, e in zip(new, fulls, res.reference.expectations(fulls)):
-            self._ops[key] = (full, int(e))
-        full, e = zip(*(self._ops[p.key()] for p in paulis))
-        e = np.array(e, dtype=float)
-        par = e[:, None] * np.where(res.readout_flips(list(full)), -1.0, 1.0)
-        for k in np.nonzero(e == 0)[0]:
-            par[k] = self._read_out(paulis[k], cols.stop - cols.start, seeds[k], cols.start)
-        return par
 
     def _read_out(self, pauli: PauliString, shots: int, seed: int, shot_offset: int) -> np.ndarray:
         """Parities of an operator the reference state does not fix, from its
@@ -381,22 +378,20 @@ def estimate_ghz_fidelity(
     group = ghz_stabilizer_group(n)
     words = (n + 62) // 63
     params = _sample_params(seed, _STATE_DOMAIN, m_samples, words + 1)
-    stabs, seeds = [], []
-    for k in range(m_samples):
-        mask = 0
-        for j in range(words):
-            mask |= int(params[k, j]) << (63 * j)
-        stabs.append(group[mask & ((1 << n) - 1)])
-        seeds.append(int(params[k, words]))
-    pars = state_source.parities([stab.mod_phase() for stab in stabs], shots_per_sample, seeds)
-    vals = np.array([stab.sign * par.mean() for stab, par in zip(stabs, pars)])
+    # sample k's mask: its first ``words`` parameter words, 63 bits each
+    shifts = np.array([63 * j for j in range(words)], dtype=object)
+    masks = np.bitwise_or.reduce(params[:, :words].astype(object) << shifts, axis=1) & ((1 << n) - 1)
+    xs, zs, signs = group.element_bits(masks)
+    ops = [PauliString(n, x, z) for x, z in zip(xs, zs)]
+    pars = state_source.parities(ops, shots_per_sample, params[:, words])
+    vals = signs * pars.mean(axis=1)
     if sink is not None:
-        for k, stab in enumerate(stabs):
+        for k in range(m_samples):
             _emit(
                 sink,
                 {
                     "sample_index": k,
-                    "operator": str(stab),
+                    "operator": str(ops[k].with_sign(int(signs[k]))),
                     "ideal_value": 1,
                     "measured_value": float(vals[k]),
                     "shots": shots_per_sample,
@@ -440,11 +435,11 @@ def estimate_cnot_gate_fidelity(
         raise ValueError(f"Choi source exposes {choi_source.n_data} qubits, need 2 outputs and 2 refs")
     stabs = cnot_choi_stabilizers()
     ops = [stab.mod_phase() for stab in stabs]
+    signs = np.array([stab.sign for stab in stabs])
     params = _sample_params(seed, _PROCESS_DOMAIN, m_samples, 2)
-    draws = [int(d) % 16 for d in params[:, 0]]
-    seeds = [int(s) for s in params[:, 1]]
-    pars = choi_source.parities([ops[i] for i in draws], shots_per_sample, seeds)
-    vals = np.array([stabs[i].sign * par.mean() for i, par in zip(draws, pars)])
+    draws = (params[:, 0] % 16).astype(np.intp)
+    pars = choi_source.parities([ops[i] for i in draws], shots_per_sample, params[:, 1])
+    vals = signs[draws] * pars.mean(axis=1)
     if sink is not None:
         support = cnot_process_support()
         for k, i in enumerate(draws):

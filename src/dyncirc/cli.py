@@ -94,6 +94,12 @@ class ExperimentConfig:
     n_scan_max: int = 10_000
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "n_step", "shots", "m_samples", "seed", "workers", "n_scan_max"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_min < 1 or self.n_max < self.n_min or self.n_step < 1:
             raise ValueError(
                 f"invalid size range n_min={self.n_min}, n_max={self.n_max}, n_step={self.n_step}"
@@ -369,6 +375,10 @@ def _check_ccz_dense(n: int):
 
 def cmd_verify(args) -> int:
     shots, seed = args.shots, args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    if shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {shots}")
     checks = []
     for n in range(1, 9):
         checks.append(("cnot_dynamic", n, "dense choi == ideal cnot", lambda n=n: _check_cnot_dense(n)))

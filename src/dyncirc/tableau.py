@@ -76,15 +76,15 @@ class CounterRandom:
     it, which is what makes sharded runs reproduce a single-process run
     bit for bit.  ``master_seed`` is one seed or a sequence of m seeds; with
     m seeds, :meth:`uniform` draws row k of its (m, r) result under seed k.
+    The keys of all seeds are derived together (:func:`_seed_keys`).
     """
 
     def __init__(self, master_seed):
         if isinstance(master_seed, (int, np.integer)):
-            self._key = _seed_key(master_seed)
+            self._key = _seed_keys([master_seed])[0]
             self._keys = None
         else:
-            keys = [_seed_key(s) for s in master_seed]
-            self._keys = np.array(keys, dtype=np.uint64).reshape(-1, 1)
+            self._keys = _seed_keys(master_seed).reshape(-1, 1)
 
     @property
     def n_seeds(self) -> int:
@@ -98,7 +98,7 @@ class CounterRandom:
         sids = np.asarray(stream_id, dtype=np.uint64)
         c = _mix_u64((sids.reshape(-1, 1) + _U1) * np.uint64(_GOLDEN))
         if self._keys is None:
-            h = _mix_u64(np.uint64(self._key) ^ c)
+            h = _mix_u64(self._key ^ c)
         else:
             h = _mix_u64(self._keys ^ c[:, None])
         x = (shot_ids + _U1) * np.uint64(_GOLDEN) + h
@@ -106,13 +106,124 @@ class CounterRandom:
         return u.reshape(sids.shape + u.shape[1:])
 
 
-def _seed_key(master_seed: int) -> int:
-    k = np.random.SeedSequence(master_seed).generate_state(2, dtype=np.uint64)
-    return int(k[0] ^ _mix_u64(k[1:])[0])
+# numpy's SeedSequence hash (pool of four 32-bit words; O'Neill's seed_seq
+# mixer): the constants of its pool hash, its pool mixer and its output hash
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _pack_bits(bits: int, n_words: int) -> np.ndarray:
-    return np.array([(bits >> (64 * w)) & _MASK64 for w in range(n_words)], dtype=np.uint64)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of a hash multiplier, ``init * mult^k``
+    mod 2^32, as a column."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32).reshape(-1, 1)
+
+
+_SHIFT16 = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` for len(consts) - 1 successive calls, one
+    per row of the result: call j uses multipliers j and j + 1."""
+    v = v ^ consts[:-1]
+    v *= consts[1:]
+    v ^= v >> _SHIFT16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = _MIX_L * x
+    v -= _MIX_R * y
+    v ^= v >> _SHIFT16
+    return v
+
+
+# the multipliers of the output hash of two 64-bit words
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 5)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """The entropy words SeedSequence reads from each non-negative integer
+    seed, 32 bits each, least significant first: an (m, L) uint32 array,
+    zero-padded to L >= 4 words (a pool word with no entropy hashes a 0)."""
+    arr = seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
+    if arr.ndim != 1:
+        raise TypeError("seeds must be integers")
+    if arr.dtype == object:
+        if not all(isinstance(s, (int, np.integer)) for s in arr):
+            raise TypeError(f"seeds must be integers, got {seeds!r}")
+        if arr.size and min(arr) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(arr)}")
+        if arr.size and max(arr) > _MASK64:
+            width = 4 * max(4, (int(max(arr)).bit_length() + 31) // 32)
+            raw = b"".join(int(s).to_bytes(width, "little") for s in arr)
+            return np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(arr.size, -1)
+    elif arr.dtype.kind == "i":
+        if (arr < 0).any():
+            raise ValueError(f"seeds must be non-negative, got {arr.min()}")
+    elif arr.dtype.kind != "u":
+        raise TypeError(f"seeds must be integers, got dtype {arr.dtype}")
+    u = arr.astype(np.uint64)
+    words = np.zeros((u.size, 4), dtype=np.uint32)
+    words[:, 0] = u & np.uint64(_MASK32)
+    words[:, 1] = u >> np.uint64(32)
+    return words
+
+
+def _seed_keys(seeds) -> np.ndarray:
+    """The 64-bit stream key of each seed, for all m seeds in one pass:
+    ``k0 ^ mix(k1)`` where (k0, k1) is
+    ``np.random.SeedSequence(seed).generate_state(2, np.uint64)``.  The
+    SeedSequence pool hash runs on (4, m) word arrays, with a seed's
+    words past the fourth mixed in only on the rows of seeds that wide.
+    Raises TypeError for a non-integer seed and ValueError for a negative
+    one, as SeedSequence does."""
+    words = _seed_words(seeds)
+    width = words.shape[1]
+    consts = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * (width - 4))
+    pool = _hashmix(words[:, :4].T, consts[:5])
+    k = 4
+    # every pool word mixed into every other, in SeedSequence's order
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+        k += 3
+    if width > 4:
+        live = words != 0
+        n_words = np.where(live.any(axis=1), width - np.argmax(live[:, ::-1], axis=1), 1)
+        for src in range(4, width):
+            mixed = _mix(pool, _hashmix(words[:, src], consts[k : k + 5]))
+            pool = np.where(n_words > src, mixed, pool)
+            k += 4
+    state = _hashmix(pool, _STATE_CONSTS).astype(np.uint64)
+    k0 = state[0] | state[1] << np.uint64(32)
+    k1 = state[2] | state[3] << np.uint64(32)
+    return k0 ^ _mix_u64(k1)
+
+
+def pauli_words(paulis, n_qubits: int, qubits=None) -> tuple[np.ndarray, np.ndarray]:
+    """The X and Z bits of each operator (signs dropped) as (m, W) uint64
+    arrays for a register of ``n_qubits`` qubits, 64 qubits a word: the
+    layout of a tableau row.  With ``qubits``, qubit j of each operator
+    lands on register qubit ``qubits[j]``."""
+    width = len(qubits) if qubits is not None else n_qubits
+    n_bytes = 8 * _n_words(width)
+
+    def words(bits) -> np.ndarray:
+        raw = b"".join(b.to_bytes(n_bytes, "little") for b in bits)
+        packed = np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, n_bytes // 8)
+        if qubits is None:
+            return packed
+        placed = np.zeros((packed.shape[0], n_qubits), dtype=np.uint8)
+        placed[:, list(qubits)] = _unpack_rows(packed, width)
+        return _pack_rows(placed)
+
+    return words(p.x_bits for p in paulis), words(p.z_bits for p in paulis)
 
 
 def _unpack_bits(words: np.ndarray) -> int:
@@ -254,8 +365,7 @@ class StabilizerState:
         row flips sign iff it anticommutes with ``p``."""
         if p.n != self.n:
             raise ValueError(f"operator on {p.n} qubits, state on {self.n}")
-        px = _pack_bits(p.x_bits, self._w)
-        pz = _pack_bits(p.z_bits, self._w)
+        (px,), (pz,) = pauli_words([p], self.n)
         anti = (
             np.bitwise_count(self._X & pz).sum(axis=1)
             + np.bitwise_count(self._Z & px).sum(axis=1)
@@ -447,24 +557,27 @@ class StabilizerState:
         return int(self.expectations([p])[0])
 
     def expectations(self, paulis: list[PauliString]) -> np.ndarray:
-        """:meth:`expectation` of each operator, as an int array.  Operators
-        are taken together, in chunks of bounded (operators x rows x words)
-        size."""
-        n, W = self.n, self._w
+        """:meth:`expectation` of each operator, as an int array."""
         for p in paulis:
-            if p.n != n:
-                raise ValueError(f"operator on {p.n} qubits, state on {n}")
-        out = np.empty(len(paulis), dtype=np.int64)
-        step = max(1, _EXPECTATION_WORDS // (2 * n * W))
-        for lo in range(0, len(paulis), step):
-            out[lo : lo + step] = self._expectations(paulis[lo : lo + step])
+            if p.n != self.n:
+                raise ValueError(f"operator on {p.n} qubits, state on {self.n}")
+        signs = np.array([p.sign for p in paulis], dtype=np.int64)  # raises on imaginary phase
+        return signs * self.word_expectations(*pauli_words(paulis, self.n))
+
+    def word_expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Expectations of m sign-free operators given as (m, W) packed X
+        and Z words (:func:`pauli_words`), as an int array of 0 and +-1.
+        Operators are taken together, in chunks of bounded (operators x
+        rows x words) size."""
+        out = np.empty(x.shape[0], dtype=np.int64)
+        step = max(1, _EXPECTATION_WORDS // (2 * self.n * self._w))
+        for lo in range(0, x.shape[0], step):
+            out[lo : lo + step] = self._expectations(x[lo : lo + step], z[lo : lo + step])
         return out
 
-    def _expectations(self, paulis: list[PauliString]) -> np.ndarray:
-        n, W, m = self.n, self._w, len(paulis)
-        signs = np.array([p.sign for p in paulis], dtype=np.int64)  # raises on imaginary phase
-        px = np.array([_pack_bits(p.x_bits, W) for p in paulis]).reshape(m, 1, W)
-        pz = np.array([_pack_bits(p.z_bits, W) for p in paulis]).reshape(m, 1, W)
+    def _expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        n = self.n
+        px, pz = x[:, None, :], z[:, None, :]
         anti = _odd_parity(np.bitwise_xor.reduce((self._X & pz) ^ (self._Z & px), axis=2))
         fixed = ~anti[:, n:].any(axis=1)
         # the stabilizers whose destabilizer anticommutes with the operator
@@ -475,7 +588,7 @@ class StabilizerState:
             raise AssertionError("commuting operator not generated by the stabilizers")
         if (fixed & (e % 2 == 1)).any():
             raise AssertionError("stabilizer product has imaginary phase")
-        return np.where(fixed, np.where(e == 0, signs, -signs), 0)
+        return np.where(fixed, np.where(e == 0, 1, -1), 0)
 
     def canonical_stabilizers(self) -> list[PauliString]:
         """Unique generator set under Gaussian elimination (X-part pivots
@@ -795,17 +908,15 @@ class BatchResult:
             out[s].append(self.sites[j])
         return out
 
-    def readout_flips(self, paulis: list[PauliString]) -> np.ndarray:
+    def readout_flips(self, sx: np.ndarray, sz: np.ndarray) -> np.ndarray:
         """(m, shots/m) booleans for m operators on the circuit register,
-        operator k read on its own block of shots/m consecutive rows: True
-        where a noiseless readout of the operator on that shot records the
-        opposite of its value on the reference state.  That is where it
-        anticommutes with the shot's frame, times the outstanding correction
-        in post-processing mode (records are corrected through it)."""
-        m = len(paulis)
-        W = _n_words(self.reference.n)
-        sx = np.array([_pack_bits(p.x_bits, W) for p in paulis]).reshape(m, W)
-        sz = np.array([_pack_bits(p.z_bits, W) for p in paulis]).reshape(m, W)
+        given as (m, W) packed X and Z words (:func:`pauli_words`), operator
+        k read on its own block of shots/m consecutive rows: True where a
+        noiseless readout of the operator on that shot records the opposite
+        of its value on the reference state.  That is where it anticommutes
+        with the shot's frame, times the outstanding correction in
+        post-processing mode (records are corrected through it)."""
+        m = sx.shape[0]
         fx, fz = self.fx, self.fz
         if self.mode == "post_process":
             fx, fz = fx ^ self.dx, fz ^ self.dz
@@ -818,8 +929,8 @@ class BatchResult:
             out[lo:hi] = _odd_parity(np.bitwise_xor.reduce(anti, axis=1))
         out = out.reshape(m, self.shots // m)
         if self.mode == "post_process":
-            pending = self.reference.pending
-            out ^= np.array([not pending.commutes(p) for p in paulis])[:, None]
+            (px,), (pz,) = pauli_words([self.reference.pending], self.reference.n)
+            out ^= _odd_parity(np.bitwise_xor.reduce((sx & pz) ^ (sz & px), axis=1))[:, None]
         return out
 
 

@@ -81,7 +81,7 @@ def _ghz_generator_certificate(circ, n: int, seed: int) -> bool:
     commuting generators pin the stabilizer state, so this certifies F = 1."""
     src = cert.CircuitStateSource(circ)
     group = cert.ghz_stabilizer_group(n)
-    return all((src(group.generator(i), 2, seed + i) == 1.0).all() for i in range(n))
+    return all((src.parities([group.generator(i)], 2, [seed + i])[0] == 1.0).all() for i in range(n))
 
 
 def test_criterion_02_ghz_builders():

@@ -64,6 +64,30 @@ def test_group_elements_stabilize_ghz(n):
         assert np.allclose(sv.apply_pauli(ghz, s), ghz, atol=1e-12)
 
 
+def _generator_product(group, mask):
+    p = PauliString.identity(group.n)
+    for i in range(group.n):
+        if (mask >> i) & 1:
+            p = p * group.generator(i)
+    return p
+
+
+def test_group_closed_form_matches_generator_products():
+    for n in range(2, 9):
+        group = cert.ghz_stabilizer_group(n)
+        for mask in range(1 << n):
+            assert group[mask] == _generator_product(group, mask), (n, mask)
+    group = cert.ghz_stabilizer_group(100)
+    rng = np.random.default_rng(100)
+    masks = [int.from_bytes(rng.bytes(13), "little") % (1 << 100) for _ in range(200)]
+    masks += [0, 1, (1 << 100) - 1, (1 << 100) - 2]
+    xs, zs, signs = group.element_bits(np.array(masks, dtype=object))
+    for mask, x, z, sign in zip(masks, xs, zs, signs):
+        want = _generator_product(group, mask)
+        assert group[mask] == want
+        assert PauliString(100, x, z, int(sign)) == want
+
+
 def test_group_closed_under_multiplication():
     group = list(cert.ghz_stabilizer_group(3))
     elems = set(group)
@@ -144,16 +168,16 @@ def test_state_source_basics():
     circ = C.ghz_dynamic(4)
     src = cert.CircuitStateSource(circ)
     assert src.n_data == 4
-    ones = src(PauliString.identity(4), 5, seed=0)
+    ones = src.parities([PauliString.identity(4)], 5, [0])[0]
     assert ones.shape == (5,) and (ones == 1.0).all()
     with pytest.raises(ValueError):
-        src(PauliString.identity(3), 5, seed=0)
+        src.parities([PauliString.identity(3)], 5, [0])
     # <ZZZZ> and <XXXX> are +1 on GHZ_4
     for text in ("ZZZZ", "XXXX"):
-        par = src(PauliString.from_text(text), 64, seed=3)
+        par = src.parities([PauliString.from_text(text)], 64, [3])[0]
         assert (par == 1.0).all()
     # <ZIII> averages to zero
-    par = src(PauliString.from_text("ZIII"), 4096, seed=5)
+    par = src.parities([PauliString.from_text("ZIII")], 4096, [5])[0]
     assert abs(par.mean()) < 0.1
 
 
@@ -191,14 +215,14 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
         for k, (op, seed) in enumerate(zip(ops, seeds)):
             want = _readout_parities(circ, data, op, shots, seed, sites, mode)
             np.testing.assert_array_equal(got[k], want)
-            np.testing.assert_array_equal(src(op, shots, seed), want)
+            np.testing.assert_array_equal(src.parities([op], shots, [seed])[0], want)
     # the operators the GHZ state does not fix really are random here
     assert set(got[-2]) == {-1.0, 1.0}
 
     # m seeds and zero shots, as a zero-shot replay of a batched call makes
     empty = tb.run_batch(circ, 0, master_seed=seeds, noise=sites, mode=mode)
     assert empty.records.shape == (0, circ.n_records)
-    assert empty.readout_flips(ops).shape == (len(ops), 0)
+    assert empty.readout_flips(*tb.pauli_words(ops, n)).shape == (len(ops), 0)
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])

@@ -419,6 +419,33 @@ def test_missing_out_and_bad_config(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("seed", -1), ("seed", True), ("shots", 4.0), ("m_samples", "8"),
+     ("n_min", 2.0), ("n_max", None), ("n_step", 1.0), ("workers", 1.0), ("n_scan_max", 1e4)],
+)
+def test_sweep_rejects_bad_integer_fields(tmp_path, capsys, field, value):
+    doc = dict(n_min=4, n_max=4, methods=["unitary"], shots=2, m_samples=2, out=str(tmp_path / "o.csv"))
+    cfg = _write_cfg(tmp_path / "c.json", **{**doc, field: value})
+    assert cli.main(["ghz-sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o.json").exists()
+
+
+def test_negative_seed_flags_exit_before_any_work(tmp_path, capsys):
+    doc = dict(n_min=4, n_max=4, variants=["dynamic"], shots=2, m_samples=2)
+    cfg = _write_cfg(tmp_path / "c.json", **doc)
+    out = str(tmp_path / "o.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--out", out, "--seed", "-3"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    for flag, value in (("--seed", "-3"), ("--shots", "0")):
+        assert cli.main(["verify", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
+
 def test_sidecar_may_not_overwrite_the_config(tmp_path, capsys):
     doc = dict(n_min=4, n_max=4, methods=["unitary"], shots=2, m_samples=2)
     cfg = _write_cfg(tmp_path / "g.json", **doc)

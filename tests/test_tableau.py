@@ -499,6 +499,50 @@ def test_counter_random_stream_vector_matches_scalar_draws():
         np.testing.assert_array_equal(rnd.uniform(sids, ids), want)
 
 
+_EDGE_SEEDS = [
+    0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**100 + 7,
+    2**128 - 1, 2**128, 2**128 + 1, 2**200 + 12345, 3**150,
+]
+
+
+def _seed_sequence_key(seed):
+    k = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+    return int(k[0] ^ tb._mix_u64(k[1:])[0])
+
+
+def test_seed_keys_match_seed_sequence():
+    """All keys of a seed sequence are derived in one pass; each must be the
+    key numpy's SeedSequence gives that seed alone, seeds wider than the
+    four-word pool included."""
+    rng = np.random.default_rng(77)
+    wide = [int.from_bytes(rng.bytes(int(b)), "little") for b in rng.integers(1, 41, size=400)]
+    narrow = [int(s) for s in rng.integers(0, 2**63, size=600)]
+    for seeds in (_EDGE_SEEDS, wide + narrow, [5], []):
+        assert tb._seed_keys(seeds).tolist() == [_seed_sequence_key(s) for s in seeds]
+    arr = rng.integers(0, 2**63, size=64, dtype=np.uint64)
+    assert tb._seed_keys(arr).tolist() == [_seed_sequence_key(int(s)) for s in arr]
+    assert tb._seed_keys(arr.astype(np.int64)).tolist() == tb._seed_keys(arr).tolist()
+    # a single seed draws what it draws as a one-seed sequence
+    ids = np.arange(40, dtype=np.uint64)
+    for seed in _EDGE_SEEDS:
+        one = tb.CounterRandom(seed).uniform(3, ids)
+        np.testing.assert_array_equal(one, tb.CounterRandom([seed]).uniform(3, ids)[0])
+
+
+@pytest.mark.parametrize("seed", [-1, [4, -1], np.array([3, -2]), np.int64(-5)])
+def test_negative_seed_is_a_value_error(seed):
+    with pytest.raises(ValueError):
+        tb.CounterRandom(seed)
+    with pytest.raises(ValueError):
+        tb.run_batch(C.ghz_dynamic(3), 2 if np.ndim(seed) else 1, master_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, [3, 1.5], np.array([1.0, 2.0]), "7", [[1, 2]]])
+def test_non_integer_seed_is_a_type_error(seed):
+    with pytest.raises(TypeError):
+        tb.CounterRandom(seed)
+
+
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 @pytest.mark.parametrize("build", [C.ghz_dynamic, C.long_range_cnot_dynamic], ids=["ghz65", "cnot130"])
 def test_word_boundaries_match_single_seed_and_shards(build, mode):
