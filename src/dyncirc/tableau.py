@@ -5,18 +5,21 @@ Two execution styles share one tableau core:
 * :class:`StabilizerState` — a destabilizer/stabilizer tableau with the gate
   set {H, S, S†, X, Y, Z, CNOT}, mid-circuit measurement (deterministic and
   random outcomes), reset, a classical bit store, and parity-conditioned
-  Pauli corrections.  Generator rows are packed 64 qubits per machine word so
-  a column update touches every row at once.
+  Pauli corrections.  The 2n generator rows are bit lanes, 64 rows per
+  machine word, in arrays indexed [lane word, qubit] (Stim's tableau
+  layout, Gidney, Quantum 5, 497 (2021)): a gate is a few word operations
+  on one or two qubit columns, and a random collapse touches only the lane
+  words that hold the rows it rewrites.
 
 * :func:`run_batch` — a two-pass sampler for many shots of one circuit: a
   single reference execution (random outcomes pinned to 0, with a flip
   operator captured at every random collapse) followed by a Pauli-frame
   replay of all shots against that reference.  Frames are stored
-  qubit-major with 64 shots per word (the frame-simulator layout of Gidney,
-  Quantum 5, 497 (2021)): a gate is a word operation on one or two frame
-  rows, and a noise site or collapse XORs its packed fired row into the
-  rows on its support, so replay cost is O(instructions x shots / 64)
-  words, independent of the tableau.
+  qubit-major with 64 shots per word (Stim's frame-simulator layout, same
+  reference): a gate is a word operation on one or two frame rows, and a
+  noise site or collapse XORs its packed fired row into the rows on its
+  support, so replay cost is O(instructions x shots / 64) words,
+  independent of the tableau.
 
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
@@ -40,6 +43,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _U1 = np.uint64(1)
 _U0 = np.uint64(0)
+_ONES = np.uint64(_MASK64)
 
 # Collapse coins and noise draws use disjoint stream-id ranges so that a
 # noiseless run and a noisy run with the same seed share their collapse
@@ -254,69 +258,115 @@ def _odd_parity(words: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _int_bits(v: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of a non-negative integer as a uint64 array of 0 and 1."""
+    raw = np.frombuffer(v.to_bytes(8 * _n_words(n), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(np.uint64)
+
+
+def _int_lanes(v: int, n_words: int) -> np.ndarray:
+    """A non-negative integer below 2^(64 n_words) as uint64 words, least
+    significant first."""
+    return np.frombuffer(v.to_bytes(8 * n_words, "little"), dtype="<u8").astype(np.uint64)
+
+
 class StabilizerState:
     """Destabilizer/stabilizer tableau over ``n`` qubits, initially |0...0>.
 
     Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers; row i of one set
-    anticommutes exactly with row i of the other.  ``classical_bits`` stores
-    measurement records by index.  With ``post_process=True`` the state also
-    carries ``pending``, a correction operator accumulated by
-    :meth:`conditional_pauli` instead of being applied to the tableau;
-    recorded bits are corrected through its X component so classical
-    statistics match feed-forward execution exactly.
+    anticommutes exactly with row i of the other.  The rows are bit lanes,
+    64 to a word: ``_X[w, q]`` and ``_Z[w, q]`` hold the X and Z letters on
+    qubit q of rows 64w .. 64w + 63, row i in bit i % 64 of lane word
+    i // 64, and bit i % 64 of ``_r[i // 64]`` is set where row i has sign
+    -1.  A gate is then a few word operations on one or two qubit columns.
+    A random collapse reads its pivot row out of one lane word and rewrites
+    only the lane words that hold its target rows.  Readers that need rows
+    in row order take them from :meth:`_row_major`.
+
+    The outcome of a collapse is kept per qubit until a gate acts on that
+    qubit (a Pauli with X or Y there flips it), so measuring it again costs
+    no tableau pass; collapses of other qubits measure commuting operators
+    and leave it valid.
+
+    ``classical_bits`` stores measurement records by index.  With
+    ``post_process=True`` the state also carries ``pending``, a correction
+    operator accumulated by :meth:`conditional_pauli` instead of being
+    applied to the tableau; recorded bits are corrected through its X
+    component so classical statistics match feed-forward execution exactly.
     """
 
-    __slots__ = ("n", "_w", "_X", "_Z", "_r", "classical_bits", "pending")
+    __slots__ = ("n", "_T", "_X", "_Z", "_r", "_stab", "_known", "classical_bits", "pending")
 
     def __init__(self, n: int, post_process: bool = False):
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
         self.n = n
-        self._w = (n + 63) // 64
-        self._X = np.zeros((2 * n, self._w), dtype=np.uint64)
-        self._Z = np.zeros((2 * n, self._w), dtype=np.uint64)
-        self._r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            w, b = divmod(i, 64)
-            self._X[i, w] = _U1 << np.uint64(b)
-            self._Z[n + i, w] = _U1 << np.uint64(b)
+        # _X and _Z are the two halves of one array, so that a collapse
+        # reads and writes both letters of its lane words in one operation
+        self._T = np.zeros((2, _n_words(2 * n), n), dtype=np.uint64)
+        self._X, self._Z = self._T
+        self._r = np.zeros(self._T.shape[1], dtype=np.uint64)
+        self._stab = _int_lanes(((1 << n) - 1) << n, self._T.shape[1])  # lanes of rows n..2n-1
+        q = np.arange(n)
+        self._X[q // 64, q] = _U1 << (q % 64).astype(np.uint64)
+        self._Z[(n + q) // 64, q] = _U1 << ((n + q) % 64).astype(np.uint64)
+        self._known: dict[int, int] = {}
         self.classical_bits: dict[int, int] = {}
         self.pending: PauliString | None = PauliString.identity(n) if post_process else None
 
     # -- bookkeeping helpers ---------------------------------------------
 
-    def _wm(self, q: int) -> tuple[int, np.uint64]:
+    def _check(self, q: int) -> None:
         if not 0 <= q < self.n:
             raise ValueError(f"qubit {q} out of range for n={self.n}")
-        w, b = divmod(q, 64)
-        return w, _U1 << np.uint64(b)
 
     def copy(self) -> "StabilizerState":
         new = StabilizerState.__new__(StabilizerState)
         new.n = self.n
-        new._w = self._w
-        new._X = self._X.copy()
-        new._Z = self._Z.copy()
+        new._T = self._T.copy()
+        new._X, new._Z = new._T
         new._r = self._r.copy()
+        new._stab = self._stab
+        new._known = dict(self._known)
         new.classical_bits = dict(self.classical_bits)
         new.pending = self.pending
         return new
 
+    def _row_major(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``lo``..``hi``-1 in row order: their X and Z letters as
+        (rows, ceil(n/64)) words, 64 qubits a word (the layout of
+        :func:`pauli_words`), and a uint8 sign bit per row."""
+        hi = 2 * self.n if hi is None else hi
+        w0, w1 = lo // 64, _n_words(hi)
+        a, b = lo - 64 * w0, hi - 64 * w0
+
+        def rows(lanes: np.ndarray) -> np.ndarray:
+            return _pack_rows(_unpack_rows(lanes[w0:w1].T, 64 * (w1 - w0))[:, a:b].T)
+
+        signs = _unpack_rows(self._r[None, w0:w1], 64 * (w1 - w0))[0, a:b]
+        return rows(self._X), rows(self._Z), signs
+
+    def _paulis(self, lo: int, hi: int) -> list[PauliString]:
+        xs, zs, rs = self._row_major(lo, hi)
+        return [
+            PauliString(self.n, _unpack_bits(x), _unpack_bits(z), -1 if r else 1) for x, z, r in zip(xs, zs, rs)
+        ]
+
     def row(self, i: int) -> PauliString:
         """Generator row ``i`` (0..2n-1) as a signed operator."""
-        x = _unpack_bits(self._X[i])
-        z = _unpack_bits(self._Z[i])
-        return PauliString(self.n, x, z, -1 if self._r[i] else 1)
+        if not 0 <= i < 2 * self.n:
+            raise IndexError(f"row {i} out of range for n={self.n}")
+        return self._paulis(i, i + 1)[0]
 
     @property
     def tableau(self) -> list[PauliString]:
-        return [self.row(i) for i in range(2 * self.n)]
+        return self._paulis(0, 2 * self.n)
 
     def destabilizers(self) -> list[PauliString]:
-        return [self.row(i) for i in range(self.n)]
+        return self._paulis(0, self.n)
 
     def stabilizers(self) -> list[PauliString]:
-        return [self.row(self.n + i) for i in range(self.n)]
+        return self._paulis(self.n, 2 * self.n)
 
     # -- gates -------------------------------------------------------------
 
@@ -326,107 +376,55 @@ class StabilizerState:
             c, t = qubits
             if c == t:
                 raise ValueError("cx needs two distinct qubits")
-            wc, mc = self._wm(c)
-            wt, mt = self._wm(t)
-            xc = (X[:, wc] & mc) != 0
-            zc = (Z[:, wc] & mc) != 0
-            xt = (X[:, wt] & mt) != 0
-            zt = (Z[:, wt] & mt) != 0
-            r ^= xc & zt & ~(xt ^ zc)
-            X[:, wt] ^= np.where(xc, mt, _U0)
-            Z[:, wc] ^= np.where(zt, mc, _U0)
+            self._check(c)
+            self._check(t)
+            xc, zt = X[:, c], Z[:, t]
+            r ^= xc & zt & ~(X[:, t] ^ Z[:, c])
+            X[:, t] ^= xc
+            Z[:, c] ^= zt
         elif gate in _ONE_QUBIT_CLIFFORDS:
             (q,) = qubits
-            w, m = self._wm(q)
+            self._check(q)
+            x, z = X[:, q], Z[:, q]
             if gate == "h":
-                r ^= (X[:, w] & Z[:, w] & m) != 0
-                d = (X[:, w] ^ Z[:, w]) & m
-                X[:, w] ^= d
-                Z[:, w] ^= d
+                r ^= x & z
+                X[:, q], Z[:, q] = z, x.copy()
             elif gate == "s":
-                r ^= (X[:, w] & Z[:, w] & m) != 0
-                Z[:, w] ^= X[:, w] & m
+                r ^= x & z
+                z ^= x
             elif gate == "sdg":
-                r ^= (X[:, w] & ~Z[:, w] & m) != 0
-                Z[:, w] ^= X[:, w] & m
+                r ^= x & ~z
+                z ^= x
             elif gate == "x":
-                r ^= (Z[:, w] & m) != 0
+                r ^= z
             elif gate == "z":
-                r ^= (X[:, w] & m) != 0
+                r ^= x
             else:  # y
-                r ^= ((X[:, w] ^ Z[:, w]) & m) != 0
+                r ^= x ^ z
         else:
             raise ValueError(f"not a supported Clifford gate: {gate!r}")
+        for q in qubits:
+            self._known.pop(q, None)
         if self.pending is not None and not self.pending.is_identity():
             self.pending = self.pending.conjugated(gate, *qubits)
 
     def apply_pauli(self, p: PauliString) -> None:
         """Multiply the state by ``p`` (global phase dropped): each generator
-        row flips sign iff it anticommutes with ``p``."""
+        row flips sign iff it anticommutes with ``p``.  Only the columns of
+        ``p``'s support are read."""
         if p.n != self.n:
             raise ValueError(f"operator on {p.n} qubits, state on {self.n}")
-        (px,), (pz,) = pauli_words([p], self.n)
-        anti = (
-            np.bitwise_count(self._X & pz).sum(axis=1)
-            + np.bitwise_count(self._Z & px).sum(axis=1)
-        ) & 1
-        self._r ^= anti.astype(np.uint8)
-
-    # -- row products --------------------------------------------------------
-
-    def _rows_times_row(self, targets: np.ndarray, src: int) -> None:
-        """Row product ``row[t] <- row[src] * row[t]`` for each target, with
-        exact sign tracking via the cyclic-letter popcount rule."""
-        xs, zs = self._X[src].copy(), self._Z[src].copy()
-        Xt, Zt = self._X[targets], self._Z[targets]
-        ax, ay, az = xs & ~zs, xs & zs, zs & ~xs
-        bx, by, bz = Xt & ~Zt, Xt & Zt, Zt & ~Xt
-        plus = (ax & by) | (ay & bz) | (az & bx)
-        minus = (ay & bx) | (az & by) | (ax & bz)
-        e = (
-            np.bitwise_count(plus).sum(axis=1).astype(np.int64)
-            - np.bitwise_count(minus).sum(axis=1).astype(np.int64)
-            + 2 * self._r[targets].astype(np.int64)
-            + 2 * int(self._r[src])
-        ) % 4
-        if (e & 1).any():
-            raise AssertionError("row product produced an imaginary phase")
-        self._r[targets] = (e // 2).astype(np.uint8)
-        self._X[targets] = Xt ^ xs
-        self._Z[targets] = Zt ^ zs
-
-    def _stabilizer_products(
-        self, rows: np.ndarray, take: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For each line k of ``take`` (m x len(rows) booleans), the product in
-        row order of the stabilizers ``n + rows[j]`` with ``take[k, j]``: packed
-        x and z bits (m x words) and the phase exponent of i (mod 4).  Step j
-        multiplies the running product by row j, so all steps are taken at
-        once from the prefix products; a row not taken is the identity,
-        which changes neither the running product nor its phase."""
-        n = self.n
-        xr = np.where(take[:, :, None], self._X[n + rows], _U0)
-        zr = np.where(take[:, :, None], self._Z[n + rows], _U0)
-        # step j >= 1: (product of rows before j) * row j
-        xs = np.bitwise_xor.accumulate(xr, axis=1)[:, :-1]
-        zs = np.bitwise_xor.accumulate(zr, axis=1)[:, :-1]
-        xb, zb = xr[:, 1:], zr[:, 1:]
-        ax, ay, az = xs & ~zs, xs & zs, zs & ~xs
-        bx, by, bz = xb & ~zb, xb & zb, zb & ~xb
-        plus = (ax & by) | (ay & bz) | (az & bx)
-        minus = (ay & bx) | (az & by) | (ax & bz)
-        e = (
-            _bit_counts(plus)
-            - _bit_counts(minus)
-            + 2 * (take & (self._r[n + rows] != 0)).sum(axis=1)
-        ) % 4
-        return np.bitwise_xor.reduce(xr, axis=1), np.bitwise_xor.reduce(zr, axis=1), e
+        x, z = _int_bits(p.x_bits, self.n), _int_bits(p.z_bits, self.n)
+        cols = np.flatnonzero(x | z)
+        ax, az = -x[cols], -z[cols]  # all ones where p has an X / a Z letter
+        self._r ^= np.bitwise_xor.reduce((self._X[:, cols] & az) ^ (self._Z[:, cols] & ax), axis=1)
+        self._known = {q: v ^ p.x_bit(q) for q, v in self._known.items()}
 
     # -- measurement -----------------------------------------------------------
 
     def outcome_is_random(self, q: int) -> bool:
-        w, m = self._wm(q)
-        return bool(((self._X[self.n :, w] & m) != 0).any())
+        self._check(q)
+        return q not in self._known and bool((self._X[:, q] & self._stab).any())
 
     def measure_flip(
         self,
@@ -442,43 +440,114 @@ class StabilizerState:
         outcome-0 post-measurement branch onto the outcome-1 branch.
         ``forced`` pins a random outcome (deterministic ones ignore it).
         """
-        n = self.n
-        w, m = self._wm(q)
-        xcol = (self._X[:, w] & m) != 0
-        stab_hits = np.nonzero(xcol[n:])[0]
-        if stab_hits.size:
-            p = n + int(stab_hits[0])
-            flip = self.row(p).mod_phase()
-            others = np.nonzero(xcol)[0]
-            # row p-n is replaced wholesale below, so it is excluded here;
-            # multiplying it would also be ill-defined (it anticommutes with
-            # row p, giving an imaginary product)
-            others = others[(others != p) & (others != p - n)]
-            if others.size:
-                self._rows_times_row(others, p)
-            self._X[p - n] = self._X[p]
-            self._Z[p - n] = self._Z[p]
-            self._r[p - n] = self._r[p]
+        self._check(q)
+        if q in self._known:
+            return self._known[q], False, None
+        col = self._X[:, q].copy()
+        hits = col & self._stab
+        words = np.flatnonzero(hits)
+        if words.size:
             if forced is None:
                 if rng is None:
                     rng = np.random.default_rng()
                 outcome = int(rng.integers(2))
             else:
                 outcome = int(forced) & 1
-            self._X[p] = _U0
-            self._Z[p] = _U0
-            self._Z[p, w] = m
-            self._r[p] = outcome
+            v = int(hits[words[0]])
+            flip = self._collapse(q, col, 64 * int(words[0]) + (v & -v).bit_length() - 1, outcome)
+            self._known[q] = outcome
             return outcome, True, flip
-        rows = np.nonzero(xcol[:n])[0]
-        xs, zs, e = self._stabilizer_products(rows, np.ones((1, rows.size), dtype=bool))
-        if xs.any():
+        outcome = self._deterministic_outcome(q, col)
+        self._known[q] = outcome
+        return outcome, False, None
+
+    def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> PauliString:
+        """Random collapse of Z_q on pivot row ``p``, the first stabilizer
+        with X on q; ``col`` is the lane column of X letters on q.  Every
+        other row with X on q, bar the destabilizer p - n, is multiplied by
+        the pivot; then the destabilizer becomes the pivot and the pivot
+        becomes (-1)^outcome Z_q.  Only the lane words holding those rows
+        are read or written.  Returns the pivot, sign dropped, as the flip
+        operator."""
+        n = self.n
+        T, r = self._T, self._r
+        pw, pb = divmod(p, 64)
+        dw, db = divmod(p - n, 64)
+        pb, db = np.uint64(pb), np.uint64(db)
+        piv = (T[:, pw] >> pb) & _U1  # the pivot's X and Z letters, 0 or 1 a qubit
+        px, pz = (
+            int.from_bytes(w.tobytes(), "little") for w in np.packbits(piv.astype(np.uint8), axis=1, bitorder="little")
+        )
+        rp = (r[pw] >> pb) & _U1
+        col[pw] &= ~(_U1 << pb)
+        col[dw] &= ~(_U1 << db)
+        ws = np.flatnonzero(col)
+        if ws.size:
+            # row t <- pivot * row t, 64 target rows a word, on the columns
+            # from the pivot's first letter to its last (elsewhere the pivot
+            # is the identity)
+            sup = px | pz
+            span = slice((sup & -sup).bit_length() - 1, sup.bit_length())
+            a = -piv[:, span]  # all ones where the pivot has an X / a Z letter
+            ax, az = a
+            Xt, Zt = Tt = T[:, ws, span]
+            anti = (Xt & az) ^ (Zt & ax)
+            m = col[ws]
+            if (np.bitwise_xor.reduce(anti, axis=1) & m).any():
+                raise AssertionError("row product produced an imaginary phase")
+            # among those, the letters whose product with the pivot's is -i
+            # times the third: target Z under pivot X, X under Y, Y under Z
+            minus = (ax & ~az) ^ (Xt & ax) ^ (Zt & (az & ~ax))
+            # with k anticommuting letters, j of them -i, the product's
+            # phase is i^(k - 2j) with k even: the sign flips by bit 1 of k,
+            # the parity of anticommuting pairs (C(k, 2) mod 2), xor j mod 2;
+            # that parity is the count, mod 2, of anticommuting letters with
+            # an odd number of them before
+            before = np.bitwise_xor.accumulate(anti, axis=1) ^ anti
+            flips = np.bitwise_xor.reduce(anti & (before ^ minus), axis=1)
+            r[ws] ^= m & (flips ^ (_ONES if rp else _U0))
+            T[:, ws, span] = Tt ^ (m[:, None] & a[:, None, :])
+        dm = _U1 << db
+        T[:, dw] = (T[:, dw] & ~dm) | (piv << db)
+        r[dw] = (r[dw] & ~dm) | (rp << db)
+        pm = _U1 << pb
+        T[:, pw] &= ~pm
+        T[1, pw, q] |= pm
+        r[pw] = (r[pw] & ~pm) | (np.uint64(outcome) << pb)
+        return PauliString(n, px, pz)
+
+    def _deterministic_outcome(self, q: int, col: np.ndarray) -> int:
+        """Z_q's value when it is in the stabilizer group: Z_q is, up to
+        sign, the product of the stabilizers n + i whose destabilizers i
+        have X on q (the lanes below n of ``col``, the X letters on q).
+        With each row written as (-1)^r i^(x.z) X^x Z^z, the product in row
+        order carries (-1)^r for each row, i for each Y letter, and -1 for
+        each pair of rows a < b and qubit where a has a Z letter and b an X
+        letter (moving the X past the Z); the counts are taken across lanes,
+        64 rows a word."""
+        n = self.n
+        sel = _int_lanes((_unpack_bits(col) & ((1 << n) - 1)) << n, col.size)
+        ws = np.flatnonzero(sel)
+        m = sel[ws, None]
+        xs, zs = self._X[ws] & m, self._Z[ws] & m
+        if _odd_parity(np.bitwise_xor.reduce(xs, axis=0)).any():
             raise AssertionError("deterministic-outcome product is not Z-type")
-        if _unpack_bits(zs[0]) != (1 << q):
+        zq = _odd_parity(np.bitwise_xor.reduce(zs, axis=0))
+        if zq.sum() != 1 or not zq[q]:
             raise AssertionError("deterministic-outcome product is not Z_q")
-        if e[0] not in (0, 2):
+        y_letters = int(np.bitwise_count(xs & zs).sum())
+        if y_letters & 1:
             raise AssertionError("deterministic outcome has imaginary phase")
-        return int(e[0]) // 2, False, None
+        # Z letters of earlier rows: within a word by prefix XOR of the
+        # lanes below, across words by the parity of the words before
+        before = zs << _U1
+        for s in (1, 2, 4, 8, 16, 32):
+            before ^= before << np.uint64(s)
+        odd = np.bitwise_count(zs) & 1
+        before ^= -(np.bitwise_xor.accumulate(odd, axis=0) ^ odd).astype(np.uint64)
+        pairs = int(np.bitwise_count(xs & before).sum())
+        signs = int(np.bitwise_count(self._r[ws] & sel[ws]).sum())
+        return (signs + pairs + y_letters // 2) & 1
 
     def measure(
         self,
@@ -506,6 +575,7 @@ class StabilizerState:
         outcome, was_random, flip = self.measure_flip(q, rng=rng, forced=forced)
         if outcome:
             self.apply_clifford("x", q)
+        self._known[q] = 0
         return outcome, was_random, flip
 
     def conditional_pauli(self, target: int, pauli: str, parity_of: Iterable[int]) -> None:
@@ -570,19 +640,21 @@ class StabilizerState:
         Operators are taken together, in chunks of bounded (operators x
         rows x words) size."""
         out = np.empty(x.shape[0], dtype=np.int64)
-        step = max(1, _EXPECTATION_WORDS // (2 * self.n * self._w))
+        rows = self._row_major()
+        step = max(1, _EXPECTATION_WORDS // (2 * self.n * _n_words(self.n)))
         for lo in range(0, x.shape[0], step):
-            out[lo : lo + step] = self._expectations(x[lo : lo + step], z[lo : lo + step])
+            out[lo : lo + step] = self._expectations(rows, x[lo : lo + step], z[lo : lo + step])
         return out
 
-    def _expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def _expectations(self, rows: tuple[np.ndarray, ...], x: np.ndarray, z: np.ndarray) -> np.ndarray:
         n = self.n
+        X, Z, r = rows
         px, pz = x[:, None, :], z[:, None, :]
-        anti = _odd_parity(np.bitwise_xor.reduce((self._X & pz) ^ (self._Z & px), axis=2))
+        anti = _odd_parity(np.bitwise_xor.reduce((X & pz) ^ (Z & px), axis=2))
         fixed = ~anti[:, n:].any(axis=1)
         # the stabilizers whose destabilizer anticommutes with the operator
-        rows = np.nonzero(anti[:, :n].any(axis=0))[0]
-        xs, zs, e = self._stabilizer_products(rows, anti[:, rows])
+        sel = n + np.nonzero(anti[:, :n].any(axis=0))[0]
+        xs, zs, e = _stabilizer_products(X[sel], Z[sel], r[sel], anti[:, sel - n])
         generated = (xs == px[:, 0]).all(axis=1) & (zs == pz[:, 0]).all(axis=1)
         if (fixed & ~generated).any():
             raise AssertionError("commuting operator not generated by the stabilizers")
@@ -593,10 +665,9 @@ class StabilizerState:
     def canonical_stabilizers(self) -> list[PauliString]:
         """Unique generator set under Gaussian elimination (X-part pivots
         first, then Z-part); two states are equal iff these lists match."""
-        n, W = self.n, self._w
-        xs = self._X[n:].copy()
-        zs = self._Z[n:].copy()
-        es = (2 * self._r[n:].astype(np.int64)) % 4
+        n = self.n
+        xs, zs, rs = self._row_major(n, 2 * n)
+        es = (2 * rs.astype(np.int64)) % 4
 
         def mult(dst: int, src: int) -> None:
             ax, ay, az = xs[src] & ~zs[src], xs[src] & zs[src], zs[src] & ~xs[src]
@@ -660,9 +731,10 @@ class StabilizerState:
         and commutes with everything else; rows pairwise commute otherwise.
         Full rank follows from the nondegenerate pairing."""
         n = self.n
+        X, Z, _ = self._row_major()
         gram = (
-            np.bitwise_count(self._X[:, None, :] & self._Z[None, :, :]).sum(axis=2)
-            + np.bitwise_count(self._Z[:, None, :] & self._X[None, :, :]).sum(axis=2)
+            np.bitwise_count(X[:, None, :] & Z[None, :, :]).sum(axis=2)
+            + np.bitwise_count(Z[:, None, :] & X[None, :, :]).sum(axis=2)
         ) & 1
         want = np.zeros((2 * n, 2 * n), dtype=gram.dtype)
         for i in range(n):
@@ -670,6 +742,29 @@ class StabilizerState:
             want[n + i, i] = 1
         if not np.array_equal(gram, want):
             raise AssertionError("tableau lost its symplectic pairing")
+
+
+def _stabilizer_products(
+    X: np.ndarray, Z: np.ndarray, r: np.ndarray, take: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each line k of ``take`` (m x rows booleans), the product in row
+    order of the row-major rows j (X and Z words, sign bits ``r``) with
+    ``take[k, j]``: packed x and z bits (m x words) and the phase exponent of
+    i (mod 4).  Step j multiplies the running product by row j, so all steps
+    are taken at once from the prefix products; a row not taken is the
+    identity, which changes neither the running product nor its phase."""
+    xr = np.where(take[:, :, None], X, _U0)
+    zr = np.where(take[:, :, None], Z, _U0)
+    # step j >= 1: (product of rows before j) * row j
+    xs = np.bitwise_xor.accumulate(xr, axis=1)[:, :-1]
+    zs = np.bitwise_xor.accumulate(zr, axis=1)[:, :-1]
+    xb, zb = xr[:, 1:], zr[:, 1:]
+    ax, ay, az = xs & ~zs, xs & zs, zs & ~xs
+    bx, by, bz = xb & ~zb, xb & zb, zb & ~xb
+    plus = (ax & by) | (ay & bz) | (az & bx)
+    minus = (ay & bx) | (az & by) | (ax & bz)
+    e = (_bit_counts(plus) - _bit_counts(minus) + 2 * (take & (r != 0)).sum(axis=1)) % 4
+    return np.bitwise_xor.reduce(xr, axis=1), np.bitwise_xor.reduce(zr, axis=1), e
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1075,7 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
                 prog.append((op, ins.qubits[0]))
         elif op in ("measure", "reset"):
             q = ins.qubits[0]
-            outcome, was_random, flip = st.measure_flip(q, forced=0)
+            outcome, was_random, flip = (st.measure_flip if op == "measure" else st.reset)(q, forced=0)
             if was_random:
                 emit_pauli(flip, coin_streams, 0.5)
                 coin_streams += 1
@@ -991,8 +1086,6 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
                 st.classical_bits[ins.record] = recorded
                 prog.append(("meas", q, ins.record))
             else:
-                if outcome:
-                    st.apply_clifford("x", q)
                 prog.append(("reset", q))
         elif op == "cpauli":
             st.conditional_pauli(ins.qubits[0], ins.pauli, ins.parity)

@@ -8,6 +8,7 @@ float rounding from the dense side without hiding real disagreements.
 """
 
 import copy
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -237,11 +238,13 @@ def test_teleportation_all_six_eigenstates():
 
 
 def test_invariants_hold_after_every_instruction():
+    """Registers up to 70 qubits, so the 2n generator rows fill one to
+    three lane words and collapses cross word boundaries."""
     rng = np.random.default_rng(20260815)
     gates1 = ["h", "s", "sdg", "x", "y", "z"]
     checked = 0
     for _ in range(25):
-        n = int(rng.integers(2, 17))
+        n = int(rng.integers(2, 71))
         st = tb.StabilizerState(n)
         for _ in range(400):
             roll = rng.random()
@@ -256,17 +259,46 @@ def test_invariants_hold_after_every_instruction():
             elif roll < 0.93:
                 st.reset(int(rng.integers(n)), rng=rng)
             else:
-                x = int(rng.integers(1 << n))
-                z = int(rng.integers(1 << n))
+                x, z = (int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in range(2))
                 st.apply_pauli(PauliString(n, x, z))
             st.check_invariants()
             checked += 1
     assert checked >= 10_000
 
 
+def test_deterministic_outcomes_match_stabilizer_expectations():
+    """A deterministic Z_q outcome is a signed product of stabilizers, read
+    lane-parallel; <Z_q> reads the same product through the row-major
+    expectation path.  Random Clifford states of up to 70 qubits, with some
+    qubits collapsed so that others become determined."""
+    rng = np.random.default_rng(5150)
+    gates1 = ["h", "s", "sdg", "x", "y", "z"]
+    checked = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 71))
+        st = tb.StabilizerState(n)
+        for _ in range(6 * n):
+            if rng.random() < 0.5:
+                a, b = [int(v) for v in rng.choice(n, size=2, replace=False)]
+                st.apply_clifford("cx", a, b)
+            else:
+                st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(rng.integers(n)))
+        for q in rng.choice(n, size=n // 2, replace=False):
+            st.measure(int(q), rng=rng)
+            st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(q))
+        for q in range(n):
+            if not st.outcome_is_random(q):
+                want = (1 - st.expectation(PauliString.single(n, q, "Z"))) // 2
+                assert st.copy().measure(q) == want
+                checked += 1
+    assert checked >= 300
+
+
 def test_invariant_checker_catches_corruption():
     st = tb.StabilizerState(3)
-    st._X[3, 0] ^= np.uint64(2)  # stabilizer Z_0 becomes Z_0 X_1: breaks pairing
+    # row 3 is lane 3 of lane word 0; setting its X letter on qubit 1 makes
+    # stabilizer Z_0 into Z_0 X_1, which breaks the pairing
+    st._X[0, 1] ^= np.uint64(1 << 3)
     with pytest.raises(AssertionError, match="symplectic"):
         st.check_invariants()
 
@@ -322,6 +354,62 @@ def test_random_circuit_distributions_match_dense():
         circ.validate()
         mode = ("feed_forward", "post_process")[rep % 2]
         assert _exact_tvd(circ, mode) == 0.0
+
+
+# one touch of qubit 0 between two measurements of it: qubit 0 is half of a
+# Bell pair with qubit 1, qubit 2 is a measured |+> whose record conditions
+# the cpauli, and qubit 3 is a |+> that cx can entangle with qubit 0
+_TOUCHES = {
+    "x": ("x", 0),
+    "y": ("y", 0),
+    "h": ("h", 0),
+    "s": ("s", 0),
+    "cx_control": ("cx", 0, 3),
+    "cx_target": ("cx", 3, 0),
+    "cpauli_X": ("cpauli", "X"),
+    "cpauli_Z": ("cpauli", "Z"),
+    "reset": ("reset", 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("touch", list(_TOUCHES))
+def test_remeasurement_after_one_touch_matches_dense(touch, mode):
+    """A collapse's outcome is reused for the next measurement of the same
+    qubit only while nothing has touched it: each kind of touch must give
+    the dense distribution, and every sampled record must be possible."""
+    c = C.Circuit(4)
+    for q in (0, 2, 3):
+        c.add("h", q, start=0.0)
+    c.add("cx", 0, 1, start=1.0)
+    r2 = c.measure(2, start=3.0)
+    c.measure(0, start=4.0)
+    op, *args = _TOUCHES[touch]
+    if op == "cpauli":
+        c.add("cpauli", 0, start=5.0, pauli=args[0], parity=(r2,))
+    else:
+        c.add(op, *args, start=5.0)
+    c.measure(0, start=6.0)
+    c.measure(1, start=7.0)
+    c.measure(3, start=7.0)
+    c.validate()
+    assert _exact_tvd(c, mode) == 0.0
+    exact = tb.enumerate_outcomes(c, mode=mode)
+    sampled = tb.run_batch(c, 256, master_seed=3, mode=mode).records
+    assert all(exact.get(tuple(int(b) for b in row), 0.0) > 0 for row in sampled)
+
+
+def test_remeasurement_follows_applied_paulis():
+    st = tb.StabilizerState(2)
+    st.apply_clifford("h", 0)
+    st.apply_clifford("cx", 0, 1)
+    assert st.measure(0, forced=1) == 1
+    for letter, want in (("X", 0), ("Z", 0), ("Y", 1)):
+        st.apply_pauli(PauliString.single(2, 0, letter))
+        assert not st.outcome_is_random(0)
+        assert st.measure(0) == want
+        assert st.copy().measure(0) == want
+    assert st.measure(1) == 1  # the partner was never touched
 
 
 def test_post_process_equals_feed_forward_across_builders():
@@ -576,6 +664,58 @@ def test_word_boundaries_match_single_seed_and_shards(build, mode):
         for got, want in zip(res, rows(run(21, seed, 7))):
             np.testing.assert_array_equal(got[21 * k : 21 * (k + 1)], want)
     assert _fired_bits(run(1000, 5)).any()
+
+
+# sha256 of one noisy run_batch per (builder, mode, n), recorded from the
+# row-major tableau that the lane layout replaced: records, frames (and
+# correction deltas), fired mask, then the signed reference stabilizers,
+# destabilizers and pending correction, then the sites.  Registers of 31 to
+# 67 qubits put the 2n tableau rows across one to three lane words.
+_PINNED = {
+    ("ghz_dynamic", "feed_forward", 31): "c0ade73d4797e804030419df8caaa5202b4c973dbc17840d776e5765cc727aeb",
+    ("ghz_dynamic", "feed_forward", 32): "c46476d918d34d98363bd6228349800c7c74bc3ab1dc63974d7b50926fdc64d1",
+    ("ghz_dynamic", "feed_forward", 33): "5d925a0b0947c20b7262574e156a53c1b5b5edb261cd01609b9907afe20621c2",
+    ("ghz_dynamic", "feed_forward", 64): "e6b4ff0e86500d8d458b19aad979b3081b87c449a6d41f65d135e263642ecac5",
+    ("ghz_dynamic", "feed_forward", 65): "6de9fa933605c7f068794f5be8e2f64cffadb5ac6362920a799d2ab770219494",
+    ("ghz_dynamic", "post_process", 31): "ed285f39c1154d35a60f49d948f314ee188fefea29c79e8b6d51b63e0259a841",
+    ("ghz_dynamic", "post_process", 32): "6d5f659cf394e95b1e1bb26b29ef57262548ad4f43ac0a6f5c222e1b436fb0fe",
+    ("ghz_dynamic", "post_process", 33): "d98fa17a474ccc89f4f2b9ef1654e6ea670632e40dffdf115272182bd0ac56c4",
+    ("ghz_dynamic", "post_process", 64): "6419cdc47c207d717eeb0b50daad4a0879a6178115c157504a981729b7699c07",
+    ("ghz_dynamic", "post_process", 65): "45e78f093eabcfa73a7a86315958979b2ff7b524bc55808a8abf272f07b6f156",
+    ("long_range_cnot_dynamic", "feed_forward", 31): "40be647540356b823a81091ee8124b33921bdb3b00c63263db7f3387d523f3fa",
+    ("long_range_cnot_dynamic", "feed_forward", 32): "fb0050cb214261683e8934bdc6a184d77c62fedddc1543b063803df65f37180d",
+    ("long_range_cnot_dynamic", "feed_forward", 33): "be0e86c3feceaf372c24b7a062eef059bd70969e4956076229b0fd1c3b242b96",
+    ("long_range_cnot_dynamic", "feed_forward", 64): "d0dc1d94b1ee8b3d6ff93c350c9738cc2fbb7cf204feacd368c103da701221bb",
+    ("long_range_cnot_dynamic", "feed_forward", 65): "7c78fe84afaf9fea42c54fb81407f5dae0eb4587c0eaca467ee15392b4f0906e",
+    ("long_range_cnot_dynamic", "post_process", 31): "d2296c0e90cf57e38ad7dcf3e2cf20f955e89365f057abd171401930bb31895a",
+    ("long_range_cnot_dynamic", "post_process", 32): "d17fe03d6b80cedb972b9b0cd046c88c86339b10c59a506ca2adf9d25769e665",
+    ("long_range_cnot_dynamic", "post_process", 33): "51585498c9d03bbf0c617107bbdab754f85712ae50862f8bbd9285d9b3699ca2",
+    ("long_range_cnot_dynamic", "post_process", 64): "f2f28b72f136fac2a1e0131351acb1b3ace9beb976e4a961d5eaa3f7f2036640",
+    ("long_range_cnot_dynamic", "post_process", 65): "006eea8d4ce7ca4b9ca82c959c6846f2a7a7cdfcbd04c24c9ae14f3df5ca4153",
+}
+
+
+def _batch_digest(res) -> str:
+    h = hashlib.sha256()
+    arrays = [res.records, res.fx, res.fz, res.fired]
+    if res.mode == "post_process":
+        arrays += [res.dx, res.dz]
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    ref = res.reference
+    rows = ref.stabilizers() + ref.destabilizers() + ([ref.pending] if ref.pending is not None else [])
+    h.update("\n".join(str(p) for p in rows).encode())
+    h.update(repr([(s.time, str(s.pauli), s.before_index) for s in res.sites]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("build, mode, n", list(_PINNED))
+def test_batch_outputs_match_pinned_digests(build, mode, n):
+    circ = getattr(C, build)(n, mode=mode)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05))
+    res = tb.run_batch(circ, 100, master_seed=11, noise=sites, mode=mode)
+    assert res.fired.any()
+    assert _batch_digest(res) == _PINNED[(build, mode, n)]
 
 
 # ---------------------------------------------------------------------------
