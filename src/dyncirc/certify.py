@@ -132,16 +132,21 @@ def cnot_process_support() -> list[tuple[str, str, str, str, int]]:
     return out
 
 
+# A Bell pair is fixed by P (x) P*, so transfer tuple (P -> value * Q) gives
+# value * (-1)^{#Y in P} * (Q (x) P): the reference half carries the
+# transpose, which flips the sign once per Y letter
+_CNOT_CHOI_STABILIZERS = tuple(
+    PauliString.from_text(lk + ll + li + lj).with_sign(rho * (-1) ** (li + lj).count("Y"))
+    for li, lj, lk, ll, rho in cnot_process_support()
+)
+
+
 def cnot_choi_stabilizers() -> list[PauliString]:
     """The 16 signed stabilizers of CNOT's Choi state on (out_control,
     out_target, ref_control, ref_target), in :func:`cnot_process_support`
-    order.  A Bell pair is fixed by P (x) P*, so transfer tuple
-    (P -> value * Q) gives value * (-1)^{#Y in P} * (Q (x) P): the reference
-    half carries the transpose, which flips the sign once per Y letter."""
-    return [
-        PauliString.from_text(lk + ll + li + lj).with_sign(rho * (-1) ** (li + lj).count("Y"))
-        for li, lj, lk, ll, rho in cnot_process_support()
-    ]
+    order.  They are built once, at import; each call returns a new list
+    of the shared (immutable) operators."""
+    return list(_CNOT_CHOI_STABILIZERS)
 
 
 # ---------------------------------------------------------------------------

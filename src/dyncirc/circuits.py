@@ -130,6 +130,7 @@ class Circuit:
         """Check schedule sanity: time-ordered list, no qubit overlap, records
         written before read."""
         written: set[int] = set()
+        prev_parity = None
         prev_start = float("-inf")
         busy: dict[int, list[tuple[float, float]]] = {q: [] for q in range(self.n_qubits)}
         for ins in self.instructions:
@@ -139,13 +140,17 @@ class Circuit:
             if ins.op == "measure":
                 if ins.record is None:
                     raise ValueError("measure without record index")
+                if ins.record in written:
+                    raise ValueError(f"record {ins.record} written twice")
                 written.add(ins.record)
             if ins.op == "cpauli":
                 if ins.pauli not in ("X", "Z"):
                     raise ValueError(f"cpauli supports X or Z, got {ins.pauli!r}")
-                missing = set(ins.parity) - written
+                # a folded prefix was checked at the cpauli before
+                missing = set(parity_reads(prev_parity, ins.parity)[1]) - written
                 if missing:
                     raise ValueError(f"cpauli reads unwritten records {sorted(missing)}")
+                prev_parity = ins.parity
             if ins.duration > 0:
                 for q in ins.qubits:
                     for s, e in busy[q]:
@@ -187,6 +192,27 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
+# running feed-forward parities
+# ---------------------------------------------------------------------------
+
+
+def parity_reads(prev: tuple[int, ...] | None, parity: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
+    """How a pass that folds running feed-forward parities reads a ``cpauli``
+    parity, given ``prev``, the parity of the ``cpauli`` before it in the
+    instruction list (None for the first).
+
+    Returns ``(True, parity[len(prev):])`` when ``prev`` is a non-empty
+    prefix of ``parity``: its value is then ``prev``'s value XOR those
+    records, as a record is written once and keeps its value.  Otherwise
+    returns ``(False, parity)``: the value is read from every record.  The
+    constant-depth GHZ chain's corrections read growing prefixes of one
+    record list, so each of them reads one new record instead of all."""
+    if prev and parity[: len(prev)] == prev:
+        return True, parity[len(prev) :]
+    return False, parity
+
+
+# ---------------------------------------------------------------------------
 # known-zero static analysis and cost tally
 # ---------------------------------------------------------------------------
 
@@ -197,12 +223,14 @@ def _zero_timeline(circ: Circuit) -> dict[int, list[tuple[float, bool]]]:
     Content is a GF(2) affine form (label_mask, const).  ``input`` and ``h``
     mint fresh labels (content unknowable); diagonal gates leave content
     alone; cx XORs expressions; measurement snapshots the expression into its
-    record so classically-controlled X can cancel it later.
+    record so classically-controlled X can cancel it later.  Each ``cpauli``
+    parity's expression is folded from the one before (:func:`parity_reads`).
     """
     exprs: dict[int, tuple[int, int]] = {q: (0, 0) for q in range(circ.n_qubits)}
     rec_exprs: dict[int, tuple[int, int]] = {}
     events: dict[int, list[tuple[float, bool]]] = {q: [(0.0, True)] for q in range(circ.n_qubits)}
     n_labels = 0
+    prev_parity, prev_expr = None, (0, 0)
 
     def update(q: int, new: tuple[int, int], t: float) -> None:
         old_zero = exprs[q] == (0, 0)
@@ -227,13 +255,17 @@ def _zero_timeline(circ: Circuit) -> dict[int, list[tuple[float, bool]]]:
             rec_exprs[ins.record] = exprs[ins.qubits[0]]
         elif ins.op == "reset":
             update(ins.qubits[0], (0, 0), t)
-        elif ins.op == "cpauli" and ins.pauli == "X":
-            m, c = exprs[ins.qubits[0]]
-            for r in ins.parity:
+        elif ins.op == "cpauli":
+            folded, reads = parity_reads(prev_parity, ins.parity)
+            pm, pc = prev_expr if folded else (0, 0)
+            for r in reads:
                 rm, rc = rec_exprs.get(r, (0, 0))
-                m ^= rm
-                c ^= rc
-            update(ins.qubits[0], (m, c), t)
+                pm ^= rm
+                pc ^= rc
+            prev_parity, prev_expr = ins.parity, (pm, pc)
+            if ins.pauli == "X":
+                m, c = exprs[ins.qubits[0]]
+                update(ins.qubits[0], (m ^ pm, c ^ pc), t)
         # s, z, t, tdg, ccz, cpauli-Z, barrier: diagonal / no content change
     return events
 
@@ -278,8 +310,8 @@ def idle_intervals(circ: Circuit) -> list[tuple[int, float, float]]:
 
 def tally(circ: Circuit) -> InstructionTally:
     """Cost tally: idle time (known-zero excluded), CNOT and measurement
-    counts, schedule makespan, and the number of distinct feed-forward steps."""
-    circ.validate()
+    counts, schedule makespan, and the number of distinct feed-forward steps.
+    The circuit is validated once, by :func:`idle_intervals`."""
     n_cnot = sum(1 for i in circ.instructions if i.op == "cx")
     n_meas = sum(1 for i in circ.instructions if i.op == "measure")
     if circ.meta.get("mode") == "post_process":

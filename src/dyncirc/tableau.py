@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, parity_reads
 from .pauli import PauliString
 
 _MASK64 = (1 << 64) - 1
@@ -588,8 +588,12 @@ class StabilizerState:
                 par ^= self.classical_bits[idx]
             except KeyError:
                 raise ValueError(f"record {idx} referenced before being written") from None
-        if not par:
-            return
+        if par:
+            self.apply_correction(target, pauli)
+
+    def apply_correction(self, target: int, pauli: str) -> None:
+        """Apply a single-qubit Pauli correction, or fold it into
+        ``pending`` in post-processing mode."""
         p = PauliString.single(self.n, target, pauli)
         if self.pending is not None:
             self.pending = self.pending.times_mod_phase(p)
@@ -1038,7 +1042,12 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     uniform on that stream is below the weight.  A program entry
     ``("pauli", xq, zq, j)`` XORs the fired row of draw j into the X frame
     rows ``xq`` and the Z frame rows ``zq`` (each a :func:`_support`); it is
-    a noise site, or the flip operator of a random collapse (weight 1/2)."""
+    a noise site, or the flip operator of a random collapse (weight 1/2).
+
+    ``cpauli`` parities are folded (:func:`circuits.parity_reads`): the
+    k-th ``cpauli`` entry ``("cpauli", q, letter, base, recs)`` has the
+    parity of records ``recs`` XOR, when ``base`` is not None, the parity of
+    ``cpauli`` entry ``base``; the reference bit is folded the same way."""
     st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
     by_index = _sites_by_index(circuit, noise)
     qdt = np.min_scalar_type(circuit.n_qubits)  # supports are held as qubit indices
@@ -1047,6 +1056,8 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     sites: list[InjectedError] = []
     n_ins = len(circuit.instructions)
     coin_streams = 0
+    ref_parities: list[int] = []  # the reference value of each cpauli's parity
+    prev_parity = None
 
     def emit_pauli(p: PauliString, stream_id: int, weight: float) -> None:
         prog.append(("pauli", _support(p.x_bits, qdt), _support(p.z_bits, qdt), len(draws)))
@@ -1088,8 +1099,16 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
             else:
                 prog.append(("reset", q))
         elif op == "cpauli":
-            st.conditional_pauli(ins.qubits[0], ins.pauli, ins.parity)
-            prog.append(("cpauli", ins.qubits[0], ins.pauli, np.array(ins.parity, dtype=np.intp)))
+            folded, reads = parity_reads(prev_parity, ins.parity)
+            base = len(ref_parities) - 1 if folded else None
+            par = ref_parities[base] if folded else 0
+            for r in reads:
+                par ^= st.classical_bits[r]
+            if par:
+                st.apply_correction(ins.qubits[0], ins.pauli)
+            prog.append(("cpauli", ins.qubits[0], ins.pauli, base, np.array(reads, dtype=np.intp)))
+            ref_parities.append(par)
+            prev_parity = ins.parity
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)
@@ -1157,6 +1176,8 @@ def run_batch(
     frames = [(FX, FZ)] + ([(DX, DZ)] if post else [])
     # record-major, so that a cpauli parity XOR-reduces whole rows
     diff = np.zeros((circuit.n_records, shape[1]), dtype=np.uint64)
+    # one row per cpauli: the parity it applied, which later entries fold
+    parities: list[np.ndarray] = []
 
     for entry in prog:
         tag = entry[0]
@@ -1187,9 +1208,13 @@ def run_batch(
             if zq is not None:
                 FZ[zq] ^= fired[j]
         elif tag == "cpauli":
-            _, q, letter, recs = entry
+            _, q, letter, base, recs = entry
+            par = np.bitwise_xor.reduce(diff[recs], axis=0)
+            if base is not None:
+                par ^= parities[base]
+            parities.append(par)
             TX, TZ = frames[-1]  # the pending-difference frame in post mode
-            (TX if letter == "X" else TZ)[q] ^= np.bitwise_xor.reduce(diff[recs], axis=0)
+            (TX if letter == "X" else TZ)[q] ^= par
         else:  # pragma: no cover - compiler and replayer agree on tags
             raise AssertionError(f"unknown program entry {tag!r}")
 

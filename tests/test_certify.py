@@ -113,6 +113,20 @@ def test_support_table_entries():
     assert len({t[:2] for t in support}) == 16
 
 
+def test_choi_stabilizers_built_once_and_returned_in_a_fresh_list():
+    first = cert.cnot_choi_stabilizers()
+    assert len(first) == 16
+    first.clear()
+    second = cert.cnot_choi_stabilizers()
+    assert len(second) == 16 and second is not cert.cnot_choi_stabilizers()
+    # the operators themselves are shared, not rebuilt per call
+    assert all(a is b for a, b in zip(second, cert.cnot_choi_stabilizers()))
+    # tuple (P -> value Q) gives value (-1)^{#Y in P} Q (x) P
+    for stab, (li, lj, lk, ll, rho) in zip(second, cert.cnot_process_support()):
+        assert str(stab.mod_phase()) == str(PauliString.from_text(lk + ll + li + lj))
+        assert stab.sign == rho * (-1) ** (li + lj).count("Y")
+
+
 def test_support_table_against_dense_brute_force():
     cnot = sv.cnot_matrix()
     support = {t[:4]: t[4] for t in cert.cnot_process_support()}

@@ -43,6 +43,41 @@ def test_validate_rejects_unwritten_record():
         c.validate()
 
 
+def test_validate_names_only_the_unwritten_record_of_an_extension():
+    # the second parity extends the first, so only its new records are
+    # checked; the error still names exactly the one that is missing
+    c = C.Circuit(2)
+    r0 = c.measure(0, start=0.0)
+    r1 = c.measure(0, start=1.0)
+    c.add("cpauli", 1, start=2.0, pauli="X", parity=(r0,))
+    c.add("cpauli", 1, start=2.0, pauli="Z", parity=(r0, r1, r1 + 1))
+    with pytest.raises(ValueError, match=r"unwritten records \[2\]$"):
+        c.validate()
+
+
+def test_validate_rejects_a_record_written_twice():
+    # folded parities rely on a record keeping its value once written
+    c = C.Circuit(1)
+    r = c.measure(0, start=0.0)
+    c.add("measure", 0, start=1.0, record=r)
+    with pytest.raises(ValueError, match="written twice"):
+        c.validate()
+
+
+def test_tally_validates_once(monkeypatch):
+    calls = []
+    validate = C.Circuit.validate
+    monkeypatch.setattr(C.Circuit, "validate", lambda self: calls.append(self) or validate(self))
+    circ = C.ghz_dynamic(8)
+    C.tally(circ)
+    assert calls == [circ]
+    bad = C.Circuit(3)
+    bad.add("cx", 0, 1, start=0.0)
+    bad.add("cx", 1, 2, start=0.5)
+    with pytest.raises(ValueError, match="double-booked"):
+        C.tally(bad)
+
+
 def test_validate_rejects_unordered_instructions():
     c = C.Circuit(1)
     c.add("h", 0, start=1.0)

@@ -719,6 +719,194 @@ def test_batch_outputs_match_pinned_digests(build, mode, n):
 
 
 # ---------------------------------------------------------------------------
+# folded feed-forward parities
+# ---------------------------------------------------------------------------
+
+# Each case is a list of steps: ("m", q) measures ancilla q (0..2) afresh;
+# (letter, parity) adds a cpauli, X on qubit 3 or Z on qubit 4, followed by
+# a read-out of its target, with parity entry i naming the record of the
+# i-th "m" step.  Ancilla 2 is prepared in |1>, so its records are 1 on the
+# reference pass too.  Each case changes the parity against the cpauli
+# before it in one way that a fold must not mistake for an extension (or
+# does extend it), with X and Z cpaulis interleaved.
+_PARITY_CASES = {
+    "equal": [("m", 2), ("m", 0), ("X", (0, 1)), ("Z", (0, 1)), ("X", (0, 1))],
+    "extended": [("m", 2), ("X", (0,)), ("m", 0), ("Z", (0, 1)), ("m", 1), ("X", (0, 1, 2))],
+    "shrunk": [("m", 0), ("m", 1), ("m", 2), ("X", (0, 1, 2)), ("Z", (0, 1)), ("X", (0,))],
+    "reordered": [("m", 2), ("m", 0), ("m", 1), ("X", (0, 1)), ("Z", (1, 0)), ("X", (1, 0, 2))],
+    "diverging": [("m", 0), ("m", 2), ("m", 1), ("X", (0, 1)), ("Z", (0, 2)), ("X", (0, 2, 1))],
+    "disjoint": [("m", 2), ("m", 0), ("m", 1), ("X", (0,)), ("Z", (1, 2)), ("X", (1, 2, 0))],
+    "empty": [("m", 2), ("m", 0), ("X", ()), ("Z", (0,)), ("X", ()), ("X", (1,)), ("Z", ())],
+    "duplicate": [("m", 2), ("m", 0), ("X", (0, 0)), ("Z", (0, 0, 1)), ("X", (0, 0, 1, 1)), ("X", (0, 0, 1, 1, 0))],
+}
+
+
+def _parity_circuit(steps, mode="feed_forward") -> C.Circuit:
+    """Ancillas 0 and 1 in |+> and 2 in |1>, each copied into qubit 3 so
+    that the X cpaulis on qubit 3 (read in Z) can cancel its content; Z
+    cpaulis act on qubit 4, a |+> read in X.  A re-measured ancilla is
+    reset and prepared again first."""
+    prep = {0: "h", 1: "h", 2: "x"}
+    c = C.Circuit(5)
+    c.meta = {"mode": mode}
+    for q in (0, 1, 2):
+        c.add(prep[q], q, start=0.0)
+    c.add("h", 4, start=0.0)
+    for q in (0, 1, 2):
+        c.add("cx", q, 3, start=1.0 + q)
+    t = 4.0
+    recs = []
+    for step in steps:
+        if step[0] == "m":
+            q = step[1]
+            if any(ins.op == "measure" and ins.qubits == (q,) for ins in c.instructions):
+                c.add("reset", q, start=t)
+                c.add(prep[q], q, start=t)
+            recs.append(c.measure(q, start=t, duration=1.0))
+        else:
+            letter, parity = step
+            target = 3 if letter == "X" else 4
+            c.add("cpauli", target, start=t, pauli=letter, parity=tuple(recs[i] for i in parity))
+            if letter == "Z":
+                c.add("h", 4, start=t)
+            c.measure(target, start=t, duration=1.0)
+            if letter == "Z":
+                c.add("h", 4, start=t + 1.0)
+        t += 2.0
+    c.validate()
+    return c
+
+
+def _random_parity_steps(rng) -> list:
+    """A random mix of the cases' moves, against the parity before."""
+    steps, prev, n_recs = [("m", 0)], (0,), 1
+    for _ in range(int(rng.integers(5, 9))):
+        if n_recs < 4 and rng.random() < 0.3:
+            steps.append(("m", int(rng.integers(3))))
+            n_recs += 1
+        recs = list(range(n_recs))
+        move = rng.integers(8)
+        if move == 0:
+            par = prev
+        elif move == 1:
+            par = prev + tuple(int(r) for r in rng.choice(recs, size=int(rng.integers(1, 3))))
+        elif move == 2:
+            par = prev[:-1]
+        elif move == 3:
+            par = tuple(int(r) for r in rng.permutation(prev))
+        elif move == 4:
+            par = prev[: len(prev) // 2] + (int(rng.choice(recs)),)
+        elif move == 5:
+            par = tuple(r for r in recs if r not in prev)
+        elif move == 6:
+            par = ()
+        else:
+            par = prev + prev[-1:]
+        steps.append(("XZ"[int(rng.integers(2))], par))
+        prev = par
+    return steps
+
+
+def _parity_circuits():
+    rng = np.random.default_rng(90513)
+    out = list(_PARITY_CASES.items())
+    out += [(f"random{k}", _random_parity_steps(rng)) for k in range(12)]
+    return out
+
+
+def _unfolded_zero_timeline(circ):
+    """The known-zero analysis with every cpauli parity read in full."""
+    exprs = {q: (0, 0) for q in range(circ.n_qubits)}
+    rec_exprs = {}
+    events = {q: [(0.0, True)] for q in range(circ.n_qubits)}
+    labels = 0
+
+    def update(q, new, t):
+        if (new == (0, 0)) != (exprs[q] == (0, 0)):
+            events[q].append((t, new == (0, 0)))
+        exprs[q] = new
+
+    for ins in circ.instructions:
+        q, t = ins.qubits[0] if ins.qubits else None, ins.end
+        if ins.op in ("input", "h"):
+            labels += 1
+            update(q, (1 << labels, 0), ins.start if ins.op == "input" else t)
+        elif ins.op == "x":
+            update(q, (exprs[q][0], exprs[q][1] ^ 1), t)
+        elif ins.op == "cx":
+            (mc, cc), (mt, ct) = exprs[ins.qubits[0]], exprs[ins.qubits[1]]
+            update(ins.qubits[1], (mc ^ mt, cc ^ ct), t)
+        elif ins.op == "measure":
+            rec_exprs[ins.record] = exprs[q]
+        elif ins.op == "reset":
+            update(q, (0, 0), t)
+        elif ins.op == "cpauli" and ins.pauli == "X":
+            m, c = exprs[q]
+            for r in ins.parity:
+                m ^= rec_exprs[r][0]
+                c ^= rec_exprs[r][1]
+            update(q, (m, c), t)
+    return events
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("name, steps", _parity_circuits())
+def test_folded_parities_match_exact_distribution(name, steps, mode):
+    """The folded reference pass and replay against the readers that take
+    every parity in full: the dense oracle and enumerate_outcomes."""
+    circ = _parity_circuit(steps, mode)
+    assert _exact_tvd(circ, mode) == 0.0
+    exact = tb.enumerate_outcomes(circ, mode=mode)
+    sampled = tb.run_batch(circ, 1024, master_seed=5, mode=mode).records
+    assert all(exact.get(tuple(int(b) for b in row), 0.0) > 0 for row in sampled)
+    # every outcome of the exact support shows up in 1024 shots
+    assert {tuple(int(b) for b in row) for row in sampled} == set(exact)
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("name, steps", _parity_circuits())
+def test_folded_parities_match_unfolded_known_zero_analysis(name, steps, mode, monkeypatch):
+    circ = _parity_circuit(steps, mode)
+    assert C._zero_timeline(circ) == _unfolded_zero_timeline(circ)
+    folded = (C.idle_intervals(circ), C.tally(circ))
+    monkeypatch.setattr(C, "_zero_timeline", _unfolded_zero_timeline)
+    assert (C.idle_intervals(circ), C.tally(circ)) == folded
+
+
+@pytest.mark.parametrize("name, steps", _parity_circuits())
+def test_folded_replay_matches_propagated_errors(name, steps):
+    """One error at a time, fired on every shot: the folded replay's change
+    to the frame and records is what noise.propagate, which reads each
+    parity in full, predicts."""
+    circ = _parity_circuit(steps)
+    n, n_ins = circ.n_qubits, len(circ.instructions)
+    rng = np.random.default_rng(len(steps))
+    clean = tb.run_batch(circ, 1, master_seed=8)
+    for _ in range(40):
+        k = int(rng.integers(n_ins + 1))
+        err = PauliString(n, int(rng.integers(1, 1 << n)), int(rng.integers(1 << n)))
+        noisy = tb.run_batch(circ, 1, master_seed=8, noise=[N.NoiseSite(k, err, 1.0)])
+        want = N.propagate(err, circ, start_index=k)
+        got = (noisy.frames[0].x_bits ^ clean.frames[0].x_bits, noisy.frames[0].z_bits ^ clean.frames[0].z_bits)
+        assert got == (want.pauli.x_bits, want.pauli.z_bits)
+        flipped = np.flatnonzero(noisy.records[0] != clean.records[0])
+        assert frozenset(int(r) for r in flipped) == want.flipped_records
+
+
+def test_ghz_chain_cpaulis_read_one_record_each():
+    """ghz_dynamic(401) corrects with 199 growing prefixes of one record
+    list (19 900 references in all); folded, each correction's program
+    entry reads only its one new record."""
+    circ = C.ghz_dynamic(401)
+    prog = tb._compile_reference(circ, None, "feed_forward")[0]
+    cpaulis = [e for e in prog if e[0] == "cpauli"]
+    assert len(cpaulis) == 199
+    assert sum(len(ins.parity) for ins in circ.instructions if ins.op == "cpauli") == 19_900
+    assert sum(len(recs) for *_, recs in cpaulis) == 199
+    assert [base for _, _, _, base, _ in cpaulis] == [None] + list(range(198))
+
+
+# ---------------------------------------------------------------------------
 # noise injection and per-shot bookkeeping
 # ---------------------------------------------------------------------------
 
