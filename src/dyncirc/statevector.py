@@ -40,10 +40,15 @@ GATES: dict[str, np.ndarray] = {
 }
 
 
+# a measurement or reset outcome at most this likely is dropped as impossible
+MIN_OUTCOME_PROB = 1e-14
+
+
 def n_of(state: np.ndarray) -> int:
-    n = int(np.log2(state.size))
-    assert state.size == 1 << n
-    return n
+    size = state.size
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"a state has 2^n amplitudes, got {size}")
+    return size.bit_length() - 1
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -61,6 +66,72 @@ def basis_state(n: int, bits: int) -> np.ndarray:
     return psi
 
 
+# ---------------------------------------------------------------------------
+# kernels: a gate or collapse reads the state through a reshaped view in which
+# each touched qubit has its own axis of length 2 and the qubits between them
+# are merged, so it is a few whole-slice operations (the amplitude-pair
+# updates of QuEST, arXiv:1802.08032)
+# ---------------------------------------------------------------------------
+
+
+def _view(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """``state`` as (2^a, 2, 2^b, 2, ..., 2^z): axis 2i+1 is the i-th of the
+    sorted ``qubits``, the others merge the qubits around them."""
+    n = n_of(state)
+    shape = []
+    prev = -1
+    for q in sorted(qubits):
+        if q <= prev or q >= n:
+            raise ValueError(f"qubits {qubits} are not distinct qubits of a {n}-qubit state")
+        shape += [1 << (q - prev - 1), 2]
+        prev = q
+    shape.append(1 << (n - prev - 1))
+    return state.reshape(shape)
+
+
+def _slot(qubits: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
+    """Index into a :func:`_view` of the block where ``qubits[i]`` has bit ``bits[i]``."""
+    order = sorted(qubits)
+    idx: list = [slice(None)] * (2 * len(qubits) + 1)
+    for q, b in zip(qubits, bits):
+        idx[2 * order.index(q) + 1] = b
+    return tuple(idx)
+
+
+def _apply_1q(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Each output half of the qubit is written once from the two input
+    halves; matrix entries equal to 0 are skipped."""
+    src = _view(state, qubits)
+    out = np.empty(src.shape, dtype=complex)
+    for r in (0, 1):
+        dst = out[:, r]
+        m0, m1 = mat[r, 0], mat[r, 1]
+        if m1 == 0:
+            np.multiply(src[:, 0], m0, out=dst)
+        elif m0 == 0:
+            np.multiply(src[:, 1], m1, out=dst)
+        else:
+            np.multiply(src[:, 0], m0, out=dst)
+            dst += m1 * src[:, 1]
+    return out.reshape(-1)
+
+
+def _apply_cx(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """One copy, then the control-1 quarters swap their target halves."""
+    out = state.flatten()
+    src, dst = _view(state, qubits), _view(out, qubits)
+    dst[_slot(qubits, (1, 0))] = src[_slot(qubits, (1, 1))]
+    dst[_slot(qubits, (1, 1))] = src[_slot(qubits, (1, 0))]
+    return out
+
+
+def _apply_ccz(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """One copy, then the sign of the |111> block flips."""
+    out = state.flatten()
+    _view(out, qubits)[_slot(qubits, (1, 1, 1))] *= -1
+    return out
+
+
 def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], check: bool = True) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the given qubits of the state."""
     k = len(qubits)
@@ -70,6 +141,8 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], c
         err = np.abs(mat @ mat.conj().T - np.eye(1 << k)).max()
         if err > 1e-10:
             raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
+    if k == 1:
+        return _apply_1q(state, mat, qubits)
     n = n_of(state)
     psi = state.reshape([2] * n)
     op = mat.reshape([2] * (2 * k))
@@ -79,9 +152,18 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], c
 
 
 def apply_gate(state: np.ndarray, name: str, *qubits: int) -> np.ndarray:
-    out = apply_unitary(state, GATES[name], tuple(qubits), check=False)
-    norm = np.linalg.norm(out)
-    assert abs(norm - 1.0) < 1e-12, f"norm drifted to {norm} after {name}"
+    mat = GATES[name]
+    if len(mat) != 1 << len(qubits):
+        raise ValueError(f"{name} is a {len(mat).bit_length() - 1}-qubit gate, given qubits {qubits}")
+    if name == "cx":
+        out = _apply_cx(state, qubits)
+    elif name == "ccz":
+        out = _apply_ccz(state, qubits)
+    else:
+        out = _apply_1q(state, mat, qubits)
+    norm = float(np.sqrt(np.vdot(out, out).real))
+    if abs(norm - 1.0) >= 1e-12:
+        raise ValueError(f"norm drifted to {norm} after {name}")
     return out
 
 
@@ -93,29 +175,29 @@ def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
     for q in range(n):
         letter = p.letter(q)
         if letter != "I":
-            out = apply_unitary(out, GATES[letter.lower()], (q,), check=False)
+            out = _apply_1q(out, GATES[letter.lower()], (q,))
     return out * p.phase
 
 
-def measure_probs(state: np.ndarray, q: int) -> tuple[float, float]:
-    n = n_of(state)
-    psi = state.reshape([2] * n)
-    p1 = float(np.sum(np.abs(np.take(psi, 1, axis=q)) ** 2))
-    return 1.0 - p1, p1
+def _project(state: np.ndarray, q: int, outcome: int, to: int) -> tuple[float, np.ndarray | None]:
+    """Project qubit q onto ``outcome``, renormalised, with the kept half
+    written to the ``to`` half of a fresh state (``to`` = 0 is a reset).
+
+    The kept half's probability is read on a view first, so an impossible
+    outcome returns (0.0, None) without allocating a state."""
+    kept = _view(state, (q,))[:, outcome]
+    p = float(np.vdot(kept, kept).real)
+    if p <= MIN_OUTCOME_PROB:
+        return 0.0, None
+    out = np.zeros(state.size, dtype=complex)
+    np.multiply(kept, 1.0 / np.sqrt(p), out=_view(out, (q,))[:, to])
+    return p, out
 
 
 def collapse(state: np.ndarray, q: int, outcome: int) -> tuple[float, np.ndarray | None]:
-    """Project qubit q onto ``outcome`` and renormalize; returns (prob, state)."""
-    n = n_of(state)
-    psi = state.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[q] = 1 - outcome
-    psi[tuple(idx)] = 0.0
-    flat = psi.reshape(-1)
-    p = float(np.linalg.norm(flat) ** 2)
-    if p < 1e-14:
-        return 0.0, None
-    return p, flat / np.sqrt(p)
+    """Project qubit q onto ``outcome`` and renormalize; returns (prob, state),
+    or (0.0, None) for an outcome of probability at most ``MIN_OUTCOME_PROB``."""
+    return _project(state, q, outcome, outcome)
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,11 +245,12 @@ def run_branches(
     mode: str = "feed_forward",
     insertions: dict[int, list[PauliString]] | None = None,
     initial: np.ndarray | None = None,
-    prune: float = 1e-14,
 ) -> list[Branch]:
-    """Execute a circuit, splitting on every measurement outcome with nonzero
-    probability.  ``insertions[k]`` lists Paulis applied just before
-    instruction index k (k = len(instructions) means end of circuit).
+    """Execute a circuit, splitting on every measurement outcome with
+    probability above ``MIN_OUTCOME_PROB``.  ``insertions[k]`` lists Paulis
+    applied just before instruction index k (k = len(instructions) means end
+    of circuit).  ``initial``, if given, must have 2^n amplitudes for the
+    circuit's n qubits.
 
     In post_process mode, conditional Paulis are composed into a pending frame
     instead of being applied; recorded bits are frame-corrected so classical
@@ -178,10 +261,17 @@ def run_branches(
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"dense engine capped at {MAX_QUBITS} qubits, circuit has {n}")
+    if initial is None:
+        state0 = zero_state(n)
+    else:
+        state0 = np.array(initial, dtype=complex).reshape(-1)
+        if state0.size != 1 << n:
+            raise ValueError(
+                f"initial state has {state0.size} amplitudes, a {n}-qubit circuit needs {1 << n}"
+            )
     insertions = insertions or {}
     post = mode == "post_process"
     ident = PauliString.identity(n)
-    state0 = zero_state(n) if initial is None else initial.astype(complex)
     branches = [Branch(1.0, {}, state0, ident if post else None)]
 
     def inject(branches: list[Branch], paulis: list[PauliString]) -> list[Branch]:
@@ -221,7 +311,7 @@ def run_branches(
             for b in branches:
                 for outcome in (0, 1):
                     p, st = collapse(b.state, q, outcome)
-                    if p <= prune or st is None:
+                    if st is None:
                         continue
                     recorded = outcome
                     if b.pending is not None:
@@ -236,11 +326,9 @@ def run_branches(
             new = []
             for b in branches:
                 for outcome in (0, 1):
-                    p, st = collapse(b.state, q, outcome)
-                    if p <= prune or st is None:
+                    p, st = _project(b.state, q, outcome, 0)
+                    if st is None:
                         continue
-                    if outcome == 1:
-                        st = apply_gate(st, "x", q)
                     new.append(Branch(b.prob * p, dict(b.bits), st, b.pending))
             branches = new
             continue
@@ -278,7 +366,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     cols = []
     for i in range(1 << n):
         branches = run_branches(circuit, initial=basis_state(n, i))
-        assert len(branches) == 1, "circuit_unitary needs a measurement-free circuit"
+        if len(branches) != 1:
+            raise ValueError("circuit_unitary needs a measurement-free circuit")
         cols.append(branches[0].state)
     return np.array(cols).T
 

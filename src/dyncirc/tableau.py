@@ -1055,6 +1055,7 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     draws: list[tuple[int, float]] = []
     sites: list[InjectedError] = []
     n_ins = len(circuit.instructions)
+    t_end = circuit.makespan if n_ins in by_index else 0.0  # time of end-of-circuit sites
     coin_streams = 0
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
     prev_parity = None
@@ -1068,7 +1069,7 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
             om = float(s.omega)
             if not 0.0 <= om <= 1.0:
                 raise ValueError(f"error weight {om} outside [0, 1]")
-            t = circuit.instructions[k].start if k < n_ins else circuit.makespan
+            t = circuit.instructions[k].start if k < n_ins else t_end
             emit_pauli(s.pauli, _NOISE_STREAM_BASE + len(sites), om)
             sites.append(InjectedError(t, s.pauli.mod_phase(), k))
 

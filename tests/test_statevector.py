@@ -1,5 +1,7 @@
 """Dense engine checks: gates, measurement branching, fidelities, Choi math."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -88,12 +90,105 @@ def test_apply_pauli_matches_matrix():
 
 
 def test_collapse_probabilities():
-    psi = sv.apply_gate(sv.zero_state(2), "h", 0)
-    p0, p1 = sv.measure_probs(psi, 0)
+    psi = sv.apply_gate(sv.zero_state(2), "h", 0)  # |+>|0>
+    p0, st0 = sv.collapse(psi, 0, 0)
+    p1, st1 = sv.collapse(psi, 0, 1)
     assert p0 == pytest.approx(0.5) and p1 == pytest.approx(0.5)
-    p, st = sv.collapse(psi, 0, 1)
-    assert p == pytest.approx(0.5)
-    assert np.allclose(st, sv.basis_state(2, 0b10))
+    assert np.allclose(st0, sv.basis_state(2, 0b00))
+    assert np.allclose(st1, sv.basis_state(2, 0b10))
+    assert sv.collapse(psi, 1, 0)[0] == pytest.approx(1.0)
+    assert sv.collapse(psi, 1, 1) == (0.0, None)
+
+
+# ---------------------------------------------------------------------------
+# kernels against full Kronecker-product matrices
+# ---------------------------------------------------------------------------
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def embed(n, ops):
+    """Kronecker product over qubits 0..n-1 (qubit 0 leftmost) of ``ops[q]``, identity elsewhere."""
+    m = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        m = np.kron(m, ops.get(q, np.eye(2, dtype=complex)))
+    return m
+
+
+def full_gate_matrix(n, name, qubits):
+    mat = sv.GATES[name]
+    if mat.shape == (2, 2):
+        return embed(n, {qubits[0]: mat})
+    if name == "cx":
+        c, t = qubits
+        return embed(n, {c: P0}) + embed(n, {c: P1, t: sv.GATES["x"]})
+    if name == "ccz":
+        return np.eye(1 << n) - 2 * embed(n, dict.fromkeys(qubits, P1))
+    raise AssertionError(f"no reference matrix for gate {name!r}")
+
+
+def random_state(rng, n):
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gate_kernels_match_kronecker_matrices(n):
+    rng = np.random.default_rng(1000 + n)
+    for name, mat in sv.GATES.items():
+        k = mat.shape[0].bit_length() - 1
+        for qubits in permutations(range(n), k):  # cx both ways, ccz every order
+            psi = random_state(rng, n)
+            want = full_gate_matrix(n, name, qubits) @ psi
+            assert np.abs(sv.apply_gate(psi, name, *qubits) - want).max() < 1e-12
+    for q in range(n):
+        u = random_unitary(rng)
+        psi = random_state(rng, n)
+        assert np.abs(sv.apply_unitary(psi, u, (q,)) - embed(n, {q: u}) @ psi).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_collapse_matches_explicit_projector(n):
+    rng = np.random.default_rng(2000 + n)
+    for q in range(n):
+        psi = random_state(rng, n)
+        for outcome in (0, 1):
+            kept = embed(n, {q: (P0, P1)[outcome]}) @ psi
+            p_want = float(np.vdot(kept, kept).real)
+            p, st = sv.collapse(psi, q, outcome)
+            assert abs(p - p_want) < 1e-12
+            assert np.abs(st - kept / np.sqrt(p_want)).max() < 1e-12
+
+
+def test_kernels_reject_bad_qubits():
+    psi = sv.zero_state(3)
+    for qubits in ((0, 0), (1, 3), (-1, 2)):
+        with pytest.raises(ValueError):
+            sv.apply_gate(psi, "cx", *qubits)
+    with pytest.raises(ValueError):
+        sv.apply_gate(psi, "h", 3)
+    with pytest.raises(ValueError):
+        sv.apply_gate(psi, "h", 0, 1)
+    with pytest.raises(ValueError):
+        sv.apply_gate(psi, "ccz", 0, 1)
+
+
+def test_n_of_rejects_sizes_that_are_not_powers_of_two():
+    assert sv.n_of(np.zeros(1)) == 0 and sv.n_of(np.zeros(64)) == 6
+    for size in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match=str(size)):
+            sv.n_of(np.zeros(size))
+
+
+def test_gate_norm_check_raises():
+    with pytest.raises(ValueError, match="norm drifted"):
+        sv.apply_gate(2.0 * sv.zero_state(2), "h", 0)
 
 
 def test_overlap_through_ancillas_vs_partial_trace():
@@ -204,6 +299,14 @@ def test_post_process_mode_matches_feed_forward_distribution():
     assert set(d_ff) == set(d_pp)
     for k in d_ff:
         assert d_ff[k] == pytest.approx(d_pp[k], abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [8, 2, 3])
+def test_run_branches_rejects_initial_state_of_wrong_size(size):
+    # a 2-qubit circuit needs 4 amplitudes: not one qubit more, fewer, or a
+    # size that is not a power of two
+    with pytest.raises(ValueError, match=f"{size} amplitudes.*needs 4"):
+        sv.run_branches(bell_circuit(), initial=np.ones(size) / np.sqrt(size))
 
 
 def test_empty_parity_never_fires():
