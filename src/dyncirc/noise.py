@@ -1,6 +1,8 @@
 """Stochastic-Pauli noise model: channels, physical-parameter conversions,
-error propagation through dynamic Clifford circuits, and closed-form error
-budgets with crossover search.
+noise sites attached to scheduled circuits, and closed-form error budgets
+with crossover search.  The sites are sampled by the Pauli-frame engine
+(:func:`tableau.run_batch`), which also propagates them through the
+circuit.
 
 Conventions used throughout:
 
@@ -38,8 +40,6 @@ __all__ = [
     "depolarizing_rate",
     "depolarizing_channel",
     "twirl_coefficient",
-    "propagate",
-    "PropagatedError",
     "attach_noise",
     "budget",
     "BUDGET_FAMILIES",
@@ -270,60 +270,6 @@ def twirl_coefficient(channel: PauliLindbladChannel, q: PauliString) -> float:
         raise ValueError(f"operator on {q.n} qubits, channel on {channel.n}")
     s = sum(rate for p, rate in channel.items() if not p.commutes(q))
     return math.exp(-2.0 * s)
-
-
-# ---------------------------------------------------------------------------
-# propagation to the end of a circuit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropagatedError:
-    """Where a single injected Pauli ends up: the end-of-circuit Pauli (sign
-    stripped) and the measurement records whose outcomes it flipped."""
-
-    pauli: PauliString
-    flipped_records: frozenset[int]
-
-
-def propagate(pauli: PauliString, circuit: Circuit, start_index: int = 0) -> PropagatedError:
-    """Push a Pauli error forward from just before ``instructions[start_index]``
-    to the end of the circuit.
-
-    Rules: Clifford gates conjugate it; a measurement's record flips iff the
-    error then has an X component on the measured qubit (the error itself is
-    unchanged); a reset drops the error's factor on that qubit; a
-    parity-conditioned Pauli multiplies on when the error flipped an odd
-    number of the records it reads.  Non-Clifford gates are only allowed when
-    the error does not touch their qubits.
-    """
-    if pauli.n != circuit.n_qubits:
-        raise ValueError(f"operator on {pauli.n} qubits, circuit on {circuit.n_qubits}")
-    if not 0 <= start_index <= len(circuit.instructions):
-        raise ValueError(f"start_index {start_index} outside the instruction list")
-    p = pauli.mod_phase()
-    flipped: set[int] = set()
-    for ins in circuit.instructions[start_index:]:
-        op = ins.op
-        if op in ("input", "barrier"):
-            continue
-        if op in C.CLIFFORD_GATES:
-            p = p.conjugated(op, *ins.qubits)
-        elif op in C.GATE_OPS:  # non-Clifford: t, tdg, ccz
-            if any(p.letter(q) != "I" for q in ins.qubits):
-                raise ValueError(f"cannot propagate a Pauli error through {op!r}")
-        elif op == "measure":
-            if p.x_bit(ins.qubits[0]):
-                flipped.symmetric_difference_update((ins.record,))
-        elif op == "reset":
-            q = ins.qubits[0]
-            p = PauliString(p.n, p.x_bits & ~(1 << q), p.z_bits & ~(1 << q))
-        elif op == "cpauli":
-            if sum(r in flipped for r in ins.parity) % 2:
-                p = p.times_mod_phase(PauliString.single(p.n, ins.qubits[0], ins.pauli))
-        else:  # pragma: no cover - op whitelist is enforced by Circuit.add
-            raise ValueError(f"cannot propagate through op {op!r}")
-    return PropagatedError(p.mod_phase(), frozenset(flipped))
 
 
 # ---------------------------------------------------------------------------

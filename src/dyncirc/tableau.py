@@ -1,6 +1,5 @@
-"""Bit-packed stabilizer engine for dynamic Clifford circuits.
-
-Two execution styles share one tableau core:
+"""Bit-packed stabilizer engine for dynamic Clifford circuits: one tableau
+and one sampler.
 
 * :class:`StabilizerState` — a destabilizer/stabilizer tableau with the gate
   set {H, S, S†, X, Y, Z, CNOT}, mid-circuit measurement (deterministic and
@@ -9,9 +8,11 @@ Two execution styles share one tableau core:
   machine word, in arrays indexed [lane word, qubit] (Stim's tableau
   layout, Gidney, Quantum 5, 497 (2021)): a gate is a few word operations
   on one or two qubit columns, and a random collapse touches only the lane
-  words that hold the rows it rewrites.
+  words that hold the rows it rewrites.  It runs the reference pass of
+  :func:`run_batch`, and :func:`enumerate_outcomes` branches it on every
+  random collapse to give the exact distribution of the classical record.
 
-* :func:`run_batch` — a two-pass sampler for many shots of one circuit: a
+* :func:`run_batch` — the sampler, two passes for many shots of one circuit: a
   single reference execution (random outcomes pinned to 0, with a flip
   operator captured at every random collapse) followed by a Pauli-frame
   replay of all shots against that reference.  Frames are stored
@@ -29,10 +30,8 @@ sharded across workers or runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -352,12 +351,6 @@ class StabilizerState:
             PauliString(self.n, _unpack_bits(x), _unpack_bits(z), -1 if r else 1) for x, z, r in zip(xs, zs, rs)
         ]
 
-    def row(self, i: int) -> PauliString:
-        """Generator row ``i`` (0..2n-1) as a signed operator."""
-        if not 0 <= i < 2 * self.n:
-            raise IndexError(f"row {i} out of range for n={self.n}")
-        return self._paulis(i, i + 1)[0]
-
     @property
     def tableau(self) -> list[PauliString]:
         return self._paulis(0, 2 * self.n)
@@ -600,29 +593,6 @@ class StabilizerState:
         else:
             self.apply_pauli(p)
 
-    def inject_pauli_noise(self, channel, rng: np.random.Generator) -> bool:
-        """Apply ``channel.pauli`` with the channel's error weight; returns
-        whether it fired.  Accepts anything exposing ``pauli`` plus either a
-        precomputed ``omega`` or a rate ``rate`` (weight (1-e^{-2 rate})/2)."""
-        om = getattr(channel, "omega", None)
-        if om is None:
-            rate = channel.rate
-            if rate < 0:
-                raise ValueError(f"negative noise rate {rate}")
-            om = 0.5 * (1.0 - math.exp(-2.0 * rate))
-        if not 0.0 <= om <= 1.0:
-            raise ValueError(f"error weight {om} outside [0, 1]")
-        if rng.random() < om:
-            self.apply_pauli(channel.pauli)
-            return True
-        return False
-
-    def apply_pending(self) -> None:
-        """Materialize the post-processing correction onto the tableau."""
-        if self.pending is not None and not self.pending.is_identity():
-            self.apply_pauli(self.pending.mod_phase())
-            self.pending = PauliString.identity(self.n)
-
     # -- read-out ---------------------------------------------------------------
 
     def expectation(self, p: PauliString) -> int:
@@ -723,13 +693,6 @@ class StabilizerState:
             )
         return out
 
-    def state_equal(self, other: "StabilizerState") -> bool:
-        if self.n != other.n:
-            return False
-        mine = [p.key() + (p.sign,) for p in self.canonical_stabilizers()]
-        theirs = [p.key() + (p.sign,) for p in other.canonical_stabilizers()]
-        return mine == theirs
-
     def check_invariants(self) -> None:
         """Symplectic pairing: destabilizer i anticommutes with stabilizer i
         and commutes with everything else; rows pairwise commute otherwise.
@@ -772,59 +735,8 @@ def _stabilizer_products(
 
 
 # ---------------------------------------------------------------------------
-# direct (single-shot) execution
+# exact enumeration of the classical record
 # ---------------------------------------------------------------------------
-
-
-def _sites_by_index(circuit: Circuit, noise) -> dict[int, list]:
-    by_index: dict[int, list] = {}
-    n_ins = len(circuit.instructions)
-    for s in noise or ():
-        k = s.before_index
-        if not 0 <= k <= n_ins:
-            raise ValueError(f"noise site index {k} outside 0..{n_ins}")
-        if s.pauli.n != circuit.n_qubits:
-            raise ValueError("noise operator size does not match the circuit")
-        by_index.setdefault(k, []).append(s)
-    return by_index
-
-
-def execute(
-    circuit: Circuit,
-    rng: np.random.Generator | int | None = None,
-    mode: str = "feed_forward",
-    noise=None,
-) -> StabilizerState:
-    """One shot, straight on the tableau; returns the final state with its
-    classical record.  Slower than :func:`run_batch` but has no compiled
-    program between the circuit and the tableau, which makes it a useful
-    cross-check."""
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
-    circuit.validate()
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
-    by_index = _sites_by_index(circuit, noise)
-    for k, ins in enumerate(circuit.instructions):
-        for s in by_index.get(k, ()):
-            st.inject_pauli_noise(s, rng)
-        op = ins.op
-        if op in ("input", "barrier"):
-            continue
-        if op == "cx" or op in _ONE_QUBIT_CLIFFORDS:
-            st.apply_clifford(op, *ins.qubits)
-        elif op == "measure":
-            st.measure(ins.qubits[0], record_index=ins.record, rng=rng)
-        elif op == "reset":
-            st.reset(ins.qubits[0], rng=rng)
-        elif op == "cpauli":
-            st.conditional_pauli(ins.qubits[0], ins.pauli, ins.parity)
-        else:
-            raise ValueError(f"op {op!r} is not stabilizer-simulable")
-    for s in by_index.get(len(circuit.instructions), ()):
-        st.inject_pauli_noise(s, rng)
-    return st
 
 
 def enumerate_outcomes(circuit: Circuit, mode: str = "feed_forward") -> dict[tuple[int, ...], float]:
@@ -918,20 +830,6 @@ def _shot_major(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return _pack_rows(_unpack_rows(rows[:, lo // 64 : _n_words(hi)], hi - lo).T)
 
 
-def _shot_major_all(rows: np.ndarray, shots: int) -> np.ndarray:
-    out = np.empty((shots, _n_words(rows.shape[0])), dtype=np.uint64)
-    for lo in range(0, shots, _VIEW_SHOTS):
-        hi = min(shots, lo + _VIEW_SHOTS)
-        out[lo:hi] = _shot_major(rows, lo, hi)
-    return out
-
-
-class InjectedError(NamedTuple):
-    time: float
-    pauli: PauliString
-    before_index: int
-
-
 @dataclass
 class BatchResult:
     """Vectorised shot batch: ``records[s, r]`` is record r of shot s.
@@ -943,12 +841,9 @@ class BatchResult:
     row q of ``fx``/``fz`` is the X/Z part of shot s's frame on qubit q.  In
     post-processing mode ``dx``/``dz`` hold, in the same layout, the
     replayed change to the outstanding correction, which for shot s is
-    ``reference.pending`` times that delta.  Row j of ``fired`` marks, in
-    the same layout, the shots on which noise site ``sites[j]`` fired.
-
-    The shot-major views (:attr:`frame_x`, :attr:`frame_z`,
-    :attr:`delta_x`, :attr:`delta_z`, :attr:`frames`, :attr:`errors`) are
-    derived only when read.
+    ``reference.pending`` times that delta.  ``sites`` is the caller's
+    noise sites in program order, and row j of ``fired`` marks, in the
+    same layout, the shots on which ``sites[j]`` fired.
     """
 
     records: np.ndarray
@@ -957,55 +852,13 @@ class BatchResult:
     fx: np.ndarray
     fz: np.ndarray
     fired: np.ndarray
-    sites: list[InjectedError]
+    sites: list
     dx: np.ndarray | None = None
     dz: np.ndarray | None = None
 
     @property
     def shots(self) -> int:
         return self.records.shape[0]
-
-    @property
-    def frame_x(self) -> np.ndarray:
-        """Row s: shot s's physical X frame, packed 64 qubits a word."""
-        return _shot_major_all(self.fx, self.shots)
-
-    @property
-    def frame_z(self) -> np.ndarray:
-        return _shot_major_all(self.fz, self.shots)
-
-    @property
-    def delta_x(self) -> np.ndarray | None:
-        """Row s: shot s's X correction delta (post-processing mode only)."""
-        return None if self.dx is None else _shot_major_all(self.dx, self.shots)
-
-    @property
-    def delta_z(self) -> np.ndarray | None:
-        return None if self.dz is None else _shot_major_all(self.dz, self.shots)
-
-    @cached_property
-    def frames(self) -> list[PauliString]:
-        """Per shot: the outstanding correction operator (post-processing
-        mode) or the physical end-of-circuit frame (feed-forward mode)."""
-        n = self.reference.n
-        if self.mode == "post_process":
-            bx, bz = self.reference.pending.x_bits, self.reference.pending.z_bits
-            return [
-                PauliString(n, bx ^ _unpack_bits(dx), bz ^ _unpack_bits(dz))
-                for dx, dz in zip(self.delta_x, self.delta_z)
-            ]
-        return [
-            PauliString(n, _unpack_bits(fx), _unpack_bits(fz))
-            for fx, fz in zip(self.frame_x, self.frame_z)
-        ]
-
-    @cached_property
-    def errors(self) -> list[list[InjectedError]]:
-        """Per shot, the noise operators that fired on it, in program order."""
-        out: list[list[InjectedError]] = [[] for _ in range(self.shots)]
-        for j, s in zip(*np.nonzero(_unpack_rows(self.fired, self.shots))):
-            out[s].append(self.sites[j])
-        return out
 
     def readout_flips(self, sx: np.ndarray, sz: np.ndarray) -> np.ndarray:
         """(m, shots/m) booleans for m operators on the circuit register,
@@ -1016,6 +869,8 @@ class BatchResult:
         with the shot's frame, times the outstanding correction in
         post-processing mode (records are corrected through it)."""
         m = sx.shape[0]
+        if m == 0 or self.shots % m:
+            raise ValueError(f"{self.shots} shots do not split evenly over {m} operators")
         fx, fz = self.fx, self.fz
         if self.mode == "post_process":
             fx, fz = fx ^ self.dx, fz ^ self.dz
@@ -1031,6 +886,19 @@ class BatchResult:
             (px,), (pz,) = pauli_words([self.reference.pending], self.reference.n)
             out ^= _odd_parity(np.bitwise_xor.reduce((sx & pz) ^ (sz & px), axis=1))[:, None]
         return out
+
+
+def _sites_by_index(circuit: Circuit, noise) -> dict[int, list]:
+    by_index: dict[int, list] = {}
+    n_ins = len(circuit.instructions)
+    for s in noise or ():
+        k = s.before_index
+        if not 0 <= k <= n_ins:
+            raise ValueError(f"noise site index {k} outside 0..{n_ins}")
+        if s.pauli.n != circuit.n_qubits:
+            raise ValueError("noise operator size does not match the circuit")
+        by_index.setdefault(k, []).append(s)
+    return by_index
 
 
 def _compile_reference(circuit: Circuit, noise, mode: str):
@@ -1053,9 +921,8 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     qdt = np.min_scalar_type(circuit.n_qubits)  # supports are held as qubit indices
     prog: list[tuple] = []
     draws: list[tuple[int, float]] = []
-    sites: list[InjectedError] = []
+    sites: list = []
     n_ins = len(circuit.instructions)
-    t_end = circuit.makespan if n_ins in by_index else 0.0  # time of end-of-circuit sites
     coin_streams = 0
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
     prev_parity = None
@@ -1069,9 +936,8 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
             om = float(s.omega)
             if not 0.0 <= om <= 1.0:
                 raise ValueError(f"error weight {om} outside [0, 1]")
-            t = circuit.instructions[k].start if k < n_ins else t_end
             emit_pauli(s.pauli, _NOISE_STREAM_BASE + len(sites), om)
-            sites.append(InjectedError(t, s.pauli.mod_phase(), k))
+            sites.append(s)
 
     for k, ins in enumerate(circuit.instructions):
         emit_noise(k)
@@ -1152,7 +1018,8 @@ def run_batch(
     multiple of m: rows k*shots/m .. (k+1)*shots/m - 1 are then shots
     ``shot_offset + 0 .. shots/m - 1`` under seed k, identical to the rows
     of a call with ``master_seed=seeds[k]`` and ``shots/m`` shots.  All m
-    samples share one validation and one reference pass.
+    samples share one validation and one reference pass.  Shot ids are
+    64-bit counters, so ``shot_offset + shots/m`` may not exceed 2^64.
     """
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -1162,6 +1029,9 @@ def run_batch(
     if stream.n_seeds == 0 or shots % stream.n_seeds:
         raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
     per_seed = shots // stream.n_seeds
+    end = int(shot_offset) + per_seed
+    if shot_offset < 0 or end > 1 << 64:
+        raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
     circuit.validate()
     prog, draws, sites, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
     post = mode == "post_process"

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 
 import dyncirc.circuits as C
 import dyncirc.noise as N
+import dyncirc.statevector as sv
 import dyncirc.tableau as tb
 from dyncirc.pauli import PauliString
 
@@ -262,15 +263,30 @@ def test_saturated_single_pauli_floor():
 
 
 # ---------------------------------------------------------------------------
-# propagation
+# propagation, read off the frame sampler
 # ---------------------------------------------------------------------------
+
+
+def _propagated(circ, pauli, k=0):
+    """Where one error before instruction ``k`` ends up: run_batch with the
+    error firing on its one shot, against the clean run.  Returns the
+    change to the end frame (sign-free) and the set of flipped records."""
+    clean = tb.run_batch(circ, 1, master_seed=3)
+    noisy = tb.run_batch(circ, 1, master_seed=3, noise=[N.NoiseSite(k, pauli, 1.0)])
+
+    def bits(rows):  # bit 0 of each qubit's row: the one shot
+        return sum((int(w) & 1) << q for q, w in enumerate(rows[:, 0]))
+
+    frame = PauliString(circ.n_qubits, bits(noisy.fx ^ clean.fx), bits(noisy.fz ^ clean.fz))
+    flipped = frozenset(int(r) for r in np.flatnonzero(noisy.records[0] != clean.records[0]))
+    return frame, flipped
 
 
 def test_propagate_conjugates_through_cx():
     circ = C.Circuit(2)
     circ.add("cx", 0, 1, start=0.0)
-    got = N.propagate(PauliString.from_text("XI"), circ)
-    assert str(got.pauli) == "+XX" and got.flipped_records == frozenset()
+    frame, flipped = _propagated(circ, PauliString.from_text("XI"))
+    assert str(frame) == "+XX" and flipped == frozenset()
 
 
 def test_propagate_drop_on_reset_and_record_flip():
@@ -280,60 +296,37 @@ def test_propagate_drop_on_reset_and_record_flip():
     circ.add("reset", 1, start=1.0)
     circ.add("cpauli", 0, start=1.0, pauli="X", parity=(rec,))
     # Z on the measured qubit commutes with the readout: dropped entirely
-    got = N.propagate(PauliString.from_text("IZ"), circ)
-    assert got.pauli.is_identity() and got.flipped_records == frozenset()
+    frame, flipped = _propagated(circ, PauliString.from_text("IZ"))
+    assert frame.is_identity() and flipped == frozenset()
     # X flips the record, which toggles the conditioned correction
-    got = N.propagate(PauliString.from_text("IX"), circ)
-    assert str(got.pauli) == "+XI" and got.flipped_records == frozenset({rec})
+    frame, flipped = _propagated(circ, PauliString.from_text("IX"))
+    assert str(frame) == "+XI" and flipped == frozenset({rec})
 
 
 def test_propagate_start_index_and_errors():
     circ = C.Circuit(1)
     circ.add("h", 0, start=0.0)
-    assert str(N.propagate(X1, circ).pauli) == "+Z"
-    assert str(N.propagate(X1, circ, start_index=1).pauli) == "+X"
-    with pytest.raises(ValueError):
-        N.propagate(X1, circ, start_index=5)
-    with pytest.raises(ValueError):
-        N.propagate(PauliString.from_text("XX"), circ)
+    assert str(_propagated(circ, X1)[0]) == "+Z"
+    assert str(_propagated(circ, X1, 1)[0]) == "+X"
+    with pytest.raises(ValueError, match="index"):
+        _propagated(circ, X1, 5)
+    with pytest.raises(ValueError, match="size"):
+        _propagated(circ, PauliString.from_text("XX"))
 
 
 def test_propagate_rejects_nonclifford_on_support():
     circ = C.Circuit(2)
-    circ.add("t", 0, start=0.0)
-    with pytest.raises(ValueError):
-        N.propagate(PauliString.from_text("XI"), circ)
-    # untouched errors pass by a non-Clifford gate
-    assert str(N.propagate(PauliString.from_text("IZ"), circ).pauli) == "+IZ"
-
-
-def test_propagate_matches_frame_sampler_per_shot():
-    """End-of-circuit prediction vs the vectorised engine: injecting one
-    error and diffing against the clean run must land exactly on the
-    propagated Pauli and its record flips, for 1000 random injections."""
-    circ = C.long_range_cnot_dynamic(4, mu=1.0)
-    n = circ.n_qubits
-    n_ins = len(circ.instructions)
-    rng = np.random.default_rng(424242)
-    clean = tb.run_batch(circ, 1, master_seed=77)
-    for rep in range(1000):
-        k = int(rng.integers(n_ins + 1))
-        x = int(rng.integers(1 << n))
-        z = int(rng.integers(1 << n))
-        if x == 0 and z == 0:
-            x = 1
-        err = PauliString(n, x, z)
-        noisy = tb.run_batch(
-            circ, 1, master_seed=77, noise=[N.NoiseSite(k, err, 1.0)]
-        )
-        want = N.propagate(err, circ, start_index=k)
-        got_x = noisy.frames[0].x_bits ^ clean.frames[0].x_bits
-        got_z = noisy.frames[0].z_bits ^ clean.frames[0].z_bits
-        assert (got_x, got_z) == (want.pauli.x_bits, want.pauli.z_bits), f"rep {rep}"
-        rec_diff = frozenset(
-            r for r in range(circ.n_records) if noisy.records[0, r] != clean.records[0, r]
-        )
-        assert rec_diff == want.flipped_records, f"rep {rep}"
+    circ.add("h", 0, start=0.0)
+    circ.add("h", 1, start=0.0)
+    circ.add("t", 0, start=1.0)
+    with pytest.raises(ValueError, match="not stabilizer-simulable"):
+        _propagated(circ, PauliString.from_text("XI"))
+    # untouched errors pass by a non-Clifford gate: on the dense oracle, Z
+    # on qubit 1 before the T on qubit 0 is Z on qubit 1 after it
+    iz = PauliString.from_text("IZ")
+    (noisy,) = sv.run_branches(circ, insertions={2: [iz]})
+    (clean,) = sv.run_branches(circ)
+    assert sv.state_fidelity(noisy.state, sv.apply_pauli(clean.state, iz)) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

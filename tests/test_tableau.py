@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dyncirc import certify
 from dyncirc import circuits as C
 from dyncirc import noise as N
 from dyncirc import statevector as sv
@@ -59,6 +60,16 @@ def _prefixed(circ, prep):
     new.instructions.extend(circ.instructions)
     new.n_records = circ.n_records
     return new
+
+
+def _reads_plus_one(circ, stabilizers, mode, data=None, shots=16):
+    """Whether every shot of every signed operator in ``stabilizers`` (on
+    the ``data`` register) reads +1 on the output of ``circ``, sampled by
+    run_batch through CircuitStateSource.parities; operator k under seed k."""
+    src = certify.CircuitStateSource(circ, data_qubits=data, mode=mode)
+    got = src.parities(stabilizers, shots, np.arange(len(stabilizers)))
+    signs = np.array([p.sign for p in stabilizers])
+    return bool((got * signs[:, None] == 1).all())
 
 
 def _with_readout(circ, basis):
@@ -223,13 +234,10 @@ def test_teleportation_all_six_eigenstates():
     r1 = c.measure(1, start=4.0)
     c.add("cpauli", 2, start=5.0, pauli="X", parity=(r1,))
     c.add("cpauli", 2, start=5.0, pauli="Z", parity=(r0,))
-    rng = np.random.default_rng(99)
     for (letter, sign) in EIGENSTATES:
         circ = _prefixed(c, [(g, 0) for g in PREP[(letter, sign)]])
         for mode in ("feed_forward", "post_process"):
-            st = tb.execute(circ, rng=rng, mode=mode)
-            st.apply_pending()
-            assert st.expectation(PauliString.single(3, 2, letter, sign)) == 1
+            assert _reads_plus_one(circ, [PauliString.single(1, 0, letter, sign)], mode, data=(2,))
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +439,30 @@ def test_post_process_equals_feed_forward_across_builders():
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_dynamic_cnot_eigenstate_io_large(n):
-    circ = C.long_range_cnot_dynamic(n, mu=1.0)
+    """Every prepared eigenstate pair comes out as CNOT of it, ancillas back
+    in |0>: each generator of that whole-register state reads +1 on every
+    shot."""
     control, target = 0, n + 1
-    rng = np.random.default_rng(5)
-    for (lc, sc) in EIGENSTATES:
-        for (lt, st_) in EIGENSTATES:
-            prep = [(g, control) for g in PREP[(lc, sc)]]
-            prep += [(g, target) for g in PREP[(lt, st_)]]
-            wrapped = _prefixed(circ, prep)
-            got = tb.execute(wrapped, rng=rng)
-            ref = tb.StabilizerState(circ.n_qubits)
-            for g, q in prep:
-                ref.apply_clifford(g, q)
-            ref.apply_clifford("cx", control, target)
-            assert got.state_equal(ref), f"mismatch on input {lc}{sc:+d},{lt}{st_:+d}"
+    for mode in ("feed_forward", "post_process"):
+        circ = C.long_range_cnot_dynamic(n, mu=1.0, mode=mode)
+        for (lc, sc) in EIGENSTATES:
+            for (lt, st_) in EIGENSTATES:
+                prep = [(g, control) for g in PREP[(lc, sc)]]
+                prep += [(g, target) for g in PREP[(lt, st_)]]
+                ref = tb.StabilizerState(circ.n_qubits)
+                for g, q in prep:
+                    ref.apply_clifford(g, q)
+                ref.apply_clifford("cx", control, target)
+                assert _reads_plus_one(
+                    _prefixed(circ, prep), ref.stabilizers(), mode
+                ), f"mismatch on input {lc}{sc:+d},{lt}{st_:+d} ({mode})"
 
 
 def test_ghz_dynamic_large_stabilizer_check():
     n = 101
-    st = tb.execute(C.ghz_dynamic(n, mu=1.0), rng=7)
-    assert st.expectation(PauliString(n, (1 << n) - 1, 0)) == 1
-    for i in range(n - 1):
-        assert st.expectation(PauliString(n, 0, 0b11 << i)) == 1
+    gens = [PauliString(n, (1 << n) - 1, 0)] + [PauliString(n, 0, 0b11 << i) for i in range(n - 1)]
+    for mode in ("feed_forward", "post_process"):
+        assert _reads_plus_one(C.ghz_dynamic(n, mu=1.0, mode=mode), gens, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +571,46 @@ def _two_qubit_expectations(obs):
     return out
 
 
-def test_batch_rows_parse_without_noise():
-    circ = C.ghz_dynamic(4, mu=1.0, mode="post_process")
-    res = tb.run_batch(circ, 3, master_seed=9, mode="post_process")
-    for s in range(res.shots):
-        doc = json.loads(json.dumps({"bits": res.records[s].tolist(), "frame": str(res.frames[s])}))
-        assert doc["bits"] == res.records[s].tolist()
-        assert PauliString.from_text(doc["frame"]).key() == res.frames[s].key()
-        assert res.errors[s] == []
-    assert res.fired.shape == (0, 1) and res.sites == []
+def _bits(words, shots):
+    """(rows, shots) 0/1 array of qubit-major packed rows: column s is shot s."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=shots, bitorder="little")
 
 
 def _fired_bits(res):
     """(sites, shots) 0/1 array: where each noise site fired."""
-    raw = res.fired.astype("<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=res.shots, bitorder="little")
+    return _bits(res.fired, res.shots)
+
+
+def _frame_bits(res):
+    """(rows, shots) 0/1 arrays of the frame columns: fx and fz, and in
+    post-processing mode also dx and dz."""
+    words = [res.fx, res.fz] + ([res.dx, res.dz] if res.mode == "post_process" else [])
+    return [_bits(w, res.shots) for w in words]
+
+
+def _shot_frame(res, s):
+    """Shot s's end frame (times its correction delta in post-processing
+    mode), sign-free, read off column s of fx/fz (and dx/dz)."""
+    fx, fz = res.fx, res.fz
+    if res.mode == "post_process":
+        fx, fz = fx ^ res.dx, fz ^ res.dz
+
+    def letters(words):
+        return int.from_bytes(np.packbits(_bits(words, res.shots)[:, s], bitorder="little").tobytes(), "little")
+
+    return PauliString(res.reference.n, letters(fx), letters(fz))
+
+
+def test_batch_rows_parse_without_noise():
+    circ = C.ghz_dynamic(4, mu=1.0, mode="post_process")
+    res = tb.run_batch(circ, 3, master_seed=9, mode="post_process")
+    for s in range(res.shots):
+        frame = _shot_frame(res, s)
+        doc = json.loads(json.dumps({"bits": res.records[s].tolist(), "frame": str(frame)}))
+        assert doc["bits"] == res.records[s].tolist()
+        assert PauliString.from_text(doc["frame"]).key() == frame.key()
+    assert res.fired.shape == (0, 1) and res.sites == []
 
 
 def test_counter_random_stream_vector_matches_scalar_draws():
@@ -642,8 +677,7 @@ def test_word_boundaries_match_single_seed_and_shards(build, mode):
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05))
 
     def rows(res):
-        views = [res.records, res.frame_x, res.frame_z, _fired_bits(res).T]
-        return views + ([res.delta_x, res.delta_z] if mode == "post_process" else [])
+        return [res.records, _fired_bits(res).T] + [b.T for b in _frame_bits(res)]
 
     def run(shots, seed, offset=0):
         return tb.run_batch(circ, shots, master_seed=seed, noise=sites, mode=mode, shot_offset=offset)
@@ -655,9 +689,8 @@ def test_word_boundaries_match_single_seed_and_shards(build, mode):
         parts = [rows(run(hi - lo, 5, lo)) for lo, hi in zip(cuts, cuts[1:])]
         for got, *want in zip(rows(whole), *parts):
             np.testing.assert_array_equal(got, np.concatenate(want))
-        assert whole.errors == [
-            [whole.sites[j] for j in np.flatnonzero(col)] for col in _fired_bits(whole).T
-        ]
+        # one fired row per site, the caller's sites in program order
+        assert whole.sites == sorted(sites, key=lambda s: s.before_index)
     seeds = [3, 2**63 - 5, 0]
     res = rows(run(63, seeds, 7))
     for k, seed in enumerate(seeds):
@@ -695,7 +728,7 @@ _PINNED = {
 }
 
 
-def _batch_digest(res) -> str:
+def _batch_digest(res, circ) -> str:
     h = hashlib.sha256()
     arrays = [res.records, res.fx, res.fz, res.fired]
     if res.mode == "post_process":
@@ -705,7 +738,11 @@ def _batch_digest(res) -> str:
     ref = res.reference
     rows = ref.stabilizers() + ref.destabilizers() + ([ref.pending] if ref.pending is not None else [])
     h.update("\n".join(str(p) for p in rows).encode())
-    h.update(repr([(s.time, str(s.pauli), s.before_index) for s in res.sites]).encode())
+    # each site as (start time of its instruction, or the makespan at the
+    # end; sign-free operator; index)
+    n_ins = len(circ.instructions)
+    times = [circ.instructions[s.before_index].start if s.before_index < n_ins else circ.makespan for s in res.sites]
+    h.update(repr([(t, str(s.pauli.mod_phase()), s.before_index) for t, s in zip(times, res.sites)]).encode())
     return h.hexdigest()
 
 
@@ -715,7 +752,7 @@ def test_batch_outputs_match_pinned_digests(build, mode, n):
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05))
     res = tb.run_batch(circ, 100, master_seed=11, noise=sites, mode=mode)
     assert res.fired.any()
-    assert _batch_digest(res) == _PINNED[(build, mode, n)]
+    assert _batch_digest(res, circ) == _PINNED[(build, mode, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +913,7 @@ def test_folded_parities_match_unfolded_known_zero_analysis(name, steps, mode, m
 @pytest.mark.parametrize("name, steps", _parity_circuits())
 def test_folded_replay_matches_propagated_errors(name, steps):
     """One error at a time, fired on every shot: the folded replay's change
-    to the frame and records is what noise.propagate, which reads each
+    to the frame and records is what _propagate_reference, which reads each
     parity in full, predicts."""
     circ = _parity_circuit(steps)
     n, n_ins = circ.n_qubits, len(circ.instructions)
@@ -886,11 +923,10 @@ def test_folded_replay_matches_propagated_errors(name, steps):
         k = int(rng.integers(n_ins + 1))
         err = PauliString(n, int(rng.integers(1, 1 << n)), int(rng.integers(1 << n)))
         noisy = tb.run_batch(circ, 1, master_seed=8, noise=[N.NoiseSite(k, err, 1.0)])
-        want = N.propagate(err, circ, start_index=k)
-        got = (noisy.frames[0].x_bits ^ clean.frames[0].x_bits, noisy.frames[0].z_bits ^ clean.frames[0].z_bits)
-        assert got == (want.pauli.x_bits, want.pauli.z_bits)
+        want_p, want_flips = _propagate_reference(circ, err, k)
+        assert _shot_frame(noisy, 0).times_mod_phase(_shot_frame(clean, 0)) == want_p
         flipped = np.flatnonzero(noisy.records[0] != clean.records[0])
-        assert frozenset(int(r) for r in flipped) == want.flipped_records
+        assert {int(r) for r in flipped} == want_flips
 
 
 def test_ghz_chain_cpaulis_read_one_record_each():
@@ -915,26 +951,27 @@ def _site(k, pauli, omega):
     return SimpleNamespace(before_index=k, pauli=pauli, omega=omega)
 
 
+def _fire_rates(rates, shots, seed):
+    """Fraction of ``shots`` on which a site of each rate fired, from the
+    fired mask of one run_batch on a one-qubit circuit."""
+    circ = C.Circuit(1)
+    circ.measure(0, start=0.0)
+    sites = [N.NoiseSite(0, PauliString.from_text("XZ"[k % 2]), N.omega(r)) for k, r in enumerate(rates)]
+    return _fired_bits(tb.run_batch(circ, shots, master_seed=seed, noise=sites)).mean(axis=1)
+
+
 def test_inject_rate_zero_and_large():
-    rng = np.random.default_rng(0)
-    st = tb.StabilizerState(1)
-    ch0 = SimpleNamespace(pauli=PauliString.from_text("X"), rate=0.0)
-    assert not any(st.inject_pauli_noise(ch0, rng) for _ in range(200))
-    hits = 0
-    chbig = SimpleNamespace(pauli=PauliString.from_text("Z"), rate=50.0)
-    for _ in range(4000):
-        hits += tb.StabilizerState(1).inject_pauli_noise(chbig, rng)
-    assert abs(hits / 4000 - 0.5) < 0.04
+    zero, big = _fire_rates([0.0, 50.0], 4000, 0)
+    assert zero == 0.0
+    assert abs(big - 0.5) < 0.04
     with pytest.raises(ValueError, match="negative"):
-        st.inject_pauli_noise(SimpleNamespace(pauli=PauliString.from_text("X"), rate=-1.0), rng)
+        N.omega(-1.0)
 
 
 def test_inject_rate_half_matches_formula():
-    rng = np.random.default_rng(21)
-    ch = SimpleNamespace(pauli=PauliString.from_text("X"), rate=0.5)
-    hits = sum(tb.StabilizerState(1).inject_pauli_noise(ch, rng) for _ in range(40_000))
+    (rate,) = _fire_rates([0.5], 40_000, 21)
     want = 0.5 * (1.0 - np.exp(-1.0))  # ~0.3161
-    assert abs(hits / 40_000 - want) < 0.01
+    assert abs(rate - want) < 0.01
 
 
 def test_forced_bitflip_before_measure():
@@ -943,40 +980,46 @@ def test_forced_bitflip_before_measure():
     site = _site(0, PauliString.from_text("X"), 1.0)
     res = tb.run_batch(circ, 8, master_seed=1, noise=[site])
     assert res.records.ravel().tolist() == [1] * 8
-    assert [e.before_index for e in res.sites] == [0] and _fired_bits(res).all()
-    assert all(len(e) == 1 and e[0].before_index == 0 for e in res.errors)
+    assert res.sites == [site] and res.fired.shape == (1, 1) and _fired_bits(res).all()
+
+
+# (builder, n, mode, injections, error-generator seed, master seed)
+_BOOKKEEPING_CASES = [
+    (C.long_range_cnot_dynamic, 4, "feed_forward", 1000, 8181, 40),
+    (C.long_range_cnot_dynamic, 4, "feed_forward", 1000, 424242, 77),
+    (C.long_range_cnot_dynamic, 4, "post_process", 500, 8182, 41),
+    (C.ghz_dynamic, 6, "feed_forward", 500, 8183, 42),
+    (C.ghz_dynamic, 6, "post_process", 500, 8184, 43),
+]
 
 
 def test_sampled_error_bookkeeping_exact_per_shot():
     """Forward-propagating a shot's injected error through the remaining
     instructions (conjugation; record flips at measurements; conditional
     corrections toggled by flipped parities; resets clearing the qubit)
-    reproduces the shot's end-of-circuit frame exactly.  1000 random
-    single-error injections."""
-    circ = C.long_range_cnot_dynamic(4, mu=1.0)
-    n = circ.n_qubits
-    rng = np.random.default_rng(8181)
-    clean = tb.run_batch(circ, 1, master_seed=40)
-    n_ins = len(circ.instructions)
-    for rep in range(1000):
-        k = int(rng.integers(n_ins + 1))
-        x = int(rng.integers(1, 1 << n)) if rng.random() < 0.5 else int(rng.integers(1 << n))
-        z = int(rng.integers(1 << n))
-        if x == 0 and z == 0:
-            z = 1
-        err = PauliString(n, x, z)
-        noisy = tb.run_batch(
-            circ, 1, master_seed=40, noise=[_site(k, err, 1.0)]
-        )
-        want_p, want_flips = _propagate_reference(circ, err, k)
-        got_x = noisy.frames[0].x_bits ^ clean.frames[0].x_bits
-        got_z = noisy.frames[0].z_bits ^ clean.frames[0].z_bits
-        assert (got_x, got_z) == (want_p.x_bits, want_p.z_bits), f"frame mismatch rep {rep}"
-        rec_diff = {
-            r for r in range(circ.n_records)
-            if noisy.records[0, r] != clean.records[0, r]
-        }
-        assert rec_diff == want_flips, f"record-flip mismatch rep {rep}"
+    reproduces the shot's end-of-circuit frame exactly, times its
+    correction delta in post-processing mode.  Random single-error
+    injections, each fired on the one shot and diffed against the clean
+    run, on both dynamic families in both modes."""
+    for build, size, mode, injections, seed, master_seed in _BOOKKEEPING_CASES:
+        circ = build(size, mu=1.0, mode=mode)
+        case = f"{build.__name__}({size}) {mode} seed {seed}"
+        n, n_ins = circ.n_qubits, len(circ.instructions)
+        rng = np.random.default_rng(seed)
+        clean = tb.run_batch(circ, 1, master_seed=master_seed, mode=mode)
+        for rep in range(injections):
+            k = int(rng.integers(n_ins + 1))
+            x = int(rng.integers(1, 1 << n)) if rng.random() < 0.5 else int(rng.integers(1 << n))
+            z = int(rng.integers(1 << n))
+            if x == 0 and z == 0:
+                z = 1
+            err = PauliString(n, x, z)
+            noisy = tb.run_batch(circ, 1, master_seed=master_seed, noise=[_site(k, err, 1.0)], mode=mode)
+            want_p, want_flips = _propagate_reference(circ, err, k)
+            got = _shot_frame(noisy, 0).times_mod_phase(_shot_frame(clean, 0))
+            assert got == want_p, f"frame mismatch, {case}, rep {rep}"
+            rec_diff = {int(r) for r in np.flatnonzero(noisy.records[0] != clean.records[0])}
+            assert rec_diff == want_flips, f"record-flip mismatch, {case}, rep {rep}"
 
 
 def _propagate_reference(circ, pauli, k):
@@ -1004,22 +1047,72 @@ def _propagate_reference(circ, pauli, k):
     return p.mod_phase(), flipped
 
 
-def test_direct_execution_agrees_with_sampler_statistically():
+def test_noisy_record_histogram_matches_dense_oracle():
+    """The sampled record histogram of a noisy circuit against its exact
+    distribution: the dense oracle's outcome distribution under each noise
+    configuration, weighted by that configuration's probability.  Every
+    sampled record is possible, and every outcome's frequency lies within 5
+    sigma of its probability."""
     circ = C.ghz_dynamic(4, mu=1.0)
     site = _site(3, PauliString.single(circ.n_qubits, 1, "X"), 0.3)
     shots = 4000
     batch = tb.run_batch(circ, shots, master_seed=31, noise=[site])
-    rng = np.random.default_rng(32)
-    direct = np.array(
-        [
-            [tb.execute(circ, rng=rng, noise=[site]).classical_bits[i] for i in range(circ.n_records)]
-            for _ in range(shots)
-        ],
-        dtype=np.uint8,
-    )
-    for r in range(circ.n_records):
-        a, b = batch.records[:, r].mean(), direct[:, r].mean()
-        assert abs(a - b) < 5 * np.sqrt(0.25 / shots) * 2
+    exact = {}
+    for p, ins in sv.enumerate_noise([site]):
+        for key, q in sv.outcome_distribution(sv.run_branches(circ, insertions=ins)).items():
+            exact[key] = exact.get(key, 0.0) + p * q
+    seen = {}
+    for row in batch.records:
+        seen[tuple(row.tolist())] = seen.get(tuple(row.tolist()), 0) + 1
+    assert set(seen) <= {key for key, p in exact.items() if p > 1e-12}
+    for key, p in exact.items():
+        sigma = np.sqrt(p * (1 - p) / shots)
+        assert abs(seen.get(key, 0) / shots - p) < 5 * sigma + 1e-9
+
+
+def test_run_batch_rejects_bad_noise_sites():
+    circ = C.ghz_dynamic(3)
+    n_ins = len(circ.instructions)
+    X0 = PauliString.single(3, 0, "X")
+    for k in (-1, n_ins + 1):
+        with pytest.raises(ValueError, match="index"):
+            tb.run_batch(circ, 2, noise=[_site(k, X0, 0.1)])
+    with pytest.raises(ValueError, match="size"):
+        tb.run_batch(circ, 2, noise=[_site(0, PauliString.single(4, 0, "X"), 0.1)])
+    for om in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="weight"):
+            tb.run_batch(circ, 2, noise=[_site(0, X0, om)])
+    # the ends of the range are sites too
+    assert tb.run_batch(circ, 2, noise=[_site(0, X0, 0.0), _site(n_ins, X0, 1.0)]).fired.shape == (2, 1)
+
+
+def test_shot_ids_stay_below_two_to_the_64():
+    """Shot ids are uint64 counters: the last id is 2^64 - 1, and a batch
+    that would wrap past it (or start below 0) is refused rather than
+    reusing the randomness of shot 0."""
+    circ = C.ghz_dynamic(3)
+    last = tb.run_batch(circ, 1, master_seed=4, shot_offset=2**64 - 1)
+    pair = tb.run_batch(circ, 2, master_seed=4, shot_offset=2**64 - 2)
+    np.testing.assert_array_equal(pair.records[1:], last.records)
+    for shots, offset in ((2, 2**64 - 1), (1, 2**64), (1, -1)):
+        with pytest.raises(ValueError, match="shot ids"):
+            tb.run_batch(circ, shots, master_seed=4, shot_offset=offset)
+    # with m seeds the ids run to shot_offset + shots/m - 1
+    tb.run_batch(circ, 4, master_seed=[1, 2], shot_offset=2**64 - 2)
+    with pytest.raises(ValueError, match="shot ids"):
+        tb.run_batch(circ, 6, master_seed=[1, 2], shot_offset=2**64 - 2)
+    with pytest.raises(ValueError, match="negative"):
+        tb.run_batch(circ, -1)
+
+
+def test_readout_flips_needs_an_even_split_over_operators():
+    circ = C.ghz_dynamic(3)
+    res = tb.run_batch(circ, 6, master_seed=2)
+    x, z = tb.pauli_words([PauliString.from_text(t) for t in ("XXX", "ZZI", "IZZ", "ZIZ")], 3)
+    assert res.readout_flips(x[:3], z[:3]).shape == (3, 2)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match=f"6 shots do not split evenly over {m} operators"):
+            res.readout_flips(x[:m], z[:m])
 
 
 def test_non_clifford_circuit_rejected():
@@ -1039,8 +1132,9 @@ def test_seed_sequence_rows_match_single_seed_batches(mode):
         rows = slice(10 * k, 10 * (k + 1))
         np.testing.assert_array_equal(res.records[rows], one.records)
         np.testing.assert_array_equal(_fired_bits(res)[:, rows], _fired_bits(one))
-        assert res.sites == one.sites and res.errors[rows] == one.errors
-        assert res.frames[rows] == one.frames
+        for got, want in zip(_frame_bits(res), _frame_bits(one)):
+            np.testing.assert_array_equal(got[:, rows], want)
+        assert res.sites == one.sites == sites
     with pytest.raises(ValueError):
         tb.run_batch(circ, 31, master_seed=seeds, noise=sites, mode=mode)
     with pytest.raises(ValueError):
