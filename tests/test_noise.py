@@ -329,6 +329,16 @@ def test_propagate_rejects_nonclifford_on_support():
     assert sv.state_fidelity(noisy.state, sv.apply_pauli(clean.state, iz)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_propagate_matches_frame_sampler_per_shot():
+    """End-of-circuit prediction vs the vectorised engine: injecting one
+    error and diffing against the clean run must land exactly on the
+    propagated Pauli and its record flips, for 1000 random injections.
+    The prediction is the test suite's own single-error propagator."""
+    from test_tableau import check_bookkeeping_case
+
+    check_bookkeeping_case(C.long_range_cnot_dynamic, 4, "feed_forward", 1000, 424242, 77)
+
+
 # ---------------------------------------------------------------------------
 # parameters and attachment
 # ---------------------------------------------------------------------------

