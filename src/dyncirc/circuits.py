@@ -98,8 +98,9 @@ class Circuit:
         for q in qubits:
             if not 0 <= q < self.n_qubits:
                 raise ValueError(f"qubit {q} out of range (n={self.n_qubits})")
-        if op == "cx" and len(set(qubits)) != 2:
-            raise ValueError("cx needs two distinct qubits")
+        arity = {"cx": 2, "ccz": 3, "barrier": len(qubits)}.get(op, 1)
+        if len(set(qubits)) != arity or len(qubits) != arity:
+            raise ValueError(f"{op} needs {arity} distinct qubits, got {qubits}")
         if duration is None:
             duration = CNOT_TIME if op == "cx" else 0.0
         if start is None:

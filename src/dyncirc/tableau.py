@@ -3,14 +3,12 @@ and one sampler.
 
 * :class:`StabilizerState` — a destabilizer/stabilizer tableau with the gate
   set {H, S, S†, X, Y, Z, CNOT}, mid-circuit measurement (deterministic and
-  random outcomes), reset, a classical bit store, and parity-conditioned
-  Pauli corrections.  The 2n generator rows are bit lanes, 64 rows per
-  machine word, in arrays indexed [lane word, qubit] (Stim's tableau
-  layout, Gidney, Quantum 5, 497 (2021)): a gate is a few word operations
-  on one or two qubit columns, and a random collapse touches only the lane
-  words that hold the rows it rewrites.  It runs the reference pass of
-  :func:`run_batch`, and :func:`enumerate_outcomes` branches it on every
-  random collapse to give the exact distribution of the classical record.
+  random outcomes), reset, and single-qubit Pauli corrections.  The 2n
+  generator rows are bit lanes, 64 rows per machine word, in arrays indexed
+  [lane word, qubit] (Stim's tableau layout, Gidney, Quantum 5, 497
+  (2021)): a gate is a few word operations on one or two qubit columns, and
+  a random collapse touches only the lane words that hold the rows it
+  rewrites.  It runs the reference pass of the frame program.
 
 * :func:`run_batch` — the sampler, two passes for many shots of one circuit: a
   single reference execution (random outcomes pinned to 0, with a flip
@@ -22,6 +20,12 @@ and one sampler.
   support, so replay cost is O(instructions x shots / 64) words,
   independent of the tableau.
 
+* :func:`enumerate_outcomes` — the exact distribution of the classical
+  record: a shot's record is the reference record XOR a flip fixed by which
+  collapse coins fired, so the same program replayed once over every
+  assignment of the k coins gives each record's probability in units of
+  2^-k.
+
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
 Shot ``i`` therefore sees identical randomness no matter how a batch is
@@ -31,7 +35,6 @@ sharded across workers or runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -287,14 +290,14 @@ class StabilizerState:
     no tableau pass; collapses of other qubits measure commuting operators
     and leave it valid.
 
-    ``classical_bits`` stores measurement records by index.  With
-    ``post_process=True`` the state also carries ``pending``, a correction
-    operator accumulated by :meth:`conditional_pauli` instead of being
-    applied to the tableau; recorded bits are corrected through its X
-    component so classical statistics match feed-forward execution exactly.
+    With ``post_process=True`` the state also carries ``pending``, a
+    correction operator accumulated by :meth:`apply_correction` instead of
+    being applied to the tableau; a record is the raw outcome corrected
+    through its X component, so classical statistics match feed-forward
+    execution exactly.
     """
 
-    __slots__ = ("n", "_T", "_X", "_Z", "_r", "_stab", "_known", "classical_bits", "pending")
+    __slots__ = ("n", "_T", "_X", "_Z", "_r", "_stab", "_known", "pending")
 
     def __init__(self, n: int, post_process: bool = False):
         if n < 1:
@@ -310,7 +313,6 @@ class StabilizerState:
         self._X[q // 64, q] = _U1 << (q % 64).astype(np.uint64)
         self._Z[(n + q) // 64, q] = _U1 << ((n + q) % 64).astype(np.uint64)
         self._known: dict[int, int] = {}
-        self.classical_bits: dict[int, int] = {}
         self.pending: PauliString | None = PauliString.identity(n) if post_process else None
 
     # -- bookkeeping helpers ---------------------------------------------
@@ -327,7 +329,6 @@ class StabilizerState:
         new._r = self._r.copy()
         new._stab = self._stab
         new._known = dict(self._known)
-        new.classical_bits = dict(self.classical_bits)
         new.pending = self.pending
         return new
 
@@ -414,10 +415,6 @@ class StabilizerState:
         self._known = {q: v ^ p.x_bit(q) for q, v in self._known.items()}
 
     # -- measurement -----------------------------------------------------------
-
-    def outcome_is_random(self, q: int) -> bool:
-        self._check(q)
-        return q not in self._known and bool((self._X[:, q] & self._stab).any())
 
     def measure_flip(
         self,
@@ -542,21 +539,9 @@ class StabilizerState:
         signs = int(np.bitwise_count(self._r[ws] & sel[ws]).sum())
         return (signs + pairs + y_letters // 2) & 1
 
-    def measure(
-        self,
-        qubit: int,
-        record_index: int | None = None,
-        rng: np.random.Generator | None = None,
-        forced: int | None = None,
-    ) -> int:
-        """Measure Z; store the (frame-corrected) bit under ``record_index``."""
-        outcome, _, _ = self.measure_flip(qubit, rng=rng, forced=forced)
-        recorded = outcome
-        if self.pending is not None:
-            recorded ^= self.pending.x_bit(qubit)
-        if record_index is not None:
-            self.classical_bits[record_index] = recorded
-        return recorded
+    def measure(self, qubit: int, rng: np.random.Generator | None = None, forced: int | None = None) -> int:
+        """Measure Z on ``qubit``; return the raw outcome."""
+        return self.measure_flip(qubit, rng=rng, forced=forced)[0]
 
     def reset(
         self,
@@ -570,19 +555,6 @@ class StabilizerState:
             self.apply_clifford("x", q)
         self._known[q] = 0
         return outcome, was_random, flip
-
-    def conditional_pauli(self, target: int, pauli: str, parity_of: Iterable[int]) -> None:
-        """Apply a single-qubit Pauli iff the XOR of the referenced records is
-        1.  In post-processing mode the operator is folded into ``pending``
-        instead of touching the tableau."""
-        par = 0
-        for idx in parity_of:
-            try:
-                par ^= self.classical_bits[idx]
-            except KeyError:
-                raise ValueError(f"record {idx} referenced before being written") from None
-        if par:
-            self.apply_correction(target, pauli)
 
     def apply_correction(self, target: int, pauli: str) -> None:
         """Apply a single-qubit Pauli correction, or fold it into
@@ -735,55 +707,6 @@ def _stabilizer_products(
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration of the classical record
-# ---------------------------------------------------------------------------
-
-
-def enumerate_outcomes(circuit: Circuit, mode: str = "feed_forward") -> dict[tuple[int, ...], float]:
-    """Exact distribution over the classical record, by branching on every
-    random collapse (probability 1/2 each); deterministic collapses do not
-    branch.  Keys are bit tuples ordered by record index."""
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
-    circuit.validate()
-    branches: list[tuple[float, StabilizerState]] = [
-        (1.0, StabilizerState(circuit.n_qubits, post_process=(mode == "post_process")))
-    ]
-    for ins in circuit.instructions:
-        op = ins.op
-        if op in ("input", "barrier"):
-            continue
-        if op == "cx" or op in _ONE_QUBIT_CLIFFORDS:
-            for _, st in branches:
-                st.apply_clifford(op, *ins.qubits)
-        elif op in ("measure", "reset"):
-            q = ins.qubits[0]
-            new: list[tuple[float, StabilizerState]] = []
-            for pr, st in branches:
-                if st.outcome_is_random(q):
-                    forks = [(0.5 * pr, st.copy(), 0), (0.5 * pr, st, 1)]
-                else:
-                    forks = [(pr, st, None)]
-                for pr2, st2, forced in forks:
-                    if op == "measure":
-                        st2.measure(q, record_index=ins.record, forced=forced)
-                    else:
-                        st2.reset(q, forced=forced)
-                    new.append((pr2, st2))
-            branches = new
-        elif op == "cpauli":
-            for _, st in branches:
-                st.conditional_pauli(ins.qubits[0], ins.pauli, ins.parity)
-        else:
-            raise ValueError(f"op {op!r} is not stabilizer-simulable")
-    dist: dict[tuple[int, ...], float] = {}
-    for pr, st in branches:
-        key = tuple(st.classical_bits[i] for i in sorted(st.classical_bits))
-        dist[key] = dist.get(key, 0.0) + pr
-    return dist
-
-
-# ---------------------------------------------------------------------------
 # batched shot sampling (reference pass + Pauli-frame replay)
 # ---------------------------------------------------------------------------
 
@@ -915,7 +838,12 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     ``cpauli`` parities are folded (:func:`circuits.parity_reads`): the
     k-th ``cpauli`` entry ``("cpauli", q, letter, base, recs)`` has the
     parity of records ``recs`` XOR, when ``base`` is not None, the parity of
-    ``cpauli`` entry ``base``; the reference bit is folded the same way."""
+    ``cpauli`` entry ``base``; the reference bit is folded the same way.
+
+    A reference record is the raw outcome corrected through the X part of
+    the outstanding correction in post-processing mode."""
+    if mode not in ("feed_forward", "post_process"):
+        raise ValueError(f"unknown mode {mode!r}")
     st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
     by_index = _sites_by_index(circuit, noise)
     qdt = np.min_scalar_type(circuit.n_qubits)  # supports are held as qubit indices
@@ -924,6 +852,7 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     sites: list = []
     n_ins = len(circuit.instructions)
     coin_streams = 0
+    ref_bits = np.zeros(circuit.n_records, dtype=np.uint8)
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
     prev_parity = None
 
@@ -958,10 +887,7 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
                 emit_pauli(flip, coin_streams, 0.5)
                 coin_streams += 1
             if op == "measure":
-                recorded = outcome
-                if st.pending is not None:
-                    recorded ^= st.pending.x_bit(q)
-                st.classical_bits[ins.record] = recorded
+                ref_bits[ins.record] = outcome ^ (st.pending.x_bit(q) if st.pending is not None else 0)
                 prog.append(("meas", q, ins.record))
             else:
                 prog.append(("reset", q))
@@ -970,7 +896,7 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
             base = len(ref_parities) - 1 if folded else None
             par = ref_parities[base] if folded else 0
             for r in reads:
-                par ^= st.classical_bits[r]
+                par ^= int(ref_bits[r])
             if par:
                 st.apply_correction(ins.qubits[0], ins.pauli)
             prog.append(("cpauli", ins.qubits[0], ins.pauli, base, np.array(reads, dtype=np.intp)))
@@ -979,10 +905,6 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)
-
-    ref_bits = np.zeros(circuit.n_records, dtype=np.uint8)
-    for idx, bit in st.classical_bits.items():
-        ref_bits[idx] = bit
     return prog, draws, sites, ref_bits, st
 
 
@@ -1000,44 +922,14 @@ def _draw(stream: CounterRandom, draws: list[tuple[int, float]], shot_ids: np.nd
     return out
 
 
-def run_batch(
-    circuit: Circuit,
-    shots: int,
-    master_seed=0,
-    noise=None,
-    mode: str = "feed_forward",
-    shot_offset: int = 0,
-) -> BatchResult:
-    """Sample ``shots`` executions; shot i's randomness depends only on
-    (master_seed, shot_offset + i), so splitting a batch across workers
-    reproduces the single-batch output exactly.
-
-    ``noise`` is a sequence of sites, each with a ``before_index`` into the
-    instruction list, a ``pauli`` operator, and a firing weight ``omega``.
-    ``master_seed`` may also be a sequence of m seeds, with ``shots`` a
-    multiple of m: rows k*shots/m .. (k+1)*shots/m - 1 are then shots
-    ``shot_offset + 0 .. shots/m - 1`` under seed k, identical to the rows
-    of a call with ``master_seed=seeds[k]`` and ``shots/m`` shots.  All m
-    samples share one validation and one reference pass.  Shot ids are
-    64-bit counters, so ``shot_offset + shots/m`` may not exceed 2^64.
-    """
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if shots < 0:
-        raise ValueError(f"negative shot count {shots}")
-    stream = CounterRandom(master_seed)
-    if stream.n_seeds == 0 or shots % stream.n_seeds:
-        raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
-    per_seed = shots // stream.n_seeds
-    end = int(shot_offset) + per_seed
-    if shot_offset < 0 or end > 1 << 64:
-        raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
-    circuit.validate()
-    prog, draws, sites, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
+def _replay(circuit: Circuit, prog: list[tuple], fired: np.ndarray, shots: int, ref_bits: np.ndarray, mode: str):
+    """Replay the frame program of :func:`_compile_reference` over ``shots``
+    shots, draw j firing on the shots set in row j of the packed mask
+    ``fired``.  Returns the (shots, records) record array and the final
+    frames ``FX``, ``FZ`` and, in post-processing mode, the correction
+    delta ``DX``, ``DZ`` (None otherwise), qubit-major with 64 shots a
+    word."""
     post = mode == "post_process"
-    ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
-    fired = _draw(stream, draws, ids, shots)
-
     # qubit-major: row q holds qubit q of every shot, 64 shots a word
     shape = (circuit.n_qubits, _n_words(shots))
     FX = np.zeros(shape, dtype=np.uint64)
@@ -1092,15 +984,80 @@ def run_batch(
     records = np.empty((shots, circuit.n_records), dtype=np.uint8)
     for lo in range(0, circuit.n_records, 64):
         records[:, lo : lo + 64] = (_unpack_rows(diff[lo : lo + 64], shots) ^ ref_bits[lo : lo + 64, None]).T
+    return records, FX, FZ, DX, DZ
+
+
+def run_batch(
+    circuit: Circuit,
+    shots: int,
+    master_seed=0,
+    noise=None,
+    mode: str = "feed_forward",
+    shot_offset: int = 0,
+) -> BatchResult:
+    """Sample ``shots`` executions; shot i's randomness depends only on
+    (master_seed, shot_offset + i), so splitting a batch across workers
+    reproduces the single-batch output exactly.
+
+    ``noise`` is a sequence of sites, each with a ``before_index`` into the
+    instruction list, a ``pauli`` operator, and a firing weight ``omega``.
+    ``master_seed`` may also be a sequence of m seeds, with ``shots`` a
+    multiple of m: rows k*shots/m .. (k+1)*shots/m - 1 are then shots
+    ``shot_offset + 0 .. shots/m - 1`` under seed k, identical to the rows
+    of a call with ``master_seed=seeds[k]`` and ``shots/m`` shots.  All m
+    samples share one validation and one reference pass.  Shot ids are
+    64-bit counters, so ``shot_offset + shots/m`` may not exceed 2^64.
+    """
+    if shots < 0:
+        raise ValueError(f"negative shot count {shots}")
+    stream = CounterRandom(master_seed)
+    if stream.n_seeds == 0 or shots % stream.n_seeds:
+        raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
+    per_seed = shots // stream.n_seeds
+    end = int(shot_offset) + per_seed
+    if shot_offset < 0 or end > 1 << 64:
+        raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
+    circuit.validate()
+    prog, draws, sites, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
+    ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
+    fired = _draw(stream, draws, ids, shots)
+    records, fx, fz, dx, dz = _replay(circuit, prog, fired, shots, ref_bits, mode)
     noise_rows = np.array([sid >= _NOISE_STREAM_BASE for sid, _ in draws], dtype=bool)
     return BatchResult(
         records=records,
         mode=mode,
         reference=ref_state,
-        fx=FX,
-        fz=FZ,
+        fx=fx,
+        fz=fz,
         fired=fired[noise_rows],
         sites=sites,
-        dx=DX,
-        dz=DZ,
+        dx=dx,
+        dz=dz,
     )
+
+
+def _all_coins(k: int) -> np.ndarray:
+    """Packed fired mask of 2^k shots, one row per coin: shot s fires coin
+    j where bit j of s is set.  Coin j < 6 repeats within a word; coin
+    j >= 6 fires on whole words, those whose index has bit j - 6 set."""
+    words = np.arange(_n_words(1 << k), dtype=np.uint64)
+    out = np.empty((k, words.size), dtype=np.uint64)
+    for j in range(k):
+        if j < 6:
+            out[j] = sum(1 << b for b in range(64) if b >> j & 1)
+        else:
+            out[j] = -((words >> np.uint64(j - 6)) & _U1)
+    return out
+
+
+def enumerate_outcomes(circuit: Circuit, mode: str = "feed_forward") -> dict[tuple[int, ...], float]:
+    """Exact distribution over the classical record: the compiled frame
+    program replayed once for each of the 2^k assignments of its k random
+    collapse coins, each of probability 2^-k (deterministic collapses draw
+    no coin).  Keys are bit tuples ordered by record index."""
+    circuit.validate()
+    prog, draws, _, ref_bits, _ = _compile_reference(circuit, None, mode)
+    shots = 1 << len(draws)
+    records = _replay(circuit, prog, _all_coins(len(draws)), shots, ref_bits, mode)[0]
+    rows, counts = np.unique(records, axis=0, return_counts=True)
+    return {tuple(row.tolist()): int(c) / shots for row, c in zip(rows, counts)}

@@ -28,6 +28,27 @@ def test_empty_circuit_tally_is_zero():
     assert (t.t_idle, t.n_cnot, t.n_meas, t.depth, t.feed_forward_steps) == (0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "op, qubits",
+    [("h", (0, 1)), ("h", ()), ("reset", (0, 1)), ("measure", (0, 1)), ("x", (0, 0)), ("cpauli", (0, 1)),
+     ("cx", (0,)), ("cx", (1, 1)), ("cx", (0, 1, 2)), ("ccz", (0, 1)), ("ccz", (0, 1, 1))],
+)
+def test_add_rejects_the_wrong_number_of_qubits(op, qubits):
+    # an engine applies a one-qubit op to its first qubit only, while the
+    # tally counts every listed qubit as busy
+    c = C.Circuit(3)
+    with pytest.raises(ValueError, match=rf"^{op} needs \d distinct qubits, got"):
+        c.add(op, *qubits, start=0.0)
+    assert c.instructions == []
+
+
+def test_add_accepts_each_op_at_its_arity():
+    c = C.Circuit(3)
+    for op, qubits in [("h", (2,)), ("cx", (0, 1)), ("ccz", (2, 0, 1)), ("barrier", ()), ("barrier", (0, 1, 2))]:
+        c.add(op, *qubits, start=0.0)
+    assert [i.qubits for i in c.instructions] == [(2,), (0, 1), (2, 0, 1), (), (0, 1, 2)]
+
+
 def test_validate_rejects_double_booking():
     c = C.Circuit(3)
     c.add("cx", 0, 1, start=0.0)

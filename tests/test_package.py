@@ -1,7 +1,10 @@
 """Package surface: every name a module exports through ``__all__`` exists,
-so a deleted function cannot linger in an export list."""
+so a deleted function cannot linger in an export list, and no module checks
+a condition with a bare ``assert``."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -27,3 +30,11 @@ def test_every_exported_name_resolves(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)  # imports listed submodules too
     assert [e for e in exported if e not in namespace] == []
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(dyncirc.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_assert(path):
+    """The engine's checks raise exceptions, so ``python -O`` keeps them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}"

@@ -181,9 +181,8 @@ def test_measure_zero_state_deterministic():
 def test_plus_state_measurement_is_random():
     st = tb.StabilizerState(1)
     st.apply_clifford("h", 0)
-    assert st.outcome_is_random(0)
-    out = st.measure(0, record_index=0, forced=1)
-    assert out == 1 and st.classical_bits[0] == 1
+    assert st.copy().measure_flip(0)[1]
+    assert st.measure(0, forced=1) == 1
     # collapsed: repeat measurement is deterministic
     assert st.measure(0) == 1
 
@@ -210,18 +209,6 @@ def test_reset_leaves_plus_z():
     st.apply_clifford("cx", 0, 1)
     st.reset(0, rng=rng)
     assert st.expectation(PauliString.from_text("ZI")) == 1
-
-
-def test_conditional_pauli_empty_parity_never_fires():
-    st = tb.StabilizerState(1)
-    st.conditional_pauli(0, "X", ())
-    assert st.expectation(PauliString.from_text("Z")) == 1
-
-
-def test_conditional_pauli_unwritten_record():
-    st = tb.StabilizerState(1)
-    with pytest.raises(ValueError, match="before being written"):
-        st.conditional_pauli(0, "X", (4,))
 
 
 def test_teleportation_all_six_eigenstates():
@@ -295,7 +282,7 @@ def test_deterministic_outcomes_match_stabilizer_expectations():
             st.measure(int(q), rng=rng)
             st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(q))
         for q in range(n):
-            if not st.outcome_is_random(q):
+            if not st.copy().measure_flip(q)[1]:
                 want = (1 - st.expectation(PauliString.single(n, q, "Z"))) // 2
                 assert st.copy().measure(q) == want
                 checked += 1
@@ -330,7 +317,9 @@ def test_ghz_dynamic_distributions_match_dense(n, mode):
     assert _exact_tvd(circ, mode) == 0.0
 
 
-def test_random_circuit_distributions_match_dense():
+def _random_circuits():
+    """40 random dynamic Clifford circuits on 2..5 qubits with up to 7
+    collapses, each with its mode (alternating)."""
     rng = np.random.default_rng(77812)
     gates1 = ["h", "s", "sdg", "x", "y", "z"]
     for rep in range(40):
@@ -360,8 +349,22 @@ def test_random_circuit_distributions_match_dense():
                 circ.add(gates1[int(rng.integers(len(gates1)))], int(rng.integers(n)), start=t)
             t += 1.0
         circ.validate()
-        mode = ("feed_forward", "post_process")[rep % 2]
+        yield circ, ("feed_forward", "post_process")[rep % 2]
+
+
+def test_random_circuit_distributions_match_dense():
+    for circ, mode in _random_circuits():
         assert _exact_tvd(circ, mode) == 0.0
+
+
+def test_random_circuit_probabilities_are_exact_multiples_of_two_to_the_minus_k():
+    """k is the number of random collapses the compiled program draws a coin
+    for; no rounding enters, so the probabilities sum to exactly 1."""
+    for circ, mode in _random_circuits():
+        k = len(tb._compile_reference(circ, None, mode)[1])
+        dist = tb.enumerate_outcomes(circ, mode)
+        assert all(p > 0 and (p * 2**k).is_integer() for p in dist.values())
+        assert sum(dist.values()) == 1.0
 
 
 # one touch of qubit 0 between two measurements of it: qubit 0 is half of a
@@ -414,7 +417,7 @@ def test_remeasurement_follows_applied_paulis():
     assert st.measure(0, forced=1) == 1
     for letter, want in (("X", 0), ("Z", 0), ("Y", 1)):
         st.apply_pauli(PauliString.single(2, 0, letter))
-        assert not st.outcome_is_random(0)
+        assert not st.copy().measure_flip(0)[1]
         assert st.measure(0) == want
         assert st.copy().measure(0) == want
     assert st.measure(1) == 1  # the partner was never touched
@@ -430,6 +433,36 @@ def test_post_process_equals_feed_forward_across_builders():
         ff = _snap_dyadic(tb.enumerate_outcomes(circ_ff, "feed_forward"), k)
         pp = _snap_dyadic(tb.enumerate_outcomes(circ_pp, "post_process"), k)
         assert ff == pp
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_enumerate_outcomes_without_records_or_coins(mode):
+    assert tb.enumerate_outcomes(C.Circuit(1), mode) == {(): 1.0}
+    # a random collapse with no record: both coin values give the empty record
+    c = C.Circuit(2)
+    c.add("h", 0, start=0.0)
+    c.add("cx", 0, 1, start=0.0)
+    c.add("reset", 0, start=1.0)
+    assert tb.enumerate_outcomes(c, mode) == {(): 1.0}
+    # every collapse deterministic (k = 0), with a correction that fires
+    c = C.Circuit(2)
+    c.add("x", 0, start=0.0)
+    r0 = c.measure(0, start=1.0)
+    c.measure(1, start=1.0)
+    c.add("cpauli", 1, start=2.0, pauli="X", parity=(r0,))
+    c.measure(1, start=3.0)
+    assert len(tb._compile_reference(c, None, mode)[1]) == 0
+    assert tb.enumerate_outcomes(c, mode) == {(1, 0, 1): 1.0}
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("gate, qubits", [("t", (0,)), ("ccz", (0, 1, 2))])
+def test_enumerate_outcomes_rejects_non_clifford_gates(gate, qubits, mode):
+    c = C.Circuit(3)
+    c.add(gate, *qubits, start=0.0)
+    c.measure(0, start=1.0)
+    with pytest.raises(ValueError, match="not stabilizer-simulable"):
+        tb.enumerate_outcomes(c, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +526,8 @@ def test_plus_state_statistics():
 
 
 def test_sampler_matches_enumeration():
-    """Empirical frequencies from the frame sampler vs the exact branch
-    enumeration, within 5 sigma per outcome."""
+    """Empirical frequencies from the frame sampler vs the exact record
+    distribution, within 5 sigma per outcome."""
     circ = C.ghz_dynamic(6, mu=1.0)
     shots = 20_000
     res = tb.run_batch(circ, shots, master_seed=17)
@@ -889,8 +922,9 @@ def _unfolded_zero_timeline(circ):
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 @pytest.mark.parametrize("name, steps", _parity_circuits())
 def test_folded_parities_match_exact_distribution(name, steps, mode):
-    """The folded reference pass and replay against the readers that take
-    every parity in full: the dense oracle and enumerate_outcomes."""
+    """The folded reference pass and replay against the dense oracle, which
+    reads every parity in full, and the sampled records against the exact
+    support."""
     circ = _parity_circuit(steps, mode)
     assert _exact_tvd(circ, mode) == 0.0
     exact = tb.enumerate_outcomes(circ, mode=mode)
