@@ -3,16 +3,22 @@
 Capacity is capped at 14 qubits.  Basis convention: qubit 0 is the most
 significant bit of the amplitude index, matching ``PauliString.to_matrix``.
 
-The circuit executor enumerates measurement branches exactly (no sampling):
-``run_branches`` returns every outcome branch with its probability, classical
-record bits, and final state.  Noise is handled by exact enumeration over
-Bernoulli insertion configurations (``enumerate_noise``), which keeps
-acceptance checks free of statistical error.
+The circuit executor enumerates measurement branches exactly (no sampling).
+It runs all branches at once on a branch stack, one row of amplitudes per
+branch over the qubits still in the dense register: a measured or reset
+qubit leaves the register as one classical bit per row, so a collapse
+halves the rows instead of copying them.  ``run_branches`` returns every
+outcome branch with its probability, classical record bits, and final
+state; the fidelity functions sum over the stack directly.  Noise is handled
+by exact enumeration over Bernoulli insertion configurations
+(``enumerate_noise``), which keeps acceptance checks free of statistical
+error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -67,26 +73,28 @@ def basis_state(n: int, bits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernels: a gate or collapse reads the state through a reshaped view in which
-# each touched qubit has its own axis of length 2 and the qubits between them
-# are merged, so it is a few whole-slice operations (the amplitude-pair
-# updates of QuEST, arXiv:1802.08032)
+# kernels on a branch stack: B rows of 2^m amplitudes, one row per branch.  A
+# gate or collapse reads the stack through a reshaped view in which each
+# touched qubit has its own axis of length 2 and the qubits between them are
+# merged (the row axis merges into the first), so it is a few whole-slice
+# operations over every branch at once (the amplitude-pair updates of QuEST,
+# arXiv:1802.08032).  The one-state functions run them on a one-row stack.
 # ---------------------------------------------------------------------------
 
 
-def _view(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """``state`` as (2^a, 2, 2^b, 2, ..., 2^z): axis 2i+1 is the i-th of the
+def _view(stack: np.ndarray, m: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """``stack`` as (B*2^a, 2, 2^b, 2, ..., 2^z): axis 2i+1 is the i-th of the
     sorted ``qubits``, the others merge the qubits around them."""
-    n = n_of(state)
     shape = []
     prev = -1
     for q in sorted(qubits):
-        if q <= prev or q >= n:
-            raise ValueError(f"qubits {qubits} are not distinct qubits of a {n}-qubit state")
+        if q <= prev or q >= m:
+            raise ValueError(f"qubits {qubits} are not distinct qubits of a {m}-qubit state")
         shape += [1 << (q - prev - 1), 2]
         prev = q
-    shape.append(1 << (n - prev - 1))
-    return state.reshape(shape)
+    shape.append(1 << (m - prev - 1))
+    shape[0] *= stack.size >> m
+    return stack.reshape(shape)
 
 
 def _slot(qubits: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
@@ -98,10 +106,10 @@ def _slot(qubits: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
     return tuple(idx)
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+def _apply_1q(stack: np.ndarray, m: int, mat: np.ndarray, q: int) -> np.ndarray:
     """Each output half of the qubit is written once from the two input
     halves; matrix entries equal to 0 are skipped."""
-    src = _view(state, qubits)
+    src = _view(stack, m, (q,))
     out = np.empty(src.shape, dtype=complex)
     for r in (0, 1):
         dst = out[:, r]
@@ -113,23 +121,82 @@ def _apply_1q(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np
         else:
             np.multiply(src[:, 0], m0, out=dst)
             dst += m1 * src[:, 1]
-    return out.reshape(-1)
+    return out.reshape(stack.shape)
 
 
-def _apply_cx(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+def _apply_cx(stack: np.ndarray, m: int, qubits: tuple[int, ...]) -> np.ndarray:
     """One copy, then the control-1 quarters swap their target halves."""
-    out = state.flatten()
-    src, dst = _view(state, qubits), _view(out, qubits)
-    dst[_slot(qubits, (1, 0))] = src[_slot(qubits, (1, 1))]
-    dst[_slot(qubits, (1, 1))] = src[_slot(qubits, (1, 0))]
+    out = stack.copy()
+    src, dst = _view(stack, m, qubits), _view(out, m, qubits)
+    a, b = _slot(qubits, (1, 0)), _slot(qubits, (1, 1))
+    dst[a] = src[b]
+    dst[b] = src[a]
     return out
 
 
-def _apply_ccz(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+def _apply_ccz(stack: np.ndarray, m: int, qubits: tuple[int, ...]) -> np.ndarray:
     """One copy, then the sign of the |111> block flips."""
-    out = state.flatten()
-    _view(out, qubits)[_slot(qubits, (1, 1, 1))] *= -1
+    out = stack.copy()
+    _view(out, m, qubits)[_slot(qubits, (1, 1, 1))] *= -1
     return out
+
+
+def _gate(stack: np.ndarray, m: int, name: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """A named gate on every row, each row's norm checked afterwards."""
+    mat = GATES[name]
+    if len(mat) != 1 << len(qubits):
+        raise ValueError(f"{name} is a {len(mat).bit_length() - 1}-qubit gate, given qubits {qubits}")
+    if name == "cx":
+        out = _apply_cx(stack, m, qubits)
+    elif name == "ccz":
+        out = _apply_ccz(stack, m, qubits)
+    else:
+        out = _apply_1q(stack, m, mat, qubits[0])
+    f = out.view(np.float64).reshape(len(out), -1)
+    norms = np.sqrt(np.einsum("ij,ij->i", f, f))
+    dev = np.abs(norms - 1.0)
+    if dev.max() >= 1e-12:
+        raise ValueError(f"norm drifted to {norms[dev.argmax()]} after {name}")
+    return out
+
+
+def _outcome_probs(stack: np.ndarray, q: int) -> np.ndarray:
+    """(B, 2): each row's probability of reading 0 and 1 on qubit q, summed
+    on the float view."""
+    f = stack.view(np.float64).reshape(len(stack), 1 << q, 2, -1)
+    return np.einsum("iajb,iajb->ij", f, f)
+
+
+def _take(stack: np.ndarray, q: int, rows, outs, probs) -> np.ndarray:
+    """Row ``rows[i]`` projected onto ``outs[i]`` on qubit q and renormalised,
+    with q dropped: a stack one qubit narrower."""
+    kept = stack.reshape(len(stack), 1 << q, 2, -1)[rows, :, outs]
+    kept *= (1.0 / np.sqrt(probs))[:, None, None]
+    return kept.reshape(len(kept), -1)
+
+
+def _inflate(stack: np.ndarray, m: int, q: int, bits) -> np.ndarray:
+    """A qubit inserted at position q holding ``bits[i]`` in row i: one write
+    into a zeroed stack of twice the width."""
+    out = np.zeros((len(stack), 1 << q, 2, (1 << m) >> q), dtype=complex)
+    out[np.arange(len(stack)), :, bits] = stack.reshape(len(stack), 1 << q, -1)
+    return out.reshape(len(stack), -1)
+
+
+def _overlaps(stack: np.ndarray, m: int, target: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Each row's <target| Tr_not-keep(|row><row|) |target>."""
+    k = len(keep)
+    if target.size != 1 << k:
+        raise ValueError("target size does not match keep list")
+    psi = stack.reshape((len(stack),) + (2,) * m)
+    tgt = target.conj().reshape([2] * k)
+    amp = np.tensordot(psi, tgt, axes=([q + 1 for q in keep], list(range(k))))
+    return (np.abs(amp) ** 2).reshape(len(stack), -1).sum(axis=1)
+
+
+def _row(state: np.ndarray) -> tuple[np.ndarray, int]:
+    state = np.ascontiguousarray(state, dtype=complex)
+    return state.reshape(1, -1), n_of(state)
 
 
 def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], check: bool = True) -> np.ndarray:
@@ -141,10 +208,10 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], c
         err = np.abs(mat @ mat.conj().T - np.eye(1 << k)).max()
         if err > 1e-10:
             raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
+    stack, n = _row(state)
     if k == 1:
-        return _apply_1q(state, mat, qubits)
-    n = n_of(state)
-    psi = state.reshape([2] * n)
+        return _apply_1q(stack, n, mat, qubits[0]).reshape(-1)
+    psi = stack.reshape([2] * n)
     op = mat.reshape([2] * (2 * k))
     psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), list(qubits)))
     psi = np.moveaxis(psi, list(range(k)), list(qubits))
@@ -152,52 +219,32 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], c
 
 
 def apply_gate(state: np.ndarray, name: str, *qubits: int) -> np.ndarray:
-    mat = GATES[name]
-    if len(mat) != 1 << len(qubits):
-        raise ValueError(f"{name} is a {len(mat).bit_length() - 1}-qubit gate, given qubits {qubits}")
-    if name == "cx":
-        out = _apply_cx(state, qubits)
-    elif name == "ccz":
-        out = _apply_ccz(state, qubits)
-    else:
-        out = _apply_1q(state, mat, qubits)
-    norm = float(np.sqrt(np.vdot(out, out).real))
-    if abs(norm - 1.0) >= 1e-12:
-        raise ValueError(f"norm drifted to {norm} after {name}")
-    return out
+    stack, n = _row(state)
+    return _gate(stack, n, name, qubits).reshape(-1)
 
 
 def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
-    n = n_of(state)
+    stack, n = _row(state)
     if p.n != n:
         raise ValueError(f"operator on {p.n} qubits vs state on {n}")
-    out = state
-    for q in range(n):
-        letter = p.letter(q)
-        if letter != "I":
-            out = _apply_1q(out, GATES[letter.lower()], (q,))
-    return out * p.phase
-
-
-def _project(state: np.ndarray, q: int, outcome: int, to: int) -> tuple[float, np.ndarray | None]:
-    """Project qubit q onto ``outcome``, renormalised, with the kept half
-    written to the ``to`` half of a fresh state (``to`` = 0 is a reset).
-
-    The kept half's probability is read on a view first, so an impossible
-    outcome returns (0.0, None) without allocating a state."""
-    kept = _view(state, (q,))[:, outcome]
-    p = float(np.vdot(kept, kept).real)
-    if p <= MIN_OUTCOME_PROB:
-        return 0.0, None
-    out = np.zeros(state.size, dtype=complex)
-    np.multiply(kept, 1.0 / np.sqrt(p), out=_view(out, (q,))[:, to])
-    return p, out
+    for q in p.support:
+        stack = _apply_1q(stack, n, GATES[p.letter(q).lower()], q)
+    return stack.reshape(-1) * p.phase
 
 
 def collapse(state: np.ndarray, q: int, outcome: int) -> tuple[float, np.ndarray | None]:
     """Project qubit q onto ``outcome`` and renormalize; returns (prob, state),
     or (0.0, None) for an outcome of probability at most ``MIN_OUTCOME_PROB``."""
-    return _project(state, q, outcome, outcome)
+    if outcome not in (0, 1):
+        raise ValueError(f"a measurement outcome is 0 or 1, got {outcome!r}")
+    stack, n = _row(state)
+    if not 0 <= q < n:
+        raise ValueError(f"qubit {q} is not a qubit of a {n}-qubit state")
+    p = float(_outcome_probs(stack, q)[0, outcome])
+    if p <= MIN_OUTCOME_PROB:
+        return 0.0, None
+    kept = _take(stack, q, [0], [outcome], np.array([p]))
+    return p, _inflate(kept, n - 1, q, [outcome]).reshape(-1)
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -212,14 +259,8 @@ def overlap_through_ancillas(target: np.ndarray, state: np.ndarray, keep: tuple[
     ``target`` lives on the ``keep`` qubits (in the listed order); the rest of
     the state's qubits are traced out.
     """
-    n = n_of(state)
-    k = len(keep)
-    if target.size != 1 << k:
-        raise ValueError("target size does not match keep list")
-    psi = state.reshape([2] * n)
-    tgt = target.conj().reshape([2] * k)
-    amp = np.tensordot(tgt, psi, axes=(list(range(k)), list(keep)))
-    return float(np.sum(np.abs(amp) ** 2))
+    stack, n = _row(state)
+    return float(_overlaps(stack, n, target, tuple(keep))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +281,141 @@ class Branch:
         return apply_pauli(self.state, self.pending.mod_phase())
 
 
-def run_branches(
-    circuit: Circuit,
-    mode: str = "feed_forward",
-    insertions: dict[int, list[PauliString]] | None = None,
-    initial: np.ndarray | None = None,
-) -> list[Branch]:
-    """Execute a circuit, splitting on every measurement outcome with
-    probability above ``MIN_OUTCOME_PROB``.  ``insertions[k]`` lists Paulis
-    applied just before instruction index k (k = len(instructions) means end
-    of circuit).  ``initial``, if given, must have 2^n amplitudes for the
-    circuit's n qubits.
+class _Stack:
+    """Every branch of one circuit run at once.
 
-    In post_process mode, conditional Paulis are composed into a pending frame
-    instead of being applied; recorded bits are frame-corrected so classical
-    statistics match feed-forward mode exactly.
+    ``amps`` holds one row of 2^m amplitudes per branch over the qubits of
+    the dense register ``reg`` (sorted, so ``reg[0]`` is the most
+    significant bit).  A measured or reset qubit leaves the register: it is
+    then in a definite state in every row, held in the row's ``val`` column,
+    and a gate on it brings it back.  Row i also has its probability
+    ``prob[i]``, its record bits ``rec[i]`` and, in post-process mode, its
+    pending correction frame as x and z bits per qubit (``fx``, ``fz``).
     """
+
+    def __init__(self, n: int, n_records: int, state0: np.ndarray, post: bool):
+        self.n = n
+        self.reg = list(range(n))
+        self.amps = state0.reshape(1, -1)
+        self.prob = np.ones(1)
+        self.val = np.zeros((1, n), dtype=np.uint8)
+        self.rec = np.zeros((1, n_records), dtype=np.uint8)
+        self.written: dict[int, None] = {}  # records written so far, in order
+        self.fx = np.zeros((1, n), dtype=np.uint8) if post else None
+        self.fz = np.zeros((1, n), dtype=np.uint8) if post else None
+
+    def enter(self, qubits) -> list[int]:
+        """Bring the qubits into the register; returns their positions."""
+        reg = self.reg
+        for q in qubits:
+            if q not in reg:
+                i = bisect_left(reg, q)
+                self.amps = _inflate(self.amps, len(reg), i, self.val[:, q])
+                reg.insert(i, q)
+        return tuple(reg.index(q) for q in qubits)
+
+    def gate(self, name: str, qubits: tuple[int, ...]) -> None:
+        if self.fx is not None:
+            self.conjugate_frame(name, qubits)
+        pos = self.enter(qubits)
+        self.amps = _gate(self.amps, len(self.reg), name, pos)
+
+    def conjugate_frame(self, name: str, qubits: tuple[int, ...]) -> None:
+        fx, fz = self.fx, self.fz
+        q = qubits[0]
+        if name == "h":
+            fx[:, q], fz[:, q] = fz[:, q], fx[:, q].copy()
+        elif name in ("s", "sdg"):
+            fz[:, q] ^= fx[:, q]
+        elif name == "cx":
+            fx[:, qubits[1]] ^= fx[:, q]
+            fz[:, q] ^= fz[:, qubits[1]]
+        elif name not in ("x", "y", "z") and (fx[:, qubits] | fz[:, qubits]).any():
+            raise ValueError(f"cannot track a correction frame through non-Clifford {name}")
+
+    def pauli(self, q: int, letter: str, rows=slice(None)) -> None:
+        """The letter on qubit q of the given rows.  Outside the register it
+        flips the qubit's bit by its X part and multiplies each row by the
+        matching entry of the letter's matrix: no pass over the state."""
+        mat = GATES[letter.lower()]
+        if q in self.reg:
+            i, m = self.reg.index(q), len(self.reg)
+            self.amps[rows] = _apply_1q(self.amps[rows], m, mat, i)
+            return
+        old = self.val[rows, q]
+        new = old ^ (letter != "Z")
+        factor = mat[new, old]
+        if (factor != 1).any():
+            self.amps[rows] *= factor[:, None]
+        self.val[rows, q] = new
+
+    def collapse(self, q: int, record: int | None) -> None:
+        """Measure qubit q into ``record``, or reset it when ``record`` is None.
+        A register qubit splits each row into its outcomes above
+        ``MIN_OUTCOME_PROB``, branch-major, and leaves the register."""
+        if q in self.reg:
+            i = self.reg.index(q)
+            probs = _outcome_probs(self.amps, i)
+            rows, outs = np.nonzero(probs > MIN_OUTCOME_PROB)
+            p = probs[rows, outs]
+            self.amps = _take(self.amps, i, rows, outs, p)
+            self.prob = self.prob[rows] * p
+            self.val, self.rec = self.val[rows], self.rec[rows]
+            if self.fx is not None:
+                self.fx, self.fz = self.fx[rows], self.fz[rows]
+            self.val[:, q] = outs
+            del self.reg[i]
+        if record is None:
+            self.val[:, q] = 0
+            return
+        self.rec[:, record] = self.val[:, q] if self.fx is None else self.val[:, q] ^ self.fx[:, q]
+        self.written[record] = None
+
+    def cpauli(self, q: int, letter: str, parity: tuple[int, ...]) -> None:
+        letter = letter.upper()
+        for r in parity:
+            if r not in self.written:
+                raise ValueError(f"cpauli reads record {r} before it is written")
+        fire = np.flatnonzero(np.bitwise_xor.reduce(self.rec[:, list(parity)], axis=1))
+        if not fire.size:
+            return
+        if self.fx is None:
+            self.pauli(q, letter, fire)
+        else:
+            self.fx[fire, q] ^= letter != "Z"
+            self.fz[fire, q] ^= letter != "X"
+
+    def inject(self, paulis: list[PauliString]) -> None:
+        for p in paulis:
+            if p.n != self.n:
+                raise ValueError(f"operator on {p.n} qubits vs state on {self.n}")
+            for q in p.support:
+                self.pauli(q, p.letter(q))
+
+    def fidelity(self, target: np.ndarray, keep: tuple[int, ...]) -> float:
+        """sum_i prob_i <target| Tr_not-keep(corrected row i) |target>.  The
+        frame is applied on the ``keep`` qubits only, as Z then X (a row's
+        phase does not change its overlap); a letter elsewhere is a unitary
+        on the traced-out part.  Traced-out qubits outside the register are
+        product factors and are never brought back."""
+        if self.fx is not None:
+            for q in keep:
+                for letter, bits in (("Z", self.fz[:, q]), ("X", self.fx[:, q])):
+                    rows = np.flatnonzero(bits)
+                    if rows.size:
+                        self.pauli(q, letter, rows)
+        pos = self.enter(keep)
+        return float(self.prob @ _overlaps(self.amps, len(self.reg), target, pos))
+
+
+def _execute(
+    circuit: Circuit,
+    mode: str,
+    insertions: dict[int, list[PauliString]] | None,
+    initial: np.ndarray | None,
+) -> _Stack:
+    """Run the circuit on a branch stack: the one executor behind
+    :func:`run_branches` and the fidelity functions."""
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")
     n = circuit.n_qubits
@@ -269,86 +429,62 @@ def run_branches(
             raise ValueError(
                 f"initial state has {state0.size} amplitudes, a {n}-qubit circuit needs {1 << n}"
             )
+        norm = float(np.sqrt(np.vdot(state0, state0).real))
+        if abs(norm - 1.0) >= 1e-12:
+            raise ValueError(f"initial state has norm {norm}, not 1")
     insertions = insertions or {}
-    post = mode == "post_process"
-    ident = PauliString.identity(n)
-    branches = [Branch(1.0, {}, state0, ident if post else None)]
-
-    def inject(branches: list[Branch], paulis: list[PauliString]) -> list[Branch]:
-        for p in paulis:
-            branches = [replace(b, state=apply_pauli(b.state, p.mod_phase())) for b in branches]
-        return branches
-
+    st = _Stack(n, circuit.n_records, state0, mode == "post_process")
     for k, ins in enumerate(circuit.instructions):
         if k in insertions:
-            branches = inject(branches, insertions[k])
+            st.inject(insertions[k])
         op = ins.op
         if op in ("input", "barrier"):
             continue
-        if op in GATES and op != "cx" and op != "ccz":
-            for b in branches:
-                b.state = apply_gate(b.state, op, ins.qubits[0])
-                if b.pending is not None and not b.pending.is_identity():
-                    if op in ("h", "s", "sdg", "x", "y", "z"):
-                        b.pending = b.pending.conjugated(op, ins.qubits[0])
-                    elif b.pending.letter(ins.qubits[0]) != "I":
-                        raise ValueError(
-                            f"cannot track a correction frame through non-Clifford {op}"
-                        )
-            continue
-        if op == "cx" or op == "ccz":
-            for b in branches:
-                b.state = apply_gate(b.state, op, *ins.qubits)
-                if b.pending is not None and not b.pending.is_identity():
-                    if op == "cx":
-                        b.pending = b.pending.conjugated("cx", *ins.qubits)
-                    elif any(b.pending.letter(q) != "I" for q in ins.qubits):
-                        raise ValueError("cannot track a correction frame through ccz")
-            continue
-        if op == "measure":
-            q = ins.qubits[0]
-            new: list[Branch] = []
-            for b in branches:
-                for outcome in (0, 1):
-                    p, st = collapse(b.state, q, outcome)
-                    if st is None:
-                        continue
-                    recorded = outcome
-                    if b.pending is not None:
-                        recorded ^= b.pending.x_bit(q)
-                    bits = dict(b.bits)
-                    bits[ins.record] = recorded
-                    new.append(Branch(b.prob * p, bits, st, b.pending))
-            branches = new
-            continue
-        if op == "reset":
-            q = ins.qubits[0]
-            new = []
-            for b in branches:
-                for outcome in (0, 1):
-                    p, st = _project(b.state, q, outcome, 0)
-                    if st is None:
-                        continue
-                    new.append(Branch(b.prob * p, dict(b.bits), st, b.pending))
-            branches = new
-            continue
-        if op == "cpauli":
-            for b in branches:
-                par = 0
-                for r in ins.parity:
-                    par ^= b.bits[r]
-                if par:
-                    corr = PauliString.single(n, ins.qubits[0], ins.pauli)
-                    if b.pending is not None:
-                        b.pending = b.pending.times_mod_phase(corr)
-                    else:
-                        b.state = apply_pauli(b.state, corr)
-            continue
-        raise ValueError(f"unhandled op {op!r}")
-
+        if op in GATES:
+            st.gate(op, ins.qubits)
+        elif op == "measure":
+            st.collapse(ins.qubits[0], ins.record)
+        elif op == "reset":
+            st.collapse(ins.qubits[0], None)
+        elif op == "cpauli":
+            st.cpauli(ins.qubits[0], ins.pauli, ins.parity)
+        else:
+            raise ValueError(f"unhandled op {op!r}")
     if len(circuit.instructions) in insertions:
-        branches = inject(branches, insertions[len(circuit.instructions)])
-    return branches
+        st.inject(insertions[len(circuit.instructions)])
+    return st
+
+
+def run_branches(
+    circuit: Circuit,
+    mode: str = "feed_forward",
+    insertions: dict[int, list[PauliString]] | None = None,
+    initial: np.ndarray | None = None,
+) -> list[Branch]:
+    """Execute a circuit, splitting on every measurement outcome with
+    probability above ``MIN_OUTCOME_PROB``.  ``insertions[k]`` lists Paulis
+    applied just before instruction index k (k = len(instructions) means end
+    of circuit).  ``initial``, if given, must be a normalised state with 2^n
+    amplitudes for the circuit's n qubits.
+
+    In post_process mode, conditional Paulis are composed into a pending frame
+    instead of being applied; recorded bits are frame-corrected so classical
+    statistics match feed-forward mode exactly.  ``Branch.pending`` is
+    returned without its phase.
+    """
+    st = _execute(circuit, mode, insertions, initial)
+    n = circuit.n_qubits
+    st.enter(range(n))
+    cols = list(st.written)
+    bits = st.rec[:, cols].tolist()
+    pending = [None] * len(st.prob)
+    if st.fx is not None:
+        w = 1 << np.arange(n, dtype=np.int64)
+        pending = [PauliString(n, x, z) for x, z in zip((st.fx @ w).tolist(), (st.fz @ w).tolist())]
+    return [
+        Branch(p, dict(zip(cols, b)), row, f)
+        for p, b, row, f in zip(st.prob.tolist(), bits, st.amps, pending)
+    ]
 
 
 def outcome_distribution(branches: list[Branch]) -> dict[tuple[int, ...], float]:
@@ -415,8 +551,7 @@ def average_state_fidelity(
         keep = tuple(range(circuit.n_qubits))
     total = 0.0
     for p_cfg, ins in enumerate_noise(sites):
-        for b in run_branches(circuit, mode=mode, insertions=ins, initial=initial):
-            total += p_cfg * b.prob * overlap_through_ancillas(target, b.corrected_state(), keep)
+        total += p_cfg * _execute(circuit, mode, ins, initial).fidelity(target, tuple(keep))
     return total
 
 
@@ -477,8 +612,7 @@ def process_fidelity(
             idx: [PauliString(n_c + k, p.x_bits, p.z_bits) for p in ps]
             for idx, ps in ins.items()
         }
-        for b in run_branches(wide, mode=mode, insertions=ins_wide, initial=psi0):
-            total += p_cfg * b.prob * overlap_through_ancillas(tgt, b.corrected_state(), keep)
+        total += p_cfg * _execute(wide, mode, ins_wide, psi0).fidelity(tgt, keep)
     return total
 
 

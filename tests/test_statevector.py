@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from dyncirc import circuits as C
 from dyncirc import statevector as sv
 from dyncirc.circuits import Circuit
 from dyncirc.pauli import PauliString
@@ -98,6 +99,12 @@ def test_collapse_probabilities():
     assert np.allclose(st1, sv.basis_state(2, 0b10))
     assert sv.collapse(psi, 1, 0)[0] == pytest.approx(1.0)
     assert sv.collapse(psi, 1, 1) == (0.0, None)
+
+
+@pytest.mark.parametrize("outcome", [2, -1, 0.5])
+def test_collapse_rejects_an_outcome_that_is_not_a_bit(outcome):
+    with pytest.raises(ValueError, match="outcome is 0 or 1"):
+        sv.collapse(sv.zero_state(2), 0, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +316,21 @@ def test_run_branches_rejects_initial_state_of_wrong_size(size):
         sv.run_branches(bell_circuit(), initial=np.ones(size) / np.sqrt(size))
 
 
+@pytest.mark.parametrize("op", ["measure", "h"])
+def test_run_branches_rejects_an_unnormalised_initial_state(op):
+    # a lone measure would return one branch of probability 4, an h would
+    # fail later on its norm check: both are refused up front
+    c = Circuit(1)
+    if op == "measure":
+        c.measure(0, start=0.0)
+    else:
+        c.add("h", 0, start=0.0)
+    with pytest.raises(ValueError, match="initial state has norm 2.0"):
+        sv.run_branches(c, initial=np.array([2.0, 0.0]))
+    ok = np.array([1.0, 1e-7]) / np.linalg.norm([1.0, 1e-7])
+    assert sum(b.prob for b in sv.run_branches(c, initial=ok)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_empty_parity_never_fires():
     c = Circuit(1)
     c.measure(0, start=0.0)
@@ -380,3 +402,186 @@ def test_circuit_unitary_of_cnot():
     c = Circuit(2)
     c.add("cx", 0, 1, start=0.0)
     assert np.allclose(sv.circuit_unitary(c), sv.cnot_matrix())
+
+
+# ---------------------------------------------------------------------------
+# the branch stack against a per-branch loop of the one-state functions
+# ---------------------------------------------------------------------------
+
+
+def per_branch_reference(circuit, mode, insertions, initial):
+    """``run_branches`` as one loop over branches, each a full state, built
+    only from the public one-state functions."""
+    n = circuit.n_qubits
+    post = mode == "post_process"
+    branches = [sv.Branch(1.0, {}, initial, PauliString.identity(n) if post else None)]
+
+    def inject(k):
+        for p in insertions.get(k, ()):
+            for b in branches:
+                b.state = sv.apply_pauli(b.state, p.mod_phase())
+
+    for k, ins in enumerate(circuit.instructions):
+        inject(k)
+        q = ins.qubits[0]
+        if ins.op in sv.GATES:
+            for b in branches:
+                b.state = sv.apply_gate(b.state, ins.op, *ins.qubits)
+                if post:
+                    b.pending = b.pending.conjugated(ins.op, *ins.qubits)
+        elif ins.op in ("measure", "reset"):
+            new = []
+            for b in branches:
+                for outcome in (0, 1):
+                    p, st = sv.collapse(b.state, q, outcome)
+                    if st is None:
+                        continue
+                    bits = dict(b.bits)
+                    if ins.op == "measure":
+                        bits[ins.record] = outcome ^ (b.pending.x_bit(q) if post else 0)
+                    elif outcome:
+                        st = sv.apply_pauli(st, PauliString.single(n, q, "X"))
+                    new.append(sv.Branch(b.prob * p, bits, st, b.pending))
+            branches = new
+        elif ins.op == "cpauli":
+            corr = PauliString.single(n, q, ins.pauli)
+            for b in branches:
+                if sum(b.bits[r] for r in ins.parity) % 2:
+                    if post:
+                        b.pending = b.pending.times_mod_phase(corr)
+                    else:
+                        b.state = sv.apply_pauli(b.state, corr)
+    inject(len(circuit.instructions))
+    return branches
+
+
+CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z"]
+
+
+def random_dynamic_circuit(rng, n, mode):
+    """Gates, measurements (re-measuring a qubit is allowed), resets and
+    feed-forward Paulis on random parities of the records written so far;
+    in post-process mode only Clifford gates, which the frame can cross."""
+    ones = CLIFFORD_1Q + ([] if mode == "post_process" else ["t", "tdg"])
+    c = Circuit(n)
+    for step in range(int(rng.integers(10, 25))):
+        kind = rng.choice(["1q", "cx", "ccz", "measure", "reset", "cpauli"],
+                          p=[0.3, 0.2, 0.05, 0.2, 0.05, 0.2])
+        t = float(step)
+        if kind == "1q":
+            c.add(str(rng.choice(ones)), int(rng.integers(n)), start=t)
+        elif kind == "cx":
+            a, b = rng.choice(n, size=2, replace=False)
+            c.add("cx", int(a), int(b), start=t)
+        elif kind == "ccz" and n >= 3 and mode == "feed_forward":
+            c.add("ccz", *map(int, rng.choice(n, size=3, replace=False)), start=t)
+        elif kind == "measure":
+            c.measure(int(rng.integers(n)), start=t)
+        elif kind == "reset":
+            c.add("reset", int(rng.integers(n)), start=t)
+        elif kind == "cpauli":
+            parity = tuple(int(r) for r in range(c.n_records) if rng.random() < 0.5)
+            c.add("cpauli", int(rng.integers(n)), start=t, pauli=str(rng.choice(["X", "Z"])), parity=parity)
+    return c
+
+
+def random_insertions(rng, circuit):
+    end = len(circuit.instructions)
+    ins = {}
+    for _ in range(int(rng.integers(0, 4))):
+        n = circuit.n_qubits
+        p = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)), sign=int(rng.choice([1, -1])))
+        ins.setdefault(int(rng.integers(end + 1)), []).append(p)
+    return ins
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_branch_stack_matches_per_branch_loop(seed):
+    rng = np.random.default_rng(3000 + seed)
+    n = int(rng.integers(2, 6))
+    mode = ("feed_forward", "post_process")[seed % 2]
+    circ = random_dynamic_circuit(rng, n, mode)
+    insertions = random_insertions(rng, circ)
+    initial = random_state(rng, n) if seed % 4 >= 2 else sv.zero_state(n)
+    got = sv.run_branches(circ, mode=mode, insertions=insertions, initial=initial)
+    want = per_branch_reference(circ, mode, insertions, initial)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.bits == w.bits
+        assert abs(g.prob - w.prob) < 1e-12
+        assert np.abs(g.corrected_state() - w.corrected_state()).max() < 1e-12
+
+
+
+@pytest.mark.parametrize("letters", ["X", "Z", "XZ"])
+@pytest.mark.parametrize("gate", CLIFFORD_1Q + ["cx", "xc"])
+def test_post_process_frame_crosses_each_clifford(gate, letters):
+    # a fired correction on qubit 1, then one Clifford on it, then a
+    # measurement of both qubits: records and corrected states agree with
+    # the per-branch loop, whose frame is a PauliString
+    rng = np.random.default_rng(7)
+    c = Circuit(3)
+    c.add("h", 0, start=0.0)
+    r = c.measure(0, start=1.0)
+    for letter in letters:
+        c.add("cpauli", 1, start=2.0, pauli=letter, parity=(r,))
+    qubits = {"cx": (1, 2), "xc": (2, 1)}.get(gate, (1,))
+    c.add("cx" if gate == "xc" else gate, *qubits, start=3.0)
+    c.measure(1, start=4.0)
+    c.measure(2, start=4.0)
+    initial = random_state(rng, 3)
+    got = sv.run_branches(c, mode="post_process", initial=initial)
+    want = per_branch_reference(c, "post_process", {}, initial)
+    assert [g.bits for g in got] == [w.bits for w in want]
+    for g, w in zip(got, want):
+        assert np.abs(g.corrected_state() - w.corrected_state()).max() < 1e-12
+
+
+
+@pytest.mark.parametrize("gate", ["t", "tdg", "ccz"])
+def test_post_process_frame_refuses_a_non_clifford_on_a_pending_qubit(gate):
+    c = Circuit(4)
+    c.add("h", 0, start=0.0)
+    r = c.measure(0, start=1.0)
+    c.add("cpauli", 2, start=2.0, pauli="Z", parity=(r,))
+    c.add(gate, *((0, 1, 3) if gate == "ccz" else (1,)), start=3.0)
+    sv.run_branches(c, mode="post_process")  # no pending letter on these qubits
+    c.add(gate, *((1, 2, 3) if gate == "ccz" else (2,)), start=4.0)
+    with pytest.raises(ValueError, match=f"correction frame through non-Clifford {gate}"):
+        sv.run_branches(c, mode="post_process")
+
+
+def test_random_circuits_reach_qubits_outside_the_register():
+    # the property check above exercises what the stack does differently:
+    # a gate, a Pauli, a re-measurement or a reset on a qubit that has left
+    # the register after its measurement or reset
+    hit = {"gate": 0, "pauli": 0, "measure": 0, "reset": 0}
+    for seed in range(40):
+        rng = np.random.default_rng(3000 + seed)
+        n = int(rng.integers(2, 6))
+        circ = random_dynamic_circuit(rng, n, ("feed_forward", "post_process")[seed % 2])
+        out = set()
+        for ins in circ.instructions:
+            q = set(ins.qubits)
+            if ins.op in sv.GATES:
+                hit["gate"] += bool(q & out)
+                out -= q
+            elif ins.op == "cpauli":
+                hit["pauli"] += bool(q & out)
+            else:
+                hit[ins.op] += bool(q & out)
+                out |= q
+    assert min(hit.values()) > 0, hit
+
+
+def test_process_fidelity_of_the_largest_cnot_chain_at_the_cap():
+    # 12 chain qubits and 2 Choi references: the 14-qubit cap, with 1024
+    # measurement branches
+    f = sv.process_fidelity(C.long_range_cnot_dynamic(10), sv.cnot_matrix(), data=(0, 11))
+    assert abs(f - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_ghz_fidelity_at_the_cap(mode):
+    f = sv.average_state_fidelity(C.ghz_dynamic(14, mode=mode), sv.ghz_state(14), mode=mode)
+    assert abs(f - 1.0) < 1e-10
