@@ -33,6 +33,22 @@ CNOT_TIME = 1.0
 GATE_OPS = frozenset({"h", "s", "sdg", "x", "y", "z", "t", "tdg", "cx", "ccz"})
 CLIFFORD_GATES = frozenset({"h", "s", "sdg", "x", "y", "z", "cx"})
 ALL_OPS = GATE_OPS | {"input", "measure", "reset", "cpauli", "barrier"}
+# qubits an op acts on, where not 1 (a barrier takes any number)
+_ARITY = {"cx": 2, "ccz": 3}
+_ONE_QUBIT_OPS = ALL_OPS - {"cx", "ccz", "barrier"}
+
+
+def _check_operands(op: str, qubits: tuple[int, ...], n_qubits: int) -> None:
+    """Raise ValueError unless ``op`` is known and acts on its number of
+    distinct qubits, all in range."""
+    if op not in ALL_OPS:
+        raise ValueError(f"unknown op {op!r}")
+    for q in qubits:
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit {q} out of range (n={n_qubits})")
+    arity = len(qubits) if op == "barrier" else _ARITY.get(op, 1)
+    if len(set(qubits)) != arity or len(qubits) != arity:
+        raise ValueError(f"{op} needs {arity} distinct qubits, got {qubits}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +96,8 @@ class Circuit:
         # original index -> final chain position.  None means identity.
         self.output_map: dict[int, int] | None = None
         self.meta: dict = {}
+        # (key, ScheduleAnalysis) of the last analysis, see schedule_analysis
+        self._schedule: tuple | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -93,14 +111,7 @@ class Circuit:
         pauli: str | None = None,
         parity: tuple[int, ...] = (),
     ) -> Instruction:
-        if op not in ALL_OPS:
-            raise ValueError(f"unknown op {op!r}")
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"qubit {q} out of range (n={self.n_qubits})")
-        arity = {"cx": 2, "ccz": 3, "barrier": len(qubits)}.get(op, 1)
-        if len(set(qubits)) != arity or len(qubits) != arity:
-            raise ValueError(f"{op} needs {arity} distinct qubits, got {qubits}")
+        _check_operands(op, qubits, self.n_qubits)
         if duration is None:
             duration = CNOT_TIME if op == "cx" else 0.0
         if start is None:
@@ -128,23 +139,31 @@ class Circuit:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        """Check schedule sanity: time-ordered list, no qubit overlap, records
-        written before read."""
+        """Check schedule sanity: every op known and on its number of distinct
+        qubits in range (as :meth:`add` checks), time-ordered list, no qubit
+        overlap (an instruction, even one of zero duration, may not start
+        inside another's busy window on the same qubit), records written
+        before read."""
+        n = self.n_qubits
         written: set[int] = set()
         prev_parity = None
         prev_start = float("-inf")
-        busy: dict[int, list[tuple[float, float]]] = {q: [] for q in range(self.n_qubits)}
+        busy: list[list[tuple[float, float]]] = [[] for _ in range(n)]
         for ins in self.instructions:
-            if ins.start + 1e-12 < prev_start:
+            op, qubits, start, duration = ins.op, ins.qubits, ins.start, ins.duration
+            # the common one-qubit case inline, anything else in full
+            if op not in _ONE_QUBIT_OPS or len(qubits) != 1 or not 0 <= qubits[0] < n:
+                _check_operands(op, qubits, n)
+            if start + 1e-12 < prev_start:
                 raise ValueError(f"instruction list not time-ordered at {ins}")
-            prev_start = ins.start
-            if ins.op == "measure":
+            prev_start = start
+            if op == "measure":
                 if ins.record is None:
                     raise ValueError("measure without record index")
                 if ins.record in written:
                     raise ValueError(f"record {ins.record} written twice")
                 written.add(ins.record)
-            if ins.op == "cpauli":
+            elif op == "cpauli":
                 if ins.pauli not in ("X", "Z"):
                     raise ValueError(f"cpauli supports X or Z, got {ins.pauli!r}")
                 # a folded prefix was checked at the cpauli before
@@ -152,14 +171,13 @@ class Circuit:
                 if missing:
                     raise ValueError(f"cpauli reads unwritten records {sorted(missing)}")
                 prev_parity = ins.parity
-            if ins.duration > 0:
-                for q in ins.qubits:
-                    for s, e in busy[q]:
-                        if ins.start < e - 1e-12 and s < ins.end - 1e-12:
-                            raise ValueError(
-                                f"qubit {q} double-booked: [{s},{e}) vs [{ins.start},{ins.end})"
-                            )
-                    busy[q].append((ins.start, ins.end))
+            end = start + duration
+            for q in qubits:
+                for s, e in busy[q]:
+                    if start < e - 1e-12 and s < end - 1e-12:
+                        raise ValueError(f"qubit {q} double-booked: [{s},{e}) vs [{start},{end})")
+                if duration > 0:
+                    busy[q].append((start, end))
         if self.n_records != len(written):
             raise ValueError("record counter out of sync with measure instructions")
 
@@ -271,56 +289,125 @@ def _zero_timeline(circ: Circuit) -> dict[int, list[tuple[float, bool]]]:
     return events
 
 
-def idle_intervals(circ: Circuit) -> list[tuple[int, float, float]]:
-    """Merged (qubit, start, end) windows that accrue idle cost: the qubit is
-    outside every scheduled instruction and its content is not known-zero."""
-    circ.validate()
-    makespan = circ.makespan
-    zero_events = _zero_timeline(circ)
-    busy: dict[int, list[tuple[float, float]]] = {q: [] for q in range(circ.n_qubits)}
-    for ins in circ.instructions:
-        if ins.duration > 0:
-            for q in ins.qubits:
-                busy[q].append((ins.start, ins.end))
+@dataclass(frozen=True)
+class ScheduleAnalysis:
+    """What one validated pass over a circuit's schedule finds.
 
-    out: list[tuple[int, float, float]] = []
-    for q in range(circ.n_qubits):
+    ``idle`` holds the merged (qubit, start, end) windows that accrue idle
+    cost, by qubit and then time; ``closers[i]`` is the index of the
+    instruction that closes ``idle[i]``, the first one on its qubit that
+    starts at its end (the instruction count when none does)."""
+
+    makespan: float
+    idle: tuple[tuple[int, float, float], ...]
+    closers: tuple[int, ...]
+
+
+def schedule_analysis(circ: Circuit) -> ScheduleAnalysis:
+    """The circuit's :class:`ScheduleAnalysis`, computed once per state of
+    the circuit: it is kept on the circuit with a snapshot of its
+    instructions, record count and qubit count, and any change to those
+    (``add``, ``measure``, sorting, extending or assigning into
+    ``instructions``) makes the next call analyse again.  A circuit that
+    fails validation raises on every call."""
+    key = (tuple(circ.instructions), circ.n_records, circ.n_qubits)
+    memo = circ._schedule
+    if memo is None or memo[0] != key:
+        memo = circ._schedule = (key, _analyse_schedule(circ))
+    return memo[1]
+
+
+def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
+    """Validate, build the known-zero timeline and each qubit's busy
+    windows, then sweep each qubit's sorted segment boundaries once.
+
+    A segment between consecutive boundaries is idle when its midpoint is
+    outside the qubit's busy windows and its content there is not
+    known-zero.  The busy windows are sorted by start and the zero events
+    are read as a prefix of the list (an event applies once it and every
+    event before it are at or before the midpoint), so one pointer into
+    each follows the increasing midpoints.  A qubit whose content never
+    leaves known-zero has no idle segment."""
+    circ.validate()
+    instructions = circ.instructions
+    n_ins = len(instructions)
+    makespan = max((i.end for i in instructions), default=0.0)
+    zero_events = _zero_timeline(circ)
+    busy: dict[int, list[tuple[float, float]]] = {}
+    touching: dict[int, list[int]] = {}  # each qubit's instruction indices
+    for k, ins in enumerate(instructions):
+        for q in ins.qubits:
+            touching.setdefault(q, []).append(k)
+            if ins.duration > 0:
+                busy.setdefault(q, []).append((ins.start, ins.end))
+
+    idle: list[tuple[int, float, float]] = []
+    closers: list[int] = []
+    for q, events in zero_events.items():
+        if len(events) == 1:
+            continue
+        windows = busy.get(q, [])
         bounds = {0.0, makespan}
-        for s, e in busy[q]:
+        for s, e in windows:
             bounds.update((s, e))
-        bounds.update(t for t, _ in zero_events[q])
+        bounds.update(t for t, _ in events)
         pts = sorted(b for b in bounds if 0.0 <= b <= makespan)
+        windows = sorted(windows)
+
+        runs: list[list[float]] = []
+        wi = zi = 0
+        zero = True
         for a, b in zip(pts, pts[1:]):
             if b - a < 1e-12:
                 continue
             mid = (a + b) / 2
-            operated = any(s <= mid < e for s, e in busy[q])
-            zero = True
-            for t, z in zero_events[q]:
-                if t <= mid:
-                    zero = z
-                else:
-                    break
-            if not operated and not zero:
-                if out and out[-1][0] == q and abs(out[-1][2] - a) < 1e-12:
-                    out[-1] = (q, out[-1][1], b)
-                else:
-                    out.append((q, a, b))
-    return out
+            # windows before wi end at or before mid; if the one at wi does
+            # not start by mid, no window after it (they start later) does
+            while wi < len(windows) and windows[wi][1] <= mid:
+                wi += 1
+            if wi < len(windows) and windows[wi][0] <= mid:
+                continue
+            while zi < len(events) and events[zi][0] <= mid:
+                zero = events[zi][1]
+                zi += 1
+            if zero:
+                continue
+            if runs and abs(runs[-1][1] - a) < 1e-12:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+
+        ks = touching.get(q, [])
+        ki = 0
+        for a, b in runs:
+            while ki < len(ks) and instructions[ks[ki]].start < b - 1e-9:
+                ki += 1
+            idle.append((q, a, b))
+            closers.append(ks[ki] if ki < len(ks) else n_ins)
+    return ScheduleAnalysis(makespan, tuple(idle), tuple(closers))
+
+
+def idle_intervals(circ: Circuit) -> list[tuple[int, float, float]]:
+    """Merged (qubit, start, end) windows that accrue idle cost: the qubit is
+    outside every scheduled instruction and its content is not known-zero.
+    Read from :func:`schedule_analysis`."""
+    return list(schedule_analysis(circ).idle)
 
 
 def tally(circ: Circuit) -> InstructionTally:
     """Cost tally: idle time (known-zero excluded), CNOT and measurement
     counts, schedule makespan, and the number of distinct feed-forward steps.
-    The circuit is validated once, by :func:`idle_intervals`."""
+    Idle time and makespan come from :func:`schedule_analysis`, which
+    validates the circuit once per state of it."""
+    sched = schedule_analysis(circ)
     n_cnot = sum(1 for i in circ.instructions if i.op == "cx")
     n_meas = sum(1 for i in circ.instructions if i.op == "measure")
     if circ.meta.get("mode") == "post_process":
         ff_steps = 0
     else:
         ff_steps = len({i.start for i in circ.instructions if i.op == "cpauli"})
-    t_idle = sum(b - a for _, a, b in idle_intervals(circ))
-    return InstructionTally(t_idle, n_cnot, n_meas, circ.makespan, ff_steps)
+    t_idle = sum(b - a for _, a, b in sched.idle)
+    return InstructionTally(t_idle, n_cnot, n_meas, sched.makespan, ff_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import circuits as C
 from .circuits import Circuit, InstructionTally
-from .pauli import PauliString
+from .pauli import _LETTER_TO_BITS, PauliString
 
 __all__ = [
     "omega",
@@ -277,16 +277,29 @@ def twirl_coefficient(channel: PauliLindbladChannel, q: PauliString) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _site_pauli(n: int, qubits: tuple[int, ...], letters: str) -> PauliString:
+    """Letter ``letters[j]`` on qubit ``qubits[j]`` (distinct qubits),
+    identity elsewhere, sign +1: set straight from the letters' bits."""
+    x = z = 0
+    for q, letter in zip(qubits, letters):
+        xb, zb = _LETTER_TO_BITS[letter]
+        x |= xb << q
+        z |= zb << q
+    return PauliString._raw(n, x, z, 0)
+
+
 def attach_noise(circuit: Circuit, params: NoiseParams, cnot_pauli: str = "ZX") -> list[NoiseSite]:
     """Noise sites for a scheduled circuit: one worst-case two-qubit Pauli
     after every CNOT, an X on every measured qubit just before its
     measurement, and per-interval idle noise (dephasing, or a damping mix
-    when t1/t2 are set).  The returned list is deterministic and ordered by
-    position."""
+    when t1/t2 are set) just before the instruction that closes the
+    interval.  The intervals come from :func:`circuits.schedule_analysis`,
+    which validates the circuit.  The returned list is deterministic and
+    ordered by position."""
     if len(cnot_pauli) != 2 or any(ch not in "IXYZ" for ch in cnot_pauli) or cnot_pauli == "II":
         raise ValueError(f"cnot noise must be two Pauli letters, not all I; got {cnot_pauli!r}")
+    sched = C.schedule_analysis(circuit)
     n = circuit.n_qubits
-    n_ins = len(circuit.instructions)
     gate_sites: dict[int, list[NoiseSite]] = {}
     meas_sites: dict[int, list[NoiseSite]] = {}
     idle_sites: dict[int, list[NoiseSite]] = {}
@@ -295,34 +308,18 @@ def attach_noise(circuit: Circuit, params: NoiseParams, cnot_pauli: str = "ZX") 
         om = omega(params.lambda_cnot)
         for k, ins in enumerate(circuit.instructions):
             if ins.op == "cx":
-                p = PauliString.identity(n)
-                for q, letter in zip(ins.qubits, cnot_pauli):
-                    if letter != "I":
-                        p = p.times_mod_phase(PauliString.single(n, q, letter))
-                gate_sites.setdefault(k + 1, []).append(NoiseSite(k + 1, p, om))
+                gate_sites[k + 1] = [NoiseSite(k + 1, _site_pauli(n, ins.qubits, cnot_pauli), om)]
     if params.lambda_meas > 0:
         om = omega(params.lambda_meas)
         for k, ins in enumerate(circuit.instructions):
             if ins.op == "measure":
-                q = ins.qubits[0]
-                meas_sites.setdefault(k, []).append(NoiseSite(k, PauliString.single(n, q, "X"), om))
-
-    # each qubit's instruction indices in list order, so that an idle
-    # interval scans only its own qubit's instructions for its site index
-    touching: dict[int, list[int]] = {}
-    for i, ins in enumerate(circuit.instructions):
-        for q in dict.fromkeys(ins.qubits):
-            touching.setdefault(q, []).append(i)
-    for q, a, b in C.idle_intervals(circuit):
-        rates = params.idle_rates(b - a)
-        if not rates:
-            continue
-        k = next((i for i in touching.get(q, ()) if circuit.instructions[i].start >= b - 1e-9), n_ins)
-        for letter, rate in rates:
-            idle_sites.setdefault(k, []).append(NoiseSite(k, PauliString.single(n, q, letter), omega(rate)))
+                meas_sites[k] = [NoiseSite(k, _site_pauli(n, ins.qubits, "X"), om)]
+    for (q, a, b), k in zip(sched.idle, sched.closers):
+        for letter, rate in params.idle_rates(b - a):
+            idle_sites.setdefault(k, []).append(NoiseSite(k, _site_pauli(n, (q,), letter), omega(rate)))
 
     out: list[NoiseSite] = []
-    for k in range(n_ins + 1):
+    for k in sorted(gate_sites.keys() | idle_sites.keys() | meas_sites.keys()):
         out += gate_sites.get(k, ())
         out += idle_sites.get(k, ())
         out += meas_sites.get(k, ())

@@ -426,10 +426,19 @@ class StabilizerState:
 
         ``flip`` (random outcomes only) is an operator that toggles the
         outcome when applied just before the measurement: the stabilizer row
-        that anticommuted with Z_q, i.e. a group element mapping the
-        outcome-0 post-measurement branch onto the outcome-1 branch.
+        that anticommuted with Z_q, sign dropped, i.e. a group element
+        mapping the outcome-0 post-measurement branch onto the outcome-1
+        branch.  It is built from the supports :meth:`_measure` returns.
         ``forced`` pins a random outcome (deterministic ones ignore it).
         """
+        outcome, was_random, flip = self._measure(q, rng, forced)
+        return outcome, was_random, self._flip_pauli(flip)
+
+    def _measure(
+        self, q: int, rng: np.random.Generator | None, forced: int | None
+    ) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
+        """:meth:`measure_flip` with the flip given as the ascending qubit
+        indices of its X and of its Z letters."""
         self._check(q)
         if q in self._known:
             return self._known[q], False, None
@@ -451,23 +460,32 @@ class StabilizerState:
         self._known[q] = outcome
         return outcome, False, None
 
-    def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> PauliString:
+    def _flip_pauli(self, flip: tuple[np.ndarray, np.ndarray] | None) -> PauliString | None:
+        """The operator with X letters on ``flip[0]`` and Z letters on
+        ``flip[1]``, sign +1."""
+        if flip is None:
+            return None
+        bits = np.zeros((2, self.n), dtype=np.uint8)
+        bits[0, flip[0]] = 1
+        bits[1, flip[1]] = 1
+        x, z = _pack_rows(bits)
+        return PauliString(self.n, _unpack_bits(x), _unpack_bits(z))
+
+    def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:
         """Random collapse of Z_q on pivot row ``p``, the first stabilizer
         with X on q; ``col`` is the lane column of X letters on q.  Every
         other row with X on q, bar the destabilizer p - n, is multiplied by
         the pivot; then the destabilizer becomes the pivot and the pivot
         becomes (-1)^outcome Z_q.  Only the lane words holding those rows
-        are read or written.  Returns the pivot, sign dropped, as the flip
-        operator."""
+        are read or written.  Returns the pivot's supports, the ascending
+        qubits of its X and of its Z letters (the flip operator)."""
         n = self.n
         T, r = self._T, self._r
         pw, pb = divmod(p, 64)
         dw, db = divmod(p - n, 64)
         pb, db = np.uint64(pb), np.uint64(db)
         piv = (T[:, pw] >> pb) & _U1  # the pivot's X and Z letters, 0 or 1 a qubit
-        px, pz = (
-            int.from_bytes(w.tobytes(), "little") for w in np.packbits(piv.astype(np.uint8), axis=1, bitorder="little")
-        )
+        xq, zq = np.flatnonzero(piv[0]), np.flatnonzero(piv[1])
         rp = (r[pw] >> pb) & _U1
         col[pw] &= ~(_U1 << pb)
         col[dw] &= ~(_U1 << db)
@@ -475,9 +493,11 @@ class StabilizerState:
         if ws.size:
             # row t <- pivot * row t, 64 target rows a word, on the columns
             # from the pivot's first letter to its last (elsewhere the pivot
-            # is the identity)
-            sup = px | pz
-            span = slice((sup & -sup).bit_length() - 1, sup.bit_length())
+            # is the identity); it has an X letter on q, so xq is not empty
+            if zq.size:
+                span = slice(min(xq[0], zq[0]), max(xq[-1], zq[-1]) + 1)
+            else:
+                span = slice(xq[0], xq[-1] + 1)
             a = -piv[:, span]  # all ones where the pivot has an X / a Z letter
             ax, az = a
             Xt, Zt = Tt = T[:, ws, span]
@@ -504,7 +524,7 @@ class StabilizerState:
         T[:, pw] &= ~pm
         T[1, pw, q] |= pm
         r[pw] = (r[pw] & ~pm) | (np.uint64(outcome) << pb)
-        return PauliString(n, px, pz)
+        return xq, zq
 
     def _deterministic_outcome(self, q: int, col: np.ndarray) -> int:
         """Z_q's value when it is in the stabilizer group: Z_q is, up to
@@ -541,7 +561,7 @@ class StabilizerState:
 
     def measure(self, qubit: int, rng: np.random.Generator | None = None, forced: int | None = None) -> int:
         """Measure Z on ``qubit``; return the raw outcome."""
-        return self.measure_flip(qubit, rng=rng, forced=forced)[0]
+        return self._measure(qubit, rng, forced)[0]
 
     def reset(
         self,
@@ -549,8 +569,16 @@ class StabilizerState:
         rng: np.random.Generator | None = None,
         forced: int | None = None,
     ) -> tuple[int, bool, PauliString | None]:
-        """Measure-then-flip so the state is stabilized by +Z on ``q``."""
-        outcome, was_random, flip = self.measure_flip(q, rng=rng, forced=forced)
+        """Measure-then-flip so the state is stabilized by +Z on ``q``;
+        returns what :meth:`measure_flip` does."""
+        outcome, was_random, flip = self._reset(q, rng, forced)
+        return outcome, was_random, self._flip_pauli(flip)
+
+    def _reset(
+        self, q: int, rng: np.random.Generator | None, forced: int | None
+    ) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
+        """:meth:`reset` with the flip as :meth:`_measure` gives it."""
+        outcome, was_random, flip = self._measure(q, rng, forced)
         if outcome:
             self.apply_clifford("x", q)
         self._known[q] = 0
@@ -747,6 +775,13 @@ def _support(bits: int, dtype):
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(dtype)
 
 
+def _index_support(idx: np.ndarray, dtype):
+    """Ascending qubit indices in the form of :func:`_support`."""
+    if idx.size <= 1:
+        return int(idx[0]) if idx.size else None
+    return idx.astype(dtype)
+
+
 def _shot_major(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Shots ``lo``..``hi``-1 (``lo`` a multiple of 64) of qubit-major frame
     rows (n, words) as (hi - lo, ceil(n/64)) words, 64 qubits a word."""
@@ -856,8 +891,8 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
     prev_parity = None
 
-    def emit_pauli(p: PauliString, stream_id: int, weight: float) -> None:
-        prog.append(("pauli", _support(p.x_bits, qdt), _support(p.z_bits, qdt), len(draws)))
+    def emit_pauli(xq, zq, stream_id: int, weight: float) -> None:
+        prog.append(("pauli", xq, zq, len(draws)))
         draws.append((stream_id, weight))
 
     def emit_noise(k: int) -> None:
@@ -865,7 +900,8 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
             om = float(s.omega)
             if not 0.0 <= om <= 1.0:
                 raise ValueError(f"error weight {om} outside [0, 1]")
-            emit_pauli(s.pauli, _NOISE_STREAM_BASE + len(sites), om)
+            p = s.pauli
+            emit_pauli(_support(p.x_bits, qdt), _support(p.z_bits, qdt), _NOISE_STREAM_BASE + len(sites), om)
             sites.append(s)
 
     for k, ins in enumerate(circuit.instructions):
@@ -882,9 +918,9 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
                 prog.append((op, ins.qubits[0]))
         elif op in ("measure", "reset"):
             q = ins.qubits[0]
-            outcome, was_random, flip = (st.measure_flip if op == "measure" else st.reset)(q, forced=0)
+            outcome, was_random, flip = (st._measure if op == "measure" else st._reset)(q, None, 0)
             if was_random:
-                emit_pauli(flip, coin_streams, 0.5)
+                emit_pauli(_index_support(flip[0], qdt), _index_support(flip[1], qdt), coin_streams, 0.5)
                 coin_streams += 1
             if op == "measure":
                 ref_bits[ins.record] = outcome ^ (st.pending.x_bit(q) if st.pending is not None else 0)

@@ -6,14 +6,20 @@ in the acceptance suite.  Cost checks freeze the closed forms the scheduler
 must reproduce, with mu left symbolic by testing two different values.
 """
 
+import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncirc import circuits as C
+from dyncirc import noise as N
 from dyncirc import statevector as sv
+from dyncirc.pauli import PauliString
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -97,6 +103,39 @@ def test_tally_validates_once(monkeypatch):
     bad.add("cx", 1, 2, start=0.5)
     with pytest.raises(ValueError, match="double-booked"):
         C.tally(bad)
+
+
+@pytest.mark.parametrize(
+    "ins",
+    [C.Instruction("x", (5,), 0.5), C.Instruction("h", (-1,), 0.0), C.Instruction("frob", (0,), 0.0),
+     C.Instruction("cx", (0,), 0.0, 1.0), C.Instruction("cx", (1, 1), 0.0, 1.0), C.Instruction("h", (0, 1), 0.0),
+     C.Instruction("ccz", (0, 1), 0.0)],
+)
+def test_validate_checks_instructions_placed_directly(ins):
+    # callers may append to ``instructions`` without going through add();
+    # validation then raises what add() would have raised
+    with pytest.raises(ValueError) as from_add:
+        C.Circuit(2).add(ins.op, *ins.qubits, start=ins.start, duration=ins.duration)
+    c = C.Circuit(2)
+    c.instructions.append(ins)
+    for call in (c.validate, lambda: C.tally(c), lambda: N.attach_noise(c, N.NoiseParams(lambda_cnot=0.1))):
+        with pytest.raises(ValueError) as from_validate:
+            call()
+        assert str(from_validate.value) == str(from_add.value)
+
+
+def test_validate_rejects_a_zero_duration_op_inside_a_busy_window():
+    c = C.Circuit(2)
+    c.add("cx", 0, 1, start=0.0)
+    c.add("h", 0, start=0.5)
+    with pytest.raises(ValueError, match=r"qubit 0 double-booked: \[0.0,1.0\) vs \[0.5,0.5\)"):
+        c.validate()
+    # at either edge of the window it is not inside it
+    for t in (0.0, 1.0):
+        c = C.Circuit(2)
+        c.add("cx", 0, 1, start=0.0)
+        c.add("h", 0, start=t)
+        c.validate()
 
 
 def test_validate_rejects_unordered_instructions():
@@ -202,6 +241,224 @@ def test_conditioned_x_cancels_measured_content():
     t = C.tally(c)
     # qubit 1 is zero again right after the correction; qubit 0 idles [1,4)
     assert t.t_idle == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# schedule analysis: per-segment reference, noise sites, memo
+# ---------------------------------------------------------------------------
+
+
+def _idle_reference(circ):
+    """Idle windows the direct way: per qubit and per segment between its
+    sorted boundaries, scan every busy window for the midpoint and the zero
+    events from the start for the content there."""
+    circ.validate()
+    makespan = circ.makespan
+    zero_events = C._zero_timeline(circ)
+    busy = {q: [] for q in range(circ.n_qubits)}
+    for ins in circ.instructions:
+        if ins.duration > 0:
+            for q in ins.qubits:
+                busy[q].append((ins.start, ins.end))
+    out = []
+    for q in range(circ.n_qubits):
+        bounds = {0.0, makespan}
+        for s, e in busy[q]:
+            bounds.update((s, e))
+        bounds.update(t for t, _ in zero_events[q])
+        pts = sorted(b for b in bounds if 0.0 <= b <= makespan)
+        for a, b in zip(pts, pts[1:]):
+            if b - a < 1e-12:
+                continue
+            mid = (a + b) / 2
+            operated = any(s <= mid < e for s, e in busy[q])
+            zero = True
+            for t, z in zero_events[q]:
+                if t <= mid:
+                    zero = z
+                else:
+                    break
+            if not operated and not zero:
+                if out and out[-1][0] == q and abs(out[-1][2] - a) < 1e-12:
+                    out[-1] = (q, out[-1][1], b)
+                else:
+                    out.append((q, a, b))
+    return out
+
+
+def _attach_reference(circuit, params, cnot_pauli):
+    """Noise sites built from Pauli products, each idle window's site index
+    found by scanning its qubit's instructions, merged over every index."""
+    n = circuit.n_qubits
+    n_ins = len(circuit.instructions)
+    gate, meas, idle = {}, {}, {}
+    for k, ins in enumerate(circuit.instructions):
+        if ins.op == "cx" and params.lambda_cnot > 0:
+            p = PauliString.identity(n)
+            for q, letter in zip(ins.qubits, cnot_pauli):
+                if letter != "I":
+                    p = p.times_mod_phase(PauliString.single(n, q, letter))
+            gate.setdefault(k + 1, []).append(N.NoiseSite(k + 1, p, N.omega(params.lambda_cnot)))
+        if ins.op == "measure" and params.lambda_meas > 0:
+            p = PauliString.single(n, ins.qubits[0], "X")
+            meas.setdefault(k, []).append(N.NoiseSite(k, p, N.omega(params.lambda_meas)))
+    for q, a, b in _idle_reference(circuit):
+        touching = [i for i, ins in enumerate(circuit.instructions) if q in ins.qubits]
+        k = next((i for i in touching if circuit.instructions[i].start >= b - 1e-9), n_ins)
+        for letter, rate in params.idle_rates(b - a):
+            idle.setdefault(k, []).append(N.NoiseSite(k, PauliString.single(n, q, letter), N.omega(rate)))
+    out = []
+    for k in range(n_ins + 1):
+        out += gate.get(k, []) + idle.get(k, []) + meas.get(k, [])
+    return out
+
+
+def test_idle_window_runs_on_across_a_boundary_inside_it():
+    # reset then h at t = 2: the content is known-zero for no time, so the
+    # two segments either side of t = 2 make one window
+    c = C.Circuit(2)
+    c.add("h", 0, start=0.0)
+    c.add("x", 1, start=1.0)
+    c.add("reset", 0, start=2.0)
+    c.add("h", 0, start=2.0)
+    c.add("barrier", start=5.0)
+    assert C.idle_intervals(c) == _idle_reference(c) == [(0, 0.0, 5.0), (1, 1.0, 5.0)]
+
+
+_MUS = (0.0, 1e-3, 1.0, 3.65, 7.3)
+_SITE_PARAMS = [
+    ("ZX", N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.02, lambda_meas=0.03)),
+    ("XX", N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.02, lambda_meas=0.03)),
+    ("IZ", N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.02, lambda_meas=0.03)),
+    ("ZX", N.NoiseParams(lambda_cnot=0.02, lambda_meas=0.03, t1=50.0, t2=60.0)),
+]
+
+
+def _family_circuits(family):
+    """Every builder of ``family`` at n = 1..40, at each of _MUS where the
+    builder takes mu (post-process mode ignores it)."""
+    for n in range(1, 41):
+        if family in ("Ia", "Ib", "Ic", "II"):
+            yield C.long_range_cnot_unitary(family, n)
+        elif family == "ghz_unitary":
+            if n >= 2:
+                yield C.ghz_unitary(n)
+        elif family.endswith("_post_process"):
+            if family.startswith("cnot"):
+                yield C.long_range_cnot_dynamic(n, mode="post_process")
+            elif n >= 2:
+                yield C.ghz_dynamic(n, mode="post_process")
+        else:
+            for mu in _MUS:
+                if family == "cnot_dynamic":
+                    yield C.long_range_cnot_dynamic(n, mu=mu)
+                elif family == "ccz_dynamic":
+                    yield C.ccz_dynamic(n, mu=mu)
+                elif n >= 2:
+                    yield C.ghz_dynamic(n, mu=mu)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["cnot_dynamic", "cnot_dynamic_post_process", "Ia", "Ib", "Ic", "II", "ghz_unitary", "ghz_dynamic",
+     "ghz_dynamic_post_process", "ccz_dynamic"],
+)
+def test_schedule_analysis_matches_the_per_segment_reference(family):
+    for circ in _family_circuits(family):
+        want = _idle_reference(circ)
+        assert C.idle_intervals(circ) == want
+        assert C.tally(circ).t_idle == sum(b - a for _, a, b in want)
+        for cnot_pauli, params in _SITE_PARAMS:
+            assert N.attach_noise(circ, params, cnot_pauli) == _attach_reference(circ, params, cnot_pauli)
+
+
+_OPS = st.sampled_from(["h", "x", "s", "cx", "measure", "reset", "cpauli", "barrier", "input"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_OPS, st.integers(0, 2), st.integers(0, 2), st.integers(0, 8), st.sampled_from([0, 0, 1, 2])),
+                max_size=14))
+def test_schedule_analysis_matches_the_reference_on_random_schedules(steps):
+    """Random valid schedules on three qubits, with starts and durations on
+    a half-unit grid, so that windows touch, zero events fall inside and
+    at the edges of busy windows, and the list holds zero-duration ops at
+    the same time as longer ones."""
+    circ = C.Circuit(3)
+    recs = []
+    for op, a, b, start, dur in sorted(steps, key=lambda s: s[3]):
+        kw = {"start": start / 2, "duration": dur / 2}
+        if op == "cx":
+            if a == b:
+                continue
+            circ.add("cx", a, b, **kw)
+        elif op == "measure":
+            recs.append(circ.measure(a, **kw))
+        elif op == "cpauli":
+            circ.add("cpauli", a, pauli="XZ"[b % 2], parity=tuple(recs[-1 - b % 2 :]), start=kw["start"])
+        elif op == "barrier":
+            circ.add("barrier", *range(a), **kw)
+        else:
+            circ.add(op, a, **kw)
+    try:
+        want = _idle_reference(circ)
+    except ValueError:
+        with pytest.raises(ValueError):
+            C.idle_intervals(circ)
+        return
+    assert C.idle_intervals(circ) == want
+    for cnot_pauli, params in _SITE_PARAMS[::3]:
+        assert N.attach_noise(circ, params, cnot_pauli) == _attach_reference(circ, params, cnot_pauli)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 50.0), st.integers(1, 40))
+def test_tally_idle_matches_the_closed_form_for_every_mu(mu, n):
+    """The 1e-12 / 1e-9 schedule tolerances hold for any feed-forward
+    duration: the scheduler's idle time is the budget's closed form."""
+    p = N.NoiseParams(mu=mu)
+    cases = [("cnot_dynamic", n, C.long_range_cnot_dynamic(n, mu=mu))]
+    if n >= 2:
+        cases.append(("ghz_dynamic", 2 * n, C.ghz_dynamic(2 * n, mu=mu)))
+    for family, size, circ in cases:
+        want = N.budget(family, size, p).tally.t_idle
+        assert math.isclose(C.tally(circ).t_idle, want, rel_tol=1e-9)
+
+
+def test_schedule_analysis_runs_once_per_state_of_the_circuit(monkeypatch):
+    calls = []
+    analyse = C._analyse_schedule
+    monkeypatch.setattr(C, "_analyse_schedule", lambda circ: calls.append(circ) or analyse(circ))
+    params = N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.02, lambda_meas=0.03)
+    circ = C.ghz_dynamic(64)
+    t = C.tally(circ)
+    sites = N.attach_noise(circ, params)
+    assert (C.idle_intervals(circ), C.tally(circ)) == (_idle_reference(circ), t)
+    assert len(calls) == 1
+
+    def changed(expect_depth):
+        before = len(calls)
+        t = C.tally(circ)
+        assert t.depth == expect_depth and t.t_idle == sum(b - a for _, a, b in _idle_reference(circ))
+        assert N.attach_noise(circ, params) == _attach_reference(circ, params, "ZX")
+        assert len(calls) == before + 1
+        return t
+
+    end = circ.makespan
+    circ.add("barrier", start=end + 2.0)  # every live qubit idles 2 longer
+    assert changed(end + 2.0).t_idle == pytest.approx(t.t_idle + 2.0 * 64)
+    circ.measure(0, start=end + 2.0, duration=1.0)
+    assert changed(end + 3.0).n_meas == t.n_meas + 1
+    circ.instructions[-1] = dataclasses.replace(circ.instructions[-1], duration=2.0)
+    changed(end + 4.0)
+    circ.instructions.extend([C.Instruction("barrier", (), end + 5.0), C.Instruction("x", (1,), end + 4.0)])
+    for _ in range(2):  # not time-ordered: every call raises
+        with pytest.raises(ValueError, match="time-ordered"):
+            C.tally(circ)
+        with pytest.raises(ValueError, match="time-ordered"):
+            N.attach_noise(circ, params)
+    circ.instructions.sort(key=lambda ins: ins.start)
+    changed(end + 5.0)
+    assert sites != N.attach_noise(circ, params)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,48 @@ def test_reset_leaves_plus_z():
     assert st.expectation(PauliString.from_text("ZI")) == 1
 
 
+def _same_support(a, b) -> bool:
+    """Equal frame-row indices of the same form: None, an int, or an array
+    of the same dtype."""
+    if a is None or isinstance(a, int):
+        return type(a) is type(b) and a == b
+    return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 70, 130])
+def test_flip_operator_and_program_supports_come_from_one_collapse(n):
+    """measure_flip's operator is the one built from the supports the
+    reference pass emits, in the forms _support gives a PauliString's bits,
+    and it maps the outcome-0 branch onto the outcome-1 branch."""
+    rng = np.random.default_rng(n)
+    st = tb.StabilizerState(n)
+    for _ in range(3 * n):
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        st.apply_clifford("cx", a, b)
+        st.apply_clifford(["h", "s", "x"][int(rng.integers(3))], a)
+    st.measure(0, forced=1)
+    qdt = np.min_scalar_type(n)
+    random = 0
+    for q in range(0, n, 1 + n // 40):
+        outcome, was_random, flip = st.copy().measure_flip(q, forced=0)
+        assert (outcome, was_random) == st.copy()._measure(q, None, 0)[:2]
+        reset = st.copy().reset(q, forced=0)
+        assert reset[:2] == (outcome, was_random) and reset[2] == flip
+        if not was_random:
+            assert flip is None
+            continue
+        random += 1
+        xq, zq = st.copy()._measure(q, None, 0)[2]
+        assert _same_support(tb._index_support(xq, qdt), tb._support(flip.x_bits, qdt))
+        assert _same_support(tb._index_support(zq, qdt), tb._support(flip.z_bits, qdt))
+        zero, one = st.copy(), st.copy()
+        zero.measure(q, forced=0)
+        zero.apply_pauli(flip)
+        one.measure(q, forced=1)
+        assert (zero.expectations(one.stabilizers()) == 1).all()
+    assert random > 1
+
+
 def test_teleportation_all_six_eigenstates():
     c = C.Circuit(3)
     c.add("h", 1, start=0.0)
@@ -941,6 +983,7 @@ def test_folded_parities_match_unfolded_known_zero_analysis(name, steps, mode, m
     assert C._zero_timeline(circ) == _unfolded_zero_timeline(circ)
     folded = (C.idle_intervals(circ), C.tally(circ))
     monkeypatch.setattr(C, "_zero_timeline", _unfolded_zero_timeline)
+    circ = _parity_circuit(steps, mode)  # a new circuit, analysed afresh
     assert (C.idle_intervals(circ), C.tally(circ)) == folded
 
 
