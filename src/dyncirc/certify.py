@@ -240,8 +240,8 @@ class CircuitStateSource:
             if p.n != self.n_data:
                 raise ValueError(f"operator on {p.n} qubits, source exposes {self.n_data}")
         c = self.circuit
-        # every operator on the circuit register, packed once
-        x, z = tb.pauli_words(paulis, c.n_qubits, qubits=self.data)
+        # every operator on the circuit register, as qubit columns, once
+        x, z = tb.pauli_bits(paulis, c.n_qubits, qubits=self.data)
         draws = len(self.noise) + sum(ins.op in ("measure", "reset") for ins in c.instructions)
         row_bytes = c.n_records + (c.n_records + draws + 6 * c.n_qubits + 7) // 8
         max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
@@ -258,7 +258,7 @@ class CircuitStateSource:
                 shot_offset=cols.start,
             )
             if e is None:  # the reference state is the same in every batch of this circuit
-                e = res.reference.word_expectations(x, z)
+                e = res.reference.bit_expectations(x, z)
             par = e[rows, None] * np.where(res.readout_flips(x[rows], z[rows]), -1.0, 1.0)
             for k in np.nonzero(e[rows] == 0)[0]:
                 par[k] = self._read_out(paulis[rows][k], cols.stop - cols.start, seeds_k[k], cols.start)

@@ -418,13 +418,7 @@ def tally(circ: Circuit) -> InstructionTally:
 def long_range_cnot_dynamic(n_ancillas: int, mu: float = 1.0, mode: str = "feed_forward") -> Circuit:
     """Constant-depth long-range CNOT from qubit 0 to qubit n+1 across a chain
     of n ancillas, using one Bell-pair layer, mid-circuit measurements, and
-    parity-conditioned X/Z corrections.
-
-    Layer structure: Hadamards on odd-position ancillas prepare Bell pairs
-    within the chain; two CNOT layers stitch the pairs to the endpoints; odd
-    ancillas are read out in Z, even ancillas in X (via H); the X correction
-    on the target takes the parity of all Z outcomes and the Z correction on
-    the control the parity of all X outcomes.
+    parity-conditioned X/Z corrections (:func:`_teleported_cnot`).
     """
     n = n_ancillas
     if n < 1:
@@ -434,9 +428,22 @@ def long_range_cnot_dynamic(n_ancillas: int, mu: float = 1.0, mode: str = "feed_
     meas_dur = 0.0 if mode == "post_process" else float(mu)
     circ = Circuit(n + 2, name=f"cnot_dynamic_n{n}")
     circ.meta = {"family": "cnot_dynamic", "n_ancillas": n, "mu": mu, "mode": mode}
-    control, target = 0, n + 1
-    circ.mark_input(control, target)
+    circ.mark_input(0, n + 1)
+    _teleported_cnot(circ, n, meas_dur)
+    return circ
 
+
+def _teleported_cnot(circ: Circuit, n: int, meas_dur: float) -> float:
+    """Add a constant-depth CNOT from qubit 0 to qubit n + 1 across the
+    chain of ancillas 1..n, starting at time 0, and reset the ancillas;
+    return the time of its feed-forward corrections.
+
+    Layer structure: Hadamards on odd-position ancillas prepare Bell pairs
+    within the chain; two CNOT layers stitch the pairs to the endpoints; odd
+    ancillas are read out in Z, even ancillas in X (via H); the X correction
+    on the target takes the parity of all Z outcomes and the Z correction on
+    the control the parity of all X outcomes."""
+    control, target = 0, n + 1
     for q in range(1, n + 1, 2):
         circ.add("h", q, start=0.0)
     # layer 1: pair up ancillas (odd -> even); odd n pairs the last ancilla
@@ -464,7 +471,7 @@ def long_range_cnot_dynamic(n_ancillas: int, mu: float = 1.0, mode: str = "feed_
     circ.add("cpauli", control, start=t_ff, pauli="Z", parity=tuple(x_recs))
     for q in range(1, n + 1):
         circ.add("reset", q, start=t_ff)
-    return circ
+    return t_ff
 
 
 def _move(circ: Circuit, a: int, b: int, t: float) -> None:
@@ -680,36 +687,12 @@ def ccz_dynamic(n_ancillas: int, mu: float = 1.0) -> Circuit:
     circ.add("t", b, start=0.0)
     circ.add("t", c, start=0.0)
 
-    # stage 1: teleported CNOT a -> hub (direct when the bus is empty)
+    # stage 1: teleported CNOT a -> hub across the bus (direct when empty)
     if n == 1:
         circ.add("cx", a, hub, start=0.0)
         t_ladder = 1.0
     else:
-        bus = range(1, n)
-        for q in bus:
-            if q % 2 == 1:
-                circ.add("h", q, start=0.0)
-        for q in range(1, n - 1, 2):
-            circ.add("cx", q, q + 1, start=0.0)
-        if (n - 1) % 2 == 1:
-            circ.add("cx", n - 1, hub, start=0.0)
-        circ.add("cx", a, 1, start=1.0)
-        for q in range(2, n - 1, 2):
-            circ.add("cx", q, q + 1, start=1.0)
-        if (n - 1) % 2 == 0:
-            circ.add("cx", n - 1, hub, start=1.0)
-        z_recs, x_recs = [], []
-        for q in bus:
-            if q % 2 == 0:
-                circ.add("h", q, start=2.0)
-            rec = circ.measure(q, start=2.0, duration=mu)
-            (z_recs if q % 2 == 1 else x_recs).append(rec)
-        t_ff1 = 2.0 + mu
-        circ.add("cpauli", hub, start=t_ff1, pauli="X", parity=tuple(z_recs))
-        circ.add("cpauli", a, start=t_ff1, pauli="Z", parity=tuple(x_recs))
-        for q in bus:
-            circ.add("reset", q, start=t_ff1)
-        t_ladder = t_ff1
+        t_ladder = _teleported_cnot(circ, n - 1, mu)
 
     # stage 2: phase ladder; hub cycles through a+b, a+c, a+b+c (mod 2)
     t0 = t_ladder

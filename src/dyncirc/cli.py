@@ -52,7 +52,7 @@ from . import certify as cert
 from . import circuits as circuits
 from . import noise as noise_mod
 from . import statevector as sv
-from .noise import NoiseParams
+from .noise import NoiseParams, _check_real
 
 _MODES = ("feed_forward", "post_process", "noiseless")
 
@@ -124,9 +124,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown budget family {fam!r}; pick from {sorted(noise_mod.BUDGET_FAMILIES)}"
                 )
-        for grid in (self.lambda_cnot_values, self.lambda_meas_values):
-            if any(v < 0 for v in grid):
-                raise ValueError("grid rates must be nonnegative")
+        for name in ("lambda_cnot_values", "lambda_meas_values"):
+            for v in getattr(self, name):
+                _check_real(f"{name} entry", v)
+                if v < 0:
+                    raise ValueError("grid rates must be nonnegative")
         if self.n_scan_max < self.n_min:
             raise ValueError(f"n_scan_max={self.n_scan_max} below n_min={self.n_min}")
 
@@ -142,6 +144,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for key in ("variants", "methods", "unitaries", "lambda_cnot_values", "lambda_meas_values"):
             if key in doc:
+                if not isinstance(doc[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {doc[key]!r}")
                 doc[key] = tuple(doc[key])
         return cls(noise=NoiseParams(**noise_doc), **doc)
 
@@ -325,19 +329,9 @@ def _warn_bound_violations(rows: list[dict], sim_key: str, bound_key: str) -> No
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_cnot_dense(n: int):
-    f = sv.process_fidelity(
-        circuits.long_range_cnot_dynamic(n), sv.cnot_matrix(), data=(0, n + 1)
-    )
-    return abs(f - 1.0) <= 1e-10, {"process_fidelity": f}
-
-
-def _check_cnot_unitary_dense(variant: str, size: int):
-    circ = circuits.long_range_cnot_unitary(variant, size)
-    data_out = None
-    if circ.output_map is not None:
-        data_out = (circ.output_map[0], circ.output_map[size + 1])
-    f = sv.process_fidelity(circ, sv.cnot_matrix(), data=(0, size + 1), data_out=data_out)
+def _check_cnot_dense(variant: str, size: int):
+    circ, data_in, data_out = _cnot_circuit(variant, size, 1.0, "feed_forward")
+    f = sv.process_fidelity(circ, sv.cnot_matrix(), data=data_in, data_out=data_out)
     return abs(f - 1.0) <= 1e-10, {"process_fidelity": f}
 
 
@@ -381,7 +375,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--shots must be >= 1, got {shots}")
     checks = []
     for n in range(1, 9):
-        checks.append(("cnot_dynamic", n, "dense choi == ideal cnot", lambda n=n: _check_cnot_dense(n)))
+        checks.append(
+            ("cnot_dynamic", n, "dense choi == ideal cnot", lambda n=n: _check_cnot_dense("dynamic", n))
+        )
     for n in (16, 32, 99):
         checks.append(
             ("cnot_dynamic", n, "15 choi stabilizer signs",
@@ -391,7 +387,7 @@ def cmd_verify(args) -> int:
         for size in (2, 3, 4):
             checks.append(
                 (f"cnot_{variant}", size, "dense choi == ideal cnot",
-                 lambda v=variant, s=size: _check_cnot_unitary_dense(v, s))
+                 lambda v=variant, s=size: _check_cnot_dense(v, s))
             )
     for n in (4, 6, 8, 10, 12):
         checks.append(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
@@ -141,6 +142,13 @@ class NoiseSite:
     omega: float
 
 
+def _check_real(name: str, v) -> None:
+    """Raise ValueError unless ``v`` is a finite real number (a bool is
+    not)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite real number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Uniform per-operation noise rates.
@@ -165,12 +173,15 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("lambda_idle", "lambda_cnot", "lambda_meas", "mu"):
             v = getattr(self, name)
+            _check_real(name, v)
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
         for name in ("t1", "t2"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if v is not None:
+                _check_real(name, v)
+                if v <= 0:
+                    raise ValueError(f"{name} must be positive, got {v}")
         if self.t1 is not None and self.t2 is not None and self.t2 > 2 * self.t1:
             warnings.warn(
                 f"t2 = {self.t2} exceeds 2*t1 = {2 * self.t1}, which no physical "

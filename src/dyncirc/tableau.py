@@ -55,7 +55,7 @@ _NOISE_STREAM_BASE = 1 << 32
 
 _ONE_QUBIT_CLIFFORDS = ("h", "s", "sdg", "x", "y", "z")
 
-# Most (operators x rows x words) words one expectation chunk holds
+# Most (operators x lane words x qubits) words one expectation chunk holds
 _EXPECTATION_WORDS = 1 << 18
 
 
@@ -212,24 +212,19 @@ def _seed_keys(seeds) -> np.ndarray:
     return k0 ^ _mix_u64(k1)
 
 
-def pauli_words(paulis, n_qubits: int, qubits=None) -> tuple[np.ndarray, np.ndarray]:
-    """The X and Z bits of each operator (signs dropped) as (m, W) uint64
-    arrays for a register of ``n_qubits`` qubits, 64 qubits a word: the
-    layout of a tableau row.  With ``qubits``, qubit j of each operator
-    lands on register qubit ``qubits[j]``."""
+def pauli_bits(paulis, n_qubits: int, qubits=None) -> tuple[np.ndarray, np.ndarray]:
+    """The X and Z letters of each operator (signs dropped) as (m,
+    ``n_qubits``) booleans, one column per qubit: the layout in which
+    operators meet tableau lanes and frame rows.  With ``qubits``, qubit j
+    of each operator lands on register qubit ``qubits[j]``."""
     width = len(qubits) if qubits is not None else n_qubits
-    n_bytes = 8 * _n_words(width)
-
-    def words(bits) -> np.ndarray:
-        raw = b"".join(b.to_bytes(n_bytes, "little") for b in bits)
-        packed = np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, n_bytes // 8)
-        if qubits is None:
-            return packed
-        placed = np.zeros((packed.shape[0], n_qubits), dtype=np.uint8)
-        placed[:, list(qubits)] = _unpack_rows(packed, width)
-        return _pack_rows(placed)
-
-    return words(p.x_bits for p in paulis), words(p.z_bits for p in paulis)
+    n_bytes = (width + 7) // 8
+    raw = b"".join(v.to_bytes(n_bytes, "little") for p in paulis for v in (p.x_bits, p.z_bits))
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2, n_bytes)
+    out = np.zeros((2, packed.shape[0], n_qubits), dtype=bool)
+    cols = slice(None) if qubits is None else list(qubits)
+    out[:, :, cols] = np.unpackbits(packed, axis=2, count=width, bitorder="little").transpose(1, 0, 2)
+    return out[0], out[1]
 
 
 def _unpack_bits(words: np.ndarray) -> int:
@@ -239,37 +234,33 @@ def _unpack_bits(words: np.ndarray) -> int:
     return out
 
 
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+def _prefix_parity(words: np.ndarray, axis: int) -> np.ndarray:
+    """Running XOR of packed bits along ``axis`` (64 a word, low bit
+    first): bit i of the result is the parity of bits 0..i.  Within a word
+    by shifted XORs, across words by the parity of the words before."""
+    out = words.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        out ^= out << np.uint64(s)
+    odd = np.bitwise_count(words) & 1
+    out ^= -(np.bitwise_xor.accumulate(odd, axis=axis) ^ odd).astype(np.uint64)
+    return out
 
 
-def _bit_counts(words: np.ndarray) -> np.ndarray:
-    """Set bits of a (m, rows, words) uint64 array, summed per m."""
-    return _BYTE_BITS[words.view(np.uint8)].sum(axis=(1, 2), dtype=np.int64)
-
-
-def _odd_parity(words: np.ndarray) -> np.ndarray:
-    """Whether each uint64 word has an odd number of set bits."""
-    v = words.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & _U1).astype(bool)
+def _shift_lanes(lanes: np.ndarray, n: int) -> np.ndarray:
+    """Lane words (last axis) moved up by ``n`` rows: bit i becomes bit
+    n + i, and bits moved past the last word are dropped."""
+    w, b = divmod(n, 64)
+    out = np.zeros_like(lanes)
+    src = lanes[..., : lanes.shape[-1] - w]
+    out[..., w:] = src << np.uint64(b)
+    if b:
+        out[..., w + 1 :] |= src[..., :-1] >> np.uint64(64 - b)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # tableau
 # ---------------------------------------------------------------------------
-
-
-def _int_bits(v: int, n: int) -> np.ndarray:
-    """Bits 0..n-1 of a non-negative integer as a uint64 array of 0 and 1."""
-    raw = np.frombuffer(v.to_bytes(8 * _n_words(n), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(np.uint64)
-
-
-def _int_lanes(v: int, n_words: int) -> np.ndarray:
-    """A non-negative integer below 2^(64 n_words) as uint64 words, least
-    significant first."""
-    return np.frombuffer(v.to_bytes(8 * n_words, "little"), dtype="<u8").astype(np.uint64)
 
 
 class StabilizerState:
@@ -308,7 +299,7 @@ class StabilizerState:
         self._T = np.zeros((2, _n_words(2 * n), n), dtype=np.uint64)
         self._X, self._Z = self._T
         self._r = np.zeros(self._T.shape[1], dtype=np.uint64)
-        self._stab = _int_lanes(((1 << n) - 1) << n, self._T.shape[1])  # lanes of rows n..2n-1
+        self._stab = _pack_rows(np.arange(2 * n)[None] >= n)[0]  # lanes of rows n..2n-1
         q = np.arange(n)
         self._X[q // 64, q] = _U1 << (q % 64).astype(np.uint64)
         self._Z[(n + q) // 64, q] = _U1 << ((n + q) % 64).astype(np.uint64)
@@ -334,8 +325,8 @@ class StabilizerState:
 
     def _row_major(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows ``lo``..``hi``-1 in row order: their X and Z letters as
-        (rows, ceil(n/64)) words, 64 qubits a word (the layout of
-        :func:`pauli_words`), and a uint8 sign bit per row."""
+        (rows, ceil(n/64)) words, 64 qubits a word, and a uint8 sign bit per
+        row."""
         hi = 2 * self.n if hi is None else hi
         w0, w1 = lo // 64, _n_words(hi)
         a, b = lo - 64 * w0, hi - 64 * w0
@@ -351,10 +342,6 @@ class StabilizerState:
         return [
             PauliString(self.n, _unpack_bits(x), _unpack_bits(z), -1 if r else 1) for x, z, r in zip(xs, zs, rs)
         ]
-
-    @property
-    def tableau(self) -> list[PauliString]:
-        return self._paulis(0, 2 * self.n)
 
     def destabilizers(self) -> list[PauliString]:
         return self._paulis(0, self.n)
@@ -408,9 +395,9 @@ class StabilizerState:
         ``p``'s support are read."""
         if p.n != self.n:
             raise ValueError(f"operator on {p.n} qubits, state on {self.n}")
-        x, z = _int_bits(p.x_bits, self.n), _int_bits(p.z_bits, self.n)
+        (x,), (z,) = pauli_bits([p], self.n)
         cols = np.flatnonzero(x | z)
-        ax, az = -x[cols], -z[cols]  # all ones where p has an X / a Z letter
+        ax, az = -np.array([x[cols], z[cols]], dtype=np.uint64)  # all ones where p has an X / a Z letter
         self._r ^= np.bitwise_xor.reduce((self._X[:, cols] & az) ^ (self._Z[:, cols] & ax), axis=1)
         self._known = {q: v ^ p.x_bit(q) for q, v in self._known.items()}
 
@@ -465,11 +452,8 @@ class StabilizerState:
         ``flip[1]``, sign +1."""
         if flip is None:
             return None
-        bits = np.zeros((2, self.n), dtype=np.uint8)
-        bits[0, flip[0]] = 1
-        bits[1, flip[1]] = 1
-        x, z = _pack_rows(bits)
-        return PauliString(self.n, _unpack_bits(x), _unpack_bits(z))
+        x, z = (sum(1 << int(q) for q in idx) for idx in flip)
+        return PauliString(self.n, x, z)
 
     def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:
         """Random collapse of Z_q on pivot row ``p``, the first stabilizer
@@ -529,35 +513,37 @@ class StabilizerState:
     def _deterministic_outcome(self, q: int, col: np.ndarray) -> int:
         """Z_q's value when it is in the stabilizer group: Z_q is, up to
         sign, the product of the stabilizers n + i whose destabilizers i
-        have X on q (the lanes below n of ``col``, the X letters on q).
-        With each row written as (-1)^r i^(x.z) X^x Z^z, the product in row
-        order carries (-1)^r for each row, i for each Y letter, and -1 for
-        each pair of rows a < b and qubit where a has a Z letter and b an X
-        letter (moving the X past the Z); the counts are taken across lanes,
-        64 rows a word."""
-        n = self.n
-        sel = _int_lanes((_unpack_bits(col) & ((1 << n) - 1)) << n, col.size)
-        ws = np.flatnonzero(sel)
-        m = sel[ws, None]
-        xs, zs = self._X[ws] & m, self._Z[ws] & m
-        if _odd_parity(np.bitwise_xor.reduce(xs, axis=0)).any():
+        have X on q (the lanes below n of ``col``, the X letters on q)."""
+        (x,), (z,), (e,) = self._products(_shift_lanes(col & ~self._stab, self.n)[None])
+        if x.any():
             raise AssertionError("deterministic-outcome product is not Z-type")
-        zq = _odd_parity(np.bitwise_xor.reduce(zs, axis=0))
-        if zq.sum() != 1 or not zq[q]:
+        if z.sum() != 1 or not z[q]:
             raise AssertionError("deterministic-outcome product is not Z_q")
-        y_letters = int(np.bitwise_count(xs & zs).sum())
-        if y_letters & 1:
+        if e & 1:
             raise AssertionError("deterministic outcome has imaginary phase")
-        # Z letters of earlier rows: within a word by prefix XOR of the
-        # lanes below, across words by the parity of the words before
-        before = zs << _U1
-        for s in (1, 2, 4, 8, 16, 32):
-            before ^= before << np.uint64(s)
-        odd = np.bitwise_count(zs) & 1
-        before ^= -(np.bitwise_xor.accumulate(odd, axis=0) ^ odd).astype(np.uint64)
-        pairs = int(np.bitwise_count(xs & before).sum())
-        signs = int(np.bitwise_count(self._r[ws] & sel[ws]).sum())
-        return (signs + pairs + y_letters // 2) & 1
+        return int(e) >> 1
+
+    def _products(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each line of ``sel``, (m, W) lane words that select rows, the
+        product in row order of the selected rows: its X and Z letters as
+        (m, n) booleans and its phase as an exponent of i (mod 4) against
+        the Hermitian Pauli with those letters.  With each row written as
+        (-1)^r i^(x.z) X^x Z^z, the product carries (-1)^r for each row, i
+        for each Y letter, and -1 for each pair of rows a < b and qubit
+        where a has a Z letter and b an X letter (moving the X past the Z);
+        the counts are taken across lanes, 64 rows a word, on the lane words
+        that some line selects."""
+        ws = np.flatnonzero(sel.any(axis=0))
+        m = sel[:, ws]
+        xs, zs = self._X[ws] & m[:, :, None], self._Z[ws] & m[:, :, None]
+        x = (np.bitwise_count(np.bitwise_xor.reduce(xs, axis=1)) & 1).astype(bool)
+        z = (np.bitwise_count(np.bitwise_xor.reduce(zs, axis=1)) & 1).astype(bool)
+        # Z letters of earlier rows on the same qubit
+        before = _prefix_parity(zs, axis=1) ^ zs
+        y_letters = np.bitwise_count(xs & zs).sum(axis=(1, 2), dtype=np.int64)
+        pairs = np.bitwise_count(xs & before).sum(axis=(1, 2), dtype=np.int64)
+        signs = np.bitwise_count(self._r[ws] & m).sum(axis=1, dtype=np.int64)
+        return x, z, (y_letters - (x & z).sum(axis=1) + 2 * (signs + pairs)) % 4
 
     def measure(self, qubit: int, rng: np.random.Generator | None = None, forced: int | None = None) -> int:
         """Measure Z on ``qubit``; return the raw outcome."""
@@ -606,91 +592,30 @@ class StabilizerState:
             if p.n != self.n:
                 raise ValueError(f"operator on {p.n} qubits, state on {self.n}")
         signs = np.array([p.sign for p in paulis], dtype=np.int64)  # raises on imaginary phase
-        return signs * self.word_expectations(*pauli_words(paulis, self.n))
+        return signs * self.bit_expectations(*pauli_bits(paulis, self.n))
 
-    def word_expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Expectations of m sign-free operators given as (m, W) packed X
-        and Z words (:func:`pauli_words`), as an int array of 0 and +-1.
-        Operators are taken together, in chunks of bounded (operators x
-        rows x words) size."""
-        out = np.empty(x.shape[0], dtype=np.int64)
-        rows = self._row_major()
-        step = max(1, _EXPECTATION_WORDS // (2 * self.n * _n_words(self.n)))
+    def bit_expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Expectations of m sign-free operators given as (m, n) booleans of
+        X and Z letters (:func:`pauli_bits`), as an int array of 0 and +-1.
+        An operator no stabilizer anticommutes with is the product of the
+        stabilizers n + i whose destabilizers i do.  Operators are taken
+        together, in chunks of bounded (operators x lane words x qubits)
+        size."""
+        n = self.n
+        out = np.zeros(x.shape[0], dtype=np.int64)
+        step = max(1, _EXPECTATION_WORDS // (self._r.size * n))
         for lo in range(0, x.shape[0], step):
-            out[lo : lo + step] = self._expectations(rows, x[lo : lo + step], z[lo : lo + step])
-        return out
-
-    def _expectations(self, rows: tuple[np.ndarray, ...], x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        n = self.n
-        X, Z, r = rows
-        px, pz = x[:, None, :], z[:, None, :]
-        anti = _odd_parity(np.bitwise_xor.reduce((X & pz) ^ (Z & px), axis=2))
-        fixed = ~anti[:, n:].any(axis=1)
-        # the stabilizers whose destabilizer anticommutes with the operator
-        sel = n + np.nonzero(anti[:, :n].any(axis=0))[0]
-        xs, zs, e = _stabilizer_products(X[sel], Z[sel], r[sel], anti[:, sel - n])
-        generated = (xs == px[:, 0]).all(axis=1) & (zs == pz[:, 0]).all(axis=1)
-        if (fixed & ~generated).any():
-            raise AssertionError("commuting operator not generated by the stabilizers")
-        if (fixed & (e % 2 == 1)).any():
-            raise AssertionError("stabilizer product has imaginary phase")
-        return np.where(fixed, np.where(e == 0, 1, -1), 0)
-
-    def canonical_stabilizers(self) -> list[PauliString]:
-        """Unique generator set under Gaussian elimination (X-part pivots
-        first, then Z-part); two states are equal iff these lists match."""
-        n = self.n
-        xs, zs, rs = self._row_major(n, 2 * n)
-        es = (2 * rs.astype(np.int64)) % 4
-
-        def mult(dst: int, src: int) -> None:
-            ax, ay, az = xs[src] & ~zs[src], xs[src] & zs[src], zs[src] & ~xs[src]
-            bx, by, bz = xs[dst] & ~zs[dst], xs[dst] & zs[dst], zs[dst] & ~xs[dst]
-            plus = (ax & by) | (ay & bz) | (az & bx)
-            minus = (ay & bx) | (az & by) | (ax & bz)
-            es[dst] = (
-                es[dst]
-                + es[src]
-                + int(np.bitwise_count(plus).sum())
-                - int(np.bitwise_count(minus).sum())
-            ) % 4
-            xs[dst] ^= xs[src]
-            zs[dst] ^= zs[src]
-
-        def swap(i: int, j: int) -> None:
-            if i != j:
-                xs[[i, j]] = xs[[j, i]]
-                zs[[i, j]] = zs[[j, i]]
-                es[[i, j]] = es[[j, i]]
-
-        k = 0
-        for q in range(n):
-            w, b = divmod(q, 64)
-            m = _U1 << np.uint64(b)
-            hits = [i for i in range(k, n) if xs[i, w] & m]
-            if hits:
-                swap(k, hits[0])
-                for i in range(n):
-                    if i != k and xs[i, w] & m:
-                        mult(i, k)
-                k += 1
-        for q in range(n):
-            w, b = divmod(q, 64)
-            m = _U1 << np.uint64(b)
-            hits = [i for i in range(k, n) if zs[i, w] & m]
-            if hits:
-                swap(k, hits[0])
-                for i in range(n):
-                    if i != k and zs[i, w] & m:
-                        mult(i, k)
-                k += 1
-        out = []
-        for i in range(n):
-            if (es[i] & 1) or es[i] not in (0, 2):
-                raise AssertionError("canonical stabilizer with imaginary phase")
-            out.append(
-                PauliString(self.n, _unpack_bits(xs[i]), _unpack_bits(zs[i]), 1 if es[i] == 0 else -1)
-            )
+            px, pz = x[lo : lo + step], z[lo : lo + step]
+            cols = np.flatnonzero((px | pz).any(axis=0))
+            ax, az = -np.array([px[:, None, cols], pz[:, None, cols]], dtype=np.uint64)
+            anti = np.bitwise_xor.reduce((self._X[:, cols] & az) ^ (self._Z[:, cols] & ax), axis=2)
+            fixed = np.flatnonzero(~(anti & self._stab).any(axis=1))
+            xs, zs, e = self._products(_shift_lanes(anti[fixed] & ~self._stab, n))
+            if (xs != px[fixed]).any() or (zs != pz[fixed]).any():
+                raise AssertionError("commuting operator not generated by the stabilizers")
+            if (e & 1).any():
+                raise AssertionError("stabilizer product has imaginary phase")
+            out[lo + fixed] = 1 - e
         return out
 
     def check_invariants(self) -> None:
@@ -711,29 +636,6 @@ class StabilizerState:
             raise AssertionError("tableau lost its symplectic pairing")
 
 
-def _stabilizer_products(
-    X: np.ndarray, Z: np.ndarray, r: np.ndarray, take: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each line k of ``take`` (m x rows booleans), the product in row
-    order of the row-major rows j (X and Z words, sign bits ``r``) with
-    ``take[k, j]``: packed x and z bits (m x words) and the phase exponent of
-    i (mod 4).  Step j multiplies the running product by row j, so all steps
-    are taken at once from the prefix products; a row not taken is the
-    identity, which changes neither the running product nor its phase."""
-    xr = np.where(take[:, :, None], X, _U0)
-    zr = np.where(take[:, :, None], Z, _U0)
-    # step j >= 1: (product of rows before j) * row j
-    xs = np.bitwise_xor.accumulate(xr, axis=1)[:, :-1]
-    zs = np.bitwise_xor.accumulate(zr, axis=1)[:, :-1]
-    xb, zb = xr[:, 1:], zr[:, 1:]
-    ax, ay, az = xs & ~zs, xs & zs, zs & ~xs
-    bx, by, bz = xb & ~zb, xb & zb, zb & ~xb
-    plus = (ax & by) | (ay & bz) | (az & bx)
-    minus = (ay & bx) | (az & by) | (ax & bz)
-    e = (_bit_counts(plus) - _bit_counts(minus) + 2 * (take & (r != 0)).sum(axis=1)) % 4
-    return np.bitwise_xor.reduce(xr, axis=1), np.bitwise_xor.reduce(zr, axis=1), e
-
-
 # ---------------------------------------------------------------------------
 # batched shot sampling (reference pass + Pauli-frame replay)
 # ---------------------------------------------------------------------------
@@ -741,9 +643,6 @@ def _stabilizer_products(
 # Most uniform values one draw chunk holds: the draws of a batch are taken
 # in chunks of whole streams, so their temporaries stay small
 _DRAW_VALUES = 1 << 14
-# Shots transposed at a time when a shot-major view is derived (a multiple
-# of 64, so that every block starts on a word)
-_VIEW_SHOTS = 1 << 12
 
 
 def _n_words(bits: int) -> int:
@@ -782,12 +681,6 @@ def _index_support(idx: np.ndarray, dtype):
     return idx.astype(dtype)
 
 
-def _shot_major(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Shots ``lo``..``hi``-1 (``lo`` a multiple of 64) of qubit-major frame
-    rows (n, words) as (hi - lo, ceil(n/64)) words, 64 qubits a word."""
-    return _pack_rows(_unpack_rows(rows[:, lo // 64 : _n_words(hi)], hi - lo).T)
-
-
 @dataclass
 class BatchResult:
     """Vectorised shot batch: ``records[s, r]`` is record r of shot s.
@@ -820,30 +713,44 @@ class BatchResult:
 
     def readout_flips(self, sx: np.ndarray, sz: np.ndarray) -> np.ndarray:
         """(m, shots/m) booleans for m operators on the circuit register,
-        given as (m, W) packed X and Z words (:func:`pauli_words`), operator
-        k read on its own block of shots/m consecutive rows: True where a
-        noiseless readout of the operator on that shot records the opposite
-        of its value on the reference state.  That is where it anticommutes
-        with the shot's frame, times the outstanding correction in
-        post-processing mode (records are corrected through it)."""
+        given as (m, n) booleans of X and Z letters (:func:`pauli_bits`),
+        operator k read on its own block of shots/m consecutive rows: True
+        where a noiseless readout of the operator on that shot records the
+        opposite of its value on the reference state.  That is where it
+        anticommutes with the shot's frame, times the outstanding
+        correction in post-processing mode (records are corrected through
+        it).  Only the frame rows of the operators' support are read."""
         m = sx.shape[0]
         if m == 0 or self.shots % m:
             raise ValueError(f"{self.shots} shots do not split evenly over {m} operators")
-        fx, fz = self.fx, self.fz
+        if self.shots == 0:
+            return np.zeros((m, 0), dtype=bool)
+        cols = np.flatnonzero((sx | sz).any(axis=0))
+        fx, fz = self.fx[cols], self.fz[cols]
         if self.mode == "post_process":
-            fx, fz = fx ^ self.dx, fz ^ self.dz
-        op = np.arange(self.shots) // (self.shots // m)
-        out = np.empty(self.shots, dtype=bool)
-        for lo in range(0, self.shots, _VIEW_SHOTS):
-            hi = min(self.shots, lo + _VIEW_SHOTS)
-            k = op[lo:hi]
-            anti = (_shot_major(fx, lo, hi) & sz[k]) ^ (_shot_major(fz, lo, hi) & sx[k])
-            out[lo:hi] = _odd_parity(np.bitwise_xor.reduce(anti, axis=1))
-        out = out.reshape(m, self.shots // m)
+            fx ^= self.dx[cols]
+            fz ^= self.dz[cols]
+        fx &= _block_rows(sz[:, cols], self.shots)
+        fz &= _block_rows(sx[:, cols], self.shots)
+        anti = np.bitwise_xor.reduce(fx, axis=0) ^ np.bitwise_xor.reduce(fz, axis=0)
+        out = _unpack_rows(anti[None], self.shots)[0].astype(bool).reshape(m, -1)
         if self.mode == "post_process":
-            (px,), (pz,) = pauli_words([self.reference.pending], self.reference.n)
-            out ^= _odd_parity(np.bitwise_xor.reduce((sx & pz) ^ (sz & px), axis=1))[:, None]
+            (px,), (pz,) = pauli_bits([self.reference.pending], self.reference.n)
+            out ^= (np.count_nonzero((sx & pz) ^ (sz & px), axis=1) & 1).astype(bool)[:, None]
         return out
+
+
+def _block_rows(letters: np.ndarray, shots: int) -> np.ndarray:
+    """Frame-layout rows of per-shot letters, built packed: for (m, c)
+    booleans with m dividing ``shots``, bit s of row j is
+    ``letters[s // (shots/m), j]``.  A row is the running XOR of bits set
+    at the first shot of each block whose letter differs from the block
+    before."""
+    k, j = np.nonzero(np.diff(letters, axis=0, prepend=False))
+    at = (k * (shots // letters.shape[0])).astype(np.uint64)
+    rows = np.zeros((letters.shape[1], _n_words(shots)), dtype=np.uint64)
+    np.bitwise_or.at(rows, (j, at >> np.uint64(6)), _U1 << (at & np.uint64(63)))
+    return _prefix_parity(rows, axis=1)
 
 
 def _sites_by_index(circuit: Circuit, noise) -> dict[int, list]:

@@ -433,6 +433,39 @@ def test_sweep_rejects_bad_integer_fields(tmp_path, capsys, field, value):
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("ghz-sweep", "lambda_idle", "x"),
+        ("ghz-sweep", "mu", None),
+        ("ghz-sweep", "lambda_cnot", True),
+        ("cnot-sweep", "t1", "5"),
+        ("cnot-sweep", "t2", False),
+        ("crossover", "lambda_cnot_values", ["a"]),
+        ("crossover", "lambda_meas_values", [0.1, True]),
+        ("crossover", "lambda_cnot_values", 0.1),
+        ("budget", "lambda_idle", "x"),
+        ("budget", "mu", None),
+        ("budget", "lambda_meas", True),
+        ("budget", "lambda_idle", float("nan")),
+        ("crossover", "lambda_meas_values", [float("inf")]),
+    ],
+)
+def test_configs_reject_values_that_are_not_real_numbers(tmp_path, capsys, command, field, value):
+    doc = dict(n_min=4, n_max=4, shots=2, m_samples=2, lambda_cnot_values=[0.01], lambda_meas_values=[0.01])
+    doc["out"] = str(tmp_path / "o.csv")
+    cfg = _write_cfg(tmp_path / "c.json", **{**doc, field: value})
+    if command == "budget":
+        argv = ["budget", "--family", "ghz_dynamic", "--size", "4", "--config", cfg]
+    else:
+        argv = [command, "--config", cfg]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+    assert captured.out == "" and not (tmp_path / "o.csv").exists()
+
+
 def test_negative_seed_flags_exit_before_any_work(tmp_path, capsys):
     doc = dict(n_min=4, n_max=4, variants=["dynamic"], shots=2, m_samples=2)
     cfg = _write_cfg(tmp_path / "c.json", **doc)

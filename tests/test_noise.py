@@ -358,6 +358,11 @@ def test_noise_params_json_and_validation():
         N.NoiseParams(lambda_idle=-0.1)
     with pytest.raises(ValueError):
         N.NoiseParams(t1=0.0)
+    for field, value in (("lambda_idle", "x"), ("mu", None), ("lambda_cnot", True), ("lambda_meas", [0.1]),
+                         ("lambda_idle", math.nan), ("mu", math.inf), ("t1", "10"), ("t2", False)):
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            N.NoiseParams(**{field: value})
+    assert N.NoiseParams(lambda_idle=1, mu=np.float64(3.65), t1=np.int64(10)).t2 is None
     with pytest.warns(UserWarning):
         N.NoiseParams(t1=10.0, t2=25.0)
 

@@ -95,8 +95,7 @@ def test_bell_stabilizers():
     st = tb.StabilizerState(2)
     st.apply_clifford("h", 0)
     st.apply_clifford("cx", 0, 1)
-    canon = [str(p) for p in st.canonical_stabilizers()]
-    assert canon == ["+XX", "+ZZ"]
+    assert st.expectation(PauliString.from_text("ZZ")) == 1
     assert st.expectation(PauliString.from_text("XX")) == 1
     assert st.expectation(PauliString.from_text("-YY")) == 1
     assert st.expectation(PauliString.from_text("ZI")) == 0
@@ -303,11 +302,27 @@ def test_invariants_hold_after_every_instruction():
     assert checked >= 10_000
 
 
+def _product_reference(st: tb.StabilizerState, p: PauliString) -> int:
+    """<p> from the row-order product of ``PauliString`` rows, apart from
+    the engine's lane kernel: 0 when some stabilizer anticommutes with p,
+    otherwise the sign with which the product of the stabilizers whose
+    destabilizers anticommute with p reproduces p."""
+    stabs = st.stabilizers()
+    if not all(s.commutes(p) for s in stabs):
+        return 0
+    prod = PauliString.identity(st.n)
+    for d, s in zip(st.destabilizers(), stabs):
+        if not d.commutes(p):
+            prod = prod * s
+    assert prod.mod_phase() == p.mod_phase()
+    return prod.sign * p.sign
+
+
 def test_deterministic_outcomes_match_stabilizer_expectations():
     """A deterministic Z_q outcome is a signed product of stabilizers, read
-    lane-parallel; <Z_q> reads the same product through the row-major
-    expectation path.  Random Clifford states of up to 70 qubits, with some
-    qubits collapsed so that others become determined."""
+    lane-parallel; :func:`_product_reference` forms the same product from
+    the row-major ``PauliString`` rows.  Random Clifford states of up to 70
+    qubits, with some qubits collapsed so that others become determined."""
     rng = np.random.default_rng(5150)
     gates1 = ["h", "s", "sdg", "x", "y", "z"]
     checked = 0
@@ -325,10 +340,45 @@ def test_deterministic_outcomes_match_stabilizer_expectations():
             st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(q))
         for q in range(n):
             if not st.copy().measure_flip(q)[1]:
-                want = (1 - st.expectation(PauliString.single(n, q, "Z"))) // 2
+                want = (1 - _product_reference(st, PauliString.single(n, q, "Z"))) // 2
                 assert st.copy().measure(q) == want
                 checked += 1
     assert checked >= 300
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 130])
+def test_expectations_match_the_product_reference_at_lane_word_boundaries(n):
+    """Lane words hold 64 rows and the 2n rows split at n, so these sizes
+    put the destabilizer/stabilizer split and the last lane on either side
+    of a word boundary.  After random Clifford gates and forced
+    measurements, signed products of random stabilizer subsets, random
+    operators and every Z_q read what :func:`_product_reference` reads."""
+    rng = np.random.default_rng(n)
+    gates1 = ["h", "s", "sdg", "x", "y", "z"]
+    st = tb.StabilizerState(n)
+    for _ in range(4 * n):
+        if rng.random() < 0.5:
+            a, b = [int(v) for v in rng.choice(n, size=2, replace=False)]
+            st.apply_clifford("cx", a, b)
+        else:
+            st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(rng.integers(n)))
+    for q in rng.choice(n, size=n // 3, replace=False):
+        st.measure(int(q), forced=int(rng.integers(2)))
+    stabs = st.stabilizers()
+    ops = []
+    for _ in range(8):
+        p = PauliString.identity(n)
+        for s in stabs:
+            if rng.random() < 0.3:
+                p = p * s
+        ops.append(p if rng.random() < 0.5 else -p)
+    for _ in range(8):
+        x, z = (int.from_bytes(rng.bytes(17), "little") % (1 << n) for _ in range(2))
+        ops.append(PauliString(n, x, z, -1 if rng.random() < 0.5 else 1))
+    ops += [PauliString.single(n, q, "Z") for q in range(n)]
+    want = [_product_reference(st, p) for p in ops]
+    assert st.expectations(ops).tolist() == want
+    assert {abs(w) for w in want} == {0, 1}
 
 
 def test_invariant_checker_catches_corruption():
@@ -1190,7 +1240,7 @@ def test_shot_ids_stay_below_two_to_the_64():
 def test_readout_flips_needs_an_even_split_over_operators():
     circ = C.ghz_dynamic(3)
     res = tb.run_batch(circ, 6, master_seed=2)
-    x, z = tb.pauli_words([PauliString.from_text(t) for t in ("XXX", "ZZI", "IZZ", "ZIZ")], 3)
+    x, z = tb.pauli_bits([PauliString.from_text(t) for t in ("XXX", "ZZI", "IZZ", "ZIZ")], 3)
     assert res.readout_flips(x[:3], z[:3]).shape == (3, 2)
     for m in (0, 4):
         with pytest.raises(ValueError, match=f"6 shots do not split evenly over {m} operators"):
