@@ -76,10 +76,6 @@ class InstructionTally:
     depth: float
     feed_forward_steps: int = 0
 
-    @property
-    def two_qubit_depth(self) -> float:
-        return self.depth
-
 
 class Circuit:
     """Ordered, scheduled instruction list on ``n_qubits`` qubits."""

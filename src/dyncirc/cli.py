@@ -471,13 +471,7 @@ def cmd_ghz_sweep(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    params = NoiseParams()
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        params = NoiseParams(**{k: doc[k] for k in NoiseParams._FIELDS if k in doc})
+    params = load_config(args.config).noise if args.config else NoiseParams()
     b = noise_mod.budget(args.family, args.size, params)
     doc = {
         "family": b.family,
@@ -562,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget", help="closed-form error budget for one family/size")
     p.add_argument("--family", required=True, choices=sorted(noise_mod.BUDGET_FAMILIES))
     p.add_argument("--size", required=True, type=int)
-    p.add_argument("--config", default=None, help="JSON file with noise-parameter fields")
+    p.add_argument("--config", default=None, help="JSON sweep config whose noise-parameter fields are read")
     p.add_argument("--out", default=None, help="write the JSON here instead of stdout")
     p.set_defaults(func=cmd_budget)
 

@@ -37,10 +37,6 @@ __all__ = [
     "NoiseSite",
     "ErrorBudget",
     "CrossoverPoint",
-    "damping_to_pauli",
-    "depolarizing_rate",
-    "depolarizing_channel",
-    "twirl_coefficient",
     "attach_noise",
     "budget",
     "BUDGET_FAMILIES",
@@ -230,57 +226,6 @@ class NoiseParams:
                 rate += 1 / (2 * self.t2)
             return rate
         return self.lambda_idle
-
-
-# ---------------------------------------------------------------------------
-# conversions from physical noise descriptions
-# ---------------------------------------------------------------------------
-
-
-def damping_to_pauli(t: float, t1: float, t2: float | None = None) -> PauliLindbladChannel:
-    """Single-qubit twirl of amplitude damping (plus dephasing when ``t2`` is
-    given) over duration ``t``: rates {X: t/4T1, Y: t/4T1, Z: t/2T2}."""
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
-    if t1 <= 0 or (t2 is not None and t2 <= 0):
-        raise ValueError(f"time constants must be positive, got t1={t1}, t2={t2}")
-    if t == 0:
-        return PauliLindbladChannel(n=1)
-    terms = [
-        (PauliString.single(1, 0, "X"), t / (4 * t1)),
-        (PauliString.single(1, 0, "Y"), t / (4 * t1)),
-    ]
-    if t2 is not None:
-        terms.append((PauliString.single(1, 0, "Z"), t / (2 * t2)))
-    return PauliLindbladChannel(terms)
-
-
-def depolarizing_rate(n: int, q: float) -> float:
-    """Uniform per-Pauli rate such that the product over all non-identity
-    n-qubit Paulis keeps the input with probability ``q``."""
-    if not 0 < q <= 1:
-        raise ValueError(f"retention probability must be in (0, 1], got {q}")
-    return -math.log(q) / 4**n
-
-
-def depolarizing_channel(n: int, q: float) -> PauliLindbladChannel:
-    """The full uniform channel behind :func:`depolarizing_rate`."""
-    lam = depolarizing_rate(n, q)
-    terms = []
-    for x in range(1 << n):
-        for z in range(1 << n):
-            if x or z:
-                terms.append((PauliString(n, x, z), lam))
-    return PauliLindbladChannel(terms, n=n)
-
-
-def twirl_coefficient(channel: PauliLindbladChannel, q: PauliString) -> float:
-    """Eigenvalue of the channel on the Pauli ``q``:
-    exp(-2 * sum of rates of terms anticommuting with q)."""
-    if q.n != channel.n:
-        raise ValueError(f"operator on {q.n} qubits, channel on {channel.n}")
-    s = sum(rate for p, rate in channel.items() if not p.commutes(q))
-    return math.exp(-2.0 * s)
 
 
 # ---------------------------------------------------------------------------

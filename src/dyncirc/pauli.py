@@ -281,10 +281,3 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString.from_text({str(self)!r})"
-
-
-def pauli_terms(n: int, letters: str = "XYZ") -> Iterator[PauliString]:
-    """Iterate all single-qubit terms over ``n`` qubits (default X, Y, Z each)."""
-    for q in range(n):
-        for ch in letters:
-            yield PauliString.single(n, q, ch)

@@ -10,21 +10,20 @@ and one sampler.
   a random collapse touches only the lane words that hold the rows it
   rewrites.  It runs the reference pass of the frame program.
 
-* :func:`run_batch` — the sampler, two passes for many shots of one circuit: a
-  single reference execution (random outcomes pinned to 0, with a flip
-  operator captured at every random collapse) followed by a Pauli-frame
-  replay of all shots against that reference.  Frames are stored
-  qubit-major with 64 shots per word (Stim's frame-simulator layout, same
-  reference): a gate is a word operation on one or two frame rows, and a
-  noise site or collapse XORs its packed fired row into the rows on its
-  support, so replay cost is O(instructions x shots / 64) words,
-  independent of the tableau.
-
-* :func:`enumerate_outcomes` — the exact distribution of the classical
+* :func:`compile` — a circuit and its noise sites compiled once into a
+  frozen :class:`Program` by a single reference execution (random outcomes
+  pinned to 0, with a flip operator captured at every random collapse).
+  :meth:`Program.sample` replays the Pauli frames of many shots against
+  that reference; :func:`run_batch`, the sampler, is compile then sample.
+  Frames are stored qubit-major with 64 shots per word (Stim's
+  frame-simulator layout, same reference): a gate is a word operation on
+  one or two frame rows, and a noise site or collapse XORs its packed fired
+  row into the rows on its support, so replay cost is O(instructions x
+  shots / 64) words, independent of the tableau.
+  :meth:`Program.outcomes` is the exact distribution of the classical
   record: a shot's record is the reference record XOR a flip fixed by which
-  collapse coins fired, so the same program replayed once over every
-  assignment of the k coins gives each record's probability in units of
-  2^-k.
+  collapse coins fired, so the program replayed once over every assignment
+  of the k coins gives each record's probability in units of 2^-k.
 
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
@@ -753,9 +752,157 @@ def _block_rows(letters: np.ndarray, shots: int) -> np.ndarray:
     return _prefix_parity(rows, axis=1)
 
 
-def _sites_by_index(circuit: Circuit, noise) -> dict[int, list]:
-    by_index: dict[int, list] = {}
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A circuit compiled by :func:`compile` for the frame sampler: one
+    reference execution (random outcomes pinned to 0) turned into a
+    frame-replay program, sampled any number of times.
+
+    Draw j fires on the shots whose uniform on stream ``streams[j]`` is
+    below ``weights[j]``.  An entry ``("pauli", xq, zq, j)`` XORs the fired
+    row of draw j into the X frame rows ``xq`` and the Z frame rows ``zq``
+    (each a :func:`_support`); it is a noise site, or the flip operator of a
+    random collapse (weight 1/2, a stream below ``_NOISE_STREAM_BASE``).
+
+    ``cpauli`` parities are folded (:func:`circuits.parity_reads`): the
+    k-th ``cpauli`` entry ``("cpauli", q, letter, base, recs)`` has the
+    parity of records ``recs`` XOR, when ``base`` is not None, the parity of
+    ``cpauli`` entry ``base``; the reference bit is folded the same way.
+
+    ``sites`` is the caller's noise sites in program order.  ``ref_bits``
+    is the reference record: the raw outcome corrected through the X part
+    of the outstanding correction in post-processing mode.  ``reference``
+    is the reference execution's end state, shared by every sample.
+    """
+
+    n_qubits: int
+    n_records: int
+    mode: str
+    entries: tuple
+    streams: np.ndarray
+    weights: np.ndarray
+    sites: tuple
+    ref_bits: np.ndarray
+    reference: StabilizerState
+
+    def sample(self, shots: int, master_seed=0, shot_offset: int = 0) -> BatchResult:
+        """``shots`` executions of the compiled circuit, as
+        :func:`run_batch` describes them: shot i's randomness depends only
+        on (master_seed, shot_offset + i)."""
+        if shots < 0:
+            raise ValueError(f"negative shot count {shots}")
+        stream = CounterRandom(master_seed)
+        if stream.n_seeds == 0 or shots % stream.n_seeds:
+            raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
+        per_seed = shots // stream.n_seeds
+        end = int(shot_offset) + per_seed
+        if shot_offset < 0 or end > 1 << 64:
+            raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
+        ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
+        # packed fired mask, one row per draw, in chunks of whole streams
+        fired = np.empty((self.streams.size, _n_words(shots)), dtype=np.uint64)
+        step = max(1, _DRAW_VALUES // max(shots, 1))
+        for lo in range(0, self.streams.size, step):
+            sids = self.streams[lo : lo + step]
+            u = stream.uniform(sids, ids).reshape(sids.size, shots)
+            fired[lo : lo + step] = _pack_rows(u < self.weights[lo : lo + step, None])
+        records, fx, fz, dx, dz = self._replay(fired, shots)
+        noise_rows = fired[self.streams >= _NOISE_STREAM_BASE]
+        return BatchResult(records, self.mode, self.reference, fx, fz, noise_rows, list(self.sites), dx, dz)
+
+    def outcomes(self) -> dict[tuple[int, ...], float]:
+        """Exact distribution over the classical record of a program without
+        noise sites: the program replayed once for each of the 2^k
+        assignments of its k random collapse coins, each of probability
+        2^-k (deterministic collapses draw no coin).  Shot s fires coin j
+        where bit j of s is set: coin j < 6 repeats within a word, and coin
+        j >= 6 fires on whole words, those whose index has bit j - 6 set.
+        Keys are bit tuples ordered by record index."""
+        if self.sites:
+            raise ValueError("exact outcomes need a program without noise sites")
+        k, shots = self.streams.size, 1 << self.streams.size
+        words = np.arange(_n_words(shots), dtype=np.uint64)
+        fired = np.empty((k, words.size), dtype=np.uint64)
+        for j in range(k):
+            fired[j] = sum(1 << b for b in range(64) if b >> j & 1) if j < 6 else -((words >> np.uint64(j - 6)) & _U1)
+        rows, counts = np.unique(self._replay(fired, shots)[0], axis=0, return_counts=True)
+        return {tuple(row.tolist()): int(c) / shots for row, c in zip(rows, counts)}
+
+    def _replay(self, fired: np.ndarray, shots: int):
+        """Replay the program over ``shots`` shots, draw j firing on the
+        shots set in row j of the packed mask ``fired``.  Returns the
+        (shots, records) record array and the final frames ``FX``, ``FZ``
+        and, in post-processing mode, the correction delta ``DX``, ``DZ``
+        (None otherwise), qubit-major with 64 shots a word."""
+        post = self.mode == "post_process"
+        # qubit-major: row q holds qubit q of every shot, 64 shots a word
+        shape = (self.n_qubits, _n_words(shots))
+        FX = np.zeros(shape, dtype=np.uint64)
+        FZ = np.zeros(shape, dtype=np.uint64)
+        DX = np.zeros(shape, dtype=np.uint64) if post else None
+        DZ = np.zeros(shape, dtype=np.uint64) if post else None
+        frames = [(FX, FZ)] + ([(DX, DZ)] if post else [])
+        # record-major, so that a cpauli parity XOR-reduces whole rows
+        diff = np.zeros((self.n_records, shape[1]), dtype=np.uint64)
+        # one row per cpauli: the parity it applied, which later entries fold
+        parities: list[np.ndarray] = []
+
+        for entry in self.entries:
+            tag = entry[0]
+            if tag == "cx":
+                _, c, t = entry
+                for A, B in frames:
+                    A[t] ^= A[c]
+                    B[c] ^= B[t]
+            elif tag == "h":
+                q = entry[1]
+                for A, B in frames:
+                    A[q], B[q] = B[q], A[q].copy()
+            elif tag in ("s", "sdg"):
+                q = entry[1]
+                for A, B in frames:
+                    B[q] ^= A[q]
+            elif tag == "meas":
+                _, q, rec = entry
+                diff[rec] = FX[q] ^ DX[q] if post else FX[q]
+            elif tag == "reset":
+                q = entry[1]
+                FX[q] = _U0
+                FZ[q] = _U0
+            elif tag == "pauli":
+                _, xq, zq, j = entry
+                if xq is not None:
+                    FX[xq] ^= fired[j]
+                if zq is not None:
+                    FZ[zq] ^= fired[j]
+            elif tag == "cpauli":
+                _, q, letter, base, recs = entry
+                par = np.bitwise_xor.reduce(diff[recs], axis=0)
+                if base is not None:
+                    par ^= parities[base]
+                parities.append(par)
+                TX, TZ = frames[-1]  # the pending-difference frame in post mode
+                (TX if letter == "X" else TZ)[q] ^= par
+            else:  # pragma: no cover - compiler and replayer agree on tags
+                raise AssertionError(f"unknown program entry {tag!r}")
+
+        records = np.empty((shots, self.n_records), dtype=np.uint8)
+        for lo in range(0, self.n_records, 64):
+            records[:, lo : lo + 64] = (_unpack_rows(diff[lo : lo + 64], shots) ^ self.ref_bits[lo : lo + 64, None]).T
+        return records, FX, FZ, DX, DZ
+
+
+def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program:
+    """Validate ``circuit`` and run it once with random outcomes pinned to
+    0, emitting its frame-replay :class:`Program`: the entries, one draw per
+    noise site or random collapse, the noise sites and the reference
+    record.  ``noise`` is a sequence of sites as :func:`run_batch` takes
+    them."""
+    circuit.validate()
+    if mode not in ("feed_forward", "post_process"):
+        raise ValueError(f"unknown mode {mode!r}")
     n_ins = len(circuit.instructions)
+    by_index: dict[int, list] = {}
     for s in noise or ():
         k = s.before_index
         if not 0 <= k <= n_ins:
@@ -763,44 +910,21 @@ def _sites_by_index(circuit: Circuit, noise) -> dict[int, list]:
         if s.pauli.n != circuit.n_qubits:
             raise ValueError("noise operator size does not match the circuit")
         by_index.setdefault(k, []).append(s)
-    return by_index
-
-
-def _compile_reference(circuit: Circuit, noise, mode: str):
-    """Run the circuit once with random outcomes pinned to 0, emitting the
-    frame-replay program, its draws, its noise sites and the reference
-    record.
-
-    A draw is a (stream id, weight) pair: it fires on the shots whose
-    uniform on that stream is below the weight.  A program entry
-    ``("pauli", xq, zq, j)`` XORs the fired row of draw j into the X frame
-    rows ``xq`` and the Z frame rows ``zq`` (each a :func:`_support`); it is
-    a noise site, or the flip operator of a random collapse (weight 1/2).
-
-    ``cpauli`` parities are folded (:func:`circuits.parity_reads`): the
-    k-th ``cpauli`` entry ``("cpauli", q, letter, base, recs)`` has the
-    parity of records ``recs`` XOR, when ``base`` is not None, the parity of
-    ``cpauli`` entry ``base``; the reference bit is folded the same way.
-
-    A reference record is the raw outcome corrected through the X part of
-    the outstanding correction in post-processing mode."""
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
     st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
-    by_index = _sites_by_index(circuit, noise)
     qdt = np.min_scalar_type(circuit.n_qubits)  # supports are held as qubit indices
     prog: list[tuple] = []
-    draws: list[tuple[int, float]] = []
+    streams: list[int] = []
+    weights: list[float] = []
     sites: list = []
-    n_ins = len(circuit.instructions)
     coin_streams = 0
     ref_bits = np.zeros(circuit.n_records, dtype=np.uint8)
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
     prev_parity = None
 
     def emit_pauli(xq, zq, stream_id: int, weight: float) -> None:
-        prog.append(("pauli", xq, zq, len(draws)))
-        draws.append((stream_id, weight))
+        prog.append(("pauli", xq, zq, len(streams)))
+        streams.append(stream_id)
+        weights.append(weight)
 
     def emit_noise(k: int) -> None:
         for s in by_index.get(k, ()):
@@ -848,86 +972,8 @@ def _compile_reference(circuit: Circuit, noise, mode: str):
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)
-    return prog, draws, sites, ref_bits, st
-
-
-def _draw(stream: CounterRandom, draws: list[tuple[int, float]], shot_ids: np.ndarray, shots: int) -> np.ndarray:
-    """Packed fired mask, one row per (stream id, weight) draw: bit s of row
-    j is set where shot s's uniform on stream j is below its weight."""
-    sids = np.array([sid for sid, _ in draws], dtype=np.uint64)
-    weights = np.array([w for _, w in draws], dtype=float)
-    out = np.empty((len(draws), _n_words(shots)), dtype=np.uint64)
-    step = max(1, _DRAW_VALUES // max(shots, 1))
-    for lo in range(0, len(draws), step):
-        hi = min(len(draws), lo + step)
-        u = stream.uniform(sids[lo:hi], shot_ids).reshape(hi - lo, shots)
-        out[lo:hi] = _pack_rows(u < weights[lo:hi, None])
-    return out
-
-
-def _replay(circuit: Circuit, prog: list[tuple], fired: np.ndarray, shots: int, ref_bits: np.ndarray, mode: str):
-    """Replay the frame program of :func:`_compile_reference` over ``shots``
-    shots, draw j firing on the shots set in row j of the packed mask
-    ``fired``.  Returns the (shots, records) record array and the final
-    frames ``FX``, ``FZ`` and, in post-processing mode, the correction
-    delta ``DX``, ``DZ`` (None otherwise), qubit-major with 64 shots a
-    word."""
-    post = mode == "post_process"
-    # qubit-major: row q holds qubit q of every shot, 64 shots a word
-    shape = (circuit.n_qubits, _n_words(shots))
-    FX = np.zeros(shape, dtype=np.uint64)
-    FZ = np.zeros(shape, dtype=np.uint64)
-    DX = np.zeros(shape, dtype=np.uint64) if post else None
-    DZ = np.zeros(shape, dtype=np.uint64) if post else None
-    frames = [(FX, FZ)] + ([(DX, DZ)] if post else [])
-    # record-major, so that a cpauli parity XOR-reduces whole rows
-    diff = np.zeros((circuit.n_records, shape[1]), dtype=np.uint64)
-    # one row per cpauli: the parity it applied, which later entries fold
-    parities: list[np.ndarray] = []
-
-    for entry in prog:
-        tag = entry[0]
-        if tag == "cx":
-            _, c, t = entry
-            for A, B in frames:
-                A[t] ^= A[c]
-                B[c] ^= B[t]
-        elif tag == "h":
-            q = entry[1]
-            for A, B in frames:
-                A[q], B[q] = B[q], A[q].copy()
-        elif tag in ("s", "sdg"):
-            q = entry[1]
-            for A, B in frames:
-                B[q] ^= A[q]
-        elif tag == "meas":
-            _, q, rec = entry
-            diff[rec] = FX[q] ^ DX[q] if post else FX[q]
-        elif tag == "reset":
-            q = entry[1]
-            FX[q] = _U0
-            FZ[q] = _U0
-        elif tag == "pauli":
-            _, xq, zq, j = entry
-            if xq is not None:
-                FX[xq] ^= fired[j]
-            if zq is not None:
-                FZ[zq] ^= fired[j]
-        elif tag == "cpauli":
-            _, q, letter, base, recs = entry
-            par = np.bitwise_xor.reduce(diff[recs], axis=0)
-            if base is not None:
-                par ^= parities[base]
-            parities.append(par)
-            TX, TZ = frames[-1]  # the pending-difference frame in post mode
-            (TX if letter == "X" else TZ)[q] ^= par
-        else:  # pragma: no cover - compiler and replayer agree on tags
-            raise AssertionError(f"unknown program entry {tag!r}")
-
-    records = np.empty((shots, circuit.n_records), dtype=np.uint8)
-    for lo in range(0, circuit.n_records, 64):
-        records[:, lo : lo + 64] = (_unpack_rows(diff[lo : lo + 64], shots) ^ ref_bits[lo : lo + 64, None]).T
-    return records, FX, FZ, DX, DZ
+    streams, weights = np.array(streams, dtype=np.uint64), np.array(weights, dtype=float)
+    return Program(circuit.n_qubits, circuit.n_records, mode, tuple(prog), streams, weights, tuple(sites), ref_bits, st)
 
 
 def run_batch(
@@ -951,56 +997,4 @@ def run_batch(
     samples share one validation and one reference pass.  Shot ids are
     64-bit counters, so ``shot_offset + shots/m`` may not exceed 2^64.
     """
-    if shots < 0:
-        raise ValueError(f"negative shot count {shots}")
-    stream = CounterRandom(master_seed)
-    if stream.n_seeds == 0 or shots % stream.n_seeds:
-        raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
-    per_seed = shots // stream.n_seeds
-    end = int(shot_offset) + per_seed
-    if shot_offset < 0 or end > 1 << 64:
-        raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
-    circuit.validate()
-    prog, draws, sites, ref_bits, ref_state = _compile_reference(circuit, noise, mode)
-    ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
-    fired = _draw(stream, draws, ids, shots)
-    records, fx, fz, dx, dz = _replay(circuit, prog, fired, shots, ref_bits, mode)
-    noise_rows = np.array([sid >= _NOISE_STREAM_BASE for sid, _ in draws], dtype=bool)
-    return BatchResult(
-        records=records,
-        mode=mode,
-        reference=ref_state,
-        fx=fx,
-        fz=fz,
-        fired=fired[noise_rows],
-        sites=sites,
-        dx=dx,
-        dz=dz,
-    )
-
-
-def _all_coins(k: int) -> np.ndarray:
-    """Packed fired mask of 2^k shots, one row per coin: shot s fires coin
-    j where bit j of s is set.  Coin j < 6 repeats within a word; coin
-    j >= 6 fires on whole words, those whose index has bit j - 6 set."""
-    words = np.arange(_n_words(1 << k), dtype=np.uint64)
-    out = np.empty((k, words.size), dtype=np.uint64)
-    for j in range(k):
-        if j < 6:
-            out[j] = sum(1 << b for b in range(64) if b >> j & 1)
-        else:
-            out[j] = -((words >> np.uint64(j - 6)) & _U1)
-    return out
-
-
-def enumerate_outcomes(circuit: Circuit, mode: str = "feed_forward") -> dict[tuple[int, ...], float]:
-    """Exact distribution over the classical record: the compiled frame
-    program replayed once for each of the 2^k assignments of its k random
-    collapse coins, each of probability 2^-k (deterministic collapses draw
-    no coin).  Keys are bit tuples ordered by record index."""
-    circuit.validate()
-    prog, draws, _, ref_bits, _ = _compile_reference(circuit, None, mode)
-    shots = 1 << len(draws)
-    records = _replay(circuit, prog, _all_coins(len(draws)), shots, ref_bits, mode)[0]
-    rows, counts = np.unique(records, axis=0, return_counts=True)
-    return {tuple(row.tolist()): int(c) / shots for row, c in zip(rows, counts)}
+    return compile(circuit, noise, mode).sample(shots, master_seed, shot_offset)

@@ -359,6 +359,17 @@ def test_budget_rejects_undefined_size(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_budget_config_rejects_unknown_fields(tmp_path, capsys):
+    """A misspelt rate is an error, as in the sweeps, not a budget with
+    that rate at 0."""
+    cfg = _write_cfg(tmp_path / "p.json", lambda_idel=0.5, lambda_cnot=0.01)
+    assert cli.main(["budget", "--family", "ghz_dynamic", "--size", "10", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "lambda_idel" in lines[0]
+    assert captured.out == ""
+
+
 def test_crossover_grid_matches_library(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path / "x.cfg.json",

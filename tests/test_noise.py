@@ -131,24 +131,31 @@ def test_same_pauli_rates_add_as_superoperators():
 # ---------------------------------------------------------------------------
 
 
+def _idle_channel(t, t1=None, t2=None):
+    """The one-qubit channel of ``NoiseParams(t1=t1, t2=t2).idle_rates(t)``,
+    the twirled damping/dephasing rates the pipeline attaches to idles."""
+    rates = N.NoiseParams(t1=t1, t2=t2).idle_rates(t)
+    return N.PauliLindbladChannel([(PauliString.from_text(letter), rate) for letter, rate in rates], n=1)
+
+
 def test_damping_to_pauli_rates_and_edges():
-    ch = N.damping_to_pauli(2.0, 4.0, 8.0)
+    ch = _idle_channel(2.0, 4.0, 8.0)
     assert ch.rate_of(X1) == pytest.approx(2.0 / 16.0)
     assert ch.rate_of(PauliString.from_text("Y")) == pytest.approx(2.0 / 16.0)
     assert ch.rate_of(Z1) == pytest.approx(2.0 / 16.0)
-    pure = N.damping_to_pauli(2.0, 4.0)
+    pure = _idle_channel(2.0, 4.0)
     assert len(pure) == 2 and pure.rate_of(Z1) == 0.0
-    assert len(N.damping_to_pauli(0.0, 4.0, 8.0)) == 0
+    assert len(_idle_channel(0.0, 4.0, 8.0)) == 0
     for bad in ((1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (-1.0, 1.0, 1.0)):
         with pytest.raises(ValueError):
-            N.damping_to_pauli(*bad)
+            _idle_channel(*bad)
 
 
 def test_damping_twirl_matches_exact_superoperator():
     lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
     g_damp = _lindblad_super([lower])
     s_exact = expm(0.2 * g_damp)
-    s_model = _channel_super(N.damping_to_pauli(0.2, 1.0))
+    s_model = _channel_super(_idle_channel(0.2, 1.0))
     assert np.allclose(_twirl_super(s_exact, 1), s_model, atol=1e-10)
     assert abs(_proc_fid_identity(_twirl_super(s_exact, 1)) - _proc_fid_identity(s_model)) < 1e-10
 
@@ -158,41 +165,8 @@ def test_combined_damping_dephasing_twirl():
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     g = (t / t1) * _lindblad_super([lower]) + (t / t2) * 0.5 * (_conj_super(z) - np.eye(4))
-    s_model = _channel_super(N.damping_to_pauli(t, t1, t2))
+    s_model = _channel_super(_idle_channel(t, t1, t2))
     assert np.allclose(_twirl_super(expm(g), 1), s_model, atol=1e-10)
-
-
-def test_depolarizing_rate_values():
-    assert N.depolarizing_rate(1, 1.0) == 0.0
-    assert N.depolarizing_rate(1, math.exp(-4.0)) == pytest.approx(1.0, abs=1e-12)
-    for bad in (0.0, -0.5, 1.0001):
-        with pytest.raises(ValueError):
-            N.depolarizing_rate(1, bad)
-
-
-def test_depolarizing_channel_reconstruction():
-    s = _channel_super(N.depolarizing_channel(1, 0.9))
-    eye2 = np.eye(2, dtype=complex)
-    s_mix = np.outer((eye2 / 2).reshape(-1, order="F"), eye2.reshape(-1, order="F").conj())
-    assert np.allclose(s, 0.9 * np.eye(4) + 0.1 * s_mix, atol=1e-10)
-
-
-def test_twirl_coefficient_formula_and_oracle():
-    assert N.twirl_coefficient(N.PauliLindbladChannel.single(Z1, 0.3), PauliString.identity(1)) == 1.0
-    assert N.twirl_coefficient(N.PauliLindbladChannel.single(Z1, 0.3), X1) == pytest.approx(
-        math.exp(-0.6), abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        N.twirl_coefficient(N.PauliLindbladChannel.single(Z1, 0.3), PauliString.from_text("XX"))
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        ch = _random_channel(rng, 2)
-        s = _channel_super(ch)
-        for x in range(4):
-            for z in range(4):
-                q = PauliString(2, x, z)
-                v = q.to_matrix().reshape(-1, order="F")
-                assert np.allclose(s @ v, N.twirl_coefficient(ch, q) * v, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Package surface: every name a module exports through ``__all__`` exists,
 so a deleted function cannot linger in an export list, no private helper
-outlives its last caller, and no module checks a condition with a bare
+outlives its last caller, no public definition goes unread unless the tests
+read it as an oracle, and no module checks a condition with a bare
 ``assert``."""
 
 import ast
@@ -45,28 +46,28 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _private_definitions(tree: ast.Module):
-    """Private top-level functions, classes and constants, and private
-    methods, as (kind, name, line)."""
+def _definitions(tree: ast.Module):
+    """Top-level functions, classes and constants, and methods, as (kind,
+    name); a method's name is ``Class.method``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield "definition", node.name, node.lineno
+            yield "definition", node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
-                        yield "constant", leaf.id, node.lineno
+                        yield "constant", leaf.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield "method", item.name, item.lineno
+                    yield "method", f"{node.name}.{item.name}"
 
 
-def test_no_orphaned_private_helpers():
-    """Every private name a module of the package defines is read somewhere
-    in the package, as a name or an attribute; comments and strings do not
-    count."""
+def _unread(keep) -> list[str]:
+    """``module:name`` of each definition for which ``keep(kind, name)``
+    holds and whose last name part nothing in the package reads, as a name
+    or an attribute; comments and strings do not count."""
     paths = pathlib.Path(dyncirc.__file__).parent.glob("*.py")
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in paths}
     loaded = set()
@@ -76,10 +77,51 @@ def test_no_orphaned_private_helpers():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    orphans = [
-        f"{name}:{line} {kind} {ident}"
+    return [
+        f"{name}:{ident}"
         for name, tree in sorted(trees.items())
-        for kind, ident, line in _private_definitions(tree)
-        if _is_private(ident) and ident not in loaded
+        for kind, ident in _definitions(tree)
+        if keep(kind, ident.rsplit(".", 1)[-1]) and ident.rsplit(".", 1)[-1] not in loaded
     ]
-    assert orphans == []
+
+
+def test_no_orphaned_private_helpers():
+    """Every private name a module of the package defines is read somewhere
+    in the package."""
+    assert _unread(lambda _kind, name: _is_private(name)) == []
+
+
+# Public functions, classes and methods that nothing in the package reads,
+# kept because the tests read them as oracles or cross-checks
+_READ_BY_TESTS = {
+    "certify.py:GhzStabilizerGroup.generator": "the GHZ generators that sampled group elements are built from",
+    "circuits.py:idle_intervals": "the schedule analysis's idle windows, against the tests' own interval sweep",
+    "noise.py:NoiseParams.from_json": "reads back to_json's document, so the round trip is checked",
+    "noise.py:PauliLindbladChannel.process_fidelity_lower_bound": "the exp(-sum of rates) bound criterion 5 checks",
+    "noise.py:PauliLindbladChannel.rate_of": "channel rates criterion 5 and the idle-rate checks read",
+    "pauli.py:PauliString.commutes": "the symplectic product the tests' reference expectation reads",
+    "pauli.py:PauliString.to_matrix": "dense operators, the oracle of the Pauli algebra and of channel superoperators",
+    "statevector.py:Branch.corrected_state": "a dense branch with its pending correction applied",
+    "statevector.py:average_state_fidelity": "dense noisy-state fidelity, the oracle of stabilizer DFE",
+    "statevector.py:circuit_unitary": "dense unitary of a measurement-free builder",
+    "statevector.py:ghz_state": "the ideal GHZ vector dense fidelities compare against",
+    "statevector.py:outcome_distribution": "dense record distribution, the oracle of Program.outcomes",
+    "statevector.py:overlap_through_ancillas": "dense overlap with ancillas traced out",
+    "statevector.py:state_fidelity": "dense pure-state fidelity",
+    "tableau.py:Program.outcomes": "exact record distribution that sampled records are checked against",
+    "tableau.py:StabilizerState.check_invariants": "the tableau's symplectic pairing, checked after every instruction",
+    "tableau.py:StabilizerState.destabilizers": "tableau rows as operators",
+    "tableau.py:StabilizerState.expectation": "one exact expectation, against the dense oracle",
+    "tableau.py:StabilizerState.measure_flip": "a measurement with its flip operator, against the dense oracle",
+    "tableau.py:StabilizerState.reset": "a reset with its flip operator, against the dense oracle",
+    "tableau.py:StabilizerState.stabilizers": "tableau rows as operators",
+}
+
+
+def test_no_orphaned_public_definitions():
+    """Every public function, class and method the package defines is read
+    somewhere in the package, or is one of the oracles and cross-checks in
+    ``_READ_BY_TESTS``; an entry there that the package does read fails
+    too, so the list stays exact."""
+    public = _unread(lambda kind, name: kind != "constant" and not name.startswith("_"))
+    assert sorted(public) == sorted(_READ_BY_TESTS)

@@ -8,6 +8,7 @@ float rounding from the dense side without hiding real disagreements.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 from types import SimpleNamespace
@@ -45,7 +46,7 @@ def _snap_dyadic(dist, k):
 def _exact_tvd(circ, mode="feed_forward"):
     k = sum(1 for i in circ.instructions if i.op in ("measure", "reset"))
     dense = _snap_dyadic(sv.outcome_distribution(sv.run_branches(circ, mode=mode)), k)
-    stab = _snap_dyadic(tb.enumerate_outcomes(circ, mode=mode), k)
+    stab = _snap_dyadic(tb.compile(circ, mode=mode).outcomes(), k)
     keys = set(dense) | set(stab)
     return 0.5 * sum(abs(dense.get(x, 0.0) - stab.get(x, 0.0)) for x in keys)
 
@@ -197,7 +198,7 @@ def test_bell_measurements_agree():
 
 def test_ghz_all_z_readout_is_all_or_nothing():
     circ, _ = _with_readout(C.ghz_unitary(6), {q: "Z" for q in range(6)})
-    dist = tb.enumerate_outcomes(circ)
+    dist = tb.compile(circ).outcomes()
     assert dist == {(0,) * 6: pytest.approx(0.5), (1,) * 6: pytest.approx(0.5)}
 
 
@@ -453,8 +454,9 @@ def test_random_circuit_probabilities_are_exact_multiples_of_two_to_the_minus_k(
     """k is the number of random collapses the compiled program draws a coin
     for; no rounding enters, so the probabilities sum to exactly 1."""
     for circ, mode in _random_circuits():
-        k = len(tb._compile_reference(circ, None, mode)[1])
-        dist = tb.enumerate_outcomes(circ, mode)
+        program = tb.compile(circ, mode=mode)
+        k = program.streams.size
+        dist = program.outcomes()
         assert all(p > 0 and (p * 2**k).is_integer() for p in dist.values())
         assert sum(dist.values()) == 1.0
 
@@ -497,7 +499,7 @@ def test_remeasurement_after_one_touch_matches_dense(touch, mode):
     c.measure(3, start=7.0)
     c.validate()
     assert _exact_tvd(c, mode) == 0.0
-    exact = tb.enumerate_outcomes(c, mode=mode)
+    exact = tb.compile(c, mode=mode).outcomes()
     sampled = tb.run_batch(c, 256, master_seed=3, mode=mode).records
     assert all(exact.get(tuple(int(b) for b in row), 0.0) > 0 for row in sampled)
 
@@ -522,20 +524,20 @@ def test_post_process_equals_feed_forward_across_builders():
         (C.ghz_dynamic(7, mu=1.0), C.ghz_dynamic(7, mu=1.0, mode="post_process")),
     ]:
         k = sum(1 for i in circ_ff.instructions if i.op in ("measure", "reset"))
-        ff = _snap_dyadic(tb.enumerate_outcomes(circ_ff, "feed_forward"), k)
-        pp = _snap_dyadic(tb.enumerate_outcomes(circ_pp, "post_process"), k)
+        ff = _snap_dyadic(tb.compile(circ_ff, mode="feed_forward").outcomes(), k)
+        pp = _snap_dyadic(tb.compile(circ_pp, mode="post_process").outcomes(), k)
         assert ff == pp
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 def test_enumerate_outcomes_without_records_or_coins(mode):
-    assert tb.enumerate_outcomes(C.Circuit(1), mode) == {(): 1.0}
+    assert tb.compile(C.Circuit(1), mode=mode).outcomes() == {(): 1.0}
     # a random collapse with no record: both coin values give the empty record
     c = C.Circuit(2)
     c.add("h", 0, start=0.0)
     c.add("cx", 0, 1, start=0.0)
     c.add("reset", 0, start=1.0)
-    assert tb.enumerate_outcomes(c, mode) == {(): 1.0}
+    assert tb.compile(c, mode=mode).outcomes() == {(): 1.0}
     # every collapse deterministic (k = 0), with a correction that fires
     c = C.Circuit(2)
     c.add("x", 0, start=0.0)
@@ -543,8 +545,9 @@ def test_enumerate_outcomes_without_records_or_coins(mode):
     c.measure(1, start=1.0)
     c.add("cpauli", 1, start=2.0, pauli="X", parity=(r0,))
     c.measure(1, start=3.0)
-    assert len(tb._compile_reference(c, None, mode)[1]) == 0
-    assert tb.enumerate_outcomes(c, mode) == {(1, 0, 1): 1.0}
+    program = tb.compile(c, mode=mode)
+    assert program.streams.size == 0
+    assert program.outcomes() == {(1, 0, 1): 1.0}
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
@@ -554,7 +557,7 @@ def test_enumerate_outcomes_rejects_non_clifford_gates(gate, qubits, mode):
     c.add(gate, *qubits, start=0.0)
     c.measure(0, start=1.0)
     with pytest.raises(ValueError, match="not stabilizer-simulable"):
-        tb.enumerate_outcomes(c, mode)
+        tb.compile(c, mode=mode).outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +626,7 @@ def test_sampler_matches_enumeration():
     circ = C.ghz_dynamic(6, mu=1.0)
     shots = 20_000
     res = tb.run_batch(circ, shots, master_seed=17)
-    exact = tb.enumerate_outcomes(circ)
+    exact = tb.compile(circ).outcomes()
     seen = {}
     for row in res.records:
         seen[tuple(row.tolist())] = seen.get(tuple(row.tolist()), 0) + 1
@@ -1019,7 +1022,7 @@ def test_folded_parities_match_exact_distribution(name, steps, mode):
     support."""
     circ = _parity_circuit(steps, mode)
     assert _exact_tvd(circ, mode) == 0.0
-    exact = tb.enumerate_outcomes(circ, mode=mode)
+    exact = tb.compile(circ, mode=mode).outcomes()
     sampled = tb.run_batch(circ, 1024, master_seed=5, mode=mode).records
     assert all(exact.get(tuple(int(b) for b in row), 0.0) > 0 for row in sampled)
     # every outcome of the exact support shows up in 1024 shots
@@ -1061,8 +1064,7 @@ def test_ghz_chain_cpaulis_read_one_record_each():
     list (19 900 references in all); folded, each correction's program
     entry reads only its one new record."""
     circ = C.ghz_dynamic(401)
-    prog = tb._compile_reference(circ, None, "feed_forward")[0]
-    cpaulis = [e for e in prog if e[0] == "cpauli"]
+    cpaulis = [e for e in tb.compile(circ).entries if e[0] == "cpauli"]
     assert len(cpaulis) == 199
     assert sum(len(ins.parity) for ins in circ.instructions if ins.op == "cpauli") == 19_900
     assert sum(len(recs) for *_, recs in cpaulis) == 199
@@ -1271,3 +1273,80 @@ def test_seed_sequence_rows_match_single_seed_batches(mode):
         tb.run_batch(circ, 31, master_seed=seeds, noise=sites, mode=mode)
     with pytest.raises(ValueError):
         tb.run_batch(circ, 0, master_seed=[], mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# the compiled program
+# ---------------------------------------------------------------------------
+
+_PROGRAM_PARAMS = N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05)
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_program_samples_equal_run_batch(mode):
+    """One compiled program, sampled again and again, gives bit for bit
+    what run_batch gives: single seeds, seed sequences and shot offsets."""
+    circ = C.long_range_cnot_dynamic(6, mode=mode)
+    sites = N.attach_noise(circ, _PROGRAM_PARAMS)
+    program = tb.compile(circ, sites, mode)
+    for shots, seed, offset in ((100, 7, 0), (100, 7, 0), (65, 7, 9), (30, [3, 2**63 - 5, 0], 4), (3, 2**70, 5)):
+        got = program.sample(shots, seed, offset)
+        want = tb.run_batch(circ, shots, master_seed=seed, noise=sites, mode=mode, shot_offset=offset)
+        assert got.mode == want.mode == mode and got.sites == want.sites
+        assert got.reference is program.reference
+        assert got.reference.stabilizers() == want.reference.stabilizers()
+        for name in ("records", "fx", "fz", "fired") + (("dx", "dz") if mode == "post_process" else ()):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert _fired_bits(program.sample(1000, 1)).any()
+
+
+def test_program_shards_concatenate_to_the_whole_batch():
+    circ = C.ghz_dynamic(9, mode="post_process")
+    program = tb.compile(circ, N.attach_noise(circ, _PROGRAM_PARAMS), "post_process")
+    whole = program.sample(200, 11)
+    for k in (1, 64, 77, 199):
+        head, tail = program.sample(k, 11), program.sample(200 - k, 11, k)
+        np.testing.assert_array_equal(whole.records, np.vstack([head.records, tail.records]))
+        for got, a, b in zip(
+            [_fired_bits(whole)] + _frame_bits(whole),
+            [_fired_bits(head)] + _frame_bits(head),
+            [_fired_bits(tail)] + _frame_bits(tail),
+        ):
+            np.testing.assert_array_equal(got, np.hstack([a, b]))
+
+
+def test_compile_validates_once_and_sample_never(monkeypatch):
+    circ = C.ghz_dynamic(8)
+    sites = N.attach_noise(circ, _PROGRAM_PARAMS)
+    calls = []
+    validate = C.Circuit.validate
+    monkeypatch.setattr(C.Circuit, "validate", lambda self: calls.append(self) or validate(self))
+    program = tb.compile(circ, sites)
+    assert calls == [circ]
+    for seed in range(3):
+        program.sample(16, seed)
+    noiseless = tb.compile(circ)
+    noiseless.outcomes()
+    noiseless.sample(4, [1, 2])
+    assert calls == [circ, circ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.mode = "post_process"
+
+
+def test_outcomes_need_a_program_without_noise():
+    circ = C.ghz_dynamic(4)
+    with pytest.raises(ValueError, match="without noise sites"):
+        tb.compile(circ, N.attach_noise(circ, _PROGRAM_PARAMS)).outcomes()
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+def test_zero_shot_batch_is_empty(mode):
+    """perfbench's fixed-cost pass calls run_batch with no shots."""
+    circ = C.ghz_dynamic(5, mode=mode)
+    sites = N.attach_noise(circ, _PROGRAM_PARAMS)
+    res = tb.run_batch(circ, 0, master_seed=3, noise=sites, mode=mode)
+    assert res.shots == 0 and res.records.shape == (0, circ.n_records)
+    assert res.fx.shape == res.fz.shape == (circ.n_qubits, 0)
+    assert res.fired.shape == (len(sites), 0) and res.sites == sorted(sites, key=lambda s: s.before_index)
+    if mode == "post_process":
+        assert res.dx.shape == res.dz.shape == (circ.n_qubits, 0)
