@@ -13,13 +13,16 @@ and one sampler.
 * :func:`compile` — a circuit and its noise sites compiled once into a
   frozen :class:`Program` by a single reference execution (random outcomes
   pinned to 0, with a flip operator captured at every random collapse).
-  :meth:`Program.sample` replays the Pauli frames of many shots against
-  that reference; :func:`run_batch`, the sampler, is compile then sample.
-  Frames are stored qubit-major with 64 shots per word (Stim's
-  frame-simulator layout, same reference): a gate is a word operation on
-  one or two frame rows, and a noise site or collapse XORs its packed fired
+  :meth:`Program.sample` draws every noise site and collapse coin of many
+  shots into a packed fired mask, then replays the Pauli frames of those
+  shots against that reference; :func:`run_batch`, the sampler, is compile
+  then sample.  Frames are qubit-major, one bit per shot (Stim's
+  frame-simulator layout, same reference): during the replay each frame
+  row is a Python integer whose bit s is shot s, a gate is an integer XOR
+  or swap of one or two rows, and a noise site or collapse XORs its fired
   row into the rows on its support, so replay cost is O(instructions x
-  shots / 64) words, independent of the tableau.
+  shots / 64) words, independent of the tableau.  Results leave the replay
+  as uint64 words, 64 shots a word.
   :meth:`Program.outcomes` is the exact distribution of the classical
   record: a shot's record is the reference record XOR a flip fixed by which
   collapse coins fired, so the program replayed once over every assignment
@@ -28,11 +31,14 @@ and one sampler.
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
 Shot ``i`` therefore sees identical randomness no matter how a batch is
-sharded across workers or runs.
+sharded across workers or runs.  A draw of firing weight w is held as the
+integer threshold K = ceil(w * 2^53) and fires where the top 53 bits of
+the hash are below K, exactly where the float draw is below w.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +69,33 @@ _EXPECTATION_WORDS = 1 << 18
 # ---------------------------------------------------------------------------
 
 
+_SHR30, _SHR27, _SHR31, _SHR11 = (np.uint64(b) for b in (30, 27, 31, 11))
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _mix_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer, in place on uint64 ``x`` (arithmetic wraps);
+    ``tmp`` is scratch of the same shape."""
+    np.right_shift(x, _SHR30, out=tmp)
+    x ^= tmp
+    x *= _MIX1
+    np.right_shift(x, _SHR27, out=tmp)
+    x ^= tmp
+    x *= _MIX2
+    np.right_shift(x, _SHR31, out=tmp)
+    x ^= tmp
+
+
 def _mix_u64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 (arithmetic wraps)."""
-    x = x.copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    """SplitMix64 finalizer, elementwise on uint64, into a new array."""
+    x = np.array(x, dtype=np.uint64)
+    _mix_into(x, np.empty_like(x))
     return x
+
+
+# Most hash values one draw chunk holds: the draws of a batch are taken in
+# chunks of whole streams through one reused pair of buffers this size
+_DRAW_VALUES = 1 << 14
 
 
 class CounterRandom:
@@ -82,18 +106,25 @@ class CounterRandom:
     bit for bit.  ``master_seed`` is one seed or a sequence of m seeds; with
     m seeds, :meth:`uniform` draws row k of its (m, r) result under seed k.
     The keys of all seeds are derived together (:func:`_seed_keys`).
+
+    A draw is ``u = (h >> 11) * 2^-53`` for a 64-bit hash h of the address,
+    so ``u < w`` exactly when ``h >> 11 < ceil(w * 2^53)``: :meth:`fired`
+    takes that integer threshold and never forms a float.  :meth:`uniform`
+    is the float definition it is tested against.
     """
 
     def __init__(self, master_seed):
-        if isinstance(master_seed, (int, np.integer)):
-            self._key = _seed_keys([master_seed])[0]
-            self._keys = None
-        else:
-            self._keys = _seed_keys(master_seed).reshape(-1, 1)
+        self._single = isinstance(master_seed, (int, np.integer))
+        self._keys = _seed_keys([master_seed] if self._single else master_seed)
 
     @property
     def n_seeds(self) -> int:
-        return 1 if self._keys is None else self._keys.shape[0]
+        return self._keys.size
+
+    def _pair_keys(self, stream_ids: np.ndarray) -> np.ndarray:
+        """The hash of each (stream, seed) pair, as a (streams, m) array."""
+        c = _mix_u64((stream_ids.reshape(-1, 1) + _U1) * np.uint64(_GOLDEN))
+        return _mix_u64(self._keys ^ c)
 
     def uniform(self, stream_id, shot_ids: np.ndarray) -> np.ndarray:
         """Floats in [0, 1), one per entry of ``shot_ids`` (uint64 array),
@@ -101,14 +132,42 @@ class CounterRandom:
         also be a 1-D array of k stream ids, which adds a leading axis of
         length k: one row of draws per stream."""
         sids = np.asarray(stream_id, dtype=np.uint64)
-        c = _mix_u64((sids.reshape(-1, 1) + _U1) * np.uint64(_GOLDEN))
-        if self._keys is None:
-            h = _mix_u64(self._key ^ c)
-        else:
-            h = _mix_u64(self._keys ^ c[:, None])
-        x = (shot_ids + _U1) * np.uint64(_GOLDEN) + h
-        u = (_mix_u64(x) >> np.uint64(11)) * 2.0**-53
-        return u.reshape(sids.shape + u.shape[1:])
+        x = (shot_ids + _U1) * np.uint64(_GOLDEN) + self._pair_keys(sids)[:, :, None]
+        u = (_mix_u64(x) >> _SHR11) * 2.0**-53
+        return u.reshape(sids.shape + u.shape[1 + self._single :])
+
+    def fired(self, stream_ids: np.ndarray, thresholds: np.ndarray, shot_ids: np.ndarray) -> np.ndarray:
+        """Packed rows, one per stream of ``stream_ids``, 64 shots a word:
+        bit ``k * r + i`` of row j is set where the draw of shot
+        ``shot_ids[i]`` (r of them) under seed k is below
+        ``thresholds[j] * 2^-53``, i.e. where :meth:`uniform` is.
+
+        Each (stream, seed) pair's hash is derived once; the shot hashes
+        are then mixed and compared as integers in one reused buffer pair,
+        a chunk of whole streams at a time, and packed."""
+        m, r, k = self._keys.size, shot_ids.size, stream_ids.size
+        shots = m * r
+        out = np.zeros((k, _n_words(shots)), dtype=np.uint64)
+        if not k or not shots:
+            return out
+        keys = self._pair_keys(stream_ids).reshape(-1, 1)
+        thresholds = np.repeat(thresholds, m).reshape(-1, 1)  # one per pair, like keys
+        ids = (shot_ids + _U1) * np.uint64(_GOLDEN)
+        rows = min(k, max(1, _DRAW_VALUES // shots))  # streams a chunk
+        x, tmp = np.empty((2, rows * shots), dtype=np.uint64)
+        hit = np.empty(rows * shots, dtype=bool)
+        packed = out.view(np.uint8)[:, : (shots + 7) // 8]
+        for lo in range(0, k, rows):
+            hi = min(k, lo + rows)
+            n = (hi - lo) * shots
+            xs = x[:n].reshape(-1, r)  # [p, i]: shot i of (stream, seed) pair p
+            xs[:] = ids
+            xs += keys[lo * m : hi * m]
+            _mix_into(x[:n], tmp[:n])
+            x[:n] >>= _SHR11
+            np.less(xs, thresholds[lo * m : hi * m], out=hit[:n].reshape(-1, r))
+            packed[lo:hi] = np.packbits(hit[:n].reshape(hi - lo, shots), axis=1, bitorder="little")
+        return out
 
 
 # numpy's SeedSequence hash (pool of four 32-bit words; O'Neill's seed_seq
@@ -639,10 +698,6 @@ class StabilizerState:
 # batched shot sampling (reference pass + Pauli-frame replay)
 # ---------------------------------------------------------------------------
 
-# Most uniform values one draw chunk holds: the draws of a batch are taken
-# in chunks of whole streams, so their temporaries stay small
-_DRAW_VALUES = 1 << 14
-
 
 def _n_words(bits: int) -> int:
     return (bits + 63) // 64
@@ -663,21 +718,30 @@ def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(le, axis=1, count=count, bitorder="little")
 
 
-def _support(bits: int, dtype):
-    """The set bits of a non-negative integer as a frame-row index: None
-    for none, an int for one (a cheap scalar index; most noise sites), and
-    otherwise an ascending array of ``dtype``."""
+def _support(bits: int, typecode: str):
+    """The set bits of a non-negative integer, ascending, in the form of
+    :func:`_index_support`."""
     if not bits & (bits - 1):
-        return bits.bit_length() - 1 if bits else None
+        return (bits.bit_length() - 1,) if bits else ()
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(dtype)
+    return _index_support(np.flatnonzero(np.unpackbits(raw, bitorder="little")), typecode)
 
 
-def _index_support(idx: np.ndarray, dtype):
-    """Ascending qubit indices in the form of :func:`_support`."""
+def _index_support(idx: np.ndarray, typecode: str):
+    """Ascending qubit indices, the frame rows that a program entry
+    touches: a tuple of at most one, otherwise an array of ``typecode``,
+    which holds a collapse flip that spans most of the register in a few
+    bytes a qubit."""
     if idx.size <= 1:
-        return int(idx[0]) if idx.size else None
-    return idx.astype(dtype)
+        return tuple(idx.tolist())
+    return array(typecode, idx.astype(typecode).tobytes())
+
+
+def _int_rows(rows: list[int], n_words: int) -> np.ndarray:
+    """Integers of at most 64 * ``n_words`` bits as (rows, ``n_words``)
+    packed words, bit s of an integer in bit s % 64 of word s // 64."""
+    raw = bytearray(b"".join(v.to_bytes(8 * n_words, "little") for v in rows))
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False).reshape(len(rows), n_words)
 
 
 @dataclass
@@ -759,10 +823,12 @@ class Program:
     frame-replay program, sampled any number of times.
 
     Draw j fires on the shots whose uniform on stream ``streams[j]`` is
-    below ``weights[j]``.  An entry ``("pauli", xq, zq, j)`` XORs the fired
-    row of draw j into the X frame rows ``xq`` and the Z frame rows ``zq``
-    (each a :func:`_support`); it is a noise site, or the flip operator of a
-    random collapse (weight 1/2, a stream below ``_NOISE_STREAM_BASE``).
+    below its firing weight w, which the program holds as the integer
+    threshold K = ``thresholds[j]`` = ceil(w * 2^53) (:meth:`CounterRandom.fired`).
+    An entry ``("pauli", xq, zq, j)`` XORs the fired row of draw j into the
+    X frame rows ``xq`` and the Z frame rows ``zq`` (each a
+    :func:`_support`); it is a noise site, or the flip operator of a random
+    collapse (weight 1/2, a stream below ``_NOISE_STREAM_BASE``).
 
     ``cpauli`` parities are folded (:func:`circuits.parity_reads`): the
     k-th ``cpauli`` entry ``("cpauli", q, letter, base, recs)`` has the
@@ -780,7 +846,7 @@ class Program:
     mode: str
     entries: tuple
     streams: np.ndarray
-    weights: np.ndarray
+    thresholds: np.ndarray
     sites: tuple
     ref_bits: np.ndarray
     reference: StabilizerState
@@ -799,13 +865,7 @@ class Program:
         if shot_offset < 0 or end > 1 << 64:
             raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
         ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
-        # packed fired mask, one row per draw, in chunks of whole streams
-        fired = np.empty((self.streams.size, _n_words(shots)), dtype=np.uint64)
-        step = max(1, _DRAW_VALUES // max(shots, 1))
-        for lo in range(0, self.streams.size, step):
-            sids = self.streams[lo : lo + step]
-            u = stream.uniform(sids, ids).reshape(sids.size, shots)
-            fired[lo : lo + step] = _pack_rows(u < self.weights[lo : lo + step, None])
+        fired = stream.fired(self.streams, self.thresholds, ids)
         records, fx, fz, dx, dz = self._replay(fired, shots)
         noise_rows = fired[self.streams >= _NOISE_STREAM_BASE]
         return BatchResult(records, self.mode, self.reference, fx, fz, noise_rows, list(self.sites), dx, dz)
@@ -833,63 +893,72 @@ class Program:
         shots set in row j of the packed mask ``fired``.  Returns the
         (shots, records) record array and the final frames ``FX``, ``FZ``
         and, in post-processing mode, the correction delta ``DX``, ``DZ``
-        (None otherwise), qubit-major with 64 shots a word."""
+        (None otherwise), qubit-major with 64 shots a word.
+
+        During the replay every frame row, record difference and ``cpauli``
+        parity is one Python integer whose bit s is shot s, so an entry is
+        a few integer XORs rather than numpy calls on short rows."""
         post = self.mode == "post_process"
-        # qubit-major: row q holds qubit q of every shot, 64 shots a word
-        shape = (self.n_qubits, _n_words(shots))
-        FX = np.zeros(shape, dtype=np.uint64)
-        FZ = np.zeros(shape, dtype=np.uint64)
-        DX = np.zeros(shape, dtype=np.uint64) if post else None
-        DZ = np.zeros(shape, dtype=np.uint64) if post else None
-        frames = [(FX, FZ)] + ([(DX, DZ)] if post else [])
-        # record-major, so that a cpauli parity XOR-reduces whole rows
-        diff = np.zeros((self.n_records, shape[1]), dtype=np.uint64)
-        # one row per cpauli: the parity it applied, which later entries fold
-        parities: list[np.ndarray] = []
+        n, n_words = self.n_qubits, _n_words(shots)
+        # draw j's row enters as an integer at its one pauli entry
+        raw = memoryview(np.ascontiguousarray(fired, dtype="<u8").view(np.uint8).reshape(-1))
+        step = 8 * n_words
+        FX, FZ = [0] * n, [0] * n
+        # the change to the outstanding correction in post mode, which
+        # cpauli entries write; in feed-forward mode they write the frame
+        DX, DZ = ([0] * n, [0] * n) if post else (FX, FZ)
+        diff = [0] * self.n_records  # record r's flip, set by its meas entry
+        parities: list[int] = []  # the parity each cpauli applied, which later entries fold
 
         for entry in self.entries:
             tag = entry[0]
-            if tag == "cx":
+            if tag == "pauli":
+                _, xq, zq, j = entry
+                f = int.from_bytes(raw[j * step : (j + 1) * step], "little")
+                for q in xq:
+                    FX[q] ^= f
+                for q in zq:
+                    FZ[q] ^= f
+            elif tag == "cx":
                 _, c, t = entry
-                for A, B in frames:
-                    A[t] ^= A[c]
-                    B[c] ^= B[t]
+                FX[t] ^= FX[c]
+                FZ[c] ^= FZ[t]
+                if post:
+                    DX[t] ^= DX[c]
+                    DZ[c] ^= DZ[t]
             elif tag == "h":
                 q = entry[1]
-                for A, B in frames:
-                    A[q], B[q] = B[q], A[q].copy()
+                FX[q], FZ[q] = FZ[q], FX[q]
+                if post:
+                    DX[q], DZ[q] = DZ[q], DX[q]
             elif tag in ("s", "sdg"):
                 q = entry[1]
-                for A, B in frames:
-                    B[q] ^= A[q]
+                FZ[q] ^= FX[q]
+                if post:
+                    DZ[q] ^= DX[q]
             elif tag == "meas":
                 _, q, rec = entry
                 diff[rec] = FX[q] ^ DX[q] if post else FX[q]
             elif tag == "reset":
                 q = entry[1]
-                FX[q] = _U0
-                FZ[q] = _U0
-            elif tag == "pauli":
-                _, xq, zq, j = entry
-                if xq is not None:
-                    FX[xq] ^= fired[j]
-                if zq is not None:
-                    FZ[zq] ^= fired[j]
+                FX[q] = FZ[q] = 0
             elif tag == "cpauli":
                 _, q, letter, base, recs = entry
-                par = np.bitwise_xor.reduce(diff[recs], axis=0)
-                if base is not None:
-                    par ^= parities[base]
+                par = parities[base] if base is not None else 0
+                for r in recs:
+                    par ^= diff[r]
                 parities.append(par)
-                TX, TZ = frames[-1]  # the pending-difference frame in post mode
-                (TX if letter == "X" else TZ)[q] ^= par
+                (DX if letter == "X" else DZ)[q] ^= par
             else:  # pragma: no cover - compiler and replayer agree on tags
                 raise AssertionError(f"unknown program entry {tag!r}")
 
+        diff_words = _int_rows(diff, n_words)
         records = np.empty((shots, self.n_records), dtype=np.uint8)
         for lo in range(0, self.n_records, 64):
-            records[:, lo : lo + 64] = (_unpack_rows(diff[lo : lo + 64], shots) ^ self.ref_bits[lo : lo + 64, None]).T
-        return records, FX, FZ, DX, DZ
+            records[:, lo : lo + 64] = (_unpack_rows(diff_words[lo : lo + 64], shots) ^ self.ref_bits[lo : lo + 64, None]).T
+        frames = [_int_rows(f, n_words) for f in (FX, FZ)]
+        frames += [_int_rows(f, n_words) for f in (DX, DZ)] if post else [None, None]
+        return (records, *frames)
 
 
 def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program:
@@ -911,7 +980,7 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
             raise ValueError("noise operator size does not match the circuit")
         by_index.setdefault(k, []).append(s)
     st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
-    qdt = np.min_scalar_type(circuit.n_qubits)  # supports are held as qubit indices
+    qdt = np.min_scalar_type(circuit.n_qubits).char  # supports are held as qubit indices
     prog: list[tuple] = []
     streams: list[int] = []
     weights: list[float] = []
@@ -966,14 +1035,16 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
                 par ^= int(ref_bits[r])
             if par:
                 st.apply_correction(ins.qubits[0], ins.pauli)
-            prog.append(("cpauli", ins.qubits[0], ins.pauli, base, np.array(reads, dtype=np.intp)))
+            prog.append(("cpauli", ins.qubits[0], ins.pauli, base, reads))
             ref_parities.append(par)
             prev_parity = ins.parity
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)
-    streams, weights = np.array(streams, dtype=np.uint64), np.array(weights, dtype=float)
-    return Program(circuit.n_qubits, circuit.n_records, mode, tuple(prog), streams, weights, tuple(sites), ref_bits, st)
+    # w * 2^53 and its ceiling are exact in floating point for w in [0, 1]
+    thresholds = np.ceil(np.array(weights, dtype=float) * 2.0**53).astype(np.uint64)
+    streams = np.array(streams, dtype=np.uint64)
+    return Program(circuit.n_qubits, circuit.n_records, mode, tuple(prog), streams, thresholds, tuple(sites), ref_bits, st)
 
 
 def run_batch(

@@ -108,6 +108,7 @@ _READ_BY_TESTS = {
     "statevector.py:outcome_distribution": "dense record distribution, the oracle of Program.outcomes",
     "statevector.py:overlap_through_ancillas": "dense overlap with ancillas traced out",
     "statevector.py:state_fidelity": "dense pure-state fidelity",
+    "tableau.py:CounterRandom.uniform": "the float definition of a draw, which the integer-threshold fired kernel is tested against",
     "tableau.py:Program.outcomes": "exact record distribution that sampled records are checked against",
     "tableau.py:StabilizerState.check_invariants": "the tableau's symplectic pairing, checked after every instruction",
     "tableau.py:StabilizerState.destabilizers": "tableau rows as operators",

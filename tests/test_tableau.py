@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,11 +213,9 @@ def test_reset_leaves_plus_z():
 
 
 def _same_support(a, b) -> bool:
-    """Equal frame-row indices of the same form: None, an int, or an array
-    of the same dtype."""
-    if a is None or isinstance(a, int):
-        return type(a) is type(b) and a == b
-    return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    """Equal frame-row indices of the same form: a tuple, or an array of
+    the same typecode."""
+    return type(a) is type(b) and getattr(a, "typecode", None) == getattr(b, "typecode", None) and a == b
 
 
 @pytest.mark.parametrize("n", [3, 70, 130])
@@ -231,7 +230,7 @@ def test_flip_operator_and_program_supports_come_from_one_collapse(n):
         st.apply_clifford("cx", a, b)
         st.apply_clifford(["h", "s", "x"][int(rng.integers(3))], a)
     st.measure(0, forced=1)
-    qdt = np.min_scalar_type(n)
+    qdt = np.min_scalar_type(n).char
     random = 0
     for q in range(0, n, 1 + n // 40):
         outcome, was_random, flip = st.copy().measure_flip(q, forced=0)
@@ -748,6 +747,50 @@ def test_counter_random_stream_vector_matches_scalar_draws():
         rnd = tb.CounterRandom(seed)
         want = np.stack([rnd.uniform(int(s), ids) for s in sids])
         np.testing.assert_array_equal(rnd.uniform(sids, ids), want)
+
+
+# firing weights at the edges of the integer threshold ceil(w * 2^53):
+# never, the smallest positive double, one and one and a half units of the
+# 53-bit draw, dyadic, a collapse coin, just below one, always
+_KERNEL_WEIGHTS = [0.0, 5e-324, 2.0**-53, 3 * 2.0**-54, 0.25, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]
+
+
+@pytest.mark.parametrize("draw_values", [None, 100], ids=["default-chunks", "small-chunks"])
+@pytest.mark.parametrize("seed", [5, [3, 2**63 - 5, 0], list(range(50))], ids=["int", "3-seeds", "50-seeds"])
+def test_fired_kernel_matches_float_draws(seed, draw_values, monkeypatch):
+    """The packed fired rows of the integer kernel are bit for bit the
+    float rule ``uniform < w``, under one seed and under several, whose
+    blocks of shots meet inside a packed word; small chunks split the
+    streams over many passes."""
+    if draw_values is not None:
+        monkeypatch.setattr(tb, "_DRAW_VALUES", draw_values)
+    circ = C.Circuit(1)
+    circ.measure(0, start=0.0)
+    x = PauliString.from_text("X")
+    program = tb.compile(circ, [_site(0, x, w) for w in _KERNEL_WEIGHTS])
+    k = program.thresholds
+    assert k.tolist() == [0, 1, 1, 2, 2**51, 2**52, 2**53 - 1, 2**53]
+    rnd = tb.CounterRandom(seed)
+    for shots in (0, 1, 63, 64, 65, 1000, 1024):
+        for offset in (0, 7, 2**64 - max(shots, 1)):  # the last ids there are
+            ids = np.arange(shots, dtype=np.uint64) + np.uint64(offset)
+            u = rnd.uniform(program.streams, ids).reshape(len(_KERNEL_WEIGHTS), -1)
+            weights = np.array(_KERNEL_WEIGHTS)
+            streams, thresholds = program.streams, k
+            if shots:
+                # stream 3 once more, weighted by its own first draw: a tie,
+                # which fires on neither side
+                tie = float(u[3, 0])
+                streams = np.append(streams, streams[3])
+                thresholds = np.append(k, np.uint64(math.ceil(tie * 2.0**53)))
+                u = np.vstack([u, u[3]])
+                weights = np.append(weights, tie)
+            want = tb._pack_rows(u < weights[:, None])
+            got = rnd.fired(streams, thresholds, ids)
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want, err_msg=f"{shots} shots from {offset}")
+            if shots:
+                assert not got[0].any() and _bits(got[-2:-1], u.shape[1]).all() and not got[-1, 0] & 1
 
 
 _EDGE_SEEDS = [
