@@ -21,6 +21,9 @@ opaque labels (minted by ``input`` and ``h``); a qubit accrues idle time only
 while its expression is provably not the constant 0 and it is not inside any
 scheduled instruction.  This makes un-computed ancillas free, matching the
 convention that a qubit parked in |0> contributes no idle error.
+
+:meth:`Circuit.validate` checks the schedule, folds that content and finds
+the idle windows in one walk, kept until the circuit changes.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class Circuit:
         # original index -> final chain position.  None means identity.
         self.output_map: dict[int, int] | None = None
         self.meta: dict = {}
-        # (key, ScheduleAnalysis) of the last analysis, see schedule_analysis
+        # (key, ScheduleAnalysis) of the last walk, see validate
         self._schedule: tuple | None = None
 
     # -- construction ---------------------------------------------------------
@@ -132,50 +135,23 @@ class Circuit:
     def makespan(self) -> float:
         return max((i.end for i in self.instructions), default=0.0)
 
-    # -- validation -----------------------------------------------------------
+    # -- validation and schedule analysis -------------------------------------
 
-    def validate(self) -> None:
-        """Check schedule sanity: every op known and on its number of distinct
-        qubits in range (as :meth:`add` checks), time-ordered list, no qubit
-        overlap (an instruction, even one of zero duration, may not start
-        inside another's busy window on the same qubit), records written
-        before read."""
-        n = self.n_qubits
-        written: set[int] = set()
-        prev_parity = None
-        prev_start = float("-inf")
-        busy: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        for ins in self.instructions:
-            op, qubits, start, duration = ins.op, ins.qubits, ins.start, ins.duration
-            # the common one-qubit case inline, anything else in full
-            if op not in _ONE_QUBIT_OPS or len(qubits) != 1 or not 0 <= qubits[0] < n:
-                _check_operands(op, qubits, n)
-            if start + 1e-12 < prev_start:
-                raise ValueError(f"instruction list not time-ordered at {ins}")
-            prev_start = start
-            if op == "measure":
-                if ins.record is None:
-                    raise ValueError("measure without record index")
-                if ins.record in written:
-                    raise ValueError(f"record {ins.record} written twice")
-                written.add(ins.record)
-            elif op == "cpauli":
-                if ins.pauli not in ("X", "Z"):
-                    raise ValueError(f"cpauli supports X or Z, got {ins.pauli!r}")
-                # a folded prefix was checked at the cpauli before
-                missing = set(parity_reads(prev_parity, ins.parity)[1]) - written
-                if missing:
-                    raise ValueError(f"cpauli reads unwritten records {sorted(missing)}")
-                prev_parity = ins.parity
-            end = start + duration
-            for q in qubits:
-                for s, e in busy[q]:
-                    if start < e - 1e-12 and s < end - 1e-12:
-                        raise ValueError(f"qubit {q} double-booked: [{s},{e}) vs [{start},{end})")
-                if duration > 0:
-                    busy[q].append((start, end))
-        if self.n_records != len(written):
-            raise ValueError("record counter out of sync with measure instructions")
+    def validate(self) -> ScheduleAnalysis:
+        """Check schedule sanity and return the :class:`ScheduleAnalysis`,
+        both from one walk over the instructions: every op known and on its
+        number of distinct qubits in range (as :meth:`add` checks),
+        time-ordered list, no qubit overlap (an instruction, even one of
+        zero duration, may not start inside another's busy window on the
+        same qubit), records written before read.  The result is kept with
+        a snapshot of the instructions, record count and qubit count, so
+        the walk runs again only after one of those changes; a circuit that
+        fails validation raises on every call."""
+        key = (tuple(self.instructions), self.n_records, self.n_qubits)
+        memo = self._schedule
+        if memo is None or memo[0] != key:
+            memo = self._schedule = (key, _analyse_schedule(self))
+        return memo[1]
 
     # -- serialization --------------------------------------------------------
 
@@ -228,174 +204,158 @@ def parity_reads(prev: tuple[int, ...] | None, parity: tuple[int, ...]) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# known-zero static analysis and cost tally
+# the schedule walk: validation, known-zero content, idle windows; cost tally
 # ---------------------------------------------------------------------------
-
-
-def _zero_timeline(circ: Circuit) -> dict[int, list[tuple[float, bool]]]:
-    """Per qubit, the (time, is_known_zero) change points, starting zero at 0.
-
-    Content is a GF(2) affine form (label_mask, const).  ``input`` and ``h``
-    mint fresh labels (content unknowable); diagonal gates leave content
-    alone; cx XORs expressions; measurement snapshots the expression into its
-    record so classically-controlled X can cancel it later.  Each ``cpauli``
-    parity's expression is folded from the one before (:func:`parity_reads`).
-    """
-    exprs: dict[int, tuple[int, int]] = {q: (0, 0) for q in range(circ.n_qubits)}
-    rec_exprs: dict[int, tuple[int, int]] = {}
-    events: dict[int, list[tuple[float, bool]]] = {q: [(0.0, True)] for q in range(circ.n_qubits)}
-    n_labels = 0
-    prev_parity, prev_expr = None, (0, 0)
-
-    def update(q: int, new: tuple[int, int], t: float) -> None:
-        old_zero = exprs[q] == (0, 0)
-        exprs[q] = new
-        if (new == (0, 0)) != old_zero:
-            events[q].append((t, new == (0, 0)))
-
-    for ins in circ.instructions:
-        t = ins.end
-        if ins.op == "input" or ins.op == "h":
-            n_labels += 1
-            update(ins.qubits[0], (1 << n_labels, 0), ins.start if ins.op == "input" else t)
-        elif ins.op == "x":
-            m, c = exprs[ins.qubits[0]]
-            update(ins.qubits[0], (m, c ^ 1), t)
-        elif ins.op == "cx":
-            c, tq = ins.qubits
-            mc, cc = exprs[c]
-            mt, ct = exprs[tq]
-            update(tq, (mc ^ mt, cc ^ ct), t)
-        elif ins.op == "measure":
-            rec_exprs[ins.record] = exprs[ins.qubits[0]]
-        elif ins.op == "reset":
-            update(ins.qubits[0], (0, 0), t)
-        elif ins.op == "cpauli":
-            folded, reads = parity_reads(prev_parity, ins.parity)
-            pm, pc = prev_expr if folded else (0, 0)
-            for r in reads:
-                rm, rc = rec_exprs.get(r, (0, 0))
-                pm ^= rm
-                pc ^= rc
-            prev_parity, prev_expr = ins.parity, (pm, pc)
-            if ins.pauli == "X":
-                m, c = exprs[ins.qubits[0]]
-                update(ins.qubits[0], (m ^ pm, c ^ pc), t)
-        # s, z, t, tdg, ccz, cpauli-Z, barrier: diagonal / no content change
-    return events
 
 
 @dataclass(frozen=True)
 class ScheduleAnalysis:
-    """What one validated pass over a circuit's schedule finds.
-
-    ``idle`` holds the merged (qubit, start, end) windows that accrue idle
-    cost, by qubit and then time; ``closers[i]`` is the index of the
-    instruction that closes ``idle[i]``, the first one on its qubit that
-    starts at its end (the instruction count when none does)."""
+    """What the walk over a valid circuit's schedule finds: ``idle`` holds
+    the merged (qubit, start, end) windows that accrue idle cost, by qubit
+    and then time; ``closers[i]`` is the index of the instruction that
+    closes ``idle[i]``, the first one on its qubit that starts at its end
+    (the instruction count when none does)."""
 
     makespan: float
     idle: tuple[tuple[int, float, float], ...]
     closers: tuple[int, ...]
 
 
-def schedule_analysis(circ: Circuit) -> ScheduleAnalysis:
-    """The circuit's :class:`ScheduleAnalysis`, computed once per state of
-    the circuit: it is kept on the circuit with a snapshot of its
-    instructions, record count and qubit count, and any change to those
-    (``add``, ``measure``, sorting, extending or assigning into
-    ``instructions``) makes the next call analyse again.  A circuit that
-    fails validation raises on every call."""
-    key = (tuple(circ.instructions), circ.n_records, circ.n_qubits)
-    memo = circ._schedule
-    if memo is None or memo[0] != key:
-        memo = circ._schedule = (key, _analyse_schedule(circ))
-    return memo[1]
-
-
 def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
-    """Validate, build the known-zero timeline and each qubit's busy
-    windows, then sweep each qubit's sorted segment boundaries once.
+    """Validate ``circ`` and find its idle windows in one walk over the
+    instruction list.
 
-    A segment between consecutive boundaries is idle when its midpoint is
-    outside the qubit's busy windows and its content there is not
-    known-zero.  The busy windows are sorted by start and the zero events
-    are read as a prefix of the list (an event applies once it and every
-    event before it are at or before the midpoint), so one pointer into
-    each follows the increasing midpoints.  A qubit whose content never
-    leaves known-zero has no idle segment."""
-    circ.validate()
+    Each qubit's content is a GF(2) affine form in one int: bit 0 is the
+    constant, each higher bit an opaque label.  ``input`` and ``h`` mint a
+    fresh label, ``x`` flips the constant, ``cx`` XORs the control's form
+    onto the target's, a measurement snapshots the form into its record
+    and a ``cpauli`` X XORs on its parity's form, folded from the one
+    before (:func:`parity_reads`); other ops leave the form alone.
+
+    While a qubit's form is not 0, an idle run is open from the latest end
+    of a busy window on it (time 0 at first).  The run closes at the start
+    of the qubit's next instruction of positive duration, at the end of
+    the instruction that makes the form 0, or at the makespan; a
+    zero-duration instruction that leaves the form non-zero does not cut
+    it.  A run shorter than 1e-12 is dropped, and one that starts within
+    1e-12 of the kept run before it extends that run.  A window ending at
+    b is closed by the first instruction on its qubit, after the closer of
+    the window before, that starts at or after b - 1e-9."""
+    n = circ.n_qubits
     instructions = circ.instructions
-    n_ins = len(instructions)
-    makespan = max((i.end for i in instructions), default=0.0)
-    zero_events = _zero_timeline(circ)
-    busy: dict[int, list[tuple[float, float]]] = {}
-    touching: dict[int, list[int]] = {}  # each qubit's instruction indices
+    makespan = float("-inf") if instructions else 0.0
+    prev_start = float("-inf")
+    written: dict[int, int] = {}  # record -> the form measured into it
+    prev_parity, prev_value = None, 0
+    labels = 0
+    form = [0] * n
+    free = [0.0] * n  # latest end of a busy window on each qubit
+    opened: list[float | None] = [None] * n  # start of the open idle run
+    runs: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    busy: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    touching: list[list[int]] = [[] for _ in range(n)]  # instruction indices
+
     for k, ins in enumerate(instructions):
-        for q in ins.qubits:
-            touching.setdefault(q, []).append(k)
-            if ins.duration > 0:
-                busy.setdefault(q, []).append((ins.start, ins.end))
+        op, qubits, start, duration = ins.op, ins.qubits, ins.start, ins.duration
+        # the common one-qubit case inline, anything else in full
+        if op not in _ONE_QUBIT_OPS or len(qubits) != 1 or not 0 <= qubits[0] < n:
+            _check_operands(op, qubits, n)
+        if start + 1e-12 < prev_start:
+            raise ValueError(f"instruction list not time-ordered at {ins}")
+        prev_start = start
+        end = start + duration
+        if end > makespan:
+            makespan = end
+        new = None  # the new form of the last qubit, where this op sets it
+        if op == "cx":
+            new = form[qubits[0]] ^ form[qubits[1]]
+        elif op == "h" or op == "input":
+            labels += 1
+            new = 1 << labels
+        elif op == "x":
+            new = form[qubits[0]] ^ 1
+        elif op == "reset":
+            new = 0
+        elif op == "measure":
+            if ins.record is None:
+                raise ValueError("measure without record index")
+            if ins.record in written:
+                raise ValueError(f"record {ins.record} written twice")
+            written[ins.record] = form[qubits[0]]
+        elif op == "cpauli":
+            if ins.pauli not in ("X", "Z"):
+                raise ValueError(f"cpauli supports X or Z, got {ins.pauli!r}")
+            # a folded prefix was checked at the cpauli before
+            folded, reads = parity_reads(prev_parity, ins.parity)
+            missing = {r for r in reads if r not in written}
+            if missing:
+                raise ValueError(f"cpauli reads unwritten records {sorted(missing)}")
+            value = prev_value if folded else 0
+            for r in reads:
+                value ^= written[r]
+            prev_parity, prev_value = ins.parity, value
+            if ins.pauli == "X":
+                new = form[qubits[0]] ^ value
+
+        for q in qubits:
+            for s, e in busy[q]:
+                if start < e - 1e-12 and s < end - 1e-12:
+                    raise ValueError(f"qubit {q} double-booked: [{s},{e}) vs [{start},{end})")
+            touching[q].append(k)
+            if duration > 0:
+                busy[q].append((start, end))
+                free[q] = max(free[q], end)
+                if opened[q] is not None:
+                    if opened[q] < start:
+                        runs[q].append((opened[q], start))
+                    opened[q] = free[q]
+        if new is not None:
+            q = qubits[-1]
+            if not new and opened[q] is not None:
+                if opened[q] < end:
+                    runs[q].append((opened[q], end))
+                opened[q] = None
+            elif new and opened[q] is None:
+                opened[q] = max(end, free[q])
+            form[q] = new
+    if circ.n_records != len(written):
+        raise ValueError("record counter out of sync with measure instructions")
 
     idle: list[tuple[int, float, float]] = []
     closers: list[int] = []
-    for q, events in zero_events.items():
-        if len(events) == 1:
-            continue
-        windows = busy.get(q, [])
-        bounds = {0.0, makespan}
-        for s, e in windows:
-            bounds.update((s, e))
-        bounds.update(t for t, _ in events)
-        pts = sorted(b for b in bounds if 0.0 <= b <= makespan)
-        windows = sorted(windows)
-
-        runs: list[list[float]] = []
-        wi = zi = 0
-        zero = True
-        for a, b in zip(pts, pts[1:]):
+    for q in range(n):
+        if opened[q] is not None:
+            runs[q].append((opened[q], makespan))
+        kept: list[list[float]] = []
+        for a, b in runs[q]:
             if b - a < 1e-12:
                 continue
-            mid = (a + b) / 2
-            # windows before wi end at or before mid; if the one at wi does
-            # not start by mid, no window after it (they start later) does
-            while wi < len(windows) and windows[wi][1] <= mid:
-                wi += 1
-            if wi < len(windows) and windows[wi][0] <= mid:
-                continue
-            while zi < len(events) and events[zi][0] <= mid:
-                zero = events[zi][1]
-                zi += 1
-            if zero:
-                continue
-            if runs and abs(runs[-1][1] - a) < 1e-12:
-                runs[-1][1] = b
+            if kept and abs(kept[-1][1] - a) < 1e-12:
+                kept[-1][1] = b
             else:
-                runs.append([a, b])
-
-        ks = touching.get(q, [])
-        ki = 0
-        for a, b in runs:
+                kept.append([a, b])
+        ks, ki = touching[q], 0
+        for a, b in kept:
             while ki < len(ks) and instructions[ks[ki]].start < b - 1e-9:
                 ki += 1
             idle.append((q, a, b))
-            closers.append(ks[ki] if ki < len(ks) else n_ins)
+            closers.append(ks[ki] if ki < len(ks) else len(instructions))
     return ScheduleAnalysis(makespan, tuple(idle), tuple(closers))
 
 
 def idle_intervals(circ: Circuit) -> list[tuple[int, float, float]]:
     """Merged (qubit, start, end) windows that accrue idle cost: the qubit is
     outside every scheduled instruction and its content is not known-zero.
-    Read from :func:`schedule_analysis`."""
-    return list(schedule_analysis(circ).idle)
+    Read from :meth:`Circuit.validate`'s analysis."""
+    return list(circ.validate().idle)
 
 
 def tally(circ: Circuit) -> InstructionTally:
     """Cost tally: idle time (known-zero excluded), CNOT and measurement
     counts, schedule makespan, and the number of distinct feed-forward steps.
-    Idle time and makespan come from :func:`schedule_analysis`, which
-    validates the circuit once per state of it."""
-    sched = schedule_analysis(circ)
+    Idle time and makespan come from :meth:`Circuit.validate`, which walks
+    the circuit once per state of it."""
+    sched = circ.validate()
     n_cnot = sum(1 for i in circ.instructions if i.op == "cx")
     n_meas = sum(1 for i in circ.instructions if i.op == "measure")
     if circ.meta.get("mode") == "post_process":

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
-from . import circuits as C
 from .circuits import Circuit, InstructionTally
 from .pauli import _LETTER_TO_BITS, PauliString
 
@@ -249,12 +248,12 @@ def attach_noise(circuit: Circuit, params: NoiseParams, cnot_pauli: str = "ZX") 
     after every CNOT, an X on every measured qubit just before its
     measurement, and per-interval idle noise (dephasing, or a damping mix
     when t1/t2 are set) just before the instruction that closes the
-    interval.  The intervals come from :func:`circuits.schedule_analysis`,
-    which validates the circuit.  The returned list is deterministic and
-    ordered by position."""
+    interval.  The intervals come from :meth:`Circuit.validate`'s schedule
+    walk, kept on the circuit until it changes.  The returned list is
+    deterministic and ordered by position."""
     if len(cnot_pauli) != 2 or any(ch not in "IXYZ" for ch in cnot_pauli) or cnot_pauli == "II":
         raise ValueError(f"cnot noise must be two Pauli letters, not all I; got {cnot_pauli!r}")
-    sched = C.schedule_analysis(circuit)
+    sched = circuit.validate()
     n = circuit.n_qubits
     gate_sites: dict[int, list[NoiseSite]] = {}
     meas_sites: dict[int, list[NoiseSite]] = {}

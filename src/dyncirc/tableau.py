@@ -864,7 +864,7 @@ class Program:
         end = int(shot_offset) + per_seed
         if shot_offset < 0 or end > 1 << 64:
             raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
-        ids = np.arange(per_seed, dtype=np.uint64) + np.uint64(shot_offset)
+        ids = np.arange(int(shot_offset), end, dtype=np.uint64)
         fired = stream.fired(self.streams, self.thresholds, ids)
         records, fx, fz, dx, dz = self._replay(fired, shots)
         noise_rows = fired[self.streams >= _NOISE_STREAM_BASE]
@@ -966,7 +966,9 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     0, emitting its frame-replay :class:`Program`: the entries, one draw per
     noise site or random collapse, the noise sites and the reference
     record.  ``noise`` is a sequence of sites as :func:`run_batch` takes
-    them."""
+    them.  Validation is paid once per state of the circuit: it reads the
+    schedule walk that :func:`circuits.tally` or :func:`noise.attach_noise`
+    may already have made (:meth:`Circuit.validate`)."""
     circuit.validate()
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")

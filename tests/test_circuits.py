@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from dyncirc import circuits as C
 from dyncirc import noise as N
 from dyncirc import statevector as sv
+from dyncirc import tableau as tb
 from dyncirc.pauli import PauliString
+from known_zero import idle_reference
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -248,44 +250,6 @@ def test_conditioned_x_cancels_measured_content():
 # ---------------------------------------------------------------------------
 
 
-def _idle_reference(circ):
-    """Idle windows the direct way: per qubit and per segment between its
-    sorted boundaries, scan every busy window for the midpoint and the zero
-    events from the start for the content there."""
-    circ.validate()
-    makespan = circ.makespan
-    zero_events = C._zero_timeline(circ)
-    busy = {q: [] for q in range(circ.n_qubits)}
-    for ins in circ.instructions:
-        if ins.duration > 0:
-            for q in ins.qubits:
-                busy[q].append((ins.start, ins.end))
-    out = []
-    for q in range(circ.n_qubits):
-        bounds = {0.0, makespan}
-        for s, e in busy[q]:
-            bounds.update((s, e))
-        bounds.update(t for t, _ in zero_events[q])
-        pts = sorted(b for b in bounds if 0.0 <= b <= makespan)
-        for a, b in zip(pts, pts[1:]):
-            if b - a < 1e-12:
-                continue
-            mid = (a + b) / 2
-            operated = any(s <= mid < e for s, e in busy[q])
-            zero = True
-            for t, z in zero_events[q]:
-                if t <= mid:
-                    zero = z
-                else:
-                    break
-            if not operated and not zero:
-                if out and out[-1][0] == q and abs(out[-1][2] - a) < 1e-12:
-                    out[-1] = (q, out[-1][1], b)
-                else:
-                    out.append((q, a, b))
-    return out
-
-
 def _attach_reference(circuit, params, cnot_pauli):
     """Noise sites built from Pauli products, each idle window's site index
     found by scanning its qubit's instructions, merged over every index."""
@@ -302,7 +266,7 @@ def _attach_reference(circuit, params, cnot_pauli):
         if ins.op == "measure" and params.lambda_meas > 0:
             p = PauliString.single(n, ins.qubits[0], "X")
             meas.setdefault(k, []).append(N.NoiseSite(k, p, N.omega(params.lambda_meas)))
-    for q, a, b in _idle_reference(circuit):
+    for q, a, b in idle_reference(circuit):
         touching = [i for i, ins in enumerate(circuit.instructions) if q in ins.qubits]
         k = next((i for i in touching if circuit.instructions[i].start >= b - 1e-9), n_ins)
         for letter, rate in params.idle_rates(b - a):
@@ -322,7 +286,7 @@ def test_idle_window_runs_on_across_a_boundary_inside_it():
     c.add("reset", 0, start=2.0)
     c.add("h", 0, start=2.0)
     c.add("barrier", start=5.0)
-    assert C.idle_intervals(c) == _idle_reference(c) == [(0, 0.0, 5.0), (1, 1.0, 5.0)]
+    assert C.idle_intervals(c) == idle_reference(c) == [(0, 0.0, 5.0), (1, 1.0, 5.0)]
 
 
 _MUS = (0.0, 1e-3, 1.0, 3.65, 7.3)
@@ -365,7 +329,7 @@ def _family_circuits(family):
 )
 def test_schedule_analysis_matches_the_per_segment_reference(family):
     for circ in _family_circuits(family):
-        want = _idle_reference(circ)
+        want = idle_reference(circ)
         assert C.idle_intervals(circ) == want
         assert C.tally(circ).t_idle == sum(b - a for _, a, b in want)
         for cnot_pauli, params in _SITE_PARAMS:
@@ -400,7 +364,7 @@ def test_schedule_analysis_matches_the_reference_on_random_schedules(steps):
         else:
             circ.add(op, a, **kw)
     try:
-        want = _idle_reference(circ)
+        want = idle_reference(circ)
     except ValueError:
         with pytest.raises(ValueError):
             C.idle_intervals(circ)
@@ -432,13 +396,13 @@ def test_schedule_analysis_runs_once_per_state_of_the_circuit(monkeypatch):
     circ = C.ghz_dynamic(64)
     t = C.tally(circ)
     sites = N.attach_noise(circ, params)
-    assert (C.idle_intervals(circ), C.tally(circ)) == (_idle_reference(circ), t)
+    assert (C.idle_intervals(circ), C.tally(circ)) == (idle_reference(circ), t)
     assert len(calls) == 1
 
     def changed(expect_depth):
         before = len(calls)
         t = C.tally(circ)
-        assert t.depth == expect_depth and t.t_idle == sum(b - a for _, a, b in _idle_reference(circ))
+        assert t.depth == expect_depth and t.t_idle == sum(b - a for _, a, b in idle_reference(circ))
         assert N.attach_noise(circ, params) == _attach_reference(circ, params, "ZX")
         assert len(calls) == before + 1
         return t
@@ -459,6 +423,17 @@ def test_schedule_analysis_runs_once_per_state_of_the_circuit(monkeypatch):
     circ.instructions.sort(key=lambda ins: ins.start)
     changed(end + 5.0)
     assert sites != N.attach_noise(circ, params)
+
+    # run_batch validates through the walk tally and attach_noise paid for
+    circ = C.long_range_cnot_dynamic(6, mu=3.65)
+    before = len(calls)
+    C.tally(circ)
+    sites = N.attach_noise(circ, params)
+    tb.run_batch(circ, 8, master_seed=3, noise=sites)
+    assert calls[before:] == [circ]
+    circ.add("x", 0, start=circ.makespan)
+    tb.run_batch(circ, 8, master_seed=3, noise=sites)
+    assert calls[before:] == [circ, circ]
 
 
 # ---------------------------------------------------------------------------

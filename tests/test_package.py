@@ -5,6 +5,7 @@ read it as an oracle, and no module checks a condition with a bare
 ``assert``."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
@@ -48,41 +49,48 @@ def _is_private(name: str) -> bool:
 
 def _definitions(tree: ast.Module):
     """Top-level functions, classes and constants, and methods, as (kind,
-    name); a method's name is ``Class.method``."""
+    name, node); a method's name is ``Class.method``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield "definition", node.name
+            yield "definition", node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
-                        yield "constant", leaf.id
+                        yield "constant", leaf.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield "method", f"{node.name}.{item.name}"
+                    yield "method", f"{node.name}.{item.name}", item
+
+
+def _loads(tree: ast.AST) -> collections.Counter:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    loaded = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded[node.attr] += 1
+    return loaded
 
 
 def _unread(keep) -> list[str]:
     """``module:name`` of each definition for which ``keep(kind, name)``
     holds and whose last name part nothing in the package reads, as a name
-    or an attribute; comments and strings do not count."""
+    or an attribute, outside the definition's own body; comments and
+    strings do not count."""
     paths = pathlib.Path(dyncirc.__file__).parent.glob("*.py")
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in paths}
-    loaded = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    return [
-        f"{name}:{ident}"
-        for name, tree in sorted(trees.items())
-        for kind, ident in _definitions(tree)
-        if keep(kind, ident.rsplit(".", 1)[-1]) and ident.rsplit(".", 1)[-1] not in loaded
-    ]
+    loaded = sum((_loads(tree) for tree in trees.values()), collections.Counter())
+    out = []
+    for name, tree in sorted(trees.items()):
+        for kind, ident, node in _definitions(tree):
+            last = ident.rsplit(".", 1)[-1]
+            if keep(kind, last) and loaded[last] == _loads(node)[last]:
+                out.append(f"{name}:{ident}")
+    return out
 
 
 def test_no_orphaned_private_helpers():
@@ -97,6 +105,7 @@ _READ_BY_TESTS = {
     "certify.py:GhzStabilizerGroup.generator": "the GHZ generators that sampled group elements are built from",
     "circuits.py:idle_intervals": "the schedule analysis's idle windows, against the tests' own interval sweep",
     "noise.py:NoiseParams.from_json": "reads back to_json's document, so the round trip is checked",
+    "noise.py:PauliLindbladChannel": "the channel that criterion 5 composes and bounds",
     "noise.py:PauliLindbladChannel.process_fidelity_lower_bound": "the exp(-sum of rates) bound criterion 5 checks",
     "noise.py:PauliLindbladChannel.rate_of": "channel rates criterion 5 and the idle-rate checks read",
     "pauli.py:PauliString.commutes": "the symplectic product the tests' reference expectation reads",

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncirc import certify
 from dyncirc import circuits as C
@@ -23,6 +25,7 @@ from dyncirc import noise as N
 from dyncirc import statevector as sv
 from dyncirc import tableau as tb
 from dyncirc.pauli import PauliString
+from known_zero import idle_reference
 
 # gates that send |0> to each Pauli eigenstate, applied left to right
 PREP = {
@@ -1022,39 +1025,46 @@ def _parity_circuits():
     return out
 
 
-def _unfolded_zero_timeline(circ):
-    """The known-zero analysis with every cpauli parity read in full."""
-    exprs = {q: (0, 0) for q in range(circ.n_qubits)}
-    rec_exprs = {}
-    events = {q: [(0.0, True)] for q in range(circ.n_qubits)}
-    labels = 0
+# measurements and corrections weighted up, so most circuits feed forward
+_FUZZ_STEP = st.tuples(
+    st.sampled_from(["h", "h", "s", "sdg", "x", "y", "z", "cx", "cx", "measure", "measure", "reset"] + ["cpauli"] * 3),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from("XZ"),
+    st.lists(st.integers(0, 15), min_size=1, max_size=3),
+)
 
-    def update(q, new, t):
-        if (new == (0, 0)) != (exprs[q] == (0, 0)):
-            events[q].append((t, new == (0, 0)))
-        exprs[q] = new
 
-    for ins in circ.instructions:
-        q, t = ins.qubits[0] if ins.qubits else None, ins.end
-        if ins.op in ("input", "h"):
-            labels += 1
-            update(q, (1 << labels, 0), ins.start if ins.op == "input" else t)
-        elif ins.op == "x":
-            update(q, (exprs[q][0], exprs[q][1] ^ 1), t)
-        elif ins.op == "cx":
-            (mc, cc), (mt, ct) = exprs[ins.qubits[0]], exprs[ins.qubits[1]]
-            update(ins.qubits[1], (mc ^ mt, cc ^ ct), t)
-        elif ins.op == "measure":
-            rec_exprs[ins.record] = exprs[q]
-        elif ins.op == "reset":
-            update(q, (0, 0), t)
-        elif ins.op == "cpauli" and ins.pauli == "X":
-            m, c = exprs[q]
-            for r in ins.parity:
-                m ^= rec_exprs[r][0]
-                c ^= rec_exprs[r][1]
-            update(q, (m, c), t)
-    return events
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(_FUZZ_STEP, min_size=4, max_size=16))
+def test_dense_oracle_matches_compiled_outcomes_on_random_dynamic_circuits(n, steps):
+    """Random dynamic Clifford circuits on up to 5 qubits, one instruction
+    per time step: the dense oracle's record distribution is the compiled
+    program's exact one in both modes, with every qubit read out at the
+    end.  A cx on qubit a targets another qubit b steps on.  A cpauli
+    reads records already written, picked with repeats; for odd b it reads
+    the parity of the cpauli before it and more, which the engines fold."""
+    circ = C.Circuit(n)
+    recs, parity = [], ()
+    for t, (op, a, b, letter, picks) in enumerate(steps):
+        q, start = a % n, float(t)
+        if op == "cx":
+            if n > 1:
+                circ.add("cx", q, (q + 1 + b % (n - 1)) % n, start=start)
+        elif op == "measure":
+            recs.append(circ.measure(q, start=start))
+        elif op == "cpauli":
+            if recs:
+                parity = parity * (b % 2) + tuple(recs[i % len(recs)] for i in picks)
+                circ.add("cpauli", q, start=start, pauli=letter, parity=parity)
+        else:
+            circ.add(op, q, start=start)
+    for q in range(n):  # read every qubit out, so a wrong frame shows
+        circ.measure(q, start=float(len(steps)))
+    for mode in ("feed_forward", "post_process"):
+        dense = sv.outcome_distribution(sv.run_branches(circ, mode=mode))
+        exact = tb.compile(circ, mode=mode).outcomes()
+        assert max(abs(dense.get(x, 0.0) - exact.get(x, 0.0)) for x in set(dense) | set(exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
@@ -1074,13 +1084,14 @@ def test_folded_parities_match_exact_distribution(name, steps, mode):
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 @pytest.mark.parametrize("name, steps", _parity_circuits())
-def test_folded_parities_match_unfolded_known_zero_analysis(name, steps, mode, monkeypatch):
+def test_folded_parities_match_unfolded_known_zero_analysis(name, steps, mode):
+    """The schedule walk folds each parity from the one before; the tests'
+    reference sweep reads every parity in full."""
     circ = _parity_circuit(steps, mode)
-    assert C._zero_timeline(circ) == _unfolded_zero_timeline(circ)
-    folded = (C.idle_intervals(circ), C.tally(circ))
-    monkeypatch.setattr(C, "_zero_timeline", _unfolded_zero_timeline)
-    circ = _parity_circuit(steps, mode)  # a new circuit, analysed afresh
-    assert (C.idle_intervals(circ), C.tally(circ)) == folded
+    want = idle_reference(circ)
+    assert C.idle_intervals(circ) == want
+    t = C.tally(circ)
+    assert (t.t_idle, t.depth) == (sum(b - a for _, a, b in want), circ.makespan)
 
 
 @pytest.mark.parametrize("name, steps", _parity_circuits())
@@ -1274,6 +1285,11 @@ def test_shot_ids_stay_below_two_to_the_64():
     for shots, offset in ((2, 2**64 - 1), (1, 2**64), (1, -1)):
         with pytest.raises(ValueError, match="shot ids"):
             tb.run_batch(circ, shots, master_seed=4, shot_offset=offset)
+    # an empty batch may end at 2^64; one shot there names its id
+    empty = tb.run_batch(circ, 0, master_seed=4, shot_offset=2**64)
+    assert empty.records.shape == (0, circ.n_records)
+    with pytest.raises(ValueError, match=r"shot ids 18446744073709551616\.\.18446744073709551616 outside"):
+        tb.run_batch(circ, 1, master_seed=4, shot_offset=2**64)
     # with m seeds the ids run to shot_offset + shots/m - 1
     tb.run_batch(circ, 4, master_seed=[1, 2], shot_offset=2**64 - 2)
     with pytest.raises(ValueError, match="shot ids"):
