@@ -32,7 +32,6 @@ from .noise import NoiseSite
 from .pauli import PauliString
 
 __all__ = [
-    "CHOI_DIMENSION",
     "DEFAULT_SHOTS_PER_SAMPLE",
     "ghz_stabilizer_group",
     "cnot_process_support",
@@ -43,9 +42,6 @@ __all__ = [
     "choi_state_source",
     "pauli_readout_circuit",
 ]
-
-# Choi-state dimension of a two-qubit gate certifier (d^2 with d = 4).
-CHOI_DIMENSION = 16
 
 # Per-sample shot count giving single-operator precision ~0.1 at unit weight.
 DEFAULT_SHOTS_PER_SAMPLE = 100
@@ -209,8 +205,8 @@ class CircuitStateSource:
     shot's parity is read from its end frame: the shot ends in ``F * ref``,
     so a Pauli S with expectation e = +-1 on the reference state reads
     ``e * (-1)^<F, S>``.  In post-processing mode the records are corrected
-    through the outstanding operator, so F is multiplied by the reference
-    correction and the replayed correction delta.  An operator with e = 0
+    through the outstanding operator, so F is multiplied by the shot's
+    outstanding correction.  An operator with e = 0
     on the reference has a random outcome per shot; it falls back to a
     readout circuit (:func:`pauli_readout_circuit`) run on its own.  The
     shot-for-shot values equal those of that readout circuit.

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 CNOT_TIME = 1.0
 
 GATE_OPS = frozenset({"h", "s", "sdg", "x", "y", "z", "t", "tdg", "cx", "ccz"})
-CLIFFORD_GATES = frozenset({"h", "s", "sdg", "x", "y", "z", "cx"})
 ALL_OPS = GATE_OPS | {"input", "measure", "reset", "cpauli", "barrier"}
 # qubits an op acts on, where not 1 (a barrier takes any number)
 _ARITY = {"cx": 2, "ccz": 3}
@@ -183,27 +182,6 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# running feed-forward parities
-# ---------------------------------------------------------------------------
-
-
-def parity_reads(prev: tuple[int, ...] | None, parity: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
-    """How a pass that folds running feed-forward parities reads a ``cpauli``
-    parity, given ``prev``, the parity of the ``cpauli`` before it in the
-    instruction list (None for the first).
-
-    Returns ``(True, parity[len(prev):])`` when ``prev`` is a non-empty
-    prefix of ``parity``: its value is then ``prev``'s value XOR those
-    records, as a record is written once and keeps its value.  Otherwise
-    returns ``(False, parity)``: the value is read from every record.  The
-    constant-depth GHZ chain's corrections read growing prefixes of one
-    record list, so each of them reads one new record instead of all."""
-    if prev and parity[: len(prev)] == prev:
-        return True, parity[len(prev) :]
-    return False, parity
-
-
-# ---------------------------------------------------------------------------
 # the schedule walk: validation, known-zero content, idle windows; cost tally
 # ---------------------------------------------------------------------------
 
@@ -214,11 +192,18 @@ class ScheduleAnalysis:
     the merged (qubit, start, end) windows that accrue idle cost, by qubit
     and then time; ``closers[i]`` is the index of the instruction that
     closes ``idle[i]``, the first one on its qubit that starts at its end
-    (the instruction count when none does)."""
+    (the instruction count when none does).  ``parities`` holds one
+    ``(base, reads)`` per ``cpauli``, in list order: its parity is that of
+    records ``reads`` XOR, when ``base`` is not None, that of ``cpauli``
+    ``base``, the one before it.  A parity is folded so when the one before
+    is a non-empty prefix of it, as a record is written once and keeps its
+    value: the constant-depth GHZ chain's corrections read growing prefixes
+    of one record list, so each reads one new record instead of all."""
 
     makespan: float
     idle: tuple[tuple[int, float, float], ...]
     closers: tuple[int, ...]
+    parities: tuple[tuple[int | None, tuple[int, ...]], ...]
 
 
 def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
@@ -227,10 +212,10 @@ def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
 
     Each qubit's content is a GF(2) affine form in one int: bit 0 is the
     constant, each higher bit an opaque label.  ``input`` and ``h`` mint a
-    fresh label, ``x`` flips the constant, ``cx`` XORs the control's form
-    onto the target's, a measurement snapshots the form into its record
-    and a ``cpauli`` X XORs on its parity's form, folded from the one
-    before (:func:`parity_reads`); other ops leave the form alone.
+    fresh label, ``x`` and ``y`` flip the constant, ``cx`` XORs the
+    control's form onto the target's, a measurement snapshots the form into
+    its record and a ``cpauli`` X XORs on its parity's form, folded from the
+    one before (``parities``); other ops leave the form alone.
 
     While a qubit's form is not 0, an idle run is open from the latest end
     of a busy window on it (time 0 at first).  The run closes at the start
@@ -247,6 +232,7 @@ def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
     prev_start = float("-inf")
     written: dict[int, int] = {}  # record -> the form measured into it
     prev_parity, prev_value = None, 0
+    parities: list[tuple[int | None, tuple[int, ...]]] = []
     labels = 0
     form = [0] * n
     free = [0.0] * n  # latest end of a busy window on each qubit
@@ -272,7 +258,7 @@ def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
         elif op == "h" or op == "input":
             labels += 1
             new = 1 << labels
-        elif op == "x":
+        elif op == "x" or op == "y":
             new = form[qubits[0]] ^ 1
         elif op == "reset":
             new = 0
@@ -286,7 +272,8 @@ def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
             if ins.pauli not in ("X", "Z"):
                 raise ValueError(f"cpauli supports X or Z, got {ins.pauli!r}")
             # a folded prefix was checked at the cpauli before
-            folded, reads = parity_reads(prev_parity, ins.parity)
+            folded = bool(prev_parity) and ins.parity[: len(prev_parity)] == prev_parity
+            reads = ins.parity[len(prev_parity) :] if folded else ins.parity
             missing = {r for r in reads if r not in written}
             if missing:
                 raise ValueError(f"cpauli reads unwritten records {sorted(missing)}")
@@ -294,6 +281,7 @@ def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
             for r in reads:
                 value ^= written[r]
             prev_parity, prev_value = ins.parity, value
+            parities.append((len(parities) - 1 if folded else None, reads))
             if ins.pauli == "X":
                 new = form[qubits[0]] ^ value
 
@@ -340,14 +328,7 @@ def _analyse_schedule(circ: Circuit) -> ScheduleAnalysis:
                 ki += 1
             idle.append((q, a, b))
             closers.append(ks[ki] if ki < len(ks) else len(instructions))
-    return ScheduleAnalysis(makespan, tuple(idle), tuple(closers))
-
-
-def idle_intervals(circ: Circuit) -> list[tuple[int, float, float]]:
-    """Merged (qubit, start, end) windows that accrue idle cost: the qubit is
-    outside every scheduled instruction and its content is not known-zero.
-    Read from :meth:`Circuit.validate`'s analysis."""
-    return list(circ.validate().idle)
+    return ScheduleAnalysis(makespan, tuple(idle), tuple(closers), tuple(parities))
 
 
 def tally(circ: Circuit) -> InstructionTally:

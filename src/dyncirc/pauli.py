@@ -69,10 +69,6 @@ class PauliString:
         return p
 
     @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n)
-
-    @classmethod
     def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliString":
         """A one-letter operator, identity elsewhere."""
         if not 0 <= qubit < n:
@@ -166,12 +162,6 @@ class PauliString:
         minus = (ay & bx) | (az & by) | (ax & bz)
         e = self._phase_exp + other._phase_exp + plus.bit_count() - minus.bit_count()
         return PauliString._raw(self.n, x1 ^ x2, z1 ^ z2, e)
-
-    def times_mod_phase(self, other: "PauliString") -> "PauliString":
-        """Product with the phase discarded (result always has sign +1)."""
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return PauliString._raw(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits, 0)
 
     def commutes(self, other: "PauliString") -> bool:
         """True when the two operators commute (symplectic inner product 0)."""

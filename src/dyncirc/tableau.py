@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, parity_reads
+from .circuits import Circuit
 from .pauli import PauliString
 
 _MASK64 = (1 << 64) - 1
@@ -339,16 +339,15 @@ class StabilizerState:
     no tableau pass; collapses of other qubits measure commuting operators
     and leave it valid.
 
-    With ``post_process=True`` the state also carries ``pending``, a
-    correction operator accumulated by :meth:`apply_correction` instead of
-    being applied to the tableau; a record is the raw outcome corrected
-    through its X component, so classical statistics match feed-forward
-    execution exactly.
+    A random outcome is the ``forced`` value its measurement or reset is
+    given, 0 by default: the state draws nothing itself.  A correction
+    deferred to post-processing is kept by the frame replay
+    (:class:`Program`), not by the tableau.
     """
 
-    __slots__ = ("n", "_T", "_X", "_Z", "_r", "_stab", "_known", "pending")
+    __slots__ = ("n", "_T", "_X", "_Z", "_r", "_stab", "_known")
 
-    def __init__(self, n: int, post_process: bool = False):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
         self.n = n
@@ -362,7 +361,6 @@ class StabilizerState:
         self._X[q // 64, q] = _U1 << (q % 64).astype(np.uint64)
         self._Z[(n + q) // 64, q] = _U1 << ((n + q) % 64).astype(np.uint64)
         self._known: dict[int, int] = {}
-        self.pending: PauliString | None = PauliString.identity(n) if post_process else None
 
     # -- bookkeeping helpers ---------------------------------------------
 
@@ -378,7 +376,6 @@ class StabilizerState:
         new._r = self._r.copy()
         new._stab = self._stab
         new._known = dict(self._known)
-        new.pending = self.pending
         return new
 
     def _row_major(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -444,8 +441,6 @@ class StabilizerState:
             raise ValueError(f"not a supported Clifford gate: {gate!r}")
         for q in qubits:
             self._known.pop(q, None)
-        if self.pending is not None and not self.pending.is_identity():
-            self.pending = self.pending.conjugated(gate, *qubits)
 
     def apply_pauli(self, p: PauliString) -> None:
         """Multiply the state by ``p`` (global phase dropped): each generator
@@ -461,12 +456,7 @@ class StabilizerState:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure_flip(
-        self,
-        q: int,
-        rng: np.random.Generator | None = None,
-        forced: int | None = None,
-    ) -> tuple[int, bool, PauliString | None]:
+    def measure_flip(self, q: int, forced: int = 0) -> tuple[int, bool, PauliString | None]:
         """Measure Z on qubit ``q``; return (raw outcome, was_random, flip).
 
         ``flip`` (random outcomes only) is an operator that toggles the
@@ -474,14 +464,13 @@ class StabilizerState:
         that anticommuted with Z_q, sign dropped, i.e. a group element
         mapping the outcome-0 post-measurement branch onto the outcome-1
         branch.  It is built from the supports :meth:`_measure` returns.
-        ``forced`` pins a random outcome (deterministic ones ignore it).
+        ``forced`` is the outcome a random measurement takes (a
+        deterministic one ignores it).
         """
-        outcome, was_random, flip = self._measure(q, rng, forced)
+        outcome, was_random, flip = self._measure(q, forced)
         return outcome, was_random, self._flip_pauli(flip)
 
-    def _measure(
-        self, q: int, rng: np.random.Generator | None, forced: int | None
-    ) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
+    def _measure(self, q: int, forced: int) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
         """:meth:`measure_flip` with the flip given as the ascending qubit
         indices of its X and of its Z letters."""
         self._check(q)
@@ -491,12 +480,7 @@ class StabilizerState:
         hits = col & self._stab
         words = np.flatnonzero(hits)
         if words.size:
-            if forced is None:
-                if rng is None:
-                    rng = np.random.default_rng()
-                outcome = int(rng.integers(2))
-            else:
-                outcome = int(forced) & 1
+            outcome = int(forced) & 1
             v = int(hits[words[0]])
             flip = self._collapse(q, col, 64 * int(words[0]) + (v & -v).bit_length() - 1, outcome)
             self._known[q] = outcome
@@ -603,39 +587,23 @@ class StabilizerState:
         signs = np.bitwise_count(self._r[ws] & m).sum(axis=1, dtype=np.int64)
         return x, z, (y_letters - (x & z).sum(axis=1) + 2 * (signs + pairs)) % 4
 
-    def measure(self, qubit: int, rng: np.random.Generator | None = None, forced: int | None = None) -> int:
+    def measure(self, qubit: int, forced: int = 0) -> int:
         """Measure Z on ``qubit``; return the raw outcome."""
-        return self._measure(qubit, rng, forced)[0]
+        return self._measure(qubit, forced)[0]
 
-    def reset(
-        self,
-        q: int,
-        rng: np.random.Generator | None = None,
-        forced: int | None = None,
-    ) -> tuple[int, bool, PauliString | None]:
+    def reset(self, q: int, forced: int = 0) -> tuple[int, bool, PauliString | None]:
         """Measure-then-flip so the state is stabilized by +Z on ``q``;
         returns what :meth:`measure_flip` does."""
-        outcome, was_random, flip = self._reset(q, rng, forced)
+        outcome, was_random, flip = self._reset(q, forced)
         return outcome, was_random, self._flip_pauli(flip)
 
-    def _reset(
-        self, q: int, rng: np.random.Generator | None, forced: int | None
-    ) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
+    def _reset(self, q: int, forced: int) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
         """:meth:`reset` with the flip as :meth:`_measure` gives it."""
-        outcome, was_random, flip = self._measure(q, rng, forced)
+        outcome, was_random, flip = self._measure(q, forced)
         if outcome:
             self.apply_clifford("x", q)
         self._known[q] = 0
         return outcome, was_random, flip
-
-    def apply_correction(self, target: int, pauli: str) -> None:
-        """Apply a single-qubit Pauli correction, or fold it into
-        ``pending`` in post-processing mode."""
-        p = PauliString.single(self.n, target, pauli)
-        if self.pending is not None:
-            self.pending = self.pending.times_mod_phase(p)
-        else:
-            self.apply_pauli(p)
 
     # -- read-out ---------------------------------------------------------------
 
@@ -749,13 +717,12 @@ class BatchResult:
     """Vectorised shot batch: ``records[s, r]`` is record r of shot s.
 
     ``reference`` is the reference execution's end state (random outcomes
-    pinned to 0; in post-processing mode its ``pending`` is the reference
-    correction).  Shot s ends in ``frame_s * reference``.  Frames are
-    stored qubit-major with 64 shots a word: bit s % 64 of word s // 64 in
-    row q of ``fx``/``fz`` is the X/Z part of shot s's frame on qubit q.  In
-    post-processing mode ``dx``/``dz`` hold, in the same layout, the
-    replayed change to the outstanding correction, which for shot s is
-    ``reference.pending`` times that delta.  ``sites`` is the caller's
+    pinned to 0, and in post-processing mode no correction applied).  Shot
+    s ends in ``frame_s * reference``.  Frames are stored qubit-major with
+    64 shots a word: bit s % 64 of word s // 64 in row q of ``fx``/``fz`` is
+    the X/Z part of shot s's frame on qubit q.  In post-processing mode
+    ``dx``/``dz`` hold, in the same layout, shot s's whole outstanding
+    correction, the reference's included.  ``sites`` is the caller's
     noise sites in program order, and row j of ``fired`` marks, in the
     same layout, the shots on which ``sites[j]`` fired.
     """
@@ -780,7 +747,7 @@ class BatchResult:
         operator k read on its own block of shots/m consecutive rows: True
         where a noiseless readout of the operator on that shot records the
         opposite of its value on the reference state.  That is where it
-        anticommutes with the shot's frame, times the outstanding
+        anticommutes with the shot's frame, times its outstanding
         correction in post-processing mode (records are corrected through
         it).  Only the frame rows of the operators' support are read."""
         m = sx.shape[0]
@@ -796,11 +763,7 @@ class BatchResult:
         fx &= _block_rows(sz[:, cols], self.shots)
         fz &= _block_rows(sx[:, cols], self.shots)
         anti = np.bitwise_xor.reduce(fx, axis=0) ^ np.bitwise_xor.reduce(fz, axis=0)
-        out = _unpack_rows(anti[None], self.shots)[0].astype(bool).reshape(m, -1)
-        if self.mode == "post_process":
-            (px,), (pz,) = pauli_bits([self.reference.pending], self.reference.n)
-            out ^= (np.count_nonzero((sx & pz) ^ (sz & px), axis=1) & 1).astype(bool)[:, None]
-        return out
+        return _unpack_rows(anti[None], self.shots)[0].astype(bool).reshape(m, -1)
 
 
 def _block_rows(letters: np.ndarray, shots: int) -> np.ndarray:
@@ -830,15 +793,21 @@ class Program:
     :func:`_support`); it is a noise site, or the flip operator of a random
     collapse (weight 1/2, a stream below ``_NOISE_STREAM_BASE``).
 
-    ``cpauli`` parities are folded (:func:`circuits.parity_reads`): the
-    k-th ``cpauli`` entry ``("cpauli", q, letter, base, recs)`` has the
-    parity of records ``recs`` XOR, when ``base`` is not None, the parity of
-    ``cpauli`` entry ``base``; the reference bit is folded the same way.
+    ``cpauli`` parities are folded as the schedule walk decides
+    (:attr:`circuits.ScheduleAnalysis.parities`): the k-th ``cpauli`` entry
+    ``("cpauli", q, letter, base, recs, marked)`` has the parity of records
+    ``recs`` XOR, when ``base`` is not None, the parity of ``cpauli`` entry
+    ``base``; the reference bit is folded the same way.  In feed-forward
+    mode the reference pass applies the correction its reference parity
+    fires, and the replay writes a shot's change to it into the frame.  In
+    post-processing mode the reference is left uncorrected, ``marked``
+    entries are those whose reference parity is 1, and the replay writes
+    each shot's whole correction into the outstanding correction rows.
 
     ``sites`` is the caller's noise sites in program order.  ``ref_bits``
-    is the reference record: the raw outcome corrected through the X part
-    of the outstanding correction in post-processing mode.  ``reference``
-    is the reference execution's end state, shared by every sample.
+    is the reference record (raw outcomes in post-processing mode).
+    ``reference`` is the reference execution's end state, shared by every
+    sample.
     """
 
     n_qubits: int
@@ -892,8 +861,8 @@ class Program:
         """Replay the program over ``shots`` shots, draw j firing on the
         shots set in row j of the packed mask ``fired``.  Returns the
         (shots, records) record array and the final frames ``FX``, ``FZ``
-        and, in post-processing mode, the correction delta ``DX``, ``DZ``
-        (None otherwise), qubit-major with 64 shots a word.
+        and, in post-processing mode, the outstanding correction ``DX``,
+        ``DZ`` (None otherwise), qubit-major with 64 shots a word.
 
         During the replay every frame row, record difference and ``cpauli``
         parity is one Python integer whose bit s is shot s, so an entry is
@@ -904,9 +873,10 @@ class Program:
         raw = memoryview(np.ascontiguousarray(fired, dtype="<u8").view(np.uint8).reshape(-1))
         step = 8 * n_words
         FX, FZ = [0] * n, [0] * n
-        # the change to the outstanding correction in post mode, which
-        # cpauli entries write; in feed-forward mode they write the frame
+        # the outstanding correction in post mode, which cpauli entries
+        # write; in feed-forward mode they write the frame
         DX, DZ = ([0] * n, [0] * n) if post else (FX, FZ)
+        ones = (1 << shots) - 1  # a marked entry's reference correction, on every shot
         diff = [0] * self.n_records  # record r's flip, set by its meas entry
         parities: list[int] = []  # the parity each cpauli applied, which later entries fold
 
@@ -943,12 +913,12 @@ class Program:
                 q = entry[1]
                 FX[q] = FZ[q] = 0
             elif tag == "cpauli":
-                _, q, letter, base, recs = entry
+                _, q, letter, base, recs, marked = entry
                 par = parities[base] if base is not None else 0
                 for r in recs:
                     par ^= diff[r]
                 parities.append(par)
-                (DX if letter == "X" else DZ)[q] ^= par
+                (DX if letter == "X" else DZ)[q] ^= par ^ ones if marked else par
             else:  # pragma: no cover - compiler and replayer agree on tags
                 raise AssertionError(f"unknown program entry {tag!r}")
 
@@ -968,8 +938,9 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     record.  ``noise`` is a sequence of sites as :func:`run_batch` takes
     them.  Validation is paid once per state of the circuit: it reads the
     schedule walk that :func:`circuits.tally` or :func:`noise.attach_noise`
-    may already have made (:meth:`Circuit.validate`)."""
-    circuit.validate()
+    may already have made (:meth:`Circuit.validate`), whose ``parities``
+    decide the ``cpauli`` folds."""
+    folds = circuit.validate().parities
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")
     n_ins = len(circuit.instructions)
@@ -981,7 +952,8 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
         if s.pauli.n != circuit.n_qubits:
             raise ValueError("noise operator size does not match the circuit")
         by_index.setdefault(k, []).append(s)
-    st = StabilizerState(circuit.n_qubits, post_process=(mode == "post_process"))
+    post = mode == "post_process"
+    st = StabilizerState(circuit.n_qubits)
     qdt = np.min_scalar_type(circuit.n_qubits).char  # supports are held as qubit indices
     prog: list[tuple] = []
     streams: list[int] = []
@@ -990,7 +962,6 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     coin_streams = 0
     ref_bits = np.zeros(circuit.n_records, dtype=np.uint8)
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
-    prev_parity = None
 
     def emit_pauli(xq, zq, stream_id: int, weight: float) -> None:
         prog.append(("pauli", xq, zq, len(streams)))
@@ -1020,26 +991,25 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
                 prog.append((op, ins.qubits[0]))
         elif op in ("measure", "reset"):
             q = ins.qubits[0]
-            outcome, was_random, flip = (st._measure if op == "measure" else st._reset)(q, None, 0)
+            outcome, was_random, flip = (st._measure if op == "measure" else st._reset)(q, 0)
             if was_random:
                 emit_pauli(_index_support(flip[0], qdt), _index_support(flip[1], qdt), coin_streams, 0.5)
                 coin_streams += 1
             if op == "measure":
-                ref_bits[ins.record] = outcome ^ (st.pending.x_bit(q) if st.pending is not None else 0)
+                ref_bits[ins.record] = outcome
                 prog.append(("meas", q, ins.record))
             else:
                 prog.append(("reset", q))
         elif op == "cpauli":
-            folded, reads = parity_reads(prev_parity, ins.parity)
-            base = len(ref_parities) - 1 if folded else None
-            par = ref_parities[base] if folded else 0
+            q = ins.qubits[0]
+            base, reads = folds[len(ref_parities)]
+            par = ref_parities[base] if base is not None else 0
             for r in reads:
                 par ^= int(ref_bits[r])
-            if par:
-                st.apply_correction(ins.qubits[0], ins.pauli)
-            prog.append(("cpauli", ins.qubits[0], ins.pauli, base, reads))
+            if par and not post:
+                st.apply_pauli(PauliString.single(st.n, q, ins.pauli))
+            prog.append(("cpauli", q, ins.pauli, base, reads, bool(par) and post))
             ref_parities.append(par)
-            prev_parity = ins.parity
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)

@@ -8,9 +8,9 @@ def unfolded_zero_timeline(circ):
     """Per qubit, the (time, is_known_zero) change points of its content,
     starting zero at 0, with every cpauli parity read in full.  Content is a
     GF(2) affine form (label mask, constant): ``input`` and ``h`` mint a
-    fresh label, ``x`` flips the constant, ``cx`` XORs the control's form
-    onto the target's, a measurement copies the form into its record and a
-    cpauli X XORs on the forms of its records."""
+    fresh label, ``x`` and ``y`` flip the constant, ``cx`` XORs the
+    control's form onto the target's, a measurement copies the form into its
+    record and a cpauli X XORs on the forms of its records."""
     exprs = {q: (0, 0) for q in range(circ.n_qubits)}
     rec_exprs = {}
     events = {q: [(0.0, True)] for q in range(circ.n_qubits)}
@@ -26,7 +26,7 @@ def unfolded_zero_timeline(circ):
         if ins.op in ("input", "h"):
             labels += 1
             update(q, (1 << labels, 0), ins.start if ins.op == "input" else t)
-        elif ins.op == "x":
+        elif ins.op in ("x", "y"):
             update(q, (exprs[q][0], exprs[q][1] ^ 1), t)
         elif ins.op == "cx":
             (mc, cc), (mt, ct) = exprs[ins.qubits[0]], exprs[ins.qubits[1]]

@@ -65,7 +65,7 @@ def test_group_elements_stabilize_ghz(n):
 
 
 def _generator_product(group, mask):
-    p = PauliString.identity(group.n)
+    p = PauliString(group.n)
     for i in range(group.n):
         if (mask >> i) & 1:
             p = p * group.generator(i)
@@ -182,10 +182,10 @@ def test_state_source_basics():
     circ = C.ghz_dynamic(4)
     src = cert.CircuitStateSource(circ)
     assert src.n_data == 4
-    ones = src.parities([PauliString.identity(4)], 5, [0])[0]
+    ones = src.parities([PauliString(4)], 5, [0])[0]
     assert ones.shape == (5,) and (ones == 1.0).all()
     with pytest.raises(ValueError):
-        src.parities([PauliString.identity(3)], 5, [0])
+        src.parities([PauliString(3)], 5, [0])
     # <ZZZZ> and <XXXX> are +1 on GHZ_4
     for text in ("ZZZZ", "XXXX"):
         par = src.parities([PauliString.from_text(text)], 64, [3])[0]
@@ -218,7 +218,7 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
     rng = np.random.default_rng(n)
     group = cert.ghz_stabilizer_group(n)
     ops = [group[int(rng.integers(1 << min(n, 62)))].mod_phase() for _ in range(5)]
-    ops += [group[(1 << n) - 1].mod_phase(), PauliString.identity(n)]
+    ops += [group[(1 << n) - 1].mod_phase(), PauliString(n)]
     ops += [PauliString.from_text("Z" + "I" * (n - 1)), PauliString.from_text("I" * (n - 2) + "XY")]
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
     shots = 24
@@ -242,25 +242,44 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 def test_batched_parities_fold_in_the_reference_correction(mode):
     """A deterministic 1 fires the corrections of the reference run itself,
-    so in post-processing mode the reference carries a nontrivial pending
-    operator, and the records must see it."""
-    circ = C.Circuit(3)
-    circ.add("h", 0, start=0.0)
-    circ.add("x", 2, start=0.0)
-    circ.add("cx", 0, 1, start=1.0)
-    rec = circ.measure(2, start=1.0)
-    circ.add("cpauli", 0, start=3.0, pauli="Z", parity=(rec,))
-    circ.add("cpauli", 1, start=3.0, pauli="X", parity=(rec,))
-    sites = [_site(2, PauliString.from_text("XII"), 0.2), _site(6, PauliString.from_text("IZI"), 0.3)]
-    ops = [PauliString.from_text(t) for t in ("XXI", "ZZI", "YYI", "ZII", "IIZ", "XYZ")]
-    seeds = [5, 6, 7, 8, 9, 10]
-    src = cert.CircuitStateSource(circ, noise=sites, mode=mode)
-    got = src.parities(ops, 32, seeds)
-    for k, (op, seed) in enumerate(zip(ops, seeds)):
-        np.testing.assert_array_equal(got[k], _readout_parities(circ, range(3), op, 32, seed, sites, mode))
-    noiseless = cert.CircuitStateSource(circ, mode=mode).parities(ops[:3], 4, seeds[:3])
-    # corrected state: -XX, -ZZ (hence -YY) in both modes
-    np.testing.assert_array_equal(noiseless, -np.ones((3, 4)))
+    so in post-processing mode every shot's outstanding correction holds a
+    nontrivial reference part, and the records must see it.  On 3 qubits,
+    and on 70 with the pair at qubits 0 and 68 and the deterministic record
+    on 69, so the corrections reach past qubit 64; there the correction
+    rows of 1, 63, 65 and 100 shots hold no bits past the last shot."""
+    for n in (3, 70):
+        pair = (0, n - 2, n - 1)  # the Bell pair and the qubit held in |1>
+
+        def on(text):
+            letters = ["I"] * n
+            for q, letter in zip(pair, text):
+                letters[q] = letter
+            return PauliString.from_text("".join(letters))
+
+        circ = C.Circuit(n)
+        circ.add("h", 0, start=0.0)
+        circ.add("x", n - 1, start=0.0)
+        circ.add("cx", 0, n - 2, start=1.0)
+        rec = circ.measure(n - 1, start=1.0)
+        circ.add("cpauli", 0, start=3.0, pauli="Z", parity=(rec,))
+        circ.add("cpauli", n - 2, start=3.0, pauli="X", parity=(rec,))
+        sites = [_site(2, on("XII"), 0.2), _site(6, on("IZI"), 0.3)]
+        ops = [on(t) for t in ("XXI", "ZZI", "YYI", "ZII", "IIZ", "XYZ")]
+        seeds = [5, 6, 7, 8, 9, 10]
+        src = cert.CircuitStateSource(circ, noise=sites, mode=mode)
+        got = src.parities(ops, 32, seeds)
+        for k, (op, seed) in enumerate(zip(ops, seeds)):
+            np.testing.assert_array_equal(got[k], _readout_parities(circ, range(n), op, 32, seed, sites, mode))
+        noiseless = cert.CircuitStateSource(circ, mode=mode).parities(ops[:3], 4, seeds[:3])
+        # corrected state: -XX, -ZZ (hence -YY) in both modes
+        np.testing.assert_array_equal(noiseless, -np.ones((3, 4)))
+        if n < 64 or mode != "post_process":
+            continue
+        for shots in (1, 63, 65, 100):
+            res = tb.run_batch(circ, shots, master_seed=seeds[0], noise=sites, mode=mode)
+            past = np.arange(64 * res.dx.shape[1]) >= shots
+            for rows in (res.dx, res.dz):
+                assert not tb._unpack_rows(rows, 64 * rows.shape[1])[:, past].any()
 
 
 def test_batched_parities_split_into_bounded_calls(monkeypatch):

@@ -217,11 +217,12 @@ def test_idle_counted_for_held_data():
 
 
 def test_x_gate_breaks_known_zero():
-    c = C.Circuit(1)
-    c.add("x", 0, start=0.0)
-    c.add("x", 0, start=3.0)  # back to |0>
-    c.add("barrier", start=5.0)
-    assert C.tally(c).t_idle == pytest.approx(3.0)
+    for gate in ("x", "y"):  # y flips the computational basis as x does
+        c = C.Circuit(1)
+        c.add(gate, 0, start=0.0)
+        c.add(gate, 0, start=3.0)  # back to |0>
+        c.add("barrier", start=5.0)
+        assert C.tally(c).t_idle == pytest.approx(3.0)
 
 
 def test_reset_restores_known_zero():
@@ -258,10 +259,10 @@ def _attach_reference(circuit, params, cnot_pauli):
     gate, meas, idle = {}, {}, {}
     for k, ins in enumerate(circuit.instructions):
         if ins.op == "cx" and params.lambda_cnot > 0:
-            p = PauliString.identity(n)
+            p = PauliString(n)
             for q, letter in zip(ins.qubits, cnot_pauli):
                 if letter != "I":
-                    p = p.times_mod_phase(PauliString.single(n, q, letter))
+                    p = (p * PauliString.single(n, q, letter)).mod_phase()
             gate.setdefault(k + 1, []).append(N.NoiseSite(k + 1, p, N.omega(params.lambda_cnot)))
         if ins.op == "measure" and params.lambda_meas > 0:
             p = PauliString.single(n, ins.qubits[0], "X")
@@ -286,7 +287,7 @@ def test_idle_window_runs_on_across_a_boundary_inside_it():
     c.add("reset", 0, start=2.0)
     c.add("h", 0, start=2.0)
     c.add("barrier", start=5.0)
-    assert C.idle_intervals(c) == idle_reference(c) == [(0, 0.0, 5.0), (1, 1.0, 5.0)]
+    assert list(c.validate().idle) == idle_reference(c) == [(0, 0.0, 5.0), (1, 1.0, 5.0)]
 
 
 _MUS = (0.0, 1e-3, 1.0, 3.65, 7.3)
@@ -330,13 +331,13 @@ def _family_circuits(family):
 def test_schedule_analysis_matches_the_per_segment_reference(family):
     for circ in _family_circuits(family):
         want = idle_reference(circ)
-        assert C.idle_intervals(circ) == want
+        assert list(circ.validate().idle) == want
         assert C.tally(circ).t_idle == sum(b - a for _, a, b in want)
         for cnot_pauli, params in _SITE_PARAMS:
             assert N.attach_noise(circ, params, cnot_pauli) == _attach_reference(circ, params, cnot_pauli)
 
 
-_OPS = st.sampled_from(["h", "x", "s", "cx", "measure", "reset", "cpauli", "barrier", "input"])
+_OPS = st.sampled_from(["h", "x", "y", "s", "cx", "measure", "reset", "cpauli", "barrier", "input"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,9 +368,9 @@ def test_schedule_analysis_matches_the_reference_on_random_schedules(steps):
         want = idle_reference(circ)
     except ValueError:
         with pytest.raises(ValueError):
-            C.idle_intervals(circ)
+            circ.validate()
         return
-    assert C.idle_intervals(circ) == want
+    assert list(circ.validate().idle) == want
     for cnot_pauli, params in _SITE_PARAMS[::3]:
         assert N.attach_noise(circ, params, cnot_pauli) == _attach_reference(circ, params, cnot_pauli)
 
@@ -396,7 +397,7 @@ def test_schedule_analysis_runs_once_per_state_of_the_circuit(monkeypatch):
     circ = C.ghz_dynamic(64)
     t = C.tally(circ)
     sites = N.attach_noise(circ, params)
-    assert (C.idle_intervals(circ), C.tally(circ)) == (idle_reference(circ), t)
+    assert (list(circ.validate().idle), C.tally(circ)) == (idle_reference(circ), t)
     assert len(calls) == 1
 
     def changed(expect_depth):

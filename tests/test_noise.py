@@ -96,7 +96,7 @@ def test_omega_values():
 
 def test_channel_term_rules():
     with pytest.raises(ValueError):
-        N.PauliLindbladChannel([(PauliString.identity(2), 0.1)])
+        N.PauliLindbladChannel([(PauliString(2), 0.1)])
     with pytest.raises(ValueError):
         N.PauliLindbladChannel([(X1, -0.1)])
     with pytest.raises(ValueError):

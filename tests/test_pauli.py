@@ -154,12 +154,12 @@ def test_commutes_matches_dense(rng=np.random.default_rng(7)):
         assert a.commutes(b) == b.commutes(a)
 
 
-def test_times_mod_phase_drops_phase_only():
+def test_product_mod_phase_drops_phase_only():
     a = PauliString.from_text("XXX")
     b = PauliString.from_text("ZZI")
-    q = a.times_mod_phase(b)
+    q = (a * b).mod_phase()
+    assert str(a * b) == "-YYX"
     assert str(q) == "+YYX"
-    assert q == (a * b).mod_phase()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_weight_and_support():
     p = PauliString.from_text("IXIZY")
     assert p.weight == 3
     assert p.support == (1, 3, 4)
-    assert PauliString.identity(4).weight == 0
+    assert PauliString(4).weight == 0
 
 
 def test_single_and_terms():

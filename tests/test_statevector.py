@@ -414,7 +414,7 @@ def per_branch_reference(circuit, mode, insertions, initial):
     only from the public one-state functions."""
     n = circuit.n_qubits
     post = mode == "post_process"
-    branches = [sv.Branch(1.0, {}, initial, PauliString.identity(n) if post else None)]
+    branches = [sv.Branch(1.0, {}, initial, PauliString(n) if post else None)]
 
     def inject(k):
         for p in insertions.get(k, ()):
@@ -448,7 +448,7 @@ def per_branch_reference(circuit, mode, insertions, initial):
             for b in branches:
                 if sum(b.bits[r] for r in ins.parity) % 2:
                     if post:
-                        b.pending = b.pending.times_mod_phase(corr)
+                        b.pending = (b.pending * corr).mod_phase()
                     else:
                         b.state = sv.apply_pauli(b.state, corr)
     inject(len(circuit.instructions))

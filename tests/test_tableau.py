@@ -197,7 +197,7 @@ def test_bell_measurements_agree():
         st = tb.StabilizerState(2)
         st.apply_clifford("h", 0)
         st.apply_clifford("cx", 0, 1)
-        assert st.measure(0, rng=rng) == st.measure(1, rng=rng)
+        assert st.measure(0, forced=int(rng.integers(2))) == st.measure(1, forced=int(rng.integers(2)))
 
 
 def test_ghz_all_z_readout_is_all_or_nothing():
@@ -211,7 +211,7 @@ def test_reset_leaves_plus_z():
     st = tb.StabilizerState(2)
     st.apply_clifford("h", 0)
     st.apply_clifford("cx", 0, 1)
-    st.reset(0, rng=rng)
+    st.reset(0, forced=int(rng.integers(2)))
     assert st.expectation(PauliString.from_text("ZI")) == 1
 
 
@@ -237,14 +237,14 @@ def test_flip_operator_and_program_supports_come_from_one_collapse(n):
     random = 0
     for q in range(0, n, 1 + n // 40):
         outcome, was_random, flip = st.copy().measure_flip(q, forced=0)
-        assert (outcome, was_random) == st.copy()._measure(q, None, 0)[:2]
+        assert (outcome, was_random) == st.copy()._measure(q, 0)[:2]
         reset = st.copy().reset(q, forced=0)
         assert reset[:2] == (outcome, was_random) and reset[2] == flip
         if not was_random:
             assert flip is None
             continue
         random += 1
-        xq, zq = st.copy()._measure(q, None, 0)[2]
+        xq, zq = st.copy()._measure(q, 0)[2]
         assert _same_support(tb._index_support(xq, qdt), tb._support(flip.x_bits, qdt))
         assert _same_support(tb._index_support(zq, qdt), tb._support(flip.z_bits, qdt))
         zero, one = st.copy(), st.copy()
@@ -294,9 +294,9 @@ def test_invariants_hold_after_every_instruction():
                 a, b = [int(v) for v in rng.choice(n, size=2, replace=False)]
                 st.apply_clifford("cx", a, b)
             elif roll < 0.85:
-                st.measure(int(rng.integers(n)), rng=rng)
+                st.measure(int(rng.integers(n)), forced=int(rng.integers(2)))
             elif roll < 0.93:
-                st.reset(int(rng.integers(n)), rng=rng)
+                st.reset(int(rng.integers(n)), forced=int(rng.integers(2)))
             else:
                 x, z = (int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in range(2))
                 st.apply_pauli(PauliString(n, x, z))
@@ -313,7 +313,7 @@ def _product_reference(st: tb.StabilizerState, p: PauliString) -> int:
     stabs = st.stabilizers()
     if not all(s.commutes(p) for s in stabs):
         return 0
-    prod = PauliString.identity(st.n)
+    prod = PauliString(st.n)
     for d, s in zip(st.destabilizers(), stabs):
         if not d.commutes(p):
             prod = prod * s
@@ -339,7 +339,7 @@ def test_deterministic_outcomes_match_stabilizer_expectations():
             else:
                 st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(rng.integers(n)))
         for q in rng.choice(n, size=n // 2, replace=False):
-            st.measure(int(q), rng=rng)
+            st.measure(int(q), forced=int(rng.integers(2)))
             st.apply_clifford(gates1[int(rng.integers(len(gates1)))], int(q))
         for q in range(n):
             if not st.copy().measure_flip(q)[1]:
@@ -370,7 +370,7 @@ def test_expectations_match_the_product_reference_at_lane_word_boundaries(n):
     stabs = st.stabilizers()
     ops = []
     for _ in range(8):
-        p = PauliString.identity(n)
+        p = PauliString(n)
         for s in stabs:
             if rng.random() < 0.3:
                 p = p * s
@@ -646,7 +646,7 @@ def test_noiseless_ghz_run_shots_all_stabilizers():
         PauliString(n, 0, 0b11 << i) for i in range(n - 1)
     ]
     for mask in range(1, 1 << n):
-        stab = PauliString.identity(n)
+        stab = PauliString(n)
         for i in range(n):
             if (mask >> i) & 1:
                 stab = stab * gens[i]
@@ -720,8 +720,9 @@ def _frame_bits(res):
 
 
 def _shot_frame(res, s):
-    """Shot s's end frame (times its correction delta in post-processing
-    mode), sign-free, read off column s of fx/fz (and dx/dz)."""
+    """Shot s's end frame (times its outstanding correction in
+    post-processing mode), sign-free, read off column s of fx/fz (and
+    dx/dz)."""
     fx, fz = res.fx, res.fz
     if res.mode == "post_process":
         fx, fz = fx ^ res.dx, fz ^ res.dz
@@ -873,32 +874,35 @@ def test_word_boundaries_match_single_seed_and_shards(build, mode):
     assert _fired_bits(run(1000, 5)).any()
 
 
-# sha256 of one noisy run_batch per (builder, mode, n), recorded from the
-# row-major tableau that the lane layout replaced: records, frames (and
-# correction deltas), fired mask, then the signed reference stabilizers,
-# destabilizers and pending correction, then the sites.  Registers of 31 to
-# 67 qubits put the 2n tableau rows across one to three lane words.
+# sha256 of one noisy run_batch per (builder, mode, n): records, frames
+# (and outstanding corrections), fired mask, then the signed reference
+# stabilizers and destabilizers, then the sites.  The feed-forward digests
+# were recorded from the row-major tableau that the lane layout replaced;
+# the post-process ones when the reference correction moved into the
+# replay's correction rows (an identity on every case here, so only the
+# hashed correction operator left).  Registers of 31 to 67 qubits put the
+# 2n tableau rows across one to three lane words.
 _PINNED = {
     ("ghz_dynamic", "feed_forward", 31): "c0ade73d4797e804030419df8caaa5202b4c973dbc17840d776e5765cc727aeb",
     ("ghz_dynamic", "feed_forward", 32): "c46476d918d34d98363bd6228349800c7c74bc3ab1dc63974d7b50926fdc64d1",
     ("ghz_dynamic", "feed_forward", 33): "5d925a0b0947c20b7262574e156a53c1b5b5edb261cd01609b9907afe20621c2",
     ("ghz_dynamic", "feed_forward", 64): "e6b4ff0e86500d8d458b19aad979b3081b87c449a6d41f65d135e263642ecac5",
     ("ghz_dynamic", "feed_forward", 65): "6de9fa933605c7f068794f5be8e2f64cffadb5ac6362920a799d2ab770219494",
-    ("ghz_dynamic", "post_process", 31): "ed285f39c1154d35a60f49d948f314ee188fefea29c79e8b6d51b63e0259a841",
-    ("ghz_dynamic", "post_process", 32): "6d5f659cf394e95b1e1bb26b29ef57262548ad4f43ac0a6f5c222e1b436fb0fe",
-    ("ghz_dynamic", "post_process", 33): "d98fa17a474ccc89f4f2b9ef1654e6ea670632e40dffdf115272182bd0ac56c4",
-    ("ghz_dynamic", "post_process", 64): "6419cdc47c207d717eeb0b50daad4a0879a6178115c157504a981729b7699c07",
-    ("ghz_dynamic", "post_process", 65): "45e78f093eabcfa73a7a86315958979b2ff7b524bc55808a8abf272f07b6f156",
+    ("ghz_dynamic", "post_process", 31): "2a2b61253ccc8192d2b69e7905ea67fdd19e091d8d7046756ee8b103791e0ce7",
+    ("ghz_dynamic", "post_process", 32): "a2f43e0bae585735b2b6219f0bd7d58f19b126a692cd99167cb58f8b08e77a80",
+    ("ghz_dynamic", "post_process", 33): "c3afd65ee6c25269aca42e620bc19db41be2dc722fae8f6f687e3c22d3b525e4",
+    ("ghz_dynamic", "post_process", 64): "bec15182ccec6244e33b55b362f9c3b239aad9ae3117ae8c7ca92333363fe530",
+    ("ghz_dynamic", "post_process", 65): "8a47eb5d567a2044c2cf391417b92fb9e1e7fa3d72c92926b260fd52f84f54de",
     ("long_range_cnot_dynamic", "feed_forward", 31): "40be647540356b823a81091ee8124b33921bdb3b00c63263db7f3387d523f3fa",
     ("long_range_cnot_dynamic", "feed_forward", 32): "fb0050cb214261683e8934bdc6a184d77c62fedddc1543b063803df65f37180d",
     ("long_range_cnot_dynamic", "feed_forward", 33): "be0e86c3feceaf372c24b7a062eef059bd70969e4956076229b0fd1c3b242b96",
     ("long_range_cnot_dynamic", "feed_forward", 64): "d0dc1d94b1ee8b3d6ff93c350c9738cc2fbb7cf204feacd368c103da701221bb",
     ("long_range_cnot_dynamic", "feed_forward", 65): "7c78fe84afaf9fea42c54fb81407f5dae0eb4587c0eaca467ee15392b4f0906e",
-    ("long_range_cnot_dynamic", "post_process", 31): "d2296c0e90cf57e38ad7dcf3e2cf20f955e89365f057abd171401930bb31895a",
-    ("long_range_cnot_dynamic", "post_process", 32): "d17fe03d6b80cedb972b9b0cd046c88c86339b10c59a506ca2adf9d25769e665",
-    ("long_range_cnot_dynamic", "post_process", 33): "51585498c9d03bbf0c617107bbdab754f85712ae50862f8bbd9285d9b3699ca2",
-    ("long_range_cnot_dynamic", "post_process", 64): "f2f28b72f136fac2a1e0131351acb1b3ace9beb976e4a961d5eaa3f7f2036640",
-    ("long_range_cnot_dynamic", "post_process", 65): "006eea8d4ce7ca4b9ca82c959c6846f2a7a7cdfcbd04c24c9ae14f3df5ca4153",
+    ("long_range_cnot_dynamic", "post_process", 31): "e2de5134d7971fae4b38bd5abb1f36e762922c4a1e1ca5ee13c8e6dd2cea0dbe",
+    ("long_range_cnot_dynamic", "post_process", 32): "e2ae2ea332706ae3f9e622552db8338cbd7e58d62f704c0e7022b04d9341cf45",
+    ("long_range_cnot_dynamic", "post_process", 33): "44672e5e579de096ab256bcb8ef28a5db5e257b994336d65e36c461a4a8f34a9",
+    ("long_range_cnot_dynamic", "post_process", 64): "68e0363f097fc389b02b9ec18f06fbb01da9e2ca53076fcf654add1537419e75",
+    ("long_range_cnot_dynamic", "post_process", 65): "db2297027b934f66ac1f06f2c54feb66bcc4b34a86a3b6ee88821638eff3c1b1",
 }
 
 
@@ -910,8 +914,7 @@ def _batch_digest(res, circ) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     ref = res.reference
-    rows = ref.stabilizers() + ref.destabilizers() + ([ref.pending] if ref.pending is not None else [])
-    h.update("\n".join(str(p) for p in rows).encode())
+    h.update("\n".join(str(p) for p in ref.stabilizers() + ref.destabilizers()).encode())
     # each site as (start time of its instruction, or the makespan at the
     # end; sign-free operator; index)
     n_ins = len(circ.instructions)
@@ -1089,7 +1092,7 @@ def test_folded_parities_match_unfolded_known_zero_analysis(name, steps, mode):
     reference sweep reads every parity in full."""
     circ = _parity_circuit(steps, mode)
     want = idle_reference(circ)
-    assert C.idle_intervals(circ) == want
+    assert list(circ.validate().idle) == want
     t = C.tally(circ)
     assert (t.t_idle, t.depth) == (sum(b - a for _, a, b in want), circ.makespan)
 
@@ -1108,7 +1111,7 @@ def test_folded_replay_matches_propagated_errors(name, steps):
         err = PauliString(n, int(rng.integers(1, 1 << n)), int(rng.integers(1 << n)))
         noisy = tb.run_batch(circ, 1, master_seed=8, noise=[N.NoiseSite(k, err, 1.0)])
         want_p, want_flips = _propagate_reference(circ, err, k)
-        assert _shot_frame(noisy, 0).times_mod_phase(_shot_frame(clean, 0)) == want_p
+        assert (_shot_frame(noisy, 0) * _shot_frame(clean, 0)).mod_phase() == want_p
         flipped = np.flatnonzero(noisy.records[0] != clean.records[0])
         assert {int(r) for r in flipped} == want_flips
 
@@ -1121,8 +1124,8 @@ def test_ghz_chain_cpaulis_read_one_record_each():
     cpaulis = [e for e in tb.compile(circ).entries if e[0] == "cpauli"]
     assert len(cpaulis) == 199
     assert sum(len(ins.parity) for ins in circ.instructions if ins.op == "cpauli") == 19_900
-    assert sum(len(recs) for *_, recs in cpaulis) == 199
-    assert [base for _, _, _, base, _ in cpaulis] == [None] + list(range(198))
+    assert sum(len(recs) for _, _, _, _, recs, _ in cpaulis) == 199
+    assert [base for _, _, _, base, _, _ in cpaulis] == [None] + list(range(198))
 
 
 # ---------------------------------------------------------------------------
@@ -1193,7 +1196,7 @@ def check_bookkeeping_case(build, size, mode, injections, seed, master_seed):
         err = PauliString(n, x, z)
         noisy = tb.run_batch(circ, 1, master_seed=master_seed, noise=[_site(k, err, 1.0)], mode=mode)
         want_p, want_flips = _propagate_reference(circ, err, k)
-        got = _shot_frame(noisy, 0).times_mod_phase(_shot_frame(clean, 0))
+        got = (_shot_frame(noisy, 0) * _shot_frame(clean, 0)).mod_phase()
         assert got == want_p, f"frame mismatch, {case}, rep {rep}"
         rec_diff = {int(r) for r in np.flatnonzero(noisy.records[0] != clean.records[0])}
         assert rec_diff == want_flips, f"record-flip mismatch, {case}, rep {rep}"
@@ -1203,8 +1206,8 @@ def test_sampled_error_bookkeeping_exact_per_shot():
     """Forward-propagating a shot's injected error through the remaining
     instructions (conjugation; record flips at measurements; conditional
     corrections toggled by flipped parities; resets clearing the qubit)
-    reproduces the shot's end-of-circuit frame exactly, times its
-    correction delta in post-processing mode.  Random single-error
+    reproduces the change to the shot's end-of-circuit frame exactly, times
+    its outstanding correction in post-processing mode.  Random single-error
     injections on both dynamic families in both modes."""
     for case in _BOOKKEEPING_CASES:
         check_bookkeeping_case(*case)
@@ -1229,7 +1232,7 @@ def _propagate_reference(circ, pauli, k):
             p = PauliString(p.n, p.x_bits & ~(1 << q), p.z_bits & ~(1 << q))
         elif op == "cpauli":
             if sum(1 for r in ins.parity if r in flipped) % 2:
-                p = p.times_mod_phase(PauliString.single(p.n, ins.qubits[0], ins.pauli))
+                p = (p * PauliString.single(p.n, ins.qubits[0], ins.pauli)).mod_phase()
         else:
             raise AssertionError(f"unexpected op {op}")
     return p.mod_phase(), flipped
