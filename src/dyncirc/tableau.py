@@ -19,10 +19,16 @@ and one sampler.
   then sample.  Frames are qubit-major, one bit per shot (Stim's
   frame-simulator layout, same reference): during the replay each frame
   row is a Python integer whose bit s is shot s, a gate is an integer XOR
-  or swap of one or two rows, and a noise site or collapse XORs its fired
-  row into the rows on its support, so replay cost is O(instructions x
-  shots / 64) words, independent of the tableau.  Results leave the replay
-  as uint64 words, 64 shots a word.
+  or swap of one or two rows, and a noise site XORs its fired row into the
+  rows on its support.  A random collapse's coin is delta-coded: it XORs
+  its fired row into one of a few running accumulators, and pays one XOR
+  for each frame row that joins or leaves that accumulator's row set, so a
+  chain of collapses whose flips grow by a qubit or two costs a few XORs a
+  coin, not one per flip qubit.  A row still pending in an accumulator is
+  settled by one XOR before a gate or measurement reads it.  Replay cost is
+  then O(instructions x shots / 64) words, independent of the tableau and
+  of flip widths.  Results leave the replay as uint64 words, 64 shots a
+  word.
   :meth:`Program.outcomes` is the exact distribution of the classical
   record: a shot's record is the reference record XOR a flip fixed by which
   collapse coins fired, so the program replayed once over every assignment
@@ -59,6 +65,17 @@ _ONES = np.uint64(_MASK64)
 _NOISE_STREAM_BASE = 1 << 32
 
 _ONE_QUBIT_CLIFFORDS = ("h", "s", "sdg", "x", "y", "z")
+
+# Collapse-coin accumulators per frame part (X rows, Z rows): two follow a
+# chain whose coins alternate between two families of flips
+_ACCUMULATORS = 2
+
+# Fewest letters a flip part needs to be delta-coded: a narrower one costs
+# no more as direct XORs than as a delta entry plus the settles it implies
+_DELTA_MIN_LETTERS = 8
+
+# Most collapse coins Program.outcomes enumerates (2^k shots for k coins)
+_OUTCOME_COINS = 20
 
 # Most (operators x lane words x qubits) words one expectation chunk holds
 _EXPECTATION_WORDS = 1 << 18
@@ -463,16 +480,16 @@ class StabilizerState:
         outcome when applied just before the measurement: the stabilizer row
         that anticommuted with Z_q, sign dropped, i.e. a group element
         mapping the outcome-0 post-measurement branch onto the outcome-1
-        branch.  It is built from the supports :meth:`_measure` returns.
+        branch.  It is built from the letters :meth:`_measure` returns.
         ``forced`` is the outcome a random measurement takes (a
         deterministic one ignores it).
         """
         outcome, was_random, flip = self._measure(q, forced)
         return outcome, was_random, self._flip_pauli(flip)
 
-    def _measure(self, q: int, forced: int) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
-        """:meth:`measure_flip` with the flip given as the ascending qubit
-        indices of its X and of its Z letters."""
+    def _measure(self, q: int, forced: int) -> tuple[int, bool, tuple[int, int] | None]:
+        """:meth:`measure_flip` with the flip given as the bitsets of its X
+        and of its Z letters, bit q for qubit q."""
         self._check(q)
         if q in self._known:
             return self._known[q], False, None
@@ -489,29 +506,28 @@ class StabilizerState:
         self._known[q] = outcome
         return outcome, False, None
 
-    def _flip_pauli(self, flip: tuple[np.ndarray, np.ndarray] | None) -> PauliString | None:
-        """The operator with X letters on ``flip[0]`` and Z letters on
-        ``flip[1]``, sign +1."""
-        if flip is None:
-            return None
-        x, z = (sum(1 << int(q) for q in idx) for idx in flip)
-        return PauliString(self.n, x, z)
+    def _flip_pauli(self, flip: tuple[int, int] | None) -> PauliString | None:
+        """The operator with X letters ``flip[0]`` and Z letters
+        ``flip[1]`` (bitsets), sign +1."""
+        return None if flip is None else PauliString(self.n, *flip)
 
-    def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> tuple[int, int]:
         """Random collapse of Z_q on pivot row ``p``, the first stabilizer
         with X on q; ``col`` is the lane column of X letters on q.  Every
         other row with X on q, bar the destabilizer p - n, is multiplied by
         the pivot; then the destabilizer becomes the pivot and the pivot
         becomes (-1)^outcome Z_q.  Only the lane words holding those rows
-        are read or written.  Returns the pivot's supports, the ascending
-        qubits of its X and of its Z letters (the flip operator)."""
+        are read or written.  Returns the pivot's X and Z letters as
+        bitsets, bit q for qubit q (the flip operator)."""
         n = self.n
         T, r = self._T, self._r
         pw, pb = divmod(p, 64)
         dw, db = divmod(p - n, 64)
         pb, db = np.uint64(pb), np.uint64(db)
         piv = (T[:, pw] >> pb) & _U1  # the pivot's X and Z letters, 0 or 1 a qubit
-        xq, zq = np.flatnonzero(piv[0]), np.flatnonzero(piv[1])
+        letters = np.packbits(piv.astype(bool), axis=1, bitorder="little").tobytes()  # X row, then Z row
+        half = len(letters) // 2
+        x, z = int.from_bytes(letters[:half], "little"), int.from_bytes(letters[half:], "little")
         rp = (r[pw] >> pb) & _U1
         col[pw] &= ~(_U1 << pb)
         col[dw] &= ~(_U1 << db)
@@ -519,11 +535,9 @@ class StabilizerState:
         if ws.size:
             # row t <- pivot * row t, 64 target rows a word, on the columns
             # from the pivot's first letter to its last (elsewhere the pivot
-            # is the identity); it has an X letter on q, so xq is not empty
-            if zq.size:
-                span = slice(min(xq[0], zq[0]), max(xq[-1], zq[-1]) + 1)
-            else:
-                span = slice(xq[0], xq[-1] + 1)
+            # is the identity); it has an X letter on q, so it has one
+            u = x | z
+            span = slice((u & -u).bit_length() - 1, u.bit_length())
             a = -piv[:, span]  # all ones where the pivot has an X / a Z letter
             ax, az = a
             Xt, Zt = Tt = T[:, ws, span]
@@ -550,7 +564,7 @@ class StabilizerState:
         T[:, pw] &= ~pm
         T[1, pw, q] |= pm
         r[pw] = (r[pw] & ~pm) | (np.uint64(outcome) << pb)
-        return xq, zq
+        return x, z
 
     def _deterministic_outcome(self, q: int, col: np.ndarray) -> int:
         """Z_q's value when it is in the stabilizer group: Z_q is, up to
@@ -597,7 +611,7 @@ class StabilizerState:
         outcome, was_random, flip = self._reset(q, forced)
         return outcome, was_random, self._flip_pauli(flip)
 
-    def _reset(self, q: int, forced: int) -> tuple[int, bool, tuple[np.ndarray, np.ndarray] | None]:
+    def _reset(self, q: int, forced: int) -> tuple[int, bool, tuple[int, int] | None]:
         """:meth:`reset` with the flip as :meth:`_measure` gives it."""
         outcome, was_random, flip = self._measure(q, forced)
         if outcome:
@@ -686,11 +700,24 @@ def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(le, axis=1, count=count, bitorder="little")
 
 
+# Most set bits _support reads off one at a time rather than through numpy:
+# a noise site or a collapse coin's moved rows are a few bits of a wide
+# register, which this reads in about a fifth of the time
+_PEELED_BITS = 8
+
+
 def _support(bits: int, typecode: str):
     """The set bits of a non-negative integer, ascending, in the form of
     :func:`_index_support`."""
     if not bits & (bits - 1):
         return (bits.bit_length() - 1,) if bits else ()
+    if bits.bit_count() <= _PEELED_BITS:
+        idx = []
+        while bits:
+            low = bits & -bits
+            idx.append(low.bit_length() - 1)
+            bits ^= low
+        return array(typecode, idx)
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return _index_support(np.flatnonzero(np.unpackbits(raw, bitorder="little")), typecode)
 
@@ -698,8 +725,9 @@ def _support(bits: int, typecode: str):
 def _index_support(idx: np.ndarray, typecode: str):
     """Ascending qubit indices, the frame rows that a program entry
     touches: a tuple of at most one, otherwise an array of ``typecode``,
-    which holds a collapse flip that spans most of the register in a few
-    bytes a qubit."""
+    which holds a wide support (a noise operator, a collapse flip kept
+    direct, the rows a collapse coin moves in or out of an accumulator, or
+    an accumulator's rows settled at the end) in a few bytes a qubit."""
     if idx.size <= 1:
         return tuple(idx.tolist())
     return array(typecode, idx.astype(typecode).tobytes())
@@ -790,8 +818,24 @@ class Program:
     threshold K = ``thresholds[j]`` = ceil(w * 2^53) (:meth:`CounterRandom.fired`).
     An entry ``("pauli", xq, zq, j)`` XORs the fired row of draw j into the
     X frame rows ``xq`` and the Z frame rows ``zq`` (each a
-    :func:`_support`); it is a noise site, or the flip operator of a random
-    collapse (weight 1/2, a stream below ``_NOISE_STREAM_BASE``).
+    :func:`_support`); it is a noise site, or the part of a random
+    collapse's flip operator (weight 1/2, a stream below
+    ``_NOISE_STREAM_BASE``) that is kept direct.
+
+    The rest of a flip is delta-coded against ``_ACCUMULATORS`` running
+    accumulators per frame part; accumulator a holds X frame rows when
+    a < ``_ACCUMULATORS`` and Z frame rows otherwise.  A row in
+    accumulator a is pending: its true value is the row XOR the
+    accumulator's value.  ``("delta", a, rows, j)`` XORs accumulator a's
+    value into each of ``rows`` (one XOR moves a row in, or out), then
+    XORs the fired row of draw j into the accumulator, so every row now in
+    it takes the flip.  ``("settle", a, rows)`` XORs accumulator a's value
+    into ``rows``, which leave it.  The compiler settles a row before an
+    entry reads it (``cx``: the control's X row and the target's Z row;
+    ``h``: both; ``s``/``sdg`` and ``meas``: the X row), and settles every
+    row still pending at the end.  A ``reset`` zeroes both rows, so it
+    drops them from their accumulators without a settle.  Pauli and
+    ``cpauli`` XORs commute with a pending XOR and need none.
 
     ``cpauli`` parities are folded as the schedule walk decides
     (:attr:`circuits.ScheduleAnalysis.parities`): the k-th ``cpauli`` entry
@@ -846,10 +890,16 @@ class Program:
         2^-k (deterministic collapses draw no coin).  Shot s fires coin j
         where bit j of s is set: coin j < 6 repeats within a word, and coin
         j >= 6 fires on whole words, those whose index has bit j - 6 set.
-        Keys are bit tuples ordered by record index."""
+        Keys are bit tuples ordered by record index.  A program with more
+        than ``_OUTCOME_COINS`` coins is refused."""
         if self.sites:
             raise ValueError("exact outcomes need a program without noise sites")
-        k, shots = self.streams.size, 1 << self.streams.size
+        k = self.streams.size
+        if k > _OUTCOME_COINS:
+            raise ValueError(
+                f"exact outcomes over k={k} collapse coins would replay 2^{k} shots; at most {_OUTCOME_COINS} coins"
+            )
+        shots = 1 << k
         words = np.arange(_n_words(shots), dtype=np.uint64)
         fired = np.empty((k, words.size), dtype=np.uint64)
         for j in range(k):
@@ -866,13 +916,16 @@ class Program:
 
         During the replay every frame row, record difference and ``cpauli``
         parity is one Python integer whose bit s is shot s, so an entry is
-        a few integer XORs rather than numpy calls on short rows."""
+        a few integer XORs rather than numpy calls on short rows; so is
+        each collapse-coin accumulator."""
         post = self.mode == "post_process"
         n, n_words = self.n_qubits, _n_words(shots)
-        # draw j's row enters as an integer at its one pauli entry
+        # draw j's row enters as an integer at its pauli or delta entries
         raw = memoryview(np.ascontiguousarray(fired, dtype="<u8").view(np.uint8).reshape(-1))
         step = 8 * n_words
         FX, FZ = [0] * n, [0] * n
+        acc = [0] * (2 * _ACCUMULATORS)
+        parts = (FX,) * _ACCUMULATORS + (FZ,) * _ACCUMULATORS  # the frame part of each accumulator
         # the outstanding correction in post mode, which cpauli entries
         # write; in feed-forward mode they write the frame
         DX, DZ = ([0] * n, [0] * n) if post else (FX, FZ)
@@ -889,6 +942,17 @@ class Program:
                     FX[q] ^= f
                 for q in zq:
                     FZ[q] ^= f
+            elif tag == "delta":
+                _, a, rows, j = entry
+                g, frame = acc[a], parts[a]
+                for q in rows:
+                    frame[q] ^= g
+                acc[a] = g ^ int.from_bytes(raw[j * step : (j + 1) * step], "little")
+            elif tag == "settle":
+                _, a, rows = entry
+                g, frame = acc[a], parts[a]
+                for q in rows:
+                    frame[q] ^= g
             elif tag == "cx":
                 _, c, t = entry
                 FX[t] ^= FX[c]
@@ -939,7 +1003,15 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     them.  Validation is paid once per state of the circuit: it reads the
     schedule walk that :func:`circuits.tally` or :func:`noise.attach_noise`
     may already have made (:meth:`Circuit.validate`), whose ``parities``
-    decide the ``cpauli`` folds."""
+    decide the ``cpauli`` folds.
+
+    Each part (X, Z) of a random collapse's flip goes to the accumulator
+    of its part whose row set is nearest the flip's (fewest rows to move),
+    when that is no farther than the flip's own width: an empty
+    accumulator is exactly that far, which is how one is first filled.  A
+    part of fewer than ``_DELTA_MIN_LETTERS`` letters, or one that no
+    accumulator is that near, stays a direct ``pauli`` entry.  Row sets are int bitsets, and ``pending`` is
+    the per-qubit membership table from which settles are emitted."""
     folds = circuit.validate().parities
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -953,8 +1025,9 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
             raise ValueError("noise operator size does not match the circuit")
         by_index.setdefault(k, []).append(s)
     post = mode == "post_process"
-    st = StabilizerState(circuit.n_qubits)
-    qdt = np.min_scalar_type(circuit.n_qubits).char  # supports are held as qubit indices
+    n = circuit.n_qubits
+    st = StabilizerState(n)
+    qdt = np.min_scalar_type(n).char  # supports are held as qubit indices
     prog: list[tuple] = []
     streams: list[int] = []
     weights: list[float] = []
@@ -963,10 +1036,56 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     ref_bits = np.zeros(circuit.n_records, dtype=np.uint8)
     ref_parities: list[int] = []  # the reference value of each cpauli's parity
 
+    # accumulator a's row set, and for each part the accumulators (bit a)
+    # in which each qubit's row is pending
+    acc_rows = [0] * (2 * _ACCUMULATORS)
+    pending = held_x, held_z = bytearray(n), bytearray(n)
+
     def emit_pauli(xq, zq, stream_id: int, weight: float) -> None:
         prog.append(("pauli", xq, zq, len(streams)))
         streams.append(stream_id)
         weights.append(weight)
+
+    def delta(part: int, bits: int, j: int):
+        """Emit flip part ``bits`` of draw j as a delta entry when an
+        accumulator of its part is near enough; return what stays direct,
+        its support or ()."""
+        width = bits.bit_count()
+        if width < _DELTA_MIN_LETTERS:
+            return _support(bits, qdt)
+        lo = part * _ACCUMULATORS
+        a = min(range(lo, lo + _ACCUMULATORS), key=lambda a: (acc_rows[a] ^ bits).bit_count())
+        moved = acc_rows[a] ^ bits
+        if moved.bit_count() > width:
+            return _support(bits, qdt)
+        rows = _support(moved, qdt)
+        held = pending[part]
+        for q in rows:
+            held[q] ^= 1 << a
+        acc_rows[a] = bits
+        prog.append(("delta", a, rows, j))
+        return ()
+
+    def emit_coin(x: int, z: int) -> None:
+        j = len(streams)
+        xq, zq = delta(0, x, j), delta(1, z, j)
+        if xq or zq:
+            prog.append(("pauli", xq, zq, j))
+        streams.append(coin_streams)
+        weights.append(0.5)
+
+    def leave(part: int, q: int, settle: bool = True) -> None:
+        """Take row q of ``part`` out of its accumulators, settling it
+        unless the entry that follows zeroes it.  Callers test ``held_x`` or
+        ``held_z`` first: most reads find nothing pending."""
+        held = pending[part][q]
+        while held:
+            a = (held & -held).bit_length() - 1
+            if settle:
+                prog.append(("settle", a, (q,)))
+            acc_rows[a] ^= 1 << q
+            held &= held - 1
+        pending[part][q] = 0
 
     def emit_noise(k: int) -> None:
         for s in by_index.get(k, ()):
@@ -983,22 +1102,38 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
         if op in ("input", "barrier"):
             continue
         if op == "cx":
-            st.apply_clifford("cx", *ins.qubits)
-            prog.append(("cx", *ins.qubits))
+            c, t = ins.qubits
+            st.apply_clifford("cx", c, t)
+            if held_x[c]:
+                leave(0, c)
+            if held_z[t]:
+                leave(1, t)
+            prog.append(("cx", c, t))
         elif op in _ONE_QUBIT_CLIFFORDS:
-            st.apply_clifford(op, ins.qubits[0])
+            q = ins.qubits[0]
+            st.apply_clifford(op, q)
             if op in ("h", "s", "sdg"):  # x/y/z commute with frames mod phase
-                prog.append((op, ins.qubits[0]))
+                if held_x[q]:
+                    leave(0, q)
+                if op == "h" and held_z[q]:
+                    leave(1, q)
+                prog.append((op, q))
         elif op in ("measure", "reset"):
             q = ins.qubits[0]
             outcome, was_random, flip = (st._measure if op == "measure" else st._reset)(q, 0)
             if was_random:
-                emit_pauli(_index_support(flip[0], qdt), _index_support(flip[1], qdt), coin_streams, 0.5)
+                emit_coin(*flip)
                 coin_streams += 1
             if op == "measure":
                 ref_bits[ins.record] = outcome
+                if held_x[q]:
+                    leave(0, q)
                 prog.append(("meas", q, ins.record))
             else:
+                if held_x[q]:
+                    leave(0, q, settle=False)
+                if held_z[q]:
+                    leave(1, q, settle=False)
                 prog.append(("reset", q))
         elif op == "cpauli":
             q = ins.qubits[0]
@@ -1013,10 +1148,13 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
         else:
             raise ValueError(f"op {op!r} is not stabilizer-simulable")
     emit_noise(n_ins)
+    for a, rows in enumerate(acc_rows):
+        if rows:
+            prog.append(("settle", a, _support(rows, qdt)))
     # w * 2^53 and its ceiling are exact in floating point for w in [0, 1]
     thresholds = np.ceil(np.array(weights, dtype=float) * 2.0**53).astype(np.uint64)
     streams = np.array(streams, dtype=np.uint64)
-    return Program(circuit.n_qubits, circuit.n_records, mode, tuple(prog), streams, thresholds, tuple(sites), ref_bits, st)
+    return Program(n, circuit.n_records, mode, tuple(prog), streams, thresholds, tuple(sites), ref_bits, st)
 
 
 def run_batch(

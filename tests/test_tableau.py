@@ -25,6 +25,7 @@ from dyncirc import noise as N
 from dyncirc import statevector as sv
 from dyncirc import tableau as tb
 from dyncirc.pauli import PauliString
+from direct_replay import direct_sample
 from known_zero import idle_reference
 
 # gates that send |0> to each Pauli eigenstate, applied left to right
@@ -223,9 +224,10 @@ def _same_support(a, b) -> bool:
 
 @pytest.mark.parametrize("n", [3, 70, 130])
 def test_flip_operator_and_program_supports_come_from_one_collapse(n):
-    """measure_flip's operator is the one built from the supports the
-    reference pass emits, in the forms _support gives a PauliString's bits,
-    and it maps the outcome-0 branch onto the outcome-1 branch."""
+    """measure_flip's operator is the one built from the letter bitsets the
+    reference pass emits, whose frame rows _support gives in the form of
+    the operator's own letters' indices, and it maps the outcome-0 branch
+    onto the outcome-1 branch."""
     rng = np.random.default_rng(n)
     st = tb.StabilizerState(n)
     for _ in range(3 * n):
@@ -244,9 +246,11 @@ def test_flip_operator_and_program_supports_come_from_one_collapse(n):
             assert flip is None
             continue
         random += 1
-        xq, zq = st.copy()._measure(q, 0)[2]
-        assert _same_support(tb._index_support(xq, qdt), tb._support(flip.x_bits, qdt))
-        assert _same_support(tb._index_support(zq, qdt), tb._support(flip.z_bits, qdt))
+        xb, zb = st.copy()._measure(q, 0)[2]
+        assert (xb, zb) == (flip.x_bits, flip.z_bits)
+        for bits, letters in ((xb, "XY"), (zb, "ZY")):
+            idx = np.array([i for i in range(n) if flip.letter(i) in letters])
+            assert _same_support(tb._support(bits, qdt), tb._index_support(idx, qdt))
         zero, one = st.copy(), st.copy()
         zero.measure(q, forced=0)
         zero.apply_pauli(flip)
@@ -1129,6 +1133,76 @@ def test_ghz_chain_cpaulis_read_one_record_each():
 
 
 # ---------------------------------------------------------------------------
+# delta-coded collapse coins
+# ---------------------------------------------------------------------------
+
+
+def _y_prepared_cnot_chain(n, mode):
+    """long_range_cnot_dynamic(n) on a Y x Y eigenstate, read out as X on
+    the control and Z on the target, whose collapse flips alternate between
+    two families on the Z rows."""
+    circ = C.long_range_cnot_dynamic(n, mode=mode)
+    last = circ.n_qubits - 1
+    circ = _prefixed(circ, [("h", 0), ("s", 0), ("h", last), ("s", last)])
+    return _with_readout(circ, {0: "X", last: "Z"})[0]
+
+
+_CHAINS = {
+    "ghz": lambda n, mode: C.ghz_dynamic(n, mode=mode),
+    "cnot": lambda n, mode: C.long_range_cnot_dynamic(n, mode=mode),
+    "cnot-y": _y_prepared_cnot_chain,
+}
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("chain, n", [("ghz", 101), ("ghz", 300), ("cnot", 100), ("cnot", 257), ("cnot-y", 150)])
+def test_delta_replay_matches_a_direct_replay(chain, n, mode):
+    """The compiled program's records, frames and outstanding corrections
+    equal, bit for bit, those of the tests' own sampler, which XORs each
+    coin into every letter of the flip measure_flip reports."""
+    circ = _CHAINS[chain](n, mode)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.002, lambda_cnot=0.01, lambda_meas=0.01))
+    program = tb.compile(circ, sites, mode)
+    assert any(e[0] == "delta" for e in program.entries)
+    for seed in (0, 3, 2**40 + 1):
+        res = program.sample(100, seed)
+        want = direct_sample(circ, 100, seed, sites, mode)
+        assert _fired_bits(res).any()
+        for got, exp in zip((res.records, res.fx, res.fz, res.dx, res.dz), want):
+            if exp is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, exp)
+
+
+def _row_updates(program) -> int:
+    """The frame-row updates a program's entries imply: one per letter of
+    a pauli entry, per row a delta entry moves plus one for its
+    accumulator, per row settled, and one for any other entry."""
+    total = 0
+    for e in program.entries:
+        if e[0] == "pauli":
+            total += len(e[1]) + len(e[2])
+        elif e[0] == "delta":
+            total += len(e[2]) + 1
+        elif e[0] == "settle":
+            total += len(e[2])
+        else:
+            total += 1
+    return total
+
+
+@pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
+@pytest.mark.parametrize("chain", list(_CHAINS))
+def test_collapse_chain_replay_work_grows_linearly(chain, mode):
+    """The k-th collapse of a chain has a flip of about k letters, so a
+    replay that paid per flip letter would do about 4x the row updates at
+    twice the length; delta-coded coins keep it about 2x."""
+    small, large = (_row_updates(tb.compile(_CHAINS[chain](n, mode), mode=mode)) for n in (400, 800))
+    assert large <= 2.2 * small
+
+
+# ---------------------------------------------------------------------------
 # noise injection and per-shot bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -1399,6 +1473,20 @@ def test_outcomes_need_a_program_without_noise():
     circ = C.ghz_dynamic(4)
     with pytest.raises(ValueError, match="without noise sites"):
         tb.compile(circ, N.attach_noise(circ, _PROGRAM_PARAMS)).outcomes()
+
+
+def test_outcomes_refuse_more_coins_than_the_cap():
+    """30 independent H-then-measure qubits: 2^30 shots, so refused before
+    any enumeration."""
+    circ = C.Circuit(30)
+    for q in range(30):
+        circ.add("h", q, start=0.0)
+    for q in range(30):
+        circ.measure(q, start=1.0)
+    program = tb.compile(circ)
+    assert program.streams.size == 30 > tb._OUTCOME_COINS
+    with pytest.raises(ValueError, match="k=30 collapse coins"):
+        program.outcomes()
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
