@@ -6,9 +6,11 @@ and one sampler.
   random outcomes), reset, and single-qubit Pauli corrections.  The 2n
   generator rows are bit lanes, 64 rows per machine word, in arrays indexed
   [lane word, qubit] (Stim's tableau layout, Gidney, Quantum 5, 497
-  (2021)): a gate is a few word operations on one or two qubit columns, and
-  a random collapse touches only the lane words that hold the rows it
-  rewrites.  It runs the reference pass of the frame program.
+  (2021)): a run of gates on disjoint qubits is a few word operations on
+  their gathered columns, and a layer of measurements is collapsed at once,
+  its pivots found by an elimination over the measured qubits' X columns
+  and the rows it rewrites read out of their lane words once and written
+  back once.  It runs the reference pass of the frame program.
 
 * :func:`compile` — a circuit and its noise sites compiled once into a
   frozen :class:`Program` by a single reference execution (random outcomes
@@ -55,8 +57,6 @@ from .pauli import PauliString
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _U1 = np.uint64(1)
-_U0 = np.uint64(0)
-_ONES = np.uint64(_MASK64)
 
 # Collapse coins and noise draws use disjoint stream-id ranges so that a
 # noiseless run and a noisy run with the same seed share their collapse
@@ -333,6 +333,120 @@ def _shift_lanes(lanes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# (shift, mask) of each swap stage of a 64 x 64 bit-block transpose
+_TRANSPOSE_STAGES = tuple(
+    (j, np.uint64(j), np.uint64(m))
+    for j, m in (
+        (32, 0x00000000FFFFFFFF),
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+
+# Fewest lane words (words x qubits) whose rows are transposed by 64 x 64
+# bit blocks: below it, unpacking every bit to a byte is cheaper than the
+# blocks' fixed cost of about forty numpy calls
+_BLOCK_TRANSPOSE_WORDS = 1024
+
+# Most columns one pass of the block transpose takes, which bounds its
+# scratch to 32 x this many words
+_TRANSPOSE_COLUMNS = 512
+
+# Most rewritten rows a layer collapse keeps as ints before writing them to
+# its row buffer: the next collapse of a chain reads rows the last one
+# wrote, and a collapse that rewrites thousands of rows holds few at once
+_CACHED_ROWS = 256
+
+# Fewest rows a collapse multiplies by its pivot in the row buffer, all at
+# once, rather than one at a time as ints: below it, the few numpy passes
+# cost more than the rows' int products
+_WIDE_TARGETS = 24
+
+
+def _transpose64(a: np.ndarray) -> np.ndarray:
+    """Transpose, in place, the 64 x 64 bit matrix of each column of the
+    leading axis of ``a`` (64, ...), a contiguous uint64 array: bit b of
+    word i becomes bit i of word b.  Six stages, each swapping the
+    off-diagonal halves of every 2j x 2j block, on whole rows of blocks, a
+    chunk of ``_TRANSPOSE_COLUMNS`` columns at a time."""
+    flat = a.reshape(64, -1)
+    t = np.empty((32, min(flat.shape[1], _TRANSPOSE_COLUMNS)), dtype=np.uint64)
+    for c0 in range(0, flat.shape[1], _TRANSPOSE_COLUMNS):
+        block = flat[:, c0 : c0 + _TRANSPOSE_COLUMNS]
+        cols = block.shape[1]
+        for j, s, m in _TRANSPOSE_STAGES:
+            v = block.reshape(32 // j, 2, j, cols)
+            lo, hi, tv = v[:, 0], v[:, 1], t[:, :cols].reshape(32 // j, j, cols)
+            np.right_shift(lo, s, out=tv)
+            tv ^= hi
+            tv &= m
+            hi ^= tv
+            tv <<= s
+            lo ^= tv
+    return a
+
+
+def _columns(qs) -> slice | list:
+    """Two or more qubit indices as a slice when they step evenly upwards,
+    so that columns are read and written through views, else as a list."""
+    step = qs[1] - qs[0]
+    if step > 0 and all(b - a == step for a, b in zip(qs, qs[1:])):
+        return slice(qs[0], qs[-1] + 1, step)
+    return list(qs)
+
+
+def _lane_rows(lanes: np.ndarray) -> np.ndarray:
+    """(2, w, n) lane words as row bytes: a new (64, 2, w, b) uint8 array
+    whose [i, part, word] holds the X (part 0) or Z (part 1) letters of row
+    64 word + i, 8 qubits a byte, low bit first, zero-padded to b bytes, a
+    whole number of 64-bit words."""
+    _, w, n = lanes.shape
+    if w * n < _BLOCK_TRANSPOSE_WORDS:
+        bits = np.unpackbits(lanes.view(np.uint8), bitorder="little").reshape(2, w, n, 64)
+        rows = np.zeros((64, 2, w, 64 * _n_words(n)), dtype=np.uint8)
+        rows[..., :n] = bits.transpose(3, 0, 1, 2)
+        return np.packbits(rows, bitorder="little").reshape(64, 2, w, -1)
+    full = n // 64
+    rows = np.zeros((64, 2, w, _n_words(n)), dtype=np.uint64)
+    rows[..., :full] = lanes[:, :, : 64 * full].reshape(2, w, full, 64).transpose(3, 0, 1, 2)
+    if n % 64:
+        rows[: n % 64, :, :, full] = lanes[:, :, 64 * full :].transpose(2, 0, 1)
+    return _transpose64(rows).view(np.uint8)
+
+
+def _row_lanes(rows: np.ndarray, lanes: np.ndarray) -> None:
+    """Write row bytes laid out as :func:`_lane_rows` gives them into the
+    (2, w, n) lane words ``lanes``, a view; ``rows`` is overwritten."""
+    _, w, n = lanes.shape
+    if w * n < _BLOCK_TRANSPOSE_WORDS:
+        bits = np.unpackbits(rows, axis=3, count=n, bitorder="little").transpose(1, 2, 3, 0)
+        lanes[...] = np.packbits(bits, bitorder="little").view(np.uint64).reshape(2, w, n)
+        return
+    full = n // 64
+    words = _transpose64(rows.view(np.uint64))
+    lanes[:, :, : 64 * full].reshape(2, w, full, 64)[...] = words[..., :full].transpose(1, 2, 3, 0)
+    if n % 64:
+        lanes[:, :, 64 * full :] = words[: n % 64, :, :, full].transpose(1, 2, 0)
+
+
+def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two commuting Hermitian Paulis, each (X letters, Z
+    letters, sign bit) with letters as bitsets.  With a row written as
+    (-1)^r i^(x.z) X^x Z^z, the product is i^e times the Hermitian Pauli
+    of the XORed letters, where e counts both factors' Y letters, less the
+    product's, plus twice the signs and the Z-before-X pairs."""
+    xa, za, ra = a
+    xb, zb, rb = b
+    x, z = xa ^ xb, za ^ zb
+    e = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count() + 2 * (za & xb).bit_count()
+    if e & 1:
+        raise AssertionError("row product produced an imaginary phase")
+    return x, z, ra ^ rb ^ (e >> 1) & 1
+
+
 # ---------------------------------------------------------------------------
 # tableau
 # ---------------------------------------------------------------------------
@@ -346,10 +460,11 @@ class StabilizerState:
     64 to a word: ``_X[w, q]`` and ``_Z[w, q]`` hold the X and Z letters on
     qubit q of rows 64w .. 64w + 63, row i in bit i % 64 of lane word
     i // 64, and bit i % 64 of ``_r[i // 64]`` is set where row i has sign
-    -1.  A gate is then a few word operations on one or two qubit columns.
-    A random collapse reads its pivot row out of one lane word and rewrites
-    only the lane words that hold its target rows.  Readers that need rows
-    in row order take them from :meth:`_row_major`.
+    -1.  A gate is then a few word operations on one or two qubit columns,
+    and a run of gates on disjoint qubits the same operations on gathered
+    columns (:meth:`apply_gates`).  A measurement layer is collapsed at once
+    (:meth:`_collapse`), a single measurement being a layer of one.
+    Readers that need rows in row order take them from :meth:`_row_major`.
 
     The outcome of a collapse is kept per qubit until a gate acts on that
     qubit (a Pauli with X or Y there flips it), so measuring it again costs
@@ -424,40 +539,63 @@ class StabilizerState:
     # -- gates -------------------------------------------------------------
 
     def apply_clifford(self, gate: str, *qubits: int) -> None:
+        self.apply_gates(((gate, qubits),))
+
+    def apply_gates(self, gates) -> None:
+        """Apply Clifford gates in order, each ``(name, qubits)`` as
+        :meth:`apply_clifford` takes them.  Consecutive gates on disjoint
+        qubits form one round, applied as one column gather and scatter per
+        gate name: each gate of a round reads and writes only its own
+        columns, so their sign updates XOR together."""
+        n = self.n
+        rounds, batch, used, touched = [], {}, set(), []
+        for gate, qubits in gates:
+            if gate == "cx":
+                c, t = qubits
+                if c == t:
+                    raise ValueError("cx needs two distinct qubits")
+            elif gate not in _ONE_QUBIT_CLIFFORDS or len(qubits) != 1:
+                raise ValueError(f"not a supported Clifford gate: {gate!r}")
+            for q in qubits:
+                if not 0 <= q < n:
+                    self._check(q)
+            if not used.isdisjoint(qubits):
+                rounds.append(batch)
+                batch, used = {}, set()
+            used.update(qubits)
+            touched += qubits
+            group = batch.get(gate)
+            if group is None:
+                batch[gate] = [qubits]
+            else:
+                group.append(qubits)
+        rounds.append(batch)
         X, Z, r = self._X, self._Z, self._r
-        if gate == "cx":
-            c, t = qubits
-            if c == t:
-                raise ValueError("cx needs two distinct qubits")
-            self._check(c)
-            self._check(t)
-            xc, zt = X[:, c], Z[:, t]
-            r ^= xc & zt & ~(X[:, t] ^ Z[:, c])
-            X[:, t] ^= xc
-            Z[:, c] ^= zt
-        elif gate in _ONE_QUBIT_CLIFFORDS:
-            (q,) = qubits
-            self._check(q)
-            x, z = X[:, q], Z[:, q]
-            if gate == "h":
-                r ^= x & z
-                X[:, q], Z[:, q] = z, x.copy()
-            elif gate == "s":
-                r ^= x & z
-                z ^= x
-            elif gate == "sdg":
-                r ^= x & ~z
-                z ^= x
-            elif gate == "x":
-                r ^= z
-            elif gate == "z":
-                r ^= x
-            else:  # y
-                r ^= x ^ z
-        else:
-            raise ValueError(f"not a supported Clifford gate: {gate!r}")
-        for q in qubits:
-            self._known.pop(q, None)
+        for batch in rounds:
+            for gate, qs in batch.items():
+                # each operand position's qubits, as one index, a slice or a list
+                cols = qs[0] if len(qs) == 1 else [_columns(v) for v in zip(*qs)]
+                if gate == "cx":
+                    c, t = cols
+                    xc, zt = X[:, c], Z[:, t]
+                    sign = xc & zt & ~(X[:, t] ^ Z[:, c])
+                    X[:, t] ^= xc
+                    Z[:, c] ^= zt
+                else:
+                    (q,) = cols
+                    x, z = X[:, q], Z[:, q]
+                    if gate == "h":
+                        sign = x & z
+                        X[:, q], Z[:, q] = z, x.copy()
+                    elif gate in ("s", "sdg"):
+                        sign = x & (z if gate == "s" else ~z)
+                        Z[:, q] ^= x
+                    else:  # a Pauli: x flips rows with Z, z those with X, y both
+                        sign = z if gate == "x" else x if gate == "z" else x ^ z
+                r ^= sign if sign.ndim == 1 else np.bitwise_xor.reduce(sign, axis=1)
+        if self._known:
+            for q in touched:
+                self._known.pop(q, None)
 
     def apply_pauli(self, p: PauliString) -> None:
         """Multiply the state by ``p`` (global phase dropped): each generator
@@ -489,82 +627,216 @@ class StabilizerState:
 
     def _measure(self, q: int, forced: int) -> tuple[int, bool, tuple[int, int] | None]:
         """:meth:`measure_flip` with the flip given as the bitsets of its X
-        and of its Z letters, bit q for qubit q."""
-        self._check(q)
-        if q in self._known:
-            return self._known[q], False, None
-        col = self._X[:, q].copy()
-        hits = col & self._stab
-        words = np.flatnonzero(hits)
-        if words.size:
-            outcome = int(forced) & 1
-            v = int(hits[words[0]])
-            flip = self._collapse(q, col, 64 * int(words[0]) + (v & -v).bit_length() - 1, outcome)
-            self._known[q] = outcome
-            return outcome, True, flip
-        outcome = self._deterministic_outcome(q, col)
-        self._known[q] = outcome
-        return outcome, False, None
+        and of its Z letters, bit q for qubit q: a layer of one."""
+        return self._collapse((("measure", q, forced),))[0]
 
     def _flip_pauli(self, flip: tuple[int, int] | None) -> PauliString | None:
         """The operator with X letters ``flip[0]`` and Z letters
         ``flip[1]`` (bitsets), sign +1."""
         return None if flip is None else PauliString(self.n, *flip)
 
-    def _collapse(self, q: int, col: np.ndarray, p: int, outcome: int) -> tuple[int, int]:
-        """Random collapse of Z_q on pivot row ``p``, the first stabilizer
-        with X on q; ``col`` is the lane column of X letters on q.  Every
-        other row with X on q, bar the destabilizer p - n, is multiplied by
-        the pivot; then the destabilizer becomes the pivot and the pivot
-        becomes (-1)^outcome Z_q.  Only the lane words holding those rows
-        are read or written.  Returns the pivot's X and Z letters as
-        bitsets, bit q for qubit q (the flip operator)."""
+    def _collapse(self, ops) -> list[tuple[int, bool, tuple[int, int] | None]]:
+        """Collapse one measurement layer: ``ops`` is a sequence of (name,
+        qubit, forced) in program order, each a ``measure`` or ``reset`` of
+        a qubit no earlier op of the layer measures, or a one-qubit Clifford
+        (``forced`` unread) on a qubit that no earlier op measures.  Returns
+        what :meth:`_measure` (or :meth:`_reset`) would have returned for
+        each measurement in turn, and leaves the tableau bit for bit as
+        those calls would.
+
+        A random collapse of Z_q picks as pivot p the first stabilizer with
+        X on q, multiplies it into every other row with X on q bar the
+        destabilizer p - n, moves it to that destabilizer and becomes
+        (-1)^forced Z_q; its flip is the pivot.  The layer's Cliffords act
+        on columns the collapses before them do not read, so they are all
+        applied first; a flip then carries the letters of the Cliffords
+        after its collapse, which are undone on it (h swaps X and Z, s and
+        sdg XOR X into Z).  The collapses themselves are one elimination
+        over the X columns of the measured qubits (:meth:`_eliminate`).  A
+        deterministic outcome is read on the final tableau (later collapses
+        measure commuting operators), and a reset's X, which commutes with
+        them too, is applied last."""
+        known = self._known
+        meas, gates, seen, touched = [], [], set(), set()
+        for name, q, forced in ops:
+            self._check(q)
+            if q in seen:
+                raise ValueError(f"qubit {q} is already measured in this layer")
+            if name in ("measure", "reset"):
+                seen.add(q)
+                # a known outcome stands until a gate touches the qubit
+                meas.append((name, q, int(forced) & 1, None if q in touched else known.get(q)))
+            else:
+                touched.add(q)
+                gates.append((name, (q,)))
+        if gates:
+            self.apply_gates(gates)
+        live = [i for i, m in enumerate(meas) if m[3] is None]  # outcomes the tableau decides
+        found = self._eliminate([meas[i][1] for i in live], [meas[i][2] for i in live]) if live else {}
+        pivots = {live[k]: letters for k, letters in found.items()}  # measurement -> its pivot's letters
+        out = []
+        for i, (name, q, forced, value) in enumerate(meas):
+            if value is None:
+                value = forced if i in pivots else self._deterministic_outcome(q, self._X[:, q].copy())
+            out.append((value, i in pivots, pivots.get(i)))
+        back_to_zero = [("x", (q,)) for (name, q, _, _), (value, _, _) in zip(meas, out) if name == "reset" and value]
+        if back_to_zero:
+            self.apply_gates(back_to_zero)
+        for (name, q, _, _), (value, _, _) in zip(meas, out):
+            known[q] = 0 if name == "reset" else value
+        if gates and pivots:
+            out = self._undo_later_gates(ops, out)
+        return out
+
+    def _eliminate(self, qs: list[int], forced: list[int]) -> dict[int, tuple[int, int]]:
+        """The random collapses of :meth:`_collapse` among Z on qubits
+        ``qs``, in order, with outcomes ``forced``; a qubit with no
+        stabilizer X on it when its turn comes is deterministic and left
+        alone.  Returns the index in ``qs`` of each random one with its
+        pivot's X and Z letters.
+
+        The X columns of the measured qubits are int bitsets of rows; a
+        collapse changes a later one only where its pivot has X on that
+        qubit (on its targets) or its destabilizer did.  The rows the
+        collapses read or write lie in the lane words that hold rows with X
+        on a measured qubit and their destabilizers; those words are read
+        into a row buffer once and written back once.  The rows are
+        multiplied in program order as (X, Z, sign) int bitsets
+        (:func:`_times`), the last few hundred kept as ints, or, for a
+        collapse of at least ``_WIDE_TARGETS`` targets, all at once in the
+        row buffer."""
         n = self.n
-        T, r = self._T, self._r
-        pw, pb = divmod(p, 64)
-        dw, db = divmod(p - n, 64)
-        pb, db = np.uint64(pb), np.uint64(db)
-        piv = (T[:, pw] >> pb) & _U1  # the pivot's X and Z letters, 0 or 1 a qubit
-        letters = np.packbits(piv.astype(bool), axis=1, bitorder="little").tobytes()  # X row, then Z row
-        half = len(letters) // 2
-        x, z = int.from_bytes(letters[:half], "little"), int.from_bytes(letters[half:], "little")
-        rp = (r[pw] >> pb) & _U1
-        col[pw] &= ~(_U1 << pb)
-        col[dw] &= ~(_U1 << db)
-        ws = np.flatnonzero(col)
-        if ws.size:
-            # row t <- pivot * row t, 64 target rows a word, on the columns
-            # from the pivot's first letter to its last (elsewhere the pivot
-            # is the identity); it has an X letter on q, so it has one
-            u = x | z
-            span = slice((u & -u).bit_length() - 1, u.bit_length())
-            a = -piv[:, span]  # all ones where the pivot has an X / a Z letter
-            ax, az = a
-            Xt, Zt = Tt = T[:, ws, span]
-            anti = (Xt & az) ^ (Zt & ax)
-            m = col[ws]
-            if (np.bitwise_xor.reduce(anti, axis=1) & m).any():
+        pivots: dict[int, tuple[int, int]] = {}
+        X = self._X
+        # every row a collapse reads or writes has X on a measured qubit,
+        # or is the destabilizer of a stabilizer that does
+        rows = int.from_bytes(np.bitwise_or.reduce(X[:, qs], axis=1).tobytes(), "little")
+        rows |= rows >> n
+        lo, hi = (rows & -rows).bit_length() - 1 >> 6, _n_words(rows.bit_length())
+        buf = _lane_rows(self._T[:, lo:hi])
+        w = buf.shape[2]
+        lines = buf.view(np.uint64).reshape(64 * 2 * w, -1)  # line 2 w (t % 64) + t // 64 - lo: row t's X letters
+        size, stride = buf.shape[3], w * buf.shape[3]  # bytes a row part, a part
+        letters = memoryview(buf).cast("B")
+        signs = start = int.from_bytes(self._r.tobytes(), "little")  # bit t: row t's sign
+
+        cur: dict[int, tuple[int, int, int]] = {}  # rows rewritten since the last write-out
+
+        # row t's X letters start at byte 2 (t % 64) stride + (t // 64 - lo)
+        # size of the row buffer, and its Z letters a stride later
+        def row(t: int) -> tuple[int, int, int]:
+            v = cur.get(t)
+            if v is None:
+                k = (t & 63) * 2 * stride + ((t >> 6) - lo) * size
+                x = int.from_bytes(letters[k : k + size], "little")
+                v = x, int.from_bytes(letters[k + stride : k + stride + size], "little"), signs >> t & 1
+            return v
+
+        def write_out(done: dict[int, tuple[int, int, int]]) -> None:
+            nonlocal signs
+            for t, (x, z, sign) in done.items():
+                k = (t & 63) * 2 * stride + ((t >> 6) - lo) * size
+                letters[k : k + size] = x.to_bytes(size, "little")
+                letters[k + stride : k + stride + size] = z.to_bytes(size, "little")
+                if sign != signs >> t & 1:
+                    signs ^= 1 << t
+
+        def times_many(t: np.ndarray, v: tuple[int, int, int]) -> None:
+            """Rows ``t`` times the pivot ``v``, in the row buffer: the
+            product of :func:`_times` over all of them at once."""
+            nonlocal signs
+            lx = (t & 63) * (2 * w) + (t >> 6) - lo
+            lz = lx + w
+            x, z = lines[lx], lines[lz]
+            vx, vz = (np.frombuffer(part.to_bytes(size, "little"), dtype="<u8") for part in v[:2])
+            px, pz = x ^ vx, z ^ vz
+            # _times's exponent e per row, mod 4: uint8 counts wrap mod 256
+            e = np.bitwise_count(x & z)
+            e += np.bitwise_count(z & vx) << 1
+            e -= np.bitwise_count(px & pz)
+            e = e.sum(axis=-1, dtype=np.uint8) + np.uint8(int(np.bitwise_count(vx & vz).sum()) & 3)
+            if (e & 1).any():
                 raise AssertionError("row product produced an imaginary phase")
-            # among those, the letters whose product with the pivot's is -i
-            # times the third: target Z under pivot X, X under Y, Y under Z
-            minus = (ax & ~az) ^ (Xt & ax) ^ (Zt & (az & ~ax))
-            # with k anticommuting letters, j of them -i, the product's
-            # phase is i^(k - 2j) with k even: the sign flips by bit 1 of k,
-            # the parity of anticommuting pairs (C(k, 2) mod 2), xor j mod 2;
-            # that parity is the count, mod 2, of anticommuting letters with
-            # an odd number of them before
-            before = np.bitwise_xor.accumulate(anti, axis=1) ^ anti
-            flips = np.bitwise_xor.reduce(anti & (before ^ minus), axis=1)
-            r[ws] ^= m & (flips ^ (_ONES if rp else _U0))
-            T[:, ws, span] = Tt ^ (m[:, None] & a[:, None, :])
-        dm = _U1 << db
-        T[:, dw] = (T[:, dw] & ~dm) | (piv << db)
-        r[dw] = (r[dw] & ~dm) | (rp << db)
-        pm = _U1 << pb
-        T[:, pw] &= ~pm
-        T[1, pw, q] |= pm
-        r[pw] = (r[pw] & ~pm) | (np.uint64(outcome) << pb)
-        return x, z
+            lines[lx] = px
+            lines[lz] = pz
+            flipped = np.zeros(64 * self._r.size, dtype=np.uint8)
+            flipped[t] = ((e >> 1) ^ v[2]) & 1
+            signs ^= int.from_bytes(np.packbits(flipped, bitorder="little").tobytes(), "little")
+
+        moved_cols: dict[int, int] = {}  # columns an earlier collapse changed
+        col_of = {q: k for k, q in enumerate(qs)}
+        later = 0  # the qubits measured after the current one
+        for q in qs:
+            later |= 1 << q
+        for k, q in enumerate(qs):
+            later ^= 1 << q
+            c = moved_cols.pop(k, None)
+            if c is None:  # the tableau is written back only after the layer
+                c = int.from_bytes(X[:, q].tobytes(), "little")
+            stabs = c >> n
+            if not stabs:
+                continue  # deterministic
+            low = stabs & -stabs
+            d = low.bit_length() - 1
+            p, dm = n + d, 1 << d
+            v = row(p)
+            targets = c ^ low << n
+            if targets & dm:
+                targets ^= dm
+            # the later measured qubits' columns change on the targets
+            # where the pivot has X, and on the destabilizer
+            moved, was_d = v[0] & later, row(d)[0] & later
+            if moved or was_d:
+                for u in _bits(moved | was_d):
+                    m = col_of[u]
+                    cm = moved_cols.get(m)
+                    if cm is None:
+                        cm = int.from_bytes(X[:, u].tobytes(), "little")
+                    moved_cols[m] = (cm ^ targets ^ low << n) | dm if moved >> u & 1 else cm & ~dm
+            if targets.bit_count() >= _WIDE_TARGETS:
+                write_out(cur)
+                cur = {}
+                raw = np.frombuffer(targets.to_bytes(8 * self._r.size, "little"), dtype=np.uint8)
+                times_many(np.flatnonzero(np.unpackbits(raw, bitorder="little")), v)
+            else:
+                for t in _bits(targets):
+                    cur[t] = _times(row(t), v)
+                    if len(cur) >= _CACHED_ROWS:
+                        write_out(cur)
+                        cur = {}
+            cur[d] = v
+            cur[p] = (0, 1 << q, forced[k])
+            pivots[k] = v[:2]
+        write_out(cur)
+        letters.release()
+        _row_lanes(buf, self._T[:, lo:hi])
+        if signs != start:
+            self._r[:] = np.frombuffer(signs.to_bytes(8 * self._r.size, "little"), dtype="<u8")
+        return pivots
+
+    @staticmethod
+    def _undo_later_gates(ops, out):
+        """``out`` with each flip taken back through the layer's Cliffords
+        that follow its collapse.  Walking the layer backwards, the letter
+        map from a collapse's frame to the all-Cliffords-applied frame is
+        kept as four qubit masks: x' = x & a ^ z & b, z' = x & c ^ z & e."""
+        a, b, c, e = -1, 0, 0, -1
+        res = iter(reversed(out))
+        undone = []
+        for name, q, _ in reversed(ops):
+            if name in ("measure", "reset"):
+                value, was_random, flip = next(res)
+                if flip is not None:
+                    x, z = flip
+                    flip = ((x & a) ^ (z & b), (x & c) ^ (z & e))
+                undone.append((value, was_random, flip))
+            elif name == "h":
+                t, u = (a ^ c) >> q & 1, (b ^ e) >> q & 1
+                a, c, b, e = a ^ t << q, c ^ t << q, b ^ u << q, e ^ u << q
+            elif name in ("s", "sdg"):
+                c ^= a & 1 << q
+                e ^= b & 1 << q
+        return undone[::-1]
 
     def _deterministic_outcome(self, q: int, col: np.ndarray) -> int:
         """Z_q's value when it is in the stabilizer group: Z_q is, up to
@@ -613,11 +885,7 @@ class StabilizerState:
 
     def _reset(self, q: int, forced: int) -> tuple[int, bool, tuple[int, int] | None]:
         """:meth:`reset` with the flip as :meth:`_measure` gives it."""
-        outcome, was_random, flip = self._measure(q, forced)
-        if outcome:
-            self.apply_clifford("x", q)
-        self._known[q] = 0
-        return outcome, was_random, flip
+        return self._collapse((("reset", q, forced),))[0]
 
     # -- read-out ---------------------------------------------------------------
 
@@ -704,6 +972,14 @@ def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
 # a noise site or a collapse coin's moved rows are a few bits of a wide
 # register, which this reads in about a fifth of the time
 _PEELED_BITS = 8
+
+
+def _bits(bits: int):
+    """The set bits of a non-negative integer, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _support(bits: int, typecode: str):
@@ -995,6 +1271,49 @@ class Program:
         return (records, *frames)
 
 
+# instructions that only mark the schedule and leave the state alone
+_MARKERS = ("input", "barrier")
+
+
+def _gate_run(instructions, k: int) -> tuple[int, list]:
+    """The gates from instruction ``k`` on that act on pairwise disjoint
+    qubits, passing over markers: (the index after the last, their (name,
+    qubits) pairs)."""
+    gates, used, end = [], set(), k
+    for j in range(k, len(instructions)):
+        ins = instructions[j]
+        if ins.op in _MARKERS:
+            continue
+        if not (ins.op == "cx" or ins.op in _ONE_QUBIT_CLIFFORDS) or not used.isdisjoint(ins.qubits):
+            break
+        used.update(ins.qubits)
+        gates.append((ins.op, ins.qubits))
+        end = j + 1
+    return end, gates
+
+
+def _measurement_layer(instructions, k: int) -> tuple[int, list]:
+    """The measurement layer that starts at instruction ``k``: measurements
+    and resets of distinct qubits, with the one-qubit Cliffords between them
+    on qubits not yet measured, passing over markers, up to the last
+    measurement before any other op.  Returns (the index after that
+    measurement, the layer as :meth:`StabilizerState._collapse` takes it,
+    random outcomes pinned to 0)."""
+    ops, measured, end, size = [], set(), k, 0
+    for j in range(k, len(instructions)):
+        ins = instructions[j]
+        if ins.op in _MARKERS:
+            continue
+        if not (ins.op in ("measure", "reset") or ins.op in _ONE_QUBIT_CLIFFORDS) or ins.qubits[0] in measured:
+            break
+        q = ins.qubits[0]
+        ops.append((ins.op, q, 0))
+        if ins.op in ("measure", "reset"):
+            measured.add(q)
+            end, size = j + 1, len(ops)
+    return end, ops[:size]
+
+
 def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program:
     """Validate ``circuit`` and run it once with random outcomes pinned to
     0, emitting its frame-replay :class:`Program`: the entries, one draw per
@@ -1011,7 +1330,14 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     accumulator is exactly that far, which is how one is first filled.  A
     part of fewer than ``_DELTA_MIN_LETTERS`` letters, or one that no
     accumulator is that near, stays a direct ``pauli`` entry.  Row sets are int bitsets, and ``pending`` is
-    the per-qubit membership table from which settles are emitted."""
+    the per-qubit membership table from which settles are emitted.
+
+    The tableau work is done a stretch at a time: a run of gates on disjoint
+    qubits in one :meth:`StabilizerState.apply_gates` call, and a
+    measurement layer in one :meth:`StabilizerState._collapse` call; the
+    entries are then emitted instruction by instruction, in program order,
+    as if each had been applied alone.  Noise sites are emitted at the
+    indices that hold some."""
     folds = circuit.validate().parities
     if mode not in ("feed_forward", "post_process"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -1087,8 +1413,8 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
             held &= held - 1
         pending[part][q] = 0
 
-    def emit_noise(k: int) -> None:
-        for s in by_index.get(k, ()):
+    def emit_noise(at: list) -> None:
+        for s in at:
             om = float(s.omega)
             if not 0.0 <= om <= 1.0:
                 raise ValueError(f"error weight {om} outside [0, 1]")
@@ -1096,58 +1422,70 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
             emit_pauli(_support(p.x_bits, qdt), _support(p.z_bits, qdt), _NOISE_STREAM_BASE + len(sites), om)
             sites.append(s)
 
-    for k, ins in enumerate(circuit.instructions):
-        emit_noise(k)
-        op = ins.op
-        if op in ("input", "barrier"):
-            continue
-        if op == "cx":
-            c, t = ins.qubits
-            st.apply_clifford("cx", c, t)
-            if held_x[c]:
-                leave(0, c)
-            if held_z[t]:
-                leave(1, t)
-            prog.append(("cx", c, t))
-        elif op in _ONE_QUBIT_CLIFFORDS:
-            q = ins.qubits[0]
-            st.apply_clifford(op, q)
-            if op in ("h", "s", "sdg"):  # x/y/z commute with frames mod phase
-                if held_x[q]:
-                    leave(0, q)
-                if op == "h" and held_z[q]:
-                    leave(1, q)
-                prog.append((op, q))
+    instructions = circuit.instructions
+    k = 0
+    while k < n_ins:
+        # the tableau work of a gate run or a measurement layer is done at
+        # once; its entries are then emitted instruction by instruction
+        op, end, results = instructions[k].op, k + 1, None
+        if op == "cx" or op in _ONE_QUBIT_CLIFFORDS:
+            end, gates = _gate_run(instructions, k)
+            st.apply_gates(gates)
         elif op in ("measure", "reset"):
-            q = ins.qubits[0]
-            outcome, was_random, flip = (st._measure if op == "measure" else st._reset)(q, 0)
-            if was_random:
-                emit_coin(*flip)
-                coin_streams += 1
-            if op == "measure":
-                ref_bits[ins.record] = outcome
-                if held_x[q]:
-                    leave(0, q)
-                prog.append(("meas", q, ins.record))
-            else:
-                if held_x[q]:
-                    leave(0, q, settle=False)
-                if held_z[q]:
-                    leave(1, q, settle=False)
-                prog.append(("reset", q))
-        elif op == "cpauli":
-            q = ins.qubits[0]
-            base, reads = folds[len(ref_parities)]
-            par = ref_parities[base] if base is not None else 0
-            for r in reads:
-                par ^= int(ref_bits[r])
-            if par and not post:
-                st.apply_pauli(PauliString.single(st.n, q, ins.pauli))
-            prog.append(("cpauli", q, ins.pauli, base, reads, bool(par) and post))
-            ref_parities.append(par)
-        else:
-            raise ValueError(f"op {op!r} is not stabilizer-simulable")
-    emit_noise(n_ins)
+            end, layer = _measurement_layer(instructions, k)
+            results = iter(st._collapse(layer))
+        for idx in range(k, end):
+            if idx in by_index:
+                emit_noise(by_index[idx])
+            ins = instructions[idx]
+            op = ins.op
+            if op == "cx":
+                c, t = ins.qubits
+                if held_x[c]:
+                    leave(0, c)
+                if held_z[t]:
+                    leave(1, t)
+                prog.append(("cx", c, t))
+            elif op in _ONE_QUBIT_CLIFFORDS:
+                q = ins.qubits[0]
+                if op in ("h", "s", "sdg"):  # x/y/z commute with frames mod phase
+                    if held_x[q]:
+                        leave(0, q)
+                    if op == "h" and held_z[q]:
+                        leave(1, q)
+                    prog.append((op, q))
+            elif op in ("measure", "reset"):
+                q = ins.qubits[0]
+                outcome, was_random, flip = next(results)
+                if was_random:
+                    emit_coin(*flip)
+                    coin_streams += 1
+                if op == "measure":
+                    ref_bits[ins.record] = outcome
+                    if held_x[q]:
+                        leave(0, q)
+                    prog.append(("meas", q, ins.record))
+                else:
+                    if held_x[q]:
+                        leave(0, q, settle=False)
+                    if held_z[q]:
+                        leave(1, q, settle=False)
+                    prog.append(("reset", q))
+            elif op == "cpauli":
+                q = ins.qubits[0]
+                base, reads = folds[len(ref_parities)]
+                par = ref_parities[base] if base is not None else 0
+                for r in reads:
+                    par ^= int(ref_bits[r])
+                if par and not post:
+                    st.apply_pauli(PauliString.single(st.n, q, ins.pauli))
+                prog.append(("cpauli", q, ins.pauli, base, reads, bool(par) and post))
+                ref_parities.append(par)
+            elif op not in _MARKERS:
+                raise ValueError(f"op {op!r} is not stabilizer-simulable")
+        k = end
+    if n_ins in by_index:
+        emit_noise(by_index[n_ins])
     for a, rows in enumerate(acc_rows):
         if rows:
             prog.append(("settle", a, _support(rows, qdt)))

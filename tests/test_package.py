@@ -119,6 +119,7 @@ _READ_BY_TESTS = {
     "statevector.py:state_fidelity": "dense pure-state fidelity",
     "tableau.py:CounterRandom.uniform": "the float definition of a draw, which the integer-threshold fired kernel is tested against",
     "tableau.py:Program.outcomes": "exact record distribution that sampled records are checked against",
+    "tableau.py:StabilizerState.apply_clifford": "one gate at a time, the sequence that gate rounds are checked against",
     "tableau.py:StabilizerState.check_invariants": "the tableau's symplectic pairing, checked after every instruction",
     "tableau.py:StabilizerState.destabilizers": "tableau rows as operators",
     "tableau.py:StabilizerState.expectation": "one exact expectation, against the dense oracle",

@@ -259,6 +259,182 @@ def test_flip_operator_and_program_supports_come_from_one_collapse(n):
     assert random > 1
 
 
+_LAYER_CLIFFORDS = ("h", "s", "sdg", "x", "y", "z")
+
+
+def _random_state(n, rng):
+    """A random stabilizer state from random gates, with a few measured
+    qubits, some of them touched again afterwards."""
+    state = tb.StabilizerState(n)
+    for _ in range(2 * n + 2):
+        a, b = (int(v) for v in rng.integers(n, size=2))
+        state.apply_clifford(_LAYER_CLIFFORDS[int(rng.integers(6))], a)
+        if a != b:
+            state.apply_clifford("cx", a, b)
+        if rng.random() < 0.15:
+            state.measure(int(rng.integers(n)), forced=int(rng.integers(2)))
+    return state
+
+
+def _random_layer(n, rng):
+    """Measurements and resets of distinct qubits with random forced
+    outcomes, each after up to two one-qubit Cliffords on qubits the layer
+    has not yet measured (its own or another)."""
+    layer, measured = [], set()
+    for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]:
+        for _ in range(int(rng.integers(3))):
+            free = [u for u in range(n) if u not in measured]
+            u = int(q) if rng.random() < 0.5 else free[int(rng.integers(len(free)))]
+            layer.append((_LAYER_CLIFFORDS[int(rng.integers(6))], u, 0))
+        layer.append(("measure" if rng.random() < 0.6 else "reset", int(q), int(rng.integers(2))))
+        measured.add(int(q))
+    return layer
+
+
+def _textbook_layer(rows, n, layer):
+    """The layer run one op at a time on the signed generators as
+    PauliStrings (destabilizers, then stabilizers): a gate conjugates every
+    row; a random Z_q collapse takes the first stabilizer with X on q,
+    multiplies it into every other row with X on q bar its destabilizer,
+    moves it there and becomes (-1)^forced Z_q; a deterministic outcome is
+    the sign of the product of the stabilizers whose destabilizers have X
+    on q; a reset's outcome 1 is undone by X_q.  Returns the final rows and
+    (outcome, was_random, flip letters) per measurement."""
+    out = []
+    for name, q, forced in layer:
+        if name not in ("measure", "reset"):
+            rows = [r.conjugated(name, q) for r in rows]
+            continue
+        pivot = next((i for i in range(n, 2 * n) if rows[i].x_bit(q)), None)
+        if pivot is None:
+            prod = PauliString(n)
+            for i in range(n):
+                if rows[i].x_bit(q):
+                    prod = prod * rows[n + i]
+            assert prod.mod_phase() == PauliString.single(n, q, "Z")
+            value, flip = int(prod.sign < 0), None
+        else:
+            p = rows[pivot]
+            rows = [p * r if i not in (pivot, pivot - n) and r.x_bit(q) else r for i, r in enumerate(rows)]
+            rows[pivot - n] = p
+            rows[pivot] = PauliString.single(n, q, "Z", -1 if forced else 1)
+            value, flip = forced, (p.x_bits, p.z_bits)
+        if name == "reset" and value:
+            rows = [r.conjugated("x", q) for r in rows]
+        out.append((value, pivot is not None, flip))
+    return rows, out
+
+
+def _check_layer(state, layer):
+    """The layer collapsed at once equals, bit for bit, one call per op,
+    and the textbook collapse of the same rows."""
+    n = state.n
+    batched = state.copy()
+    got = batched._collapse(layer)
+    seq, want = state.copy(), []
+    for name, q, forced in layer:
+        if name in ("measure", "reset"):
+            want.append((seq._measure if name == "measure" else seq._reset)(q, forced))
+        else:
+            seq.apply_clifford(name, q)
+    assert got == want
+    np.testing.assert_array_equal(batched._T, seq._T)
+    np.testing.assert_array_equal(batched._r, seq._r)
+    assert batched._known == seq._known
+    batched.check_invariants()
+    rows, ref = _textbook_layer(state.destabilizers() + state.stabilizers(), n, layer)
+    assert ref == got
+    assert rows == batched.destabilizers() + batched.stabilizers()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_batched_layer_matches_sequential_collapses(n, seed):
+    """A random layer of random and deterministic measurements and resets,
+    with Cliffords between them, on a random state."""
+    rng = np.random.default_rng(seed)
+    _check_layer(_random_state(n, rng), _random_layer(n, rng))
+
+
+@pytest.mark.parametrize("wide_targets", [1, 10**9], ids=["rows-at-once", "rows-as-ints"])
+@pytest.mark.parametrize("block_words", [0, 10**9], ids=["64x64-blocks", "unpacked-bits"])
+def test_batched_layer_matches_sequential_collapses_through_either_transpose(block_words, wide_targets, monkeypatch):
+    """The same check on wider registers, with the kernel's rows read and
+    written through each of the two lane transposes, and multiplied by
+    their pivots all at once or one at a time."""
+    monkeypatch.setattr(tb, "_BLOCK_TRANSPOSE_WORDS", block_words)
+    monkeypatch.setattr(tb, "_WIDE_TARGETS", wide_targets)
+    for seed, n in enumerate((3, 64, 65, 130)):
+        rng = np.random.default_rng(seed)
+        _check_layer(_random_state(n, rng), _random_layer(n, rng))
+
+
+@pytest.mark.parametrize("words, n", [(1, 1), (1, 30), (2, 65), (4, 128), (3, 700), (17, 100)])
+def test_lane_row_transposes_agree_and_invert(words, n, monkeypatch):
+    """Both transposes put row 64 w + i's letter on qubit q in bit q of
+    [i, part, w] of the row bytes, where the lanes hold it in bit i of word
+    w, and both write the rows back into the lanes unchanged."""
+    lanes = np.random.default_rng(n).integers(0, 2**63, size=(2, words, n), dtype=np.uint64)
+    lanes[0, 0, 0] |= np.uint64(1) << np.uint64(63)
+    want = np.unpackbits(lanes.view(np.uint8), bitorder="little").reshape(2, words, n, 64).transpose(3, 0, 1, 2)
+    for block_words in (0, 10**9):
+        monkeypatch.setattr(tb, "_BLOCK_TRANSPOSE_WORDS", block_words)
+        rows = tb._lane_rows(lanes)
+        bits = np.unpackbits(rows, axis=3, bitorder="little")
+        np.testing.assert_array_equal(bits[..., :n], want)
+        assert not bits[..., n:].any()
+        back = np.zeros_like(lanes)
+        tb._row_lanes(rows, back)
+        np.testing.assert_array_equal(back, lanes)
+
+
+def test_gate_rounds_match_one_gate_at_a_time():
+    """apply_gates on runs that repeat qubits, step evenly or not, and mix
+    every gate equals one apply_clifford per gate."""
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 70, 130):
+        ref = _random_state(n, rng)
+        batched = ref.copy()
+        for _ in range(6):
+            gates = []
+            for _ in range(int(rng.integers(1, 2 * n))):
+                if n > 1 and rng.random() < 0.4:
+                    gates.append(("cx", tuple(int(v) for v in rng.choice(n, size=2, replace=False))))
+                else:
+                    gates.append((_LAYER_CLIFFORDS[int(rng.integers(6))], (int(rng.integers(n)),)))
+            gates += [("h", (q,)) for q in range(0, n, 2)] + [("cx", (q, q + 1)) for q in range(1, n - 1, 2)]
+            batched.apply_gates(gates)
+            for g, qs in gates:
+                ref.apply_clifford(g, *qs)
+            np.testing.assert_array_equal(batched._T, ref._T)
+            np.testing.assert_array_equal(batched._r, ref._r)
+            assert batched._known == ref._known
+    with pytest.raises(ValueError, match="distinct"):
+        batched.apply_gates([("h", (0,)), ("cx", (1, 1))])
+    np.testing.assert_array_equal(batched._T, ref._T)
+
+
+@pytest.mark.parametrize("build", [C.ghz_dynamic, C.long_range_cnot_dynamic], ids=["ghz", "cnot"])
+def test_reference_pass_collapses_once_per_measurement_layer(build, monkeypatch):
+    """Each chain measures its ancillas in one layer and resets them in
+    another, so the reference pass calls the collapse kernel twice at any
+    length, and every measurement and reset goes through those two calls."""
+    calls = []
+    kernel = tb.StabilizerState._collapse
+
+    def counted(self, ops):
+        calls.append(sum(op[0] in ("measure", "reset") for op in ops))
+        return kernel(self, ops)
+
+    monkeypatch.setattr(tb.StabilizerState, "_collapse", counted)
+    for n in (400, 800):
+        circ = build(n)
+        calls.clear()
+        tb.compile(circ)
+        assert len(calls) == 2
+        assert sum(calls) == sum(ins.op in ("measure", "reset") for ins in circ.instructions) >= n - 2
+
+
 def test_teleportation_all_six_eigenstates():
     c = C.Circuit(3)
     c.add("h", 1, start=0.0)
