@@ -3,7 +3,8 @@
 Subpackage layout:
 
 - ``pauli``       -- n-qubit Pauli operators as integer bitmasks
-- ``tableau``     -- stabilizer simulator with mid-circuit measurement and a
+- ``stabilizer``  -- stabilizer tableau with mid-circuit measurement
+- ``tableau``     -- circuits compiled against that tableau into a
                      vectorized Pauli-frame engine for large shot batches
 - ``statevector`` -- small dense simulator used as an exact cross-check
 - ``circuits``    -- builders for the teleportation / fan-out circuit family
@@ -16,6 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "pauli",
+    "stabilizer",
     "tableau",
     "statevector",
     "circuits",

@@ -30,6 +30,7 @@ from . import tableau as tb
 from .circuits import Circuit
 from .noise import NoiseSite
 from .pauli import PauliString
+from .stabilizer import pauli_bits
 
 __all__ = [
     "DEFAULT_SHOTS_PER_SAMPLE",
@@ -237,7 +238,7 @@ class CircuitStateSource:
                 raise ValueError(f"operator on {p.n} qubits, source exposes {self.n_data}")
         c = self.circuit
         # every operator on the circuit register, as qubit columns, once
-        x, z = tb.pauli_bits(paulis, c.n_qubits, qubits=self.data)
+        x, z = pauli_bits(paulis, c.n_qubits, qubits=self.data)
         draws = len(self.noise) + sum(ins.op in ("measure", "reset") for ins in c.instructions)
         row_bytes = c.n_records + (c.n_records + draws + 6 * c.n_qubits + 7) // 8
         max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))

@@ -19,6 +19,7 @@ import dyncirc.noise as N
 import dyncirc.statevector as sv
 import dyncirc.tableau as tb
 from dyncirc.pauli import PauliString
+from dyncirc.stabilizer import pauli_bits
 
 
 def _site(k, pauli, omega):
@@ -236,7 +237,7 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
     # m seeds and zero shots, as a zero-shot replay of a batched call makes
     empty = tb.run_batch(circ, 0, master_seed=seeds, noise=sites, mode=mode)
     assert empty.records.shape == (0, circ.n_records)
-    assert empty.readout_flips(*tb.pauli_bits(ops, n)).shape == (len(ops), 0)
+    assert empty.readout_flips(*pauli_bits(ops, n)).shape == (len(ops), 0)
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])

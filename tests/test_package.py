@@ -119,13 +119,13 @@ _READ_BY_TESTS = {
     "statevector.py:state_fidelity": "dense pure-state fidelity",
     "tableau.py:CounterRandom.uniform": "the float definition of a draw, which the integer-threshold fired kernel is tested against",
     "tableau.py:Program.outcomes": "exact record distribution that sampled records are checked against",
-    "tableau.py:StabilizerState.apply_clifford": "one gate at a time, the sequence that gate rounds are checked against",
-    "tableau.py:StabilizerState.check_invariants": "the tableau's symplectic pairing, checked after every instruction",
-    "tableau.py:StabilizerState.destabilizers": "tableau rows as operators",
-    "tableau.py:StabilizerState.expectation": "one exact expectation, against the dense oracle",
-    "tableau.py:StabilizerState.measure_flip": "a measurement with its flip operator, against the dense oracle",
-    "tableau.py:StabilizerState.reset": "a reset with its flip operator, against the dense oracle",
-    "tableau.py:StabilizerState.stabilizers": "tableau rows as operators",
+    "stabilizer.py:StabilizerState.apply_clifford": "one gate at a time, the sequence that gate rounds are checked against",
+    "stabilizer.py:StabilizerState.check_invariants": "the tableau's symplectic pairing, checked after every instruction",
+    "stabilizer.py:StabilizerState.destabilizers": "tableau rows as operators",
+    "stabilizer.py:StabilizerState.expectation": "one exact expectation, against the dense oracle",
+    "stabilizer.py:StabilizerState.measure_flip": "a measurement with its flip operator, against the dense oracle",
+    "stabilizer.py:StabilizerState.reset": "a reset with its flip operator, against the dense oracle",
+    "stabilizer.py:StabilizerState.stabilizers": "tableau rows as operators",
 }
 
 

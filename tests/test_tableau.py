@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from dyncirc import certify
 from dyncirc import circuits as C
 from dyncirc import noise as N
+from dyncirc import stabilizer as sb
 from dyncirc import statevector as sv
 from dyncirc import tableau as tb
 from dyncirc.pauli import PauliString
@@ -138,7 +139,7 @@ def test_expectation_matches_dense_exhaustively(monkeypatch):
     """Random gate sequences, then <P> for every signed Pauli vs the dense
     state -- exercises every sign rule in the tableau, one operator at a
     time and all together in chunks of a few operators."""
-    monkeypatch.setattr(tb, "_EXPECTATION_WORDS", 40)
+    monkeypatch.setattr(sb, "_EXPECTATION_WORDS", 40)
     rng = np.random.default_rng(424243)
     gates1 = ["h", "s", "sdg", "x", "y", "z"]
     for n in (1, 2, 3, 4):
@@ -361,12 +362,20 @@ def test_batched_layer_matches_sequential_collapses(n, seed):
 def test_batched_layer_matches_sequential_collapses_through_either_transpose(block_words, wide_targets, monkeypatch):
     """The same check on wider registers, with the kernel's rows read and
     written through each of the two lane transposes, and multiplied by
-    their pivots all at once or one at a time."""
-    monkeypatch.setattr(tb, "_BLOCK_TRANSPOSE_WORDS", block_words)
-    monkeypatch.setattr(tb, "_WIDE_TARGETS", wide_targets)
+    their pivots in the row buffer or one at a time as ints, three rows at
+    a time in either case."""
+    monkeypatch.setattr(sb, "_BLOCK_TRANSPOSE_WORDS", block_words)
+    monkeypatch.setattr(sb, "_WIDE_TARGETS", wide_targets)
+    monkeypatch.setattr(sb, "_CACHED_ROWS", 3)
     for seed, n in enumerate((3, 64, 65, 130)):
         rng = np.random.default_rng(seed)
         _check_layer(_random_state(n, rng), _random_layer(n, rng))
+    # rows in lane words 0, 2, 3 and 5 only: the kernel reads and writes
+    # those words and leaves the others alone
+    sparse = tb.StabilizerState(200)
+    for g, *qs in (("h", 5), ("h", 150), ("cx", 150, 199), ("h", 70)):
+        sparse.apply_clifford(g, *qs)
+    _check_layer(sparse, [("measure", 5, 1), ("h", 199, 0), ("measure", 150, 1), ("reset", 199, 0), ("reset", 3, 0)])
 
 
 @pytest.mark.parametrize("words, n", [(1, 1), (1, 30), (2, 65), (4, 128), (3, 700), (17, 100)])
@@ -378,13 +387,13 @@ def test_lane_row_transposes_agree_and_invert(words, n, monkeypatch):
     lanes[0, 0, 0] |= np.uint64(1) << np.uint64(63)
     want = np.unpackbits(lanes.view(np.uint8), bitorder="little").reshape(2, words, n, 64).transpose(3, 0, 1, 2)
     for block_words in (0, 10**9):
-        monkeypatch.setattr(tb, "_BLOCK_TRANSPOSE_WORDS", block_words)
-        rows = tb._lane_rows(lanes)
+        monkeypatch.setattr(sb, "_BLOCK_TRANSPOSE_WORDS", block_words)
+        rows = sb._lane_rows(lanes)
         bits = np.unpackbits(rows, axis=3, bitorder="little")
         np.testing.assert_array_equal(bits[..., :n], want)
         assert not bits[..., n:].any()
         back = np.zeros_like(lanes)
-        tb._row_lanes(rows, back)
+        sb._row_lanes(rows, back)
         np.testing.assert_array_equal(back, lanes)
 
 
@@ -969,7 +978,7 @@ def test_fired_kernel_matches_float_draws(seed, draw_values, monkeypatch):
                 thresholds = np.append(k, np.uint64(math.ceil(tie * 2.0**53)))
                 u = np.vstack([u, u[3]])
                 weights = np.append(weights, tie)
-            want = tb._pack_rows(u < weights[:, None])
+            want = sb._pack_rows(u < weights[:, None])
             got = rnd.fired(streams, thresholds, ids)
             assert got.dtype == np.uint64
             np.testing.assert_array_equal(got, want, err_msg=f"{shots} shots from {offset}")
@@ -1554,7 +1563,7 @@ def test_shot_ids_stay_below_two_to_the_64():
 def test_readout_flips_needs_an_even_split_over_operators():
     circ = C.ghz_dynamic(3)
     res = tb.run_batch(circ, 6, master_seed=2)
-    x, z = tb.pauli_bits([PauliString.from_text(t) for t in ("XXX", "ZZI", "IZZ", "ZIZ")], 3)
+    x, z = sb.pauli_bits([PauliString.from_text(t) for t in ("XXX", "ZZI", "IZZ", "ZIZ")], 3)
     assert res.readout_flips(x[:3], z[:3]).shape == (3, 2)
     for m in (0, 4):
         with pytest.raises(ValueError, match=f"6 shots do not split evenly over {m} operators"):
