@@ -171,16 +171,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
-    for flag, field in (
-        ("seed", "seed"),
-        ("shots", "shots"),
-        ("m_samples", "m_samples"),
-        ("out", "out"),
-        ("workers", "workers"),
-    ):
-        v = getattr(args, flag, None)
+    for name in ("seed", "shots", "m_samples", "out", "workers"):
+        v = getattr(args, name, None)
         if v is not None:
-            updates[field] = v
+            updates[name] = v
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -203,6 +197,11 @@ def _run_points(fn, tasks, workers: int) -> list:
         return pool.map(fn, tasks)  # ordered: rows come back in task order
 
 
+def _run_mode(mode: str) -> str:
+    """The circuit mode a sweep mode runs in: noiseless runs feed forward."""
+    return "post_process" if mode == "post_process" else "feed_forward"
+
+
 def _model_params(params: NoiseParams, mode: str) -> NoiseParams:
     if mode == "noiseless":
         return NoiseParams(mu=params.mu)
@@ -219,8 +218,7 @@ def _model_params(params: NoiseParams, mode: str) -> NoiseParams:
 
 def _cnot_circuit(variant: str, n: int, mu: float, mode: str):
     if variant == "dynamic":
-        run_mode = "post_process" if mode == "post_process" else "feed_forward"
-        circ = circuits.long_range_cnot_dynamic(n, mu=mu, mode=run_mode)
+        circ = circuits.long_range_cnot_dynamic(n, mu=mu, mode=_run_mode(mode))
         return circ, (0, n + 1), None
     circ = circuits.long_range_cnot_unitary(variant, n)
     data_out = None
@@ -244,8 +242,7 @@ def _cnot_point(task) -> dict:
     except ValueError:
         return row
     sites = () if mode == "noiseless" else noise_mod.attach_noise(circ, params)
-    run_mode = "post_process" if mode == "post_process" else "feed_forward"
-    src = cert.choi_state_source(circ, data_in, data_out, noise=sites, mode=run_mode)
+    src = cert.choi_state_source(circ, data_in, data_out, noise=sites, mode=_run_mode(mode))
     est, se = cert.estimate_cnot_gate_fidelity(src, m_samples, shots, seed=point_seed)
     row["simulated_Fgate"], row["std_err"] = est, se
     return row
@@ -260,7 +257,7 @@ def _ghz_point(task) -> dict:
         row["model_bound"] = b.fidelity_lower_bound
     except ValueError:
         pass
-    run_mode = "post_process" if mode == "post_process" else "feed_forward"
+    run_mode = _run_mode(mode)
     try:
         if method == "dynamic":
             circ = circuits.ghz_dynamic(n, mu=params.mu, mode=run_mode)
@@ -436,38 +433,31 @@ def _check_sidecar(out: str, config: str) -> None:
         )
 
 
-def cmd_cnot_sweep(args) -> int:
+def _sweep(args, command: str, point, fields: list[str], labels: str, sim_key: str, bound_key: str) -> int:
+    """Run one point per (size, label) of the config's ``labels`` field
+    (variants or methods) and write the rows as CSV with a config sidecar."""
     cfg = _apply_overrides(load_config(args.config), args)
     out = _require_out(cfg)
     _check_sidecar(out, args.config)
     tasks = [
         (n, v, cfg.noise, cfg.shots, cfg.m_samples, cfg.mode, _point_seed(cfg.seed, n, v))
         for n in cfg.sizes()
-        for v in cfg.variants
+        for v in getattr(cfg, labels)
     ]
-    rows = _run_points(_cnot_point, tasks, cfg.workers)
-    _warn_bound_violations(rows, "simulated_Fgate", "model_Fgate")
-    _write_csv(out, CNOT_FIELDS, rows)
-    sidecar = _write_sidecar(out, "cnot-sweep", cfg, args.reproducible)
+    rows = _run_points(point, tasks, cfg.workers)
+    _warn_bound_violations(rows, sim_key, bound_key)
+    _write_csv(out, fields, rows)
+    sidecar = _write_sidecar(out, command, cfg, args.reproducible)
     print(f"wrote {len(rows)} rows to {out} (config sidecar: {sidecar})")
     return 0
+
+
+def cmd_cnot_sweep(args) -> int:
+    return _sweep(args, "cnot-sweep", _cnot_point, CNOT_FIELDS, "variants", "simulated_Fgate", "model_Fgate")
 
 
 def cmd_ghz_sweep(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    out = _require_out(cfg)
-    _check_sidecar(out, args.config)
-    tasks = [
-        (n, m, cfg.noise, cfg.shots, cfg.m_samples, cfg.mode, _point_seed(cfg.seed, n, m))
-        for n in cfg.sizes()
-        for m in cfg.methods
-    ]
-    rows = _run_points(_ghz_point, tasks, cfg.workers)
-    _warn_bound_violations(rows, "simulated_F", "model_bound")
-    _write_csv(out, GHZ_FIELDS, rows)
-    sidecar = _write_sidecar(out, "ghz-sweep", cfg, args.reproducible)
-    print(f"wrote {len(rows)} rows to {out} (config sidecar: {sidecar})")
-    return 0
+    return _sweep(args, "ghz-sweep", _ghz_point, GHZ_FIELDS, "methods", "simulated_F", "model_bound")
 
 
 def cmd_budget(args) -> int:

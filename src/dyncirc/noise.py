@@ -255,30 +255,23 @@ def attach_noise(circuit: Circuit, params: NoiseParams, cnot_pauli: str = "ZX") 
         raise ValueError(f"cnot noise must be two Pauli letters, not all I; got {cnot_pauli!r}")
     sched = circuit.validate()
     n = circuit.n_qubits
-    gate_sites: dict[int, list[NoiseSite]] = {}
-    meas_sites: dict[int, list[NoiseSite]] = {}
-    idle_sites: dict[int, list[NoiseSite]] = {}
+    # sites before each instruction index: gate, then idle, then measurement
+    sites: dict[int, list[NoiseSite]] = {}
 
     if params.lambda_cnot > 0:
         om = omega(params.lambda_cnot)
         for k, ins in enumerate(circuit.instructions):
             if ins.op == "cx":
-                gate_sites[k + 1] = [NoiseSite(k + 1, _site_pauli(n, ins.qubits, cnot_pauli), om)]
+                sites[k + 1] = [NoiseSite(k + 1, _site_pauli(n, ins.qubits, cnot_pauli), om)]
+    for (q, a, b), k in zip(sched.idle, sched.closers):
+        for letter, rate in params.idle_rates(b - a):
+            sites.setdefault(k, []).append(NoiseSite(k, _site_pauli(n, (q,), letter), omega(rate)))
     if params.lambda_meas > 0:
         om = omega(params.lambda_meas)
         for k, ins in enumerate(circuit.instructions):
             if ins.op == "measure":
-                meas_sites[k] = [NoiseSite(k, _site_pauli(n, ins.qubits, "X"), om)]
-    for (q, a, b), k in zip(sched.idle, sched.closers):
-        for letter, rate in params.idle_rates(b - a):
-            idle_sites.setdefault(k, []).append(NoiseSite(k, _site_pauli(n, (q,), letter), omega(rate)))
-
-    out: list[NoiseSite] = []
-    for k in sorted(gate_sites.keys() | idle_sites.keys() | meas_sites.keys()):
-        out += gate_sites.get(k, ())
-        out += idle_sites.get(k, ())
-        out += meas_sites.get(k, ())
-    return out
+                sites.setdefault(k, []).append(NoiseSite(k, _site_pauli(n, ins.qubits, "X"), om))
+    return [s for k in sorted(sites) for s in sites[k]]
 
 
 # ---------------------------------------------------------------------------

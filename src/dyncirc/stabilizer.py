@@ -42,13 +42,6 @@ def pauli_bits(paulis, n_qubits: int, qubits=None) -> tuple[np.ndarray, np.ndarr
     return out[0], out[1]
 
 
-def _unpack_bits(words: np.ndarray) -> int:
-    out = 0
-    for w, v in enumerate(words):
-        out |= int(v) << (64 * w)
-    return out
-
-
 def _prefix_parity(words: np.ndarray, axis: int) -> np.ndarray:
     """Running XOR of packed bits along ``axis`` (64 a word, low bit
     first): bit i of the result is the parity of bits 0..i.  Within a word
@@ -198,8 +191,10 @@ class StabilizerState:
     -1.  A gate is then a few word operations on one or two qubit columns,
     and a run of gates on disjoint qubits the same operations on gathered
     columns (:meth:`apply_gates`).  A measurement layer is collapsed at once
-    (:meth:`_collapse`), a single measurement being a layer of one.
-    Readers that need rows in row order take them from :meth:`_row_major`.
+    (:meth:`_collapse`), a single measurement or reset being a layer of one,
+    and its deterministic outcomes are read together as Z expectations
+    (:meth:`bit_expectations`).  Readers that need rows in row order take
+    them from :meth:`_rows`, through the collapse's own lane transpose.
 
     The outcome of a collapse is kept per qubit until a gate acts on that
     qubit (a Pauli with X or Y there flips it), so measuring it again costs
@@ -245,24 +240,19 @@ class StabilizerState:
         new._known = dict(self._known)
         return new
 
-    def _row_major(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows ``lo``..``hi``-1 in row order: their X and Z letters as
-        (rows, ceil(n/64)) words, 64 qubits a word, and a uint8 sign bit per
-        row."""
-        hi = 2 * self.n if hi is None else hi
-        w0, w1 = lo // 64, _n_words(hi)
-        a, b = lo - 64 * w0, hi - 64 * w0
-
-        def rows(lanes: np.ndarray) -> np.ndarray:
-            return _pack_rows(_unpack_rows(lanes[w0:w1].T, 64 * (w1 - w0))[:, a:b].T)
-
-        signs = _unpack_rows(self._r[None, w0:w1], 64 * (w1 - w0))[0, a:b]
-        return rows(self._X), rows(self._Z), signs
+    def _rows(self) -> np.ndarray:
+        """Every row's X (part 0) and Z (part 1) letters in row order, as
+        (2, 2n, ceil(n/64)) words, 64 qubits a word: the lanes read out by
+        :func:`_lane_rows`."""
+        rows = _lane_rows(self._T).view(np.uint64)
+        return rows.transpose(1, 2, 0, 3).reshape(2, -1, rows.shape[3])[:, : 2 * self.n]
 
     def _paulis(self, lo: int, hi: int) -> list[PauliString]:
-        xs, zs, rs = self._row_major(lo, hi)
+        xs, zs = self._rows()[:, lo:hi]
+        signs = int.from_bytes(self._r.tobytes(), "little") >> lo
         return [
-            PauliString(self.n, _unpack_bits(x), _unpack_bits(z), -1 if r else 1) for x, z, r in zip(xs, zs, rs)
+            PauliString(self.n, *(int.from_bytes(v.tobytes(), "little") for v in (x, z)), -1 if signs >> i & 1 else 1)
+            for i, (x, z) in enumerate(zip(xs, zs))
         ]
 
     def destabilizers(self) -> list[PauliString]:
@@ -353,31 +343,26 @@ class StabilizerState:
         outcome when applied just before the measurement: the stabilizer row
         that anticommuted with Z_q, sign dropped, i.e. a group element
         mapping the outcome-0 post-measurement branch onto the outcome-1
-        branch.  It is built from the letters :meth:`_measure` returns.
+        branch.  It is built from the letters :meth:`_collapse` returns.
         ``forced`` is the outcome a random measurement takes (a
         deterministic one ignores it).
         """
-        outcome, was_random, flip = self._measure(q, forced)
-        return outcome, was_random, self._flip_pauli(flip)
+        return self._collapse_one("measure", q, forced)
 
-    def _measure(self, q: int, forced: int) -> tuple[int, bool, tuple[int, int] | None]:
-        """:meth:`measure_flip` with the flip given as the bitsets of its X
-        and of its Z letters, bit q for qubit q: a layer of one."""
-        return self._collapse((("measure", q, forced),))[0]
-
-    def _flip_pauli(self, flip: tuple[int, int] | None) -> PauliString | None:
-        """The operator with X letters ``flip[0]`` and Z letters
-        ``flip[1]`` (bitsets), sign +1."""
-        return None if flip is None else PauliString(self.n, *flip)
+    def _collapse_one(self, name: str, q: int, forced: int) -> tuple[int, bool, PauliString | None]:
+        """A layer of one ``measure`` or ``reset``, its flip an operator."""
+        outcome, was_random, flip = self._collapse(((name, q, forced),))[0]
+        return outcome, was_random, None if flip is None else PauliString(self.n, *flip)
 
     def _collapse(self, ops) -> list[tuple[int, bool, tuple[int, int] | None]]:
         """Collapse one measurement layer: ``ops`` is a sequence of (name,
         qubit, forced) in program order, each a ``measure`` or ``reset`` of
         a qubit no earlier op of the layer measures, or a one-qubit Clifford
         (``forced`` unread) on a qubit that no earlier op measures.  Returns
-        what :meth:`_measure` (or :meth:`_reset`) would have returned for
-        each measurement in turn, and leaves the tableau bit for bit as
-        those calls would.
+        (outcome, was_random, flip letters) for each measurement in turn,
+        the flip as the bitsets of its X and of its Z letters, bit q for
+        qubit q, and leaves the tableau bit for bit as collapsing the ops
+        one layer of one at a time would.
 
         A random collapse of Z_q picks as pivot p the first stabilizer with
         X on q, multiplies it into every other row with X on q bar the
@@ -387,9 +372,10 @@ class StabilizerState:
         applied first; a flip then carries the letters of the Cliffords
         after its collapse, which are undone on it (h swaps X and Z, s and
         sdg XOR X into Z).  The collapses themselves are one elimination
-        over the X columns of the measured qubits (:meth:`_eliminate`).  A
-        deterministic outcome is read on the final tableau (later collapses
-        measure commuting operators), and a reset's X, which commutes with
+        over the X columns of the measured qubits (:meth:`_eliminate`).  The
+        deterministic outcomes are read on the final tableau (later
+        collapses measure commuting operators), all in one
+        :meth:`bit_expectations` call, and a reset's X, which commutes with
         them too, is applied last."""
         known = self._known
         meas, gates, seen, touched = [], [], set(), set()
@@ -409,10 +395,19 @@ class StabilizerState:
         live = [i for i, m in enumerate(meas) if m[3] is None]  # outcomes the tableau decides
         found = self._eliminate([meas[i][1] for i in live], [meas[i][2] for i in live]) if live else {}
         pivots = {live[k]: letters for k, letters in found.items()}  # measurement -> its pivot's letters
+        read = [i for i in live if i not in pivots]  # deterministic outcomes, read as <Z_q>
+        values = {}
+        if read:
+            z = np.zeros((len(read), self.n), dtype=bool)
+            z[np.arange(len(read)), [meas[i][1] for i in read]] = True
+            signs = self.bit_expectations(np.zeros_like(z), z)
+            if not signs.all():
+                raise AssertionError("deterministic outcome has expectation 0")
+            values = dict(zip(read, ((1 - signs) // 2).tolist()))
         out = []
         for i, (name, q, forced, value) in enumerate(meas):
             if value is None:
-                value = forced if i in pivots else self._deterministic_outcome(q, self._X[:, q].copy())
+                value = forced if i in pivots else values[i]
             out.append((value, i in pivots, pivots.get(i)))
         back_to_zero = [("x", (q,)) for (name, q, _, _), (value, _, _) in zip(meas, out) if name == "reset" and value]
         if back_to_zero:
@@ -594,19 +589,6 @@ class StabilizerState:
                 e ^= b & 1 << q
         return undone[::-1]
 
-    def _deterministic_outcome(self, q: int, col: np.ndarray) -> int:
-        """Z_q's value when it is in the stabilizer group: Z_q is, up to
-        sign, the product of the stabilizers n + i whose destabilizers i
-        have X on q (the lanes below n of ``col``, the X letters on q)."""
-        (x,), (z,), (e,) = self._products(_shift_lanes(col & ~self._stab, self.n)[None])
-        if x.any():
-            raise AssertionError("deterministic-outcome product is not Z-type")
-        if z.sum() != 1 or not z[q]:
-            raise AssertionError("deterministic-outcome product is not Z_q")
-        if e & 1:
-            raise AssertionError("deterministic outcome has imaginary phase")
-        return int(e) >> 1
-
     def _products(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each line of ``sel``, (m, W) lane words that select rows, the
         product in row order of the selected rows: its X and Z letters as
@@ -631,17 +613,12 @@ class StabilizerState:
 
     def measure(self, qubit: int, forced: int = 0) -> int:
         """Measure Z on ``qubit``; return the raw outcome."""
-        return self._measure(qubit, forced)[0]
+        return self._collapse((("measure", qubit, forced),))[0][0]
 
     def reset(self, q: int, forced: int = 0) -> tuple[int, bool, PauliString | None]:
         """Measure-then-flip so the state is stabilized by +Z on ``q``;
         returns what :meth:`measure_flip` does."""
-        outcome, was_random, flip = self._reset(q, forced)
-        return outcome, was_random, self._flip_pauli(flip)
-
-    def _reset(self, q: int, forced: int) -> tuple[int, bool, tuple[int, int] | None]:
-        """:meth:`reset` with the flip as :meth:`_measure` gives it."""
-        return self._collapse((("reset", q, forced),))[0]
+        return self._collapse_one("reset", q, forced)
 
     # -- read-out ---------------------------------------------------------------
 
@@ -687,15 +664,12 @@ class StabilizerState:
         and commutes with everything else; rows pairwise commute otherwise.
         Full rank follows from the nondegenerate pairing."""
         n = self.n
-        X, Z, _ = self._row_major()
+        X, Z = self._rows()
         gram = (
             np.bitwise_count(X[:, None, :] & Z[None, :, :]).sum(axis=2)
             + np.bitwise_count(Z[:, None, :] & X[None, :, :]).sum(axis=2)
         ) & 1
-        want = np.zeros((2 * n, 2 * n), dtype=gram.dtype)
-        for i in range(n):
-            want[i, n + i] = 1
-            want[n + i, i] = 1
+        want = np.roll(np.eye(2 * n, dtype=gram.dtype), n, axis=1)
         if not np.array_equal(gram, want):
             raise AssertionError("tableau lost its symplectic pairing")
 

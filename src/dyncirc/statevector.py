@@ -199,15 +199,14 @@ def _row(state: np.ndarray) -> tuple[np.ndarray, int]:
     return state.reshape(1, -1), n_of(state)
 
 
-def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], check: bool = True) -> np.ndarray:
+def apply_unitary(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the given qubits of the state."""
     k = len(qubits)
     if mat.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {mat.shape} does not fit {k} qubits")
-    if check:
-        err = np.abs(mat @ mat.conj().T - np.eye(1 << k)).max()
-        if err > 1e-10:
-            raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
+    err = np.abs(mat @ mat.conj().T - np.eye(1 << k)).max()
+    if err > 1e-10:
+        raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
     stack, n = _row(state)
     if k == 1:
         return _apply_1q(stack, n, mat, qubits[0]).reshape(-1)

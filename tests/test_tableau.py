@@ -240,14 +240,14 @@ def test_flip_operator_and_program_supports_come_from_one_collapse(n):
     random = 0
     for q in range(0, n, 1 + n // 40):
         outcome, was_random, flip = st.copy().measure_flip(q, forced=0)
-        assert (outcome, was_random) == st.copy()._measure(q, 0)[:2]
+        assert (outcome, was_random) == st.copy()._collapse((("measure", q, 0),))[0][:2]
         reset = st.copy().reset(q, forced=0)
         assert reset[:2] == (outcome, was_random) and reset[2] == flip
         if not was_random:
             assert flip is None
             continue
         random += 1
-        xb, zb = st.copy()._measure(q, 0)[2]
+        xb, zb = st.copy()._collapse((("measure", q, 0),))[0][2]
         assert (xb, zb) == (flip.x_bits, flip.z_bits)
         for bits, letters in ((xb, "XY"), (zb, "ZY")):
             idx = np.array([i for i in range(n) if flip.letter(i) in letters])
@@ -335,7 +335,7 @@ def _check_layer(state, layer):
     seq, want = state.copy(), []
     for name, q, forced in layer:
         if name in ("measure", "reset"):
-            want.append((seq._measure if name == "measure" else seq._reset)(q, forced))
+            want.append(seq._collapse(((name, q, forced),))[0])
         else:
             seq.apply_clifford(name, q)
     assert got == want
@@ -536,6 +536,36 @@ def test_deterministic_outcomes_match_stabilizer_expectations():
                 assert st.copy().measure(q) == want
                 checked += 1
     assert checked >= 300
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 130])
+def test_full_register_readout_reads_deterministic_outcomes_at_once(n, monkeypatch):
+    """Measuring every qubit after a GHZ chain is one layer with one random
+    outcome and n - 1 deterministic ones.  Its collapse reads all n - 1 in
+    a single bit_expectations call, and the record distribution is the
+    dense oracle's."""
+    circ = C.ghz_dynamic(n)
+    t = circ.makespan
+    for q in range(n):
+        circ.measure(q, start=t + 1.0)
+    layers = []  # per collapse: the operators of each bit_expectations call it makes
+    kernel, read = tb.StabilizerState._collapse, tb.StabilizerState.bit_expectations
+
+    def collapse(self, ops):
+        layers.append([])
+        return kernel(self, ops)
+
+    def bit_expectations(self, x, z):
+        layers[-1].append(x.shape[0])
+        return read(self, x, z)
+
+    monkeypatch.setattr(tb.StabilizerState, "_collapse", collapse)
+    monkeypatch.setattr(tb.StabilizerState, "bit_expectations", bit_expectations)
+    program = tb.compile(circ)
+    assert layers[-1] == [n - 1]
+    assert sum(program.ref_bits[-n:]) == 0  # the reference pins the random outcome to 0
+    if n <= 12:
+        assert _exact_tvd(circ) == 0
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 130])
