@@ -188,7 +188,7 @@ def _parities(records: np.ndarray, cols: list[int]) -> np.ndarray:
 # Bounds on one ``run_batch`` call: rows, and bytes of the per-row state it
 # holds.  A row (shot) takes a byte per record, and one bit per record (the
 # packed diff), per noise site or random collapse (the fired mask), and per
-# qubit in each of up to six frame rows (four replayed, two read out).  A
+# qubit in each of four frame rows (two replayed, two read out).  A
 # sweep point's samples are split into calls of whole samples within both,
 # so memory stays bounded in m*shots.
 _MAX_BATCH_ROWS = 1 << 16
@@ -205,9 +205,9 @@ class CircuitStateSource:
     itself (split into calls of bounded rows and bytes), and each
     shot's parity is read from its end frame: the shot ends in ``F * ref``,
     so a Pauli S with expectation e = +-1 on the reference state reads
-    ``e * (-1)^<F, S>``.  In post-processing mode the records are corrected
-    through the outstanding operator, so F is multiplied by the shot's
-    outstanding correction.  An operator with e = 0
+    ``e * (-1)^<F, S>``.  A circuit whose corrections are deferred to
+    post-processing is read the same way: F then carries each shot's
+    correction, as feed-forward would have applied it.  An operator with e = 0
     on the reference has a random outcome per shot; it falls back to a
     readout circuit (:func:`pauli_readout_circuit`) run on its own.  The
     shot-for-shot values equal those of that readout circuit.
@@ -217,11 +217,10 @@ class CircuitStateSource:
     use.
     """
 
-    def __init__(self, circuit: Circuit, data_qubits=None, noise=(), mode: str = "feed_forward"):
+    def __init__(self, circuit: Circuit, data_qubits=None, noise=()):
         self.circuit = circuit
         self.data = tuple(data_qubits) if data_qubits is not None else tuple(range(circuit.n_qubits))
         self.noise = list(noise)
-        self.mode = mode
 
     @property
     def n_data(self) -> int:
@@ -240,7 +239,7 @@ class CircuitStateSource:
         # every operator on the circuit register, as qubit columns, once
         x, z = pauli_bits(paulis, c.n_qubits, qubits=self.data)
         draws = len(self.noise) + sum(ins.op in ("measure", "reset") for ins in c.instructions)
-        row_bytes = c.n_records + (c.n_records + draws + 6 * c.n_qubits + 7) // 8
+        row_bytes = c.n_records + (c.n_records + draws + 4 * c.n_qubits + 7) // 8
         max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
         out = np.empty((len(paulis), shots))
         e = None
@@ -251,7 +250,6 @@ class CircuitStateSource:
                 len(seeds_k) * (cols.stop - cols.start),
                 master_seed=seeds_k,
                 noise=self.noise,
-                mode=self.mode,
                 shot_offset=cols.start,
             )
             if e is None:  # the reference state is the same in every batch of this circuit
@@ -267,9 +265,7 @@ class CircuitStateSource:
         own readout circuit."""
         basis = {self.data[q]: pauli.letter(q) for q in pauli.support}
         circ, recs = pauli_readout_circuit(self.circuit, basis)
-        res = tb.run_batch(
-            circ, shots, master_seed=seed, noise=self.noise, mode=self.mode, shot_offset=shot_offset
-        )
+        res = tb.run_batch(circ, shots, master_seed=seed, noise=self.noise, shot_offset=shot_offset)
         return _parities(res.records, [recs[q] for q in sorted(basis)])
 
 
@@ -287,9 +283,7 @@ def _blocks(m: int, shots: int, max_rows: int):
             yield slice(k, k + 1), slice(lo, min(lo + max_rows, shots))
 
 
-def choi_state_source(
-    circuit: Circuit, data_in, data_out=None, noise=(), mode: str = "feed_forward"
-) -> CircuitStateSource:
+def choi_state_source(circuit: Circuit, data_in, data_out=None, noise=()) -> CircuitStateSource:
     """The Choi state of ``circuit`` as a channel on ``data_in``, as a
     :class:`CircuitStateSource`.
 
@@ -321,7 +315,7 @@ def choi_state_source(
         NoiseSite(s.before_index + shift, PauliString(width, s.pauli.x_bits, s.pauli.z_bits), s.omega)
         for s in noise
     ]
-    return CircuitStateSource(wide, data_out + refs, noise=sites, mode=mode)
+    return CircuitStateSource(wide, data_out + refs, noise=sites)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ ALL_OPS = GATE_OPS | {"input", "measure", "reset", "cpauli", "barrier"}
 _ARITY = {"cx": 2, "ccz": 3}
 _ONE_QUBIT_OPS = ALL_OPS - {"cx", "ccz", "barrier"}
 
+# the schedules a dynamic builder makes: corrections fed forward (each waits
+# mu for its records) or deferred to post-processing (no wait)
+MODES = ("feed_forward", "post_process")
+
 
 def _check_operands(op: str, qubits: tuple[int, ...], n_qubits: int) -> None:
     """Raise ValueError unless ``op`` is known and acts on its number of
@@ -352,17 +356,25 @@ def tally(circ: Circuit) -> InstructionTally:
 # ---------------------------------------------------------------------------
 
 
+def _measurement_duration(mode: str, mu: float) -> float:
+    """How long a measurement block of a dynamic builder takes: mu when its
+    corrections are fed forward, 0 when they are deferred."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return 0.0 if mode == "post_process" else float(mu)
+
+
 def long_range_cnot_dynamic(n_ancillas: int, mu: float = 1.0, mode: str = "feed_forward") -> Circuit:
     """Constant-depth long-range CNOT from qubit 0 to qubit n+1 across a chain
     of n ancillas, using one Bell-pair layer, mid-circuit measurements, and
     parity-conditioned X/Z corrections (:func:`_teleported_cnot`).
+    ``mode`` (one of :data:`MODES`) is the schedule only: a post-process
+    circuit has the same instructions, measured in no time.
     """
     n = n_ancillas
     if n < 1:
         raise ValueError(f"need n_ancillas >= 1, got {n}")
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
-    meas_dur = 0.0 if mode == "post_process" else float(mu)
+    meas_dur = _measurement_duration(mode, mu)
     circ = Circuit(n + 2, name=f"cnot_dynamic_n{n}")
     circ.meta = {"family": "cnot_dynamic", "n_ancillas": n, "mu": mu, "mode": mode}
     circ.mark_input(0, n + 1)
@@ -554,12 +566,11 @@ def ghz_dynamic(n: int, mu: float = 1.0, mode: str = "feed_forward") -> Circuit:
     """GHZ_n in constant depth: Bell pairs on odd/even neighbours, parity
     measurements on interior even qubits, conditioned X corrections, reset and
     re-entangle.  Even n follows the closed-form cost rows; odd n appends one
-    extra copy layer for the last qubit."""
+    extra copy layer for the last qubit.  ``mode`` picks the schedule, as in
+    :func:`long_range_cnot_dynamic`."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
-    meas_dur = 0.0 if mode == "post_process" else float(mu)
+    meas_dur = _measurement_duration(mode, mu)
     circ = Circuit(n, name=f"ghz_dynamic_n{n}")
     circ.meta = {"family": "ghz_dynamic", "n": n, "mu": mu, "mode": mode}
 

@@ -54,7 +54,7 @@ from . import noise as noise_mod
 from . import statevector as sv
 from .noise import NoiseParams, _check_real
 
-_MODES = ("feed_forward", "post_process", "noiseless")
+_MODES = circuits.MODES + ("noiseless",)
 
 _CNOT_MODEL_FAMILY = {
     "dynamic": "cnot_dynamic",
@@ -198,7 +198,8 @@ def _run_points(fn, tasks, workers: int) -> list:
 
 
 def _run_mode(mode: str) -> str:
-    """The circuit mode a sweep mode runs in: noiseless runs feed forward."""
+    """The schedule a sweep mode builds its dynamic circuits with:
+    noiseless runs feed forward."""
     return "post_process" if mode == "post_process" else "feed_forward"
 
 
@@ -242,7 +243,7 @@ def _cnot_point(task) -> dict:
     except ValueError:
         return row
     sites = () if mode == "noiseless" else noise_mod.attach_noise(circ, params)
-    src = cert.choi_state_source(circ, data_in, data_out, noise=sites, mode=_run_mode(mode))
+    src = cert.choi_state_source(circ, data_in, data_out, noise=sites)
     est, se = cert.estimate_cnot_gate_fidelity(src, m_samples, shots, seed=point_seed)
     row["simulated_Fgate"], row["std_err"] = est, se
     return row
@@ -257,16 +258,15 @@ def _ghz_point(task) -> dict:
         row["model_bound"] = b.fidelity_lower_bound
     except ValueError:
         pass
-    run_mode = _run_mode(mode)
     try:
         if method == "dynamic":
-            circ = circuits.ghz_dynamic(n, mu=params.mu, mode=run_mode)
+            circ = circuits.ghz_dynamic(n, mu=params.mu, mode=_run_mode(mode))
         else:
             circ = circuits.ghz_unitary(n)
     except ValueError:
         return row
     sites = () if mode == "noiseless" else noise_mod.attach_noise(circ, params)
-    src = cert.CircuitStateSource(circ, noise=sites, mode=run_mode)
+    src = cert.CircuitStateSource(circ, noise=sites)
     est, se = cert.estimate_ghz_fidelity(src, n, m_samples, shots, seed=point_seed)
     row["simulated_F"], row["std_err"] = est, se
     row["entangled_flag"] = bool(est - 2.0 * se > 0.5)

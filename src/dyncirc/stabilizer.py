@@ -202,8 +202,10 @@ class StabilizerState:
     and leave it valid.
 
     A random outcome is the ``forced`` value its measurement or reset is
-    given, 0 by default: the state draws nothing itself.  A correction
-    deferred to post-processing is kept by the frame replay
+    given, 0 by default: the state draws nothing itself.  A ``cpauli``
+    correction is an :meth:`apply_pauli` by the caller, on time, whether the
+    circuit feeds it forward or defers it to post-processing; a shot's
+    change to it is kept by the frame replay
     (:class:`dyncirc.tableau.Program`), not by the tableau.
     """
 

@@ -272,12 +272,6 @@ class Branch:
     prob: float
     bits: dict[int, int]
     state: np.ndarray
-    pending: PauliString | None  # composed, unapplied corrections (post mode)
-
-    def corrected_state(self) -> np.ndarray:
-        if self.pending is None or self.pending.is_identity():
-            return self.state
-        return apply_pauli(self.state, self.pending.mod_phase())
 
 
 class _Stack:
@@ -288,11 +282,10 @@ class _Stack:
     significant bit).  A measured or reset qubit leaves the register: it is
     then in a definite state in every row, held in the row's ``val`` column,
     and a gate on it brings it back.  Row i also has its probability
-    ``prob[i]``, its record bits ``rec[i]`` and, in post-process mode, its
-    pending correction frame as x and z bits per qubit (``fx``, ``fz``).
+    ``prob[i]`` and its record bits ``rec[i]``.
     """
 
-    def __init__(self, n: int, n_records: int, state0: np.ndarray, post: bool):
+    def __init__(self, n: int, n_records: int, state0: np.ndarray):
         self.n = n
         self.reg = list(range(n))
         self.amps = state0.reshape(1, -1)
@@ -300,8 +293,6 @@ class _Stack:
         self.val = np.zeros((1, n), dtype=np.uint8)
         self.rec = np.zeros((1, n_records), dtype=np.uint8)
         self.written: dict[int, None] = {}  # records written so far, in order
-        self.fx = np.zeros((1, n), dtype=np.uint8) if post else None
-        self.fz = np.zeros((1, n), dtype=np.uint8) if post else None
 
     def enter(self, qubits) -> list[int]:
         """Bring the qubits into the register; returns their positions."""
@@ -314,23 +305,8 @@ class _Stack:
         return tuple(reg.index(q) for q in qubits)
 
     def gate(self, name: str, qubits: tuple[int, ...]) -> None:
-        if self.fx is not None:
-            self.conjugate_frame(name, qubits)
         pos = self.enter(qubits)
         self.amps = _gate(self.amps, len(self.reg), name, pos)
-
-    def conjugate_frame(self, name: str, qubits: tuple[int, ...]) -> None:
-        fx, fz = self.fx, self.fz
-        q = qubits[0]
-        if name == "h":
-            fx[:, q], fz[:, q] = fz[:, q], fx[:, q].copy()
-        elif name in ("s", "sdg"):
-            fz[:, q] ^= fx[:, q]
-        elif name == "cx":
-            fx[:, qubits[1]] ^= fx[:, q]
-            fz[:, q] ^= fz[:, qubits[1]]
-        elif name not in ("x", "y", "z") and (fx[:, qubits] | fz[:, qubits]).any():
-            raise ValueError(f"cannot track a correction frame through non-Clifford {name}")
 
     def pauli(self, q: int, letter: str, rows=slice(None)) -> None:
         """The letter on qubit q of the given rows.  Outside the register it
@@ -360,14 +336,12 @@ class _Stack:
             self.amps = _take(self.amps, i, rows, outs, p)
             self.prob = self.prob[rows] * p
             self.val, self.rec = self.val[rows], self.rec[rows]
-            if self.fx is not None:
-                self.fx, self.fz = self.fx[rows], self.fz[rows]
             self.val[:, q] = outs
             del self.reg[i]
         if record is None:
             self.val[:, q] = 0
             return
-        self.rec[:, record] = self.val[:, q] if self.fx is None else self.val[:, q] ^ self.fx[:, q]
+        self.rec[:, record] = self.val[:, q]
         self.written[record] = None
 
     def cpauli(self, q: int, letter: str, parity: tuple[int, ...]) -> None:
@@ -376,13 +350,8 @@ class _Stack:
             if r not in self.written:
                 raise ValueError(f"cpauli reads record {r} before it is written")
         fire = np.flatnonzero(np.bitwise_xor.reduce(self.rec[:, list(parity)], axis=1))
-        if not fire.size:
-            return
-        if self.fx is None:
+        if fire.size:
             self.pauli(q, letter, fire)
-        else:
-            self.fx[fire, q] ^= letter != "Z"
-            self.fz[fire, q] ^= letter != "X"
 
     def inject(self, paulis: list[PauliString]) -> None:
         for p in paulis:
@@ -392,31 +361,20 @@ class _Stack:
                 self.pauli(q, p.letter(q))
 
     def fidelity(self, target: np.ndarray, keep: tuple[int, ...]) -> float:
-        """sum_i prob_i <target| Tr_not-keep(corrected row i) |target>.  The
-        frame is applied on the ``keep`` qubits only, as Z then X (a row's
-        phase does not change its overlap); a letter elsewhere is a unitary
-        on the traced-out part.  Traced-out qubits outside the register are
-        product factors and are never brought back."""
-        if self.fx is not None:
-            for q in keep:
-                for letter, bits in (("Z", self.fz[:, q]), ("X", self.fx[:, q])):
-                    rows = np.flatnonzero(bits)
-                    if rows.size:
-                        self.pauli(q, letter, rows)
+        """sum_i prob_i <target| Tr_not-keep(row i) |target>.  Traced-out
+        qubits outside the register are product factors and are never
+        brought back."""
         pos = self.enter(keep)
         return float(self.prob @ _overlaps(self.amps, len(self.reg), target, pos))
 
 
 def _execute(
     circuit: Circuit,
-    mode: str,
     insertions: dict[int, list[PauliString]] | None,
     initial: np.ndarray | None,
 ) -> _Stack:
     """Run the circuit on a branch stack: the one executor behind
     :func:`run_branches` and the fidelity functions."""
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"dense engine capped at {MAX_QUBITS} qubits, circuit has {n}")
@@ -432,7 +390,7 @@ def _execute(
         if abs(norm - 1.0) >= 1e-12:
             raise ValueError(f"initial state has norm {norm}, not 1")
     insertions = insertions or {}
-    st = _Stack(n, circuit.n_records, state0, mode == "post_process")
+    st = _Stack(n, circuit.n_records, state0)
     for k, ins in enumerate(circuit.instructions):
         if k in insertions:
             st.inject(insertions[k])
@@ -456,7 +414,6 @@ def _execute(
 
 def run_branches(
     circuit: Circuit,
-    mode: str = "feed_forward",
     insertions: dict[int, list[PauliString]] | None = None,
     initial: np.ndarray | None = None,
 ) -> list[Branch]:
@@ -466,24 +423,17 @@ def run_branches(
     of circuit).  ``initial``, if given, must be a normalised state with 2^n
     amplitudes for the circuit's n qubits.
 
-    In post_process mode, conditional Paulis are composed into a pending frame
-    instead of being applied; recorded bits are frame-corrected so classical
-    statistics match feed-forward mode exactly.  ``Branch.pending`` is
-    returned without its phase.
+    A ``cpauli`` applies as soon as it runs, also in a circuit whose
+    builder deferred its corrections to post-processing: the deferral
+    changes only the schedule, since a Pauli correction carried through
+    the Clifford gates after it, and dropped at a reset, gives what
+    applying it on time gives.
     """
-    st = _execute(circuit, mode, insertions, initial)
-    n = circuit.n_qubits
-    st.enter(range(n))
+    st = _execute(circuit, insertions, initial)
+    st.enter(range(circuit.n_qubits))
     cols = list(st.written)
     bits = st.rec[:, cols].tolist()
-    pending = [None] * len(st.prob)
-    if st.fx is not None:
-        w = 1 << np.arange(n, dtype=np.int64)
-        pending = [PauliString(n, x, z) for x, z in zip((st.fx @ w).tolist(), (st.fz @ w).tolist())]
-    return [
-        Branch(p, dict(zip(cols, b)), row, f)
-        for p, b, row, f in zip(st.prob.tolist(), bits, st.amps, pending)
-    ]
+    return [Branch(p, dict(zip(cols, b)), row) for p, b, row in zip(st.prob.tolist(), bits, st.amps)]
 
 
 def outcome_distribution(branches: list[Branch]) -> dict[tuple[int, ...], float]:
@@ -541,7 +491,6 @@ def average_state_fidelity(
     target: np.ndarray,
     keep: tuple[int, ...] | None = None,
     sites=(),
-    mode: str = "feed_forward",
     initial: np.ndarray | None = None,
 ) -> float:
     """Exact <target| rho_out |target> with rho_out averaged over measurement
@@ -550,7 +499,7 @@ def average_state_fidelity(
         keep = tuple(range(circuit.n_qubits))
     total = 0.0
     for p_cfg, ins in enumerate_noise(sites):
-        total += p_cfg * _execute(circuit, mode, ins, initial).fidelity(target, tuple(keep))
+        total += p_cfg * _execute(circuit, ins, initial).fidelity(target, tuple(keep))
     return total
 
 
@@ -573,7 +522,6 @@ def process_fidelity(
     ideal: np.ndarray,
     data: tuple[int, ...],
     sites=(),
-    mode: str = "feed_forward",
     data_out: tuple[int, ...] | None = None,
 ) -> float:
     """Exact process fidelity of the circuit (as a channel on ``data``)
@@ -611,7 +559,7 @@ def process_fidelity(
             idx: [PauliString(n_c + k, p.x_bits, p.z_bits) for p in ps]
             for idx, ps in ins.items()
         }
-        total += p_cfg * _execute(wide, mode, ins_wide, psi0).fidelity(tgt, keep)
+        total += p_cfg * _execute(wide, ins_wide, psi0).fidelity(tgt, keep)
     return total
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import MODES, Circuit
 from .pauli import PauliString
 from .stabilizer import _ONE_QUBIT_CLIFFORDS, _U1, StabilizerState, _n_words, _prefix_parity, _unpack_rows
 
@@ -322,25 +322,20 @@ class BatchResult:
     """Vectorised shot batch: ``records[s, r]`` is record r of shot s.
 
     ``reference`` is the reference execution's end state (random outcomes
-    pinned to 0, and in post-processing mode no correction applied).  Shot
-    s ends in ``frame_s * reference``.  Frames are stored qubit-major with
-    64 shots a word: bit s % 64 of word s // 64 in row q of ``fx``/``fz`` is
-    the X/Z part of shot s's frame on qubit q.  In post-processing mode
-    ``dx``/``dz`` hold, in the same layout, shot s's whole outstanding
-    correction, the reference's included.  ``sites`` is the caller's
-    noise sites in program order, and row j of ``fired`` marks, in the
-    same layout, the shots on which ``sites[j]`` fired.
+    pinned to 0).  Shot s ends in ``frame_s * reference``.  Frames are
+    stored qubit-major with 64 shots a word: bit s % 64 of word s // 64 in
+    row q of ``fx``/``fz`` is the X/Z part of shot s's frame on qubit q.
+    ``sites`` is the caller's noise sites in program order, and row j of
+    ``fired`` marks, in the same layout, the shots on which ``sites[j]``
+    fired.
     """
 
     records: np.ndarray
-    mode: str
     reference: StabilizerState
     fx: np.ndarray
     fz: np.ndarray
     fired: np.ndarray
     sites: list
-    dx: np.ndarray | None = None
-    dz: np.ndarray | None = None
 
     @property
     def shots(self) -> int:
@@ -352,9 +347,8 @@ class BatchResult:
         operator k read on its own block of shots/m consecutive rows: True
         where a noiseless readout of the operator on that shot records the
         opposite of its value on the reference state.  That is where it
-        anticommutes with the shot's frame, times its outstanding
-        correction in post-processing mode (records are corrected through
-        it).  Only the frame rows of the operators' support are read."""
+        anticommutes with the shot's frame.  Only the frame rows of the
+        operators' support are read."""
         m = sx.shape[0]
         if m == 0 or self.shots % m:
             raise ValueError(f"{self.shots} shots do not split evenly over {m} operators")
@@ -362,9 +356,6 @@ class BatchResult:
             return np.zeros((m, 0), dtype=bool)
         cols = np.flatnonzero((sx | sz).any(axis=0))
         fx, fz = self.fx[cols], self.fz[cols]
-        if self.mode == "post_process":
-            fx ^= self.dx[cols]
-            fz ^= self.dz[cols]
         fx &= _block_rows(sz[:, cols], self.shots)
         fz &= _block_rows(sx[:, cols], self.shots)
         anti = np.bitwise_xor.reduce(fx, axis=0) ^ np.bitwise_xor.reduce(fz, axis=0)
@@ -416,24 +407,22 @@ class Program:
 
     ``cpauli`` parities are folded as the schedule walk decides
     (:attr:`circuits.ScheduleAnalysis.parities`): the k-th ``cpauli`` entry
-    ``("cpauli", q, letter, base, recs, marked)`` has the parity of records
-    ``recs`` XOR, when ``base`` is not None, the parity of ``cpauli`` entry
-    ``base``; the reference bit is folded the same way.  In feed-forward
-    mode the reference pass applies the correction its reference parity
-    fires, and the replay writes a shot's change to it into the frame.  In
-    post-processing mode the reference is left uncorrected, ``marked``
-    entries are those whose reference parity is 1, and the replay writes
-    each shot's whole correction into the outstanding correction rows.
+    ``("cpauli", q, letter, base, recs)`` has the parity of records ``recs``
+    XOR, when ``base`` is not None, the parity of ``cpauli`` entry ``base``;
+    the reference bit is folded the same way.  The reference pass applies
+    the correction its reference parity fires, and the replay writes a
+    shot's change to it into the frame.  A correction deferred to
+    post-processing is this same frame: a Pauli carried through Clifford
+    gates, Pauli noise and measurements is what applying it on time gives,
+    and a reset absorbs it.
 
     ``sites`` is the caller's noise sites in program order.  ``ref_bits``
-    is the reference record (raw outcomes in post-processing mode).
-    ``reference`` is the reference execution's end state, shared by every
-    sample.
+    is the reference record.  ``reference`` is the reference execution's
+    end state, shared by every sample.
     """
 
     n_qubits: int
     n_records: int
-    mode: str
     entries: tuple
     streams: np.ndarray
     thresholds: np.ndarray
@@ -456,9 +445,9 @@ class Program:
             raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
         ids = np.arange(int(shot_offset), end, dtype=np.uint64)
         fired = stream.fired(self.streams, self.thresholds, ids)
-        records, fx, fz, dx, dz = self._replay(fired, shots)
+        records, fx, fz = self._replay(fired, shots)
         noise_rows = fired[self.streams >= _NOISE_STREAM_BASE]
-        return BatchResult(records, self.mode, self.reference, fx, fz, noise_rows, list(self.sites), dx, dz)
+        return BatchResult(records, self.reference, fx, fz, noise_rows, list(self.sites))
 
     def outcomes(self) -> dict[tuple[int, ...], float]:
         """Exact distribution over the classical record of a program without
@@ -487,15 +476,13 @@ class Program:
     def _replay(self, fired: np.ndarray, shots: int):
         """Replay the program over ``shots`` shots, draw j firing on the
         shots set in row j of the packed mask ``fired``.  Returns the
-        (shots, records) record array and the final frames ``FX``, ``FZ``
-        and, in post-processing mode, the outstanding correction ``DX``,
-        ``DZ`` (None otherwise), qubit-major with 64 shots a word.
+        (shots, records) record array and the final frames ``FX``, ``FZ``,
+        qubit-major with 64 shots a word.
 
         During the replay every frame row, record difference and ``cpauli``
         parity is one Python integer whose bit s is shot s, so an entry is
         a few integer XORs rather than numpy calls on short rows; so is
         each collapse-coin accumulator."""
-        post = self.mode == "post_process"
         n, n_words = self.n_qubits, _n_words(shots)
         # draw j's row enters as an integer at its pauli or delta entries
         raw = memoryview(np.ascontiguousarray(fired, dtype="<u8").view(np.uint8).reshape(-1))
@@ -503,10 +490,6 @@ class Program:
         FX, FZ = [0] * n, [0] * n
         acc = [0] * (2 * _ACCUMULATORS)
         parts = (FX,) * _ACCUMULATORS + (FZ,) * _ACCUMULATORS  # the frame part of each accumulator
-        # the outstanding correction in post mode, which cpauli entries
-        # write; in feed-forward mode they write the frame
-        DX, DZ = ([0] * n, [0] * n) if post else (FX, FZ)
-        ones = (1 << shots) - 1  # a marked entry's reference correction, on every shot
         diff = [0] * self.n_records  # record r's flip, set by its meas entry
         parities: list[int] = []  # the parity each cpauli applied, which later entries fold
 
@@ -534,32 +517,25 @@ class Program:
                 _, c, t = entry
                 FX[t] ^= FX[c]
                 FZ[c] ^= FZ[t]
-                if post:
-                    DX[t] ^= DX[c]
-                    DZ[c] ^= DZ[t]
             elif tag == "h":
                 q = entry[1]
                 FX[q], FZ[q] = FZ[q], FX[q]
-                if post:
-                    DX[q], DZ[q] = DZ[q], DX[q]
             elif tag in ("s", "sdg"):
                 q = entry[1]
                 FZ[q] ^= FX[q]
-                if post:
-                    DZ[q] ^= DX[q]
             elif tag == "meas":
                 _, q, rec = entry
-                diff[rec] = FX[q] ^ DX[q] if post else FX[q]
+                diff[rec] = FX[q]
             elif tag == "reset":
                 q = entry[1]
                 FX[q] = FZ[q] = 0
             elif tag == "cpauli":
-                _, q, letter, base, recs, marked = entry
+                _, q, letter, base, recs = entry
                 par = parities[base] if base is not None else 0
                 for r in recs:
                     par ^= diff[r]
                 parities.append(par)
-                (DX if letter == "X" else DZ)[q] ^= par ^ ones if marked else par
+                (FX if letter == "X" else FZ)[q] ^= par
             else:  # pragma: no cover - compiler and replayer agree on tags
                 raise AssertionError(f"unknown program entry {tag!r}")
 
@@ -567,9 +543,7 @@ class Program:
         records = np.empty((shots, self.n_records), dtype=np.uint8)
         for lo in range(0, self.n_records, 64):
             records[:, lo : lo + 64] = (_unpack_rows(diff_words[lo : lo + 64], shots) ^ self.ref_bits[lo : lo + 64, None]).T
-        frames = [_int_rows(f, n_words) for f in (FX, FZ)]
-        frames += [_int_rows(f, n_words) for f in (DX, DZ)] if post else [None, None]
-        return (records, *frames)
+        return records, _int_rows(FX, n_words), _int_rows(FZ, n_words)
 
 
 # instructions that only mark the schedule and leave the state alone
@@ -613,7 +587,7 @@ def _measurement_layer(instructions, k: int) -> tuple[int, list]:
     return end, ops[:size]
 
 
-def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program:
+def compile(circuit: Circuit, noise=None) -> Program:
     """Validate ``circuit`` and run it once with random outcomes pinned to
     0, emitting its frame-replay :class:`Program`: the entries, one draw per
     noise site or random collapse, the noise sites and the reference
@@ -638,8 +612,6 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     as if each had been applied alone.  Noise sites are emitted at the
     indices that hold some."""
     folds = circuit.validate().parities
-    if mode not in ("feed_forward", "post_process"):
-        raise ValueError(f"unknown mode {mode!r}")
     n_ins = len(circuit.instructions)
     by_index: dict[int, list] = {}
     for s in noise or ():
@@ -649,7 +621,6 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
         if s.pauli.n != circuit.n_qubits:
             raise ValueError("noise operator size does not match the circuit")
         by_index.setdefault(k, []).append(s)
-    post = mode == "post_process"
     n = circuit.n_qubits
     st = StabilizerState(n)
     qdt = np.min_scalar_type(n).char  # supports are held as qubit indices
@@ -776,9 +747,9 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
                 par = ref_parities[base] if base is not None else 0
                 for r in reads:
                     par ^= int(ref_bits[r])
-                if par and not post:
+                if par:
                     st.apply_pauli(PauliString.single(st.n, q, ins.pauli))
-                prog.append(("cpauli", q, ins.pauli, base, reads, bool(par) and post))
+                prog.append(("cpauli", q, ins.pauli, base, reads))
                 ref_parities.append(par)
             elif op not in _MARKERS:
                 raise ValueError(f"op {op!r} is not stabilizer-simulable")
@@ -791,7 +762,7 @@ def compile(circuit: Circuit, noise=None, mode: str = "feed_forward") -> Program
     # w * 2^53 and its ceiling are exact in floating point for w in [0, 1]
     thresholds = np.ceil(np.array(weights, dtype=float) * 2.0**53).astype(np.uint64)
     streams = np.array(streams, dtype=np.uint64)
-    return Program(n, circuit.n_records, mode, tuple(prog), streams, thresholds, tuple(sites), ref_bits, st)
+    return Program(n, circuit.n_records, tuple(prog), streams, thresholds, tuple(sites), ref_bits, st)
 
 
 def run_batch(
@@ -814,5 +785,16 @@ def run_batch(
     of a call with ``master_seed=seeds[k]`` and ``shots/m`` shots.  All m
     samples share one validation and one reference pass.  Shot ids are
     64-bit counters, so ``shot_offset + shots/m`` may not exceed 2^64.
+
+    ``mode`` names the schedule the circuit was built for, one of
+    :data:`circuits.MODES`, and must be one of them; both sample the same
+    program.  Deferring a correction to post-processing changes only the
+    schedule (no qubit waits for feed-forward): a Pauli correction carried
+    through the Clifford gates, Pauli noise and measurements that follow
+    it gives the records and frame that applying it on time gives.  The
+    keyword stays for callers that still pass it, the benchmark harness
+    among them.
     """
-    return compile(circuit, noise, mode).sample(shots, master_seed, shot_offset)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return compile(circuit, noise).sample(shots, master_seed, shot_offset)

@@ -26,15 +26,12 @@ def _words(rows, shots):
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(len(rows), n_words)
 
 
-def direct_sample(circ, shots, seed, noise=(), mode="feed_forward"):
-    """(records, fx, fz, dx, dz) of ``shots`` shots under ``seed``, in the
-    layout of ``Program.sample``'s result; dx and dz are None in
-    feed-forward mode."""
-    post = mode == "post_process"
+def direct_sample(circ, shots, seed, noise=()):
+    """(records, fx, fz) of ``shots`` shots under ``seed``, in the layout of
+    ``Program.sample``'s result."""
     n = circ.n_qubits
     draws = tb.CounterRandom(seed)
     ids = np.arange(shots, dtype=np.uint64)
-    ones = (1 << shots) - 1
 
     def fire(stream, weight):
         hit = draws.uniform(stream, ids) < weight
@@ -42,8 +39,6 @@ def direct_sample(circ, shots, seed, noise=(), mode="feed_forward"):
 
     st = tb.StabilizerState(n)
     FX, FZ = [0] * n, [0] * n
-    DX, DZ = ([0] * n, [0] * n) if post else (FX, FZ)
-    parts = [(FX, FZ), (DX, DZ)] if post else [(FX, FZ)]  # what gates act on
     ref = [0] * circ.n_records
     diff = [0] * circ.n_records
     coins = 0
@@ -68,17 +63,15 @@ def direct_sample(circ, shots, seed, noise=(), mode="feed_forward"):
         if op == "cx":
             st.apply_clifford("cx", *qs)
             c, t = qs
-            for X, Z in parts:
-                X[t] ^= X[c]
-                Z[c] ^= Z[t]
+            FX[t] ^= FX[c]
+            FZ[c] ^= FZ[t]
         elif op in ("h", "s", "sdg"):
             st.apply_clifford(op, qs[0])
             q = qs[0]
-            for X, Z in parts:
-                if op == "h":
-                    X[q], Z[q] = Z[q], X[q]
-                else:
-                    Z[q] ^= X[q]
+            if op == "h":
+                FX[q], FZ[q] = FZ[q], FX[q]
+            else:
+                FZ[q] ^= FX[q]
         elif op in ("measure", "reset"):
             q = qs[0]
             outcome, was_random, p = (st.measure_flip if op == "measure" else st.reset)(q, forced=0)
@@ -87,7 +80,7 @@ def direct_sample(circ, shots, seed, noise=(), mode="feed_forward"):
                 coins += 1
             if op == "measure":
                 ref[ins.record] = outcome
-                diff[ins.record] = FX[q] ^ DX[q] if post else FX[q]
+                diff[ins.record] = FX[q]
             else:
                 FX[q] = FZ[q] = 0
         elif op == "cpauli":
@@ -96,12 +89,10 @@ def direct_sample(circ, shots, seed, noise=(), mode="feed_forward"):
             for r in ins.parity:
                 ref_par ^= ref[r]
                 par ^= diff[r]
-            if ref_par and not post:
+            if ref_par:
                 st.apply_pauli(PauliString.single(n, q, ins.pauli))
-            (DX if ins.pauli == "X" else DZ)[q] ^= par ^ ones if ref_par and post else par
+            (FX if ins.pauli == "X" else FZ)[q] ^= par
         else:
             raise AssertionError(f"unexpected op {op}")
     records = np.array([[ref[r] ^ (diff[r] >> s & 1) for r in range(circ.n_records)] for s in range(shots)], dtype=np.uint8)
-    frames = [_words(FX, shots), _words(FZ, shots)]
-    frames += [_words(DX, shots), _words(DZ, shots)] if post else [None, None]
-    return (records, *frames)
+    return records, _words(FX, shots), _words(FZ, shots)

@@ -196,13 +196,13 @@ def test_state_source_basics():
     assert abs(par.mean()) < 0.1
 
 
-def _readout_parities(circ, data, pauli, shots, seed, noise, mode):
+def _readout_parities(circ, data, pauli, shots, seed, noise):
     """Per-shot parities the long way: a readout circuit per operator."""
     basis = {data[q]: pauli.letter(q) for q in pauli.support}
     if not basis:
         return np.ones(shots)
     readout, recs = cert.pauli_readout_circuit(circ, basis)
-    res = tb.run_batch(readout, shots, master_seed=seed, noise=noise, mode=mode)
+    res = tb.run_batch(readout, shots, master_seed=seed, noise=noise)
     bits = res.records[:, [recs[q] for q in sorted(basis)]].sum(axis=1) % 2
     return 1.0 - 2.0 * bits
 
@@ -224,18 +224,18 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
     shots = 24
     for data in (tuple(range(n)), tuple(reversed(range(n)))):
-        src = cert.CircuitStateSource(circ, data_qubits=data, noise=sites, mode=mode)
+        src = cert.CircuitStateSource(circ, data_qubits=data, noise=sites)
         got = src.parities(ops, shots, seeds)
         assert got.shape == (len(ops), shots)
         for k, (op, seed) in enumerate(zip(ops, seeds)):
-            want = _readout_parities(circ, data, op, shots, seed, sites, mode)
+            want = _readout_parities(circ, data, op, shots, seed, sites)
             np.testing.assert_array_equal(got[k], want)
             np.testing.assert_array_equal(src.parities([op], shots, [seed])[0], want)
     # the operators the GHZ state does not fix really are random here
     assert set(got[-2]) == {-1.0, 1.0}
 
     # m seeds and zero shots, as a zero-shot replay of a batched call makes
-    empty = tb.run_batch(circ, 0, master_seed=seeds, noise=sites, mode=mode)
+    empty = tb.run_batch(circ, 0, master_seed=seeds, noise=sites)
     assert empty.records.shape == (0, circ.n_records)
     assert empty.readout_flips(*pauli_bits(ops, n)).shape == (len(ops), 0)
 
@@ -243,11 +243,11 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 def test_batched_parities_fold_in_the_reference_correction(mode):
     """A deterministic 1 fires the corrections of the reference run itself,
-    so in post-processing mode every shot's outstanding correction holds a
-    nontrivial reference part, and the records must see it.  On 3 qubits,
-    and on 70 with the pair at qubits 0 and 68 and the deterministic record
-    on 69, so the corrections reach past qubit 64; there the correction
-    rows of 1, 63, 65 and 100 shots hold no bits past the last shot."""
+    in either schedule (a deferred correction is applied as a fed-forward
+    one is), and the records must see it.  On 3 qubits, and on 70 with the
+    pair at qubits 0 and 68 and the deterministic record on 69, so the
+    corrections reach past qubit 64; there the frame rows of 1, 63, 65 and
+    100 shots hold no bits past the last shot."""
     for n in (3, 70):
         pair = (0, n - 2, n - 1)  # the Bell pair and the qubit held in |1>
 
@@ -258,6 +258,7 @@ def test_batched_parities_fold_in_the_reference_correction(mode):
             return PauliString.from_text("".join(letters))
 
         circ = C.Circuit(n)
+        circ.meta = {"mode": mode}
         circ.add("h", 0, start=0.0)
         circ.add("x", n - 1, start=0.0)
         circ.add("cx", 0, n - 2, start=1.0)
@@ -267,19 +268,19 @@ def test_batched_parities_fold_in_the_reference_correction(mode):
         sites = [_site(2, on("XII"), 0.2), _site(6, on("IZI"), 0.3)]
         ops = [on(t) for t in ("XXI", "ZZI", "YYI", "ZII", "IIZ", "XYZ")]
         seeds = [5, 6, 7, 8, 9, 10]
-        src = cert.CircuitStateSource(circ, noise=sites, mode=mode)
+        src = cert.CircuitStateSource(circ, noise=sites)
         got = src.parities(ops, 32, seeds)
         for k, (op, seed) in enumerate(zip(ops, seeds)):
-            np.testing.assert_array_equal(got[k], _readout_parities(circ, range(n), op, 32, seed, sites, mode))
-        noiseless = cert.CircuitStateSource(circ, mode=mode).parities(ops[:3], 4, seeds[:3])
-        # corrected state: -XX, -ZZ (hence -YY) in both modes
+            np.testing.assert_array_equal(got[k], _readout_parities(circ, range(n), op, 32, seed, sites))
+        noiseless = cert.CircuitStateSource(circ).parities(ops[:3], 4, seeds[:3])
+        # corrected state: -XX, -ZZ (hence -YY)
         np.testing.assert_array_equal(noiseless, -np.ones((3, 4)))
-        if n < 64 or mode != "post_process":
+        if n < 64:
             continue
         for shots in (1, 63, 65, 100):
-            res = tb.run_batch(circ, shots, master_seed=seeds[0], noise=sites, mode=mode)
-            past = np.arange(64 * res.dx.shape[1]) >= shots
-            for rows in (res.dx, res.dz):
+            res = tb.run_batch(circ, shots, master_seed=seeds[0], noise=sites)
+            past = np.arange(64 * res.fx.shape[1]) >= shots
+            for rows in (res.fx, res.fz):
                 assert not tb._unpack_rows(rows, 64 * rows.shape[1])[:, past].any()
 
 
@@ -300,7 +301,7 @@ def test_batched_parities_split_into_bounded_calls(monkeypatch):
 
     monkeypatch.setattr(tb, "run_batch", counted)
     draws = len(sites) + sum(ins.op in ("measure", "reset") for ins in circ.instructions)
-    row_bytes = circ.n_records + (circ.n_records + draws + 6 * circ.n_qubits + 7) // 8
+    row_bytes = circ.n_records + (circ.n_records + draws + 4 * circ.n_qubits + 7) // 8
     # a row cap, then a byte cap that allows fewer rows than the row cap
     for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * row_bytes + 7)):
         monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
@@ -335,7 +336,7 @@ def test_choi_source_matches_readout_circuits_per_shot(variant, mode):
     circ, data_in, data_out = cli._cnot_circuit(variant, 3, 3.65, mode)
     assert (data_out is not None) == (variant == "II")
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.03, lambda_cnot=0.05, lambda_meas=0.05, mu=3.65))
-    src = cert.choi_state_source(circ, data_in, data_out, noise=sites, mode=mode)
+    src = cert.choi_state_source(circ, data_in, data_out, noise=sites)
     ops = [s.mod_phase() for s in cert.cnot_choi_stabilizers()]
     ops += [PauliString.from_text(t) for t in ("ZIII", "IXZI", "YYYY")]
     rng = np.random.default_rng(3)
@@ -343,14 +344,14 @@ def test_choi_source_matches_readout_circuits_per_shot(variant, mode):
     shots = 32
     got = src.parities(ops, shots, seeds)
     for k, (op, seed) in enumerate(zip(ops, seeds)):
-        want = _readout_parities(src.circuit, src.data, op, shots, seed, src.noise, mode)
+        want = _readout_parities(src.circuit, src.data, op, shots, seed, src.noise)
         np.testing.assert_array_equal(got[k], want)
     assert set(got[-3]) == {-1.0, 1.0}  # ZIII is random on a Choi state
     assert (got[:16] != 1.0).any()  # the noise does flip stabilizers
 
     shift = len(src.circuit.instructions) - len(circ.instructions)
-    wide = tb.run_batch(src.circuit, 64, master_seed=9, noise=src.noise, mode=mode)
-    own = tb.run_batch(circ, 64, master_seed=9, noise=sites, mode=mode)
+    wide = tb.run_batch(src.circuit, 64, master_seed=9, noise=src.noise)
+    own = tb.run_batch(circ, 64, master_seed=9, noise=sites)
     where = lambda res, d: [(e.before_index - d, e.pauli.key()) for e in res.sites]
     assert where(wide, shift) == where(own, 0)
     np.testing.assert_array_equal(wide.fired, own.fired)
@@ -370,7 +371,7 @@ def test_ghz_noiseless_is_exactly_one():
 
 def test_ghz_modes_agree_noiselessly():
     ff = cert.CircuitStateSource(C.ghz_dynamic(4))
-    pp = cert.CircuitStateSource(C.ghz_dynamic(4, mode="post_process"), mode="post_process")
+    pp = cert.CircuitStateSource(C.ghz_dynamic(4, mode="post_process"))
     for seed in (0, 1):
         assert cert.estimate_ghz_fidelity(ff, 4, 12, 4, seed=seed) == cert.estimate_ghz_fidelity(
             pp, 4, 12, 4, seed=seed
@@ -437,7 +438,7 @@ def test_cnot_noiseless_teleported_is_exactly_one():
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 def test_cnot_noiseless_is_exactly_one_at_99_ancillas(mode):
     circ = C.long_range_cnot_dynamic(99, mu=3.65, mode=mode)
-    src = cert.choi_state_source(circ, data_in=(0, 100), mode=mode)
+    src = cert.choi_state_source(circ, data_in=(0, 100))
     est, se = cert.estimate_cnot_gate_fidelity(src, 64, shots_per_sample=8, seed=11)
     assert est == 1.0 and se == 0.0
 

@@ -582,7 +582,7 @@ def test_post_process_removes_measurement_idle():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dynamic_cnot_is_exact_cnot(n, mode):
     c = C.long_range_cnot_dynamic(n, mu=1.0, mode=mode)
-    F = sv.process_fidelity(c, sv.cnot_matrix(), (0, n + 1), mode=mode)
+    F = sv.process_fidelity(c, sv.cnot_matrix(), (0, n + 1))
     assert F == pytest.approx(1.0, abs=1e-12)
 
 
@@ -620,9 +620,7 @@ def test_ghz_builders_hit_target_state(n):
     assert Fu == pytest.approx(1.0, abs=1e-12)
     Fd = sv.average_state_fidelity(C.ghz_dynamic(n, mu=1.0), sv.ghz_state(n))
     assert Fd == pytest.approx(1.0, abs=1e-12)
-    Fp = sv.average_state_fidelity(
-        C.ghz_dynamic(n, mu=1.0, mode="post_process"), sv.ghz_state(n), mode="post_process"
-    )
+    Fp = sv.average_state_fidelity(C.ghz_dynamic(n, mu=1.0, mode="post_process"), sv.ghz_state(n))
     assert Fp == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Dense engine checks: gates, measurement branching, fidelities, Choi math."""
 
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -288,24 +289,38 @@ def test_teleportation_identity(basis, a):
 
 
 def test_post_process_mode_matches_feed_forward_distribution():
-    # teleport then measure the output in X: classical stats must agree exactly
-    c = Circuit(3)
-    c.add("h", 1, start=0.0)
-    c.add("cx", 1, 2, start=0.0)
-    c.add("cx", 0, 1, start=1.0)
-    c.add("h", 0, start=2.0)
-    m0 = c.measure(0, start=2.0)
-    m1 = c.measure(1, start=2.0)
-    c.add("cpauli", 2, start=3.0, pauli="X", parity=(m1,))
-    c.add("cpauli", 2, start=3.0, pauli="Z", parity=(m0,))
-    c.add("h", 2, start=3.0)
-    c.measure(2, start=3.0)
-    init = prep_eigenstate(sv.zero_state(3), 0, "x", 1)  # teleport |->
-    d_ff = sv.outcome_distribution(sv.run_branches(c, mode="feed_forward", initial=init))
-    d_pp = sv.outcome_distribution(sv.run_branches(c, mode="post_process", initial=init))
-    assert set(d_ff) == set(d_pp)
-    for k in d_ff:
-        assert d_ff[k] == pytest.approx(d_pp[k], abs=1e-12)
+    # classical stats must agree exactly whether the corrections apply on
+    # time or are deferred.  Teleport |-> and measure the output in X:
+    teleport = Circuit(3)
+    teleport.add("h", 1, start=0.0)
+    teleport.add("cx", 1, 2, start=0.0)
+    teleport.add("cx", 0, 1, start=1.0)
+    teleport.add("h", 0, start=2.0)
+    m0 = teleport.measure(0, start=2.0)
+    m1 = teleport.measure(1, start=2.0)
+    teleport.add("cpauli", 2, start=3.0, pauli="X", parity=(m1,))
+    teleport.add("cpauli", 2, start=3.0, pauli="Z", parity=(m0,))
+    teleport.add("h", 2, start=3.0)
+    teleport.measure(2, start=3.0)
+    # h 0; measure 0 -> r0; X on 1 if r0; reset 1; measure 1 -> r1: the
+    # reset leaves qubit 1 in |0> whether the X came before it or is
+    # deferred past it, so r1 is 0
+    reset = Circuit(2)
+    reset.add("h", 0, start=0.0)
+    r0 = reset.measure(0, start=0.0)
+    reset.add("cpauli", 1, start=1.0, pauli="X", parity=(r0,))
+    reset.add("reset", 1, start=1.0)
+    reset.measure(1, start=2.0)
+    cases = [
+        (teleport, prep_eigenstate(sv.zero_state(3), 0, "x", 1), {(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)}),
+        (reset, sv.zero_state(2), {(0, 0), (1, 0)}),
+    ]
+    for c, init, support in cases:
+        d_ff = sv.outcome_distribution(sv.run_branches(c, initial=init))
+        d_pp = sv.outcome_distribution(per_branch_reference(c, {}, init, deferred=True))
+        assert set(d_ff) == set(d_pp) == support
+        for k in d_ff:
+            assert d_ff[k] == pytest.approx(d_pp[k], abs=1e-12)
 
 
 @pytest.mark.parametrize("size", [8, 2, 3])
@@ -409,12 +424,32 @@ def test_circuit_unitary_of_cnot():
 # ---------------------------------------------------------------------------
 
 
-def per_branch_reference(circuit, mode, insertions, initial):
+@dataclass
+class RefBranch:
+    """A branch of :func:`per_branch_reference`: ``state`` is the
+    uncorrected state and ``pending`` the deferred corrections, phase-free."""
+
+    prob: float
+    bits: dict
+    state: np.ndarray
+    pending: PauliString
+
+    def corrected_state(self) -> np.ndarray:
+        return sv.apply_pauli(self.state, self.pending)
+
+
+def per_branch_reference(circuit, insertions, initial, deferred=False, absorbed=None):
     """``run_branches`` as one loop over branches, each a full state, built
-    only from the public one-state functions."""
+    only from the public one-state functions.
+
+    With ``deferred`` it post-processes instead: a fired ``cpauli`` joins
+    the branch's pending frame, which Clifford gates conjugate
+    (``PauliString.conjugated``), records read through, and a reset on its
+    qubit absorbs (each absorbed letter is appended to ``absorbed``).  A
+    non-Clifford gate on a pending letter is refused.  Branches come in the
+    order of their recorded outcomes, as on the branch stack."""
     n = circuit.n_qubits
-    post = mode == "post_process"
-    branches = [sv.Branch(1.0, {}, initial, PauliString(n) if post else None)]
+    branches = [RefBranch(1.0, {}, initial, PauliString(n))]
 
     def inject(k):
         for p in insertions.get(k, ()):
@@ -427,27 +462,36 @@ def per_branch_reference(circuit, mode, insertions, initial):
         if ins.op in sv.GATES:
             for b in branches:
                 b.state = sv.apply_gate(b.state, ins.op, *ins.qubits)
-                if post:
-                    b.pending = b.pending.conjugated(ins.op, *ins.qubits)
+                if not any(b.pending.x_bit(p) or b.pending.z_bit(p) for p in ins.qubits):
+                    continue
+                if ins.op not in CLIFFORD_1Q + ["cx"]:
+                    raise ValueError(f"cannot carry a correction frame through non-Clifford {ins.op}")
+                b.pending = b.pending.conjugated(ins.op, *ins.qubits).mod_phase()
         elif ins.op in ("measure", "reset"):
             new = []
             for b in branches:
-                for outcome in (0, 1):
-                    p, st = sv.collapse(b.state, q, outcome)
+                flip = b.pending.x_bit(q)
+                for outcome in (0, 1):  # what a corrected state would show
+                    p, st = sv.collapse(b.state, q, outcome ^ flip)
                     if st is None:
                         continue
-                    bits = dict(b.bits)
+                    bits, pending = dict(b.bits), b.pending
                     if ins.op == "measure":
-                        bits[ins.record] = outcome ^ (b.pending.x_bit(q) if post else 0)
-                    elif outcome:
-                        st = sv.apply_pauli(st, PauliString.single(n, q, "X"))
-                    new.append(sv.Branch(b.prob * p, bits, st, b.pending))
+                        bits[ins.record] = outcome
+                    else:
+                        if outcome ^ flip:
+                            st = sv.apply_pauli(st, PauliString.single(n, q, "X"))
+                        if pending.x_bit(q) or pending.z_bit(q):
+                            if absorbed is not None:
+                                absorbed.append((q, pending.letter(q)))
+                            pending = PauliString(n, pending.x_bits & ~(1 << q), pending.z_bits & ~(1 << q))
+                    new.append(RefBranch(b.prob * p, bits, st, pending))
             branches = new
         elif ins.op == "cpauli":
             corr = PauliString.single(n, q, ins.pauli)
             for b in branches:
                 if sum(b.bits[r] for r in ins.parity) % 2:
-                    if post:
+                    if deferred:
                         b.pending = (b.pending * corr).mod_phase()
                     else:
                         b.state = sv.apply_pauli(b.state, corr)
@@ -455,14 +499,22 @@ def per_branch_reference(circuit, mode, insertions, initial):
     return branches
 
 
+def assert_same_ray(a: np.ndarray, b: np.ndarray) -> None:
+    """``a`` equals ``b`` up to a global phase (a deferred frame is kept
+    without its phase)."""
+    overlap = np.vdot(b, a)
+    assert abs(abs(overlap) - 1.0) < 1e-12
+    assert np.abs(a - overlap * b).max() < 1e-12
+
+
 CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z"]
 
 
-def random_dynamic_circuit(rng, n, mode):
+def random_dynamic_circuit(rng, n, clifford=False):
     """Gates, measurements (re-measuring a qubit is allowed), resets and
     feed-forward Paulis on random parities of the records written so far;
-    in post-process mode only Clifford gates, which the frame can cross."""
-    ones = CLIFFORD_1Q + ([] if mode == "post_process" else ["t", "tdg"])
+    with ``clifford`` only Clifford gates, which a deferred frame can cross."""
+    ones = CLIFFORD_1Q + ([] if clifford else ["t", "tdg"])
     c = Circuit(n)
     for step in range(int(rng.integers(10, 25))):
         kind = rng.choice(["1q", "cx", "ccz", "measure", "reset", "cpauli"],
@@ -473,7 +525,7 @@ def random_dynamic_circuit(rng, n, mode):
         elif kind == "cx":
             a, b = rng.choice(n, size=2, replace=False)
             c.add("cx", int(a), int(b), start=t)
-        elif kind == "ccz" and n >= 3 and mode == "feed_forward":
+        elif kind == "ccz" and n >= 3 and not clifford:
             c.add("ccz", *map(int, rng.choice(n, size=3, replace=False)), start=t)
         elif kind == "measure":
             c.measure(int(rng.integers(n)), start=t)
@@ -497,28 +549,49 @@ def random_insertions(rng, circuit):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_branch_stack_matches_per_branch_loop(seed):
+    """On time against the per-branch loop; on the Clifford circuits of odd
+    seeds, also against the loop that defers every correction (resets
+    absorbing it), which must give the same records, probabilities and
+    corrected states."""
     rng = np.random.default_rng(3000 + seed)
     n = int(rng.integers(2, 6))
-    mode = ("feed_forward", "post_process")[seed % 2]
-    circ = random_dynamic_circuit(rng, n, mode)
+    deferred = bool(seed % 2)
+    circ = random_dynamic_circuit(rng, n, clifford=deferred)
     insertions = random_insertions(rng, circ)
     initial = random_state(rng, n) if seed % 4 >= 2 else sv.zero_state(n)
-    got = sv.run_branches(circ, mode=mode, insertions=insertions, initial=initial)
-    want = per_branch_reference(circ, mode, insertions, initial)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.bits == w.bits
-        assert abs(g.prob - w.prob) < 1e-12
-        assert np.abs(g.corrected_state() - w.corrected_state()).max() < 1e-12
+    got = sv.run_branches(circ, insertions=insertions, initial=initial)
+    for defer in {False, deferred}:
+        want = per_branch_reference(circ, insertions, initial, deferred=defer)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.bits == w.bits
+            assert abs(g.prob - w.prob) < 1e-12
+            if defer:
+                assert_same_ray(g.state, w.corrected_state())
+            else:
+                assert np.abs(g.state - w.state).max() < 1e-12
 
+
+def test_random_clifford_circuits_reset_a_pending_correction():
+    # the deferred check above reaches resets of qubits that hold a
+    # deferred X, the letter that would flip a later record if kept
+    absorbed = []
+    for seed in range(1, 40, 2):
+        rng = np.random.default_rng(3000 + seed)
+        n = int(rng.integers(2, 6))
+        circ = random_dynamic_circuit(rng, n, clifford=True)
+        insertions = random_insertions(rng, circ)
+        initial = random_state(rng, n) if seed % 4 >= 2 else sv.zero_state(n)
+        per_branch_reference(circ, insertions, initial, deferred=True, absorbed=absorbed)
+    assert any(letter in "XY" for _, letter in absorbed)
 
 
 @pytest.mark.parametrize("letters", ["X", "Z", "XZ"])
 @pytest.mark.parametrize("gate", CLIFFORD_1Q + ["cx", "xc"])
 def test_post_process_frame_crosses_each_clifford(gate, letters):
     # a fired correction on qubit 1, then one Clifford on it, then a
-    # measurement of both qubits: records and corrected states agree with
-    # the per-branch loop, whose frame is a PauliString
+    # measurement of both qubits: records and states agree with the
+    # per-branch loop that defers the correction in a PauliString frame
     rng = np.random.default_rng(7)
     c = Circuit(3)
     c.add("h", 0, start=0.0)
@@ -530,25 +603,29 @@ def test_post_process_frame_crosses_each_clifford(gate, letters):
     c.measure(1, start=4.0)
     c.measure(2, start=4.0)
     initial = random_state(rng, 3)
-    got = sv.run_branches(c, mode="post_process", initial=initial)
-    want = per_branch_reference(c, "post_process", {}, initial)
+    got = sv.run_branches(c, initial=initial)
+    want = per_branch_reference(c, {}, initial, deferred=True)
     assert [g.bits for g in got] == [w.bits for w in want]
     for g, w in zip(got, want):
-        assert np.abs(g.corrected_state() - w.corrected_state()).max() < 1e-12
+        assert_same_ray(g.state, w.corrected_state())
 
 
 
 @pytest.mark.parametrize("gate", ["t", "tdg", "ccz"])
 def test_post_process_frame_refuses_a_non_clifford_on_a_pending_qubit(gate):
+    # a deferred frame cannot cross a non-Clifford gate, so the deferring
+    # loop refuses one on a pending letter; the engine applies the
+    # correction on time and runs either circuit
     c = Circuit(4)
     c.add("h", 0, start=0.0)
     r = c.measure(0, start=1.0)
     c.add("cpauli", 2, start=2.0, pauli="Z", parity=(r,))
     c.add(gate, *((0, 1, 3) if gate == "ccz" else (1,)), start=3.0)
-    sv.run_branches(c, mode="post_process")  # no pending letter on these qubits
+    per_branch_reference(c, {}, sv.zero_state(4), deferred=True)  # no pending letter on these qubits
     c.add(gate, *((1, 2, 3) if gate == "ccz" else (2,)), start=4.0)
     with pytest.raises(ValueError, match=f"correction frame through non-Clifford {gate}"):
-        sv.run_branches(c, mode="post_process")
+        per_branch_reference(c, {}, sv.zero_state(4), deferred=True)
+    assert sum(b.prob for b in sv.run_branches(c)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_circuits_reach_qubits_outside_the_register():
@@ -559,7 +636,7 @@ def test_random_circuits_reach_qubits_outside_the_register():
     for seed in range(40):
         rng = np.random.default_rng(3000 + seed)
         n = int(rng.integers(2, 6))
-        circ = random_dynamic_circuit(rng, n, ("feed_forward", "post_process")[seed % 2])
+        circ = random_dynamic_circuit(rng, n, clifford=bool(seed % 2))
         out = set()
         for ins in circ.instructions:
             q = set(ins.qubits)
@@ -583,5 +660,5 @@ def test_process_fidelity_of_the_largest_cnot_chain_at_the_cap():
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 def test_ghz_fidelity_at_the_cap(mode):
-    f = sv.average_state_fidelity(C.ghz_dynamic(14, mode=mode), sv.ghz_state(14), mode=mode)
+    f = sv.average_state_fidelity(C.ghz_dynamic(14, mode=mode), sv.ghz_state(14))
     assert abs(f - 1.0) < 1e-10

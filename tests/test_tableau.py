@@ -49,10 +49,10 @@ def _snap_dyadic(dist, k):
     return out
 
 
-def _exact_tvd(circ, mode="feed_forward"):
+def _exact_tvd(circ):
     k = sum(1 for i in circ.instructions if i.op in ("measure", "reset"))
-    dense = _snap_dyadic(sv.outcome_distribution(sv.run_branches(circ, mode=mode)), k)
-    stab = _snap_dyadic(tb.compile(circ, mode=mode).outcomes(), k)
+    dense = _snap_dyadic(sv.outcome_distribution(sv.run_branches(circ)), k)
+    stab = _snap_dyadic(tb.compile(circ).outcomes(), k)
     keys = set(dense) | set(stab)
     return 0.5 * sum(abs(dense.get(x, 0.0) - stab.get(x, 0.0)) for x in keys)
 
@@ -69,11 +69,11 @@ def _prefixed(circ, prep):
     return new
 
 
-def _reads_plus_one(circ, stabilizers, mode, data=None, shots=16):
+def _reads_plus_one(circ, stabilizers, data=None, shots=16):
     """Whether every shot of every signed operator in ``stabilizers`` (on
     the ``data`` register) reads +1 on the output of ``circ``, sampled by
     run_batch through CircuitStateSource.parities; operator k under seed k."""
-    src = certify.CircuitStateSource(circ, data_qubits=data, mode=mode)
+    src = certify.CircuitStateSource(circ, data_qubits=data)
     got = src.parities(stabilizers, shots, np.arange(len(stabilizers)))
     signs = np.array([p.sign for p in stabilizers])
     return bool((got * signs[:, None] == 1).all())
@@ -456,8 +456,7 @@ def test_teleportation_all_six_eigenstates():
     c.add("cpauli", 2, start=5.0, pauli="Z", parity=(r0,))
     for (letter, sign) in EIGENSTATES:
         circ = _prefixed(c, [(g, 0) for g in PREP[(letter, sign)]])
-        for mode in ("feed_forward", "post_process"):
-            assert _reads_plus_one(circ, [PauliString.single(1, 0, letter, sign)], mode, data=(2,))
+        assert _reads_plus_one(circ, [PauliString.single(1, 0, letter, sign)], data=(2,))
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +620,19 @@ def test_invariant_checker_catches_corruption():
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
 def test_dynamic_cnot_distributions_match_dense(n, mode):
     circ = C.long_range_cnot_dynamic(n, mu=1.0, mode=mode)
-    assert _exact_tvd(circ, mode) == 0.0
+    assert _exact_tvd(circ) == 0.0
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 10])
 def test_ghz_dynamic_distributions_match_dense(n, mode):
     circ = C.ghz_dynamic(n, mu=1.0, mode=mode)
-    assert _exact_tvd(circ, mode) == 0.0
+    assert _exact_tvd(circ) == 0.0
 
 
 def _random_circuits():
     """40 random dynamic Clifford circuits on 2..5 qubits with up to 7
-    collapses, each with its mode (alternating)."""
+    collapses."""
     rng = np.random.default_rng(77812)
     gates1 = ["h", "s", "sdg", "x", "y", "z"]
     for rep in range(40):
@@ -663,19 +662,19 @@ def _random_circuits():
                 circ.add(gates1[int(rng.integers(len(gates1)))], int(rng.integers(n)), start=t)
             t += 1.0
         circ.validate()
-        yield circ, ("feed_forward", "post_process")[rep % 2]
+        yield circ
 
 
 def test_random_circuit_distributions_match_dense():
-    for circ, mode in _random_circuits():
-        assert _exact_tvd(circ, mode) == 0.0
+    for circ in _random_circuits():
+        assert _exact_tvd(circ) == 0.0
 
 
 def test_random_circuit_probabilities_are_exact_multiples_of_two_to_the_minus_k():
     """k is the number of random collapses the compiled program draws a coin
     for; no rounding enters, so the probabilities sum to exactly 1."""
-    for circ, mode in _random_circuits():
-        program = tb.compile(circ, mode=mode)
+    for circ in _random_circuits():
+        program = tb.compile(circ)
         k = program.streams.size
         dist = program.outcomes()
         assert all(p > 0 and (p * 2**k).is_integer() for p in dist.values())
@@ -703,8 +702,10 @@ _TOUCHES = {
 def test_remeasurement_after_one_touch_matches_dense(touch, mode):
     """A collapse's outcome is reused for the next measurement of the same
     qubit only while nothing has touched it: each kind of touch must give
-    the dense distribution, and every sampled record must be possible."""
+    the dense distribution, and every sampled record must be possible, in
+    either schedule."""
     c = C.Circuit(4)
+    c.meta = {"mode": mode}
     for q in (0, 2, 3):
         c.add("h", q, start=0.0)
     c.add("cx", 0, 1, start=1.0)
@@ -719,8 +720,8 @@ def test_remeasurement_after_one_touch_matches_dense(touch, mode):
     c.measure(1, start=7.0)
     c.measure(3, start=7.0)
     c.validate()
-    assert _exact_tvd(c, mode) == 0.0
-    exact = tb.compile(c, mode=mode).outcomes()
+    assert _exact_tvd(c) == 0.0
+    exact = tb.compile(c).outcomes()
     sampled = tb.run_batch(c, 256, master_seed=3, mode=mode).records
     assert all(exact.get(tuple(int(b) for b in row), 0.0) > 0 for row in sampled)
 
@@ -745,28 +746,61 @@ def test_post_process_equals_feed_forward_across_builders():
         (C.ghz_dynamic(7, mu=1.0), C.ghz_dynamic(7, mu=1.0, mode="post_process")),
     ]:
         k = sum(1 for i in circ_ff.instructions if i.op in ("measure", "reset"))
-        ff = _snap_dyadic(tb.compile(circ_ff, mode="feed_forward").outcomes(), k)
-        pp = _snap_dyadic(tb.compile(circ_pp, mode="post_process").outcomes(), k)
+        ff = _snap_dyadic(tb.compile(circ_ff).outcomes(), k)
+        pp = _snap_dyadic(tb.compile(circ_pp).outcomes(), k)
         assert ff == pp
+
+
+def test_reset_absorbs_a_deferred_correction():
+    """h 0; measure 0 -> r0; X on 1 if r0; reset 1; measure 1 -> r1.  The
+    reset leaves qubit 1 in |0> whether the correction came before it or
+    was deferred past it, so r1 is 0 on every shot in either schedule, as
+    the dense oracle says."""
+    c = C.Circuit(2)
+    c.add("h", 0, start=0.0)
+    r0 = c.measure(0, start=0.0)
+    c.add("cpauli", 1, start=1.0, pauli="X", parity=(r0,))
+    c.add("reset", 1, start=1.0)
+    r1 = c.measure(1, start=2.0)
+    dense = sv.outcome_distribution(sv.run_branches(c))
+    assert dense.keys() == {(0, 0), (1, 0)} and all(abs(p - 0.5) < 1e-12 for p in dense.values())
+    assert tb.compile(c).outcomes() == {(0, 0): 0.5, (1, 0): 0.5}
+    for mode in C.MODES:
+        records = tb.run_batch(c, 256, master_seed=4, mode=mode).records
+        assert not records[:, r1].any()
+        assert records[:, r0].any()
+
+
+def test_run_batch_takes_only_the_builders_modes():
+    circ = C.ghz_dynamic(4)
+    want = tb.run_batch(circ, 64, master_seed=2)
+    for mode in C.MODES:
+        np.testing.assert_array_equal(tb.run_batch(circ, 64, master_seed=2, mode=mode).records, want.records)
+    with pytest.raises(ValueError, match="unknown mode 'noiseless'"):
+        tb.run_batch(circ, 64, master_seed=2, mode="noiseless")
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 def test_enumerate_outcomes_without_records_or_coins(mode):
-    assert tb.compile(C.Circuit(1), mode=mode).outcomes() == {(): 1.0}
+    c = C.Circuit(1)
+    c.meta = {"mode": mode}
+    assert tb.compile(c).outcomes() == {(): 1.0}
     # a random collapse with no record: both coin values give the empty record
     c = C.Circuit(2)
+    c.meta = {"mode": mode}
     c.add("h", 0, start=0.0)
     c.add("cx", 0, 1, start=0.0)
     c.add("reset", 0, start=1.0)
-    assert tb.compile(c, mode=mode).outcomes() == {(): 1.0}
+    assert tb.compile(c).outcomes() == {(): 1.0}
     # every collapse deterministic (k = 0), with a correction that fires
     c = C.Circuit(2)
+    c.meta = {"mode": mode}
     c.add("x", 0, start=0.0)
     r0 = c.measure(0, start=1.0)
     c.measure(1, start=1.0)
     c.add("cpauli", 1, start=2.0, pauli="X", parity=(r0,))
     c.measure(1, start=3.0)
-    program = tb.compile(c, mode=mode)
+    program = tb.compile(c)
     assert program.streams.size == 0
     assert program.outcomes() == {(1, 0, 1): 1.0}
 
@@ -775,10 +809,13 @@ def test_enumerate_outcomes_without_records_or_coins(mode):
 @pytest.mark.parametrize("gate, qubits", [("t", (0,)), ("ccz", (0, 1, 2))])
 def test_enumerate_outcomes_rejects_non_clifford_gates(gate, qubits, mode):
     c = C.Circuit(3)
+    c.meta = {"mode": mode}
     c.add(gate, *qubits, start=0.0)
     c.measure(0, start=1.0)
     with pytest.raises(ValueError, match="not stabilizer-simulable"):
-        tb.compile(c, mode=mode).outcomes()
+        tb.compile(c).outcomes()
+    with pytest.raises(ValueError, match="not stabilizer-simulable"):
+        tb.run_batch(c, 1, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +840,7 @@ def test_dynamic_cnot_eigenstate_io_large(n):
                     ref.apply_clifford(g, q)
                 ref.apply_clifford("cx", control, target)
                 assert _reads_plus_one(
-                    _prefixed(circ, prep), ref.stabilizers(), mode
+                    _prefixed(circ, prep), ref.stabilizers()
                 ), f"mismatch on input {lc}{sc:+d},{lt}{st_:+d} ({mode})"
 
 
@@ -811,7 +848,7 @@ def test_ghz_dynamic_large_stabilizer_check():
     n = 101
     gens = [PauliString(n, (1 << n) - 1, 0)] + [PauliString(n, 0, 0b11 << i) for i in range(n - 1)]
     for mode in ("feed_forward", "post_process"):
-        assert _reads_plus_one(C.ghz_dynamic(n, mu=1.0, mode=mode), gens, mode)
+        assert _reads_plus_one(C.ghz_dynamic(n, mu=1.0, mode=mode), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -932,29 +969,22 @@ def _fired_bits(res):
 
 
 def _frame_bits(res):
-    """(rows, shots) 0/1 arrays of the frame columns: fx and fz, and in
-    post-processing mode also dx and dz."""
-    words = [res.fx, res.fz] + ([res.dx, res.dz] if res.mode == "post_process" else [])
-    return [_bits(w, res.shots) for w in words]
+    """(rows, shots) 0/1 arrays of the frame columns fx and fz."""
+    return [_bits(w, res.shots) for w in (res.fx, res.fz)]
 
 
 def _shot_frame(res, s):
-    """Shot s's end frame (times its outstanding correction in
-    post-processing mode), sign-free, read off column s of fx/fz (and
-    dx/dz)."""
-    fx, fz = res.fx, res.fz
-    if res.mode == "post_process":
-        fx, fz = fx ^ res.dx, fz ^ res.dz
+    """Shot s's end frame, sign-free, read off column s of fx/fz."""
 
     def letters(words):
         return int.from_bytes(np.packbits(_bits(words, res.shots)[:, s], bitorder="little").tobytes(), "little")
 
-    return PauliString(res.reference.n, letters(fx), letters(fz))
+    return PauliString(res.reference.n, letters(res.fx), letters(res.fz))
 
 
 def test_batch_rows_parse_without_noise():
     circ = C.ghz_dynamic(4, mu=1.0, mode="post_process")
-    res = tb.run_batch(circ, 3, master_seed=9, mode="post_process")
+    res = tb.run_batch(circ, 3, master_seed=9)
     for s in range(res.shots):
         frame = _shot_frame(res, s)
         doc = json.loads(json.dumps({"bits": res.records[s].tolist(), "frame": str(frame)}))
@@ -1093,44 +1123,41 @@ def test_word_boundaries_match_single_seed_and_shards(build, mode):
     assert _fired_bits(run(1000, 5)).any()
 
 
-# sha256 of one noisy run_batch per (builder, mode, n): records, frames
-# (and outstanding corrections), fired mask, then the signed reference
-# stabilizers and destabilizers, then the sites.  The feed-forward digests
-# were recorded from the row-major tableau that the lane layout replaced;
-# the post-process ones when the reference correction moved into the
-# replay's correction rows (an identity on every case here, so only the
-# hashed correction operator left).  Registers of 31 to 67 qubits put the
-# 2n tableau rows across one to three lane words.
+# sha256 of one noisy run_batch per (builder, mode, n): records, frames,
+# fired mask, then the signed reference stabilizers and destabilizers, then
+# the sites.  The feed-forward digests were recorded from the row-major
+# tableau that the lane layout replaced.  The post-process ones were
+# recorded when a deferred correction became the frame itself; each equals
+# the digest that the separate correction rows gave when folded into the
+# frame (fx ^ dx, fz ^ dz).  Registers of 31 to 67 qubits put the 2n
+# tableau rows across one to three lane words.
 _PINNED = {
     ("ghz_dynamic", "feed_forward", 31): "c0ade73d4797e804030419df8caaa5202b4c973dbc17840d776e5765cc727aeb",
     ("ghz_dynamic", "feed_forward", 32): "c46476d918d34d98363bd6228349800c7c74bc3ab1dc63974d7b50926fdc64d1",
     ("ghz_dynamic", "feed_forward", 33): "5d925a0b0947c20b7262574e156a53c1b5b5edb261cd01609b9907afe20621c2",
     ("ghz_dynamic", "feed_forward", 64): "e6b4ff0e86500d8d458b19aad979b3081b87c449a6d41f65d135e263642ecac5",
     ("ghz_dynamic", "feed_forward", 65): "6de9fa933605c7f068794f5be8e2f64cffadb5ac6362920a799d2ab770219494",
-    ("ghz_dynamic", "post_process", 31): "2a2b61253ccc8192d2b69e7905ea67fdd19e091d8d7046756ee8b103791e0ce7",
-    ("ghz_dynamic", "post_process", 32): "a2f43e0bae585735b2b6219f0bd7d58f19b126a692cd99167cb58f8b08e77a80",
-    ("ghz_dynamic", "post_process", 33): "c3afd65ee6c25269aca42e620bc19db41be2dc722fae8f6f687e3c22d3b525e4",
-    ("ghz_dynamic", "post_process", 64): "bec15182ccec6244e33b55b362f9c3b239aad9ae3117ae8c7ca92333363fe530",
-    ("ghz_dynamic", "post_process", 65): "8a47eb5d567a2044c2cf391417b92fb9e1e7fa3d72c92926b260fd52f84f54de",
+    ("ghz_dynamic", "post_process", 31): "a82cb51eb18951aceded4d0d597757aaee68cd06f9560144fcdad3d79ad22596",
+    ("ghz_dynamic", "post_process", 32): "a112eb21ec72dfd0fecbe4c152cff62d8f190753b8ec302c68c5f1482d0a05cf",
+    ("ghz_dynamic", "post_process", 33): "b72e4b31c61120cfae6f604633da3b0503b41aa0c76484c70d276bd4c8470b24",
+    ("ghz_dynamic", "post_process", 64): "706e38141d9abc7730a6311a39df0f7a71afb356697908d20d0636e42c6a3522",
+    ("ghz_dynamic", "post_process", 65): "a4f35071b783d8fc45ce22b05d0ba76eb5addffc139e42b1a4a8da1cc2957418",
     ("long_range_cnot_dynamic", "feed_forward", 31): "40be647540356b823a81091ee8124b33921bdb3b00c63263db7f3387d523f3fa",
     ("long_range_cnot_dynamic", "feed_forward", 32): "fb0050cb214261683e8934bdc6a184d77c62fedddc1543b063803df65f37180d",
     ("long_range_cnot_dynamic", "feed_forward", 33): "be0e86c3feceaf372c24b7a062eef059bd70969e4956076229b0fd1c3b242b96",
     ("long_range_cnot_dynamic", "feed_forward", 64): "d0dc1d94b1ee8b3d6ff93c350c9738cc2fbb7cf204feacd368c103da701221bb",
     ("long_range_cnot_dynamic", "feed_forward", 65): "7c78fe84afaf9fea42c54fb81407f5dae0eb4587c0eaca467ee15392b4f0906e",
-    ("long_range_cnot_dynamic", "post_process", 31): "e2de5134d7971fae4b38bd5abb1f36e762922c4a1e1ca5ee13c8e6dd2cea0dbe",
-    ("long_range_cnot_dynamic", "post_process", 32): "e2ae2ea332706ae3f9e622552db8338cbd7e58d62f704c0e7022b04d9341cf45",
-    ("long_range_cnot_dynamic", "post_process", 33): "44672e5e579de096ab256bcb8ef28a5db5e257b994336d65e36c461a4a8f34a9",
-    ("long_range_cnot_dynamic", "post_process", 64): "68e0363f097fc389b02b9ec18f06fbb01da9e2ca53076fcf654add1537419e75",
-    ("long_range_cnot_dynamic", "post_process", 65): "db2297027b934f66ac1f06f2c54feb66bcc4b34a86a3b6ee88821638eff3c1b1",
+    ("long_range_cnot_dynamic", "post_process", 31): "2e1abbbcd645e39c2df51779a5eca871015b01c23a9c57e39fb44fd1e7d1133e",
+    ("long_range_cnot_dynamic", "post_process", 32): "7136323fe49960846d17b6f688a0761885acb301920908b103082d0fd1068dac",
+    ("long_range_cnot_dynamic", "post_process", 33): "a32da28543ad145c2306821ded97280ec28df7d1d8a19a45a86a1d6210ba02ff",
+    ("long_range_cnot_dynamic", "post_process", 64): "545bab1d8f368e99a7c5696ce457d72cd4f0ae0c69f27b1092ab8f06fe640367",
+    ("long_range_cnot_dynamic", "post_process", 65): "819373cbdb4e28bcc5d37ceffee2a97e11e14947c7ada3cec796f8c7f2532731",
 }
 
 
 def _batch_digest(res, circ) -> str:
     h = hashlib.sha256()
-    arrays = [res.records, res.fx, res.fz, res.fired]
-    if res.mode == "post_process":
-        arrays += [res.dx, res.dz]
-    for a in arrays:
+    for a in (res.records, res.fx, res.fz, res.fired):
         h.update(np.ascontiguousarray(a).tobytes())
     ref = res.reference
     h.update("\n".join(str(p) for p in ref.stabilizers() + ref.destabilizers()).encode())
@@ -1146,7 +1173,7 @@ def _batch_digest(res, circ) -> str:
 def test_batch_outputs_match_pinned_digests(build, mode, n):
     circ = getattr(C, build)(n, mode=mode)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.05, lambda_meas=0.05))
-    res = tb.run_batch(circ, 100, master_seed=11, noise=sites, mode=mode)
+    res = tb.run_batch(circ, 100, master_seed=11, noise=sites)
     assert res.fired.any()
     assert _batch_digest(res, circ) == _PINNED[(build, mode, n)]
 
@@ -1262,8 +1289,7 @@ _FUZZ_STEP = st.tuples(
 def test_dense_oracle_matches_compiled_outcomes_on_random_dynamic_circuits(n, steps):
     """Random dynamic Clifford circuits on up to 5 qubits, one instruction
     per time step: the dense oracle's record distribution is the compiled
-    program's exact one in both modes, with every qubit read out at the
-    end.  A cx on qubit a targets another qubit b steps on.  A cpauli
+    program's exact one, with every qubit read out at the end.  A cx on qubit a targets another qubit b steps on.  A cpauli
     reads records already written, picked with repeats; for odd b it reads
     the parity of the cpauli before it and more, which the engines fold."""
     circ = C.Circuit(n)
@@ -1283,10 +1309,9 @@ def test_dense_oracle_matches_compiled_outcomes_on_random_dynamic_circuits(n, st
             circ.add(op, q, start=start)
     for q in range(n):  # read every qubit out, so a wrong frame shows
         circ.measure(q, start=float(len(steps)))
-    for mode in ("feed_forward", "post_process"):
-        dense = sv.outcome_distribution(sv.run_branches(circ, mode=mode))
-        exact = tb.compile(circ, mode=mode).outcomes()
-        assert max(abs(dense.get(x, 0.0) - exact.get(x, 0.0)) for x in set(dense) | set(exact)) <= 1e-12
+    dense = sv.outcome_distribution(sv.run_branches(circ))
+    exact = tb.compile(circ).outcomes()
+    assert max(abs(dense.get(x, 0.0) - exact.get(x, 0.0)) for x in set(dense) | set(exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
@@ -1296,8 +1321,8 @@ def test_folded_parities_match_exact_distribution(name, steps, mode):
     reads every parity in full, and the sampled records against the exact
     support."""
     circ = _parity_circuit(steps, mode)
-    assert _exact_tvd(circ, mode) == 0.0
-    exact = tb.compile(circ, mode=mode).outcomes()
+    assert _exact_tvd(circ) == 0.0
+    exact = tb.compile(circ).outcomes()
     sampled = tb.run_batch(circ, 1024, master_seed=5, mode=mode).records
     assert all(exact.get(tuple(int(b) for b in row), 0.0) > 0 for row in sampled)
     # every outcome of the exact support shows up in 1024 shots
@@ -1343,8 +1368,8 @@ def test_ghz_chain_cpaulis_read_one_record_each():
     cpaulis = [e for e in tb.compile(circ).entries if e[0] == "cpauli"]
     assert len(cpaulis) == 199
     assert sum(len(ins.parity) for ins in circ.instructions if ins.op == "cpauli") == 19_900
-    assert sum(len(recs) for _, _, _, _, recs, _ in cpaulis) == 199
-    assert [base for _, _, _, base, _, _ in cpaulis] == [None] + list(range(198))
+    assert sum(len(recs) for _, _, _, _, recs in cpaulis) == 199
+    assert [base for _, _, _, base, _ in cpaulis] == [None] + list(range(198))
 
 
 # ---------------------------------------------------------------------------
@@ -1372,22 +1397,19 @@ _CHAINS = {
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 @pytest.mark.parametrize("chain, n", [("ghz", 101), ("ghz", 300), ("cnot", 100), ("cnot", 257), ("cnot-y", 150)])
 def test_delta_replay_matches_a_direct_replay(chain, n, mode):
-    """The compiled program's records, frames and outstanding corrections
-    equal, bit for bit, those of the tests' own sampler, which XORs each
-    coin into every letter of the flip measure_flip reports."""
+    """The compiled program's records and frames equal, bit for bit, those
+    of the tests' own sampler, which XORs each coin into every letter of
+    the flip measure_flip reports."""
     circ = _CHAINS[chain](n, mode)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.002, lambda_cnot=0.01, lambda_meas=0.01))
-    program = tb.compile(circ, sites, mode)
+    program = tb.compile(circ, sites)
     assert any(e[0] == "delta" for e in program.entries)
     for seed in (0, 3, 2**40 + 1):
         res = program.sample(100, seed)
-        want = direct_sample(circ, 100, seed, sites, mode)
+        want = direct_sample(circ, 100, seed, sites)
         assert _fired_bits(res).any()
-        for got, exp in zip((res.records, res.fx, res.fz, res.dx, res.dz), want):
-            if exp is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, exp)
+        for got, exp in zip((res.records, res.fx, res.fz), want):
+            np.testing.assert_array_equal(got, exp)
 
 
 def _row_updates(program) -> int:
@@ -1413,7 +1435,7 @@ def test_collapse_chain_replay_work_grows_linearly(chain, mode):
     """The k-th collapse of a chain has a flip of about k letters, so a
     replay that paid per flip letter would do about 4x the row updates at
     twice the length; delta-coded coins keep it about 2x."""
-    small, large = (_row_updates(tb.compile(_CHAINS[chain](n, mode), mode=mode)) for n in (400, 800))
+    small, large = (_row_updates(tb.compile(_CHAINS[chain](n, mode))) for n in (400, 800))
     assert large <= 2.2 * small
 
 
@@ -1475,7 +1497,7 @@ def check_bookkeeping_case(build, size, mode, injections, seed, master_seed):
     case = f"{build.__name__}({size}) {mode} seed {seed}"
     n, n_ins = circ.n_qubits, len(circ.instructions)
     rng = np.random.default_rng(seed)
-    clean = tb.run_batch(circ, 1, master_seed=master_seed, mode=mode)
+    clean = tb.run_batch(circ, 1, master_seed=master_seed)
     for rep in range(injections):
         k = int(rng.integers(n_ins + 1))
         x = int(rng.integers(1, 1 << n)) if rng.random() < 0.5 else int(rng.integers(1 << n))
@@ -1483,7 +1505,7 @@ def check_bookkeeping_case(build, size, mode, injections, seed, master_seed):
         if x == 0 and z == 0:
             z = 1
         err = PauliString(n, x, z)
-        noisy = tb.run_batch(circ, 1, master_seed=master_seed, noise=[_site(k, err, 1.0)], mode=mode)
+        noisy = tb.run_batch(circ, 1, master_seed=master_seed, noise=[_site(k, err, 1.0)])
         want_p, want_flips = _propagate_reference(circ, err, k)
         got = (_shot_frame(noisy, 0) * _shot_frame(clean, 0)).mod_phase()
         assert got == want_p, f"frame mismatch, {case}, rep {rep}"
@@ -1495,9 +1517,9 @@ def test_sampled_error_bookkeeping_exact_per_shot():
     """Forward-propagating a shot's injected error through the remaining
     instructions (conjugation; record flips at measurements; conditional
     corrections toggled by flipped parities; resets clearing the qubit)
-    reproduces the change to the shot's end-of-circuit frame exactly, times
-    its outstanding correction in post-processing mode.  Random single-error
-    injections on both dynamic families in both modes."""
+    reproduces the change to the shot's end-of-circuit frame exactly.
+    Random single-error injections on both dynamic families in both
+    schedules."""
     for case in _BOOKKEEPING_CASES:
         check_bookkeeping_case(*case)
 
@@ -1639,21 +1661,21 @@ def test_program_samples_equal_run_batch(mode):
     what run_batch gives: single seeds, seed sequences and shot offsets."""
     circ = C.long_range_cnot_dynamic(6, mode=mode)
     sites = N.attach_noise(circ, _PROGRAM_PARAMS)
-    program = tb.compile(circ, sites, mode)
+    program = tb.compile(circ, sites)
     for shots, seed, offset in ((100, 7, 0), (100, 7, 0), (65, 7, 9), (30, [3, 2**63 - 5, 0], 4), (3, 2**70, 5)):
         got = program.sample(shots, seed, offset)
         want = tb.run_batch(circ, shots, master_seed=seed, noise=sites, mode=mode, shot_offset=offset)
-        assert got.mode == want.mode == mode and got.sites == want.sites
+        assert got.sites == want.sites
         assert got.reference is program.reference
         assert got.reference.stabilizers() == want.reference.stabilizers()
-        for name in ("records", "fx", "fz", "fired") + (("dx", "dz") if mode == "post_process" else ()):
+        for name in ("records", "fx", "fz", "fired"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     assert _fired_bits(program.sample(1000, 1)).any()
 
 
 def test_program_shards_concatenate_to_the_whole_batch():
     circ = C.ghz_dynamic(9, mode="post_process")
-    program = tb.compile(circ, N.attach_noise(circ, _PROGRAM_PARAMS), "post_process")
+    program = tb.compile(circ, N.attach_noise(circ, _PROGRAM_PARAMS))
     whole = program.sample(200, 11)
     for k in (1, 64, 77, 199):
         head, tail = program.sample(k, 11), program.sample(200 - k, 11, k)
@@ -1681,7 +1703,7 @@ def test_compile_validates_once_and_sample_never(monkeypatch):
     noiseless.sample(4, [1, 2])
     assert calls == [circ, circ]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        program.mode = "post_process"
+        program.n_qubits = 1
 
 
 def test_outcomes_need_a_program_without_noise():
@@ -1713,5 +1735,3 @@ def test_zero_shot_batch_is_empty(mode):
     assert res.shots == 0 and res.records.shape == (0, circ.n_records)
     assert res.fx.shape == res.fz.shape == (circ.n_qubits, 0)
     assert res.fired.shape == (len(sites), 0) and res.sites == sorted(sites, key=lambda s: s.before_index)
-    if mode == "post_process":
-        assert res.dx.shape == res.dz.shape == (circ.n_qubits, 0)
