@@ -12,9 +12,9 @@ estimation (DFE) of a stabilizer state:
   tuple.  Averaging uniformly drawn ones gives the process fidelity,
   converted to average gate fidelity at d = 4.
 
-Every sample of an estimate is drawn in one Pauli-frame pass of the
-circuit (:class:`CircuitStateSource`).  Sample k depends only on
-(seed, k); results do not depend on evaluation order.  Estimates are
+Every sample of an estimate is drawn from one compiled program of the
+circuit, through its error map (:class:`CircuitStateSource`).  Sample k
+depends only on (seed, k); results do not depend on evaluation order.  Estimates are
 returned raw — sampling noise may push them outside [0, 1] and they are
 never clipped.
 """
@@ -186,13 +186,41 @@ def _parities(records: np.ndarray, cols: list[int]) -> np.ndarray:
 
 
 # Bounds on one ``run_batch`` call: rows, and bytes of the per-row state it
-# holds.  A row (shot) takes a byte per record, and one bit per record (the
-# packed diff), per noise site or random collapse (the fired mask), and per
-# qubit in each of four frame rows (two replayed, two read out).  A
-# sweep point's samples are split into calls of whole samples within both,
-# so memory stays bounded in m*shots.
+# holds.  A sweep point's samples are split into calls of whole samples
+# within both, so memory stays bounded in m*shots.
 _MAX_BATCH_ROWS = 1 << 16
 _MAX_BATCH_BYTES = 1 << 24
+
+
+def _max_rows(row_bytes: int) -> int:
+    return max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
+
+
+def _draws(circuit: Circuit, noise) -> int:
+    """An upper bound on the draws of the compiled circuit: one per noise
+    site and per measurement or reset (a random collapse draws a coin)."""
+    return len(noise) + sum(ins.op in ("measure", "reset") for ins in circuit.instructions)
+
+
+def _map_row_bytes(circuit: Circuit, noise, shots: int) -> int:
+    """Bytes a row (shot) of a ``read`` call holds, with ``shots`` rows a
+    sample.  Per (operator, draw) it holds a byte of the anticommutation
+    table and, when that pair is drawn, 64 bytes of its indices, stream
+    id, threshold and key and its packed row of the sample's shots; per
+    row, the flip as a byte and a boolean and the parity as two floats.
+    The hashing itself runs in chunks of ``tableau._DRAW_VALUES`` values,
+    and the error map is one replay of one shot per draw, which does not
+    grow with the rows."""
+    per_sample = _draws(circuit, noise) * (65 + 8 * ((shots + 63) // 64))
+    return 18 + -(-per_sample // max(shots, 1))
+
+
+def _sample_row_bytes(circuit: Circuit, noise) -> int:
+    """Bytes a row (shot) of a sampling call holds: a byte per record, and
+    one bit per record (the packed diff), per draw (the fired mask) and
+    per qubit in each of four frame rows (two replayed, two read out)."""
+    c = circuit
+    return c.n_records + (c.n_records + _draws(c, noise) + 4 * c.n_qubits + 7) // 8
 
 
 class CircuitStateSource:
@@ -202,14 +230,18 @@ class CircuitStateSource:
     each (sign-free) Pauli in ``paulis`` — given on the ``data_qubits``
     register — under its own seed, with the attached noise sites.  All
     samples go through one :func:`tableau.run_batch` call on the circuit
-    itself (split into calls of bounded rows and bytes), and each
-    shot's parity is read from its end frame: the shot ends in ``F * ref``,
-    so a Pauli S with expectation e = +-1 on the reference state reads
-    ``e * (-1)^<F, S>``.  A circuit whose corrections are deferred to
+    itself (split into calls of bounded rows and bytes).  A shot ends in
+    ``F * ref``, so a Pauli S with expectation e = +-1 on the reference
+    state reads ``e * (-1)^<F, S>``; the call reads that flip through the
+    compiled program's error map (``run_batch(..., read=...)``,
+    :meth:`tableau.Program.read`): F is the product of the end Paulis of
+    the noise sites and collapse coins the shot fires, so only the draws
+    whose end Pauli anticommutes with S are drawn, and no frame is
+    replayed.  A circuit whose corrections are deferred to
     post-processing is read the same way: F then carries each shot's
     correction, as feed-forward would have applied it.  An operator with e = 0
     on the reference has a random outcome per shot; it falls back to a
-    readout circuit (:func:`pauli_readout_circuit`) run on its own.  The
+    readout circuit (:func:`pauli_readout_circuit`) sampled on its own.  The
     shot-for-shot values equal those of that readout circuit.
 
     ``parities`` and ``n_data`` are the state-source protocol that
@@ -238,12 +270,9 @@ class CircuitStateSource:
         c = self.circuit
         # every operator on the circuit register, as qubit columns, once
         x, z = pauli_bits(paulis, c.n_qubits, qubits=self.data)
-        draws = len(self.noise) + sum(ins.op in ("measure", "reset") for ins in c.instructions)
-        row_bytes = c.n_records + (c.n_records + draws + 4 * c.n_qubits + 7) // 8
-        max_rows = max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
         out = np.empty((len(paulis), shots))
         e = None
-        for rows, cols in _blocks(len(paulis), shots, max_rows):
+        for rows, cols in _blocks(len(paulis), shots, _max_rows(_map_row_bytes(c, self.noise, shots))):
             seeds_k = seeds[rows]
             res = tb.run_batch(
                 c,
@@ -251,10 +280,11 @@ class CircuitStateSource:
                 master_seed=seeds_k,
                 noise=self.noise,
                 shot_offset=cols.start,
+                read=(x[rows], z[rows]),
             )
             if e is None:  # the reference state is the same in every batch of this circuit
                 e = res.reference.bit_expectations(x, z)
-            par = e[rows, None] * np.where(res.readout_flips(x[rows], z[rows]), -1.0, 1.0)
+            par = e[rows, None] * np.where(res.flips, -1.0, 1.0)
             for k in np.nonzero(e[rows] == 0)[0]:
                 par[k] = self._read_out(paulis[rows][k], cols.stop - cols.start, seeds_k[k], cols.start)
             out[rows, cols] = par
@@ -265,8 +295,14 @@ class CircuitStateSource:
         own readout circuit."""
         basis = {self.data[q]: pauli.letter(q) for q in pauli.support}
         circ, recs = pauli_readout_circuit(self.circuit, basis)
-        res = tb.run_batch(circ, shots, master_seed=seed, noise=self.noise, shot_offset=shot_offset)
-        return _parities(res.records, [recs[q] for q in sorted(basis)])
+        cols = [recs[q] for q in sorted(basis)]
+        out = np.empty(shots)
+        step = _max_rows(_sample_row_bytes(circ, self.noise))
+        for lo in range(0, shots, step):
+            hi = min(lo + step, shots)
+            res = tb.run_batch(circ, hi - lo, master_seed=seed, noise=self.noise, shot_offset=shot_offset + lo)
+            out[lo:hi] = _parities(res.records, cols)
+        return out
 
 
 def _blocks(m: int, shots: int, max_rows: int):
@@ -310,6 +346,7 @@ def choi_state_source(circuit: Circuit, data_in, data_out=None, noise=()) -> Cir
     shift = len(wide.instructions)
     wide.instructions.extend(circuit.instructions)
     wide.n_records = circuit.n_records
+    wide.meta = dict(circuit.meta)
     width = wide.n_qubits
     sites = [
         NoiseSite(s.before_index + shift, PauliString(width, s.pauli.x_bits, s.pauli.z_bits), s.omega)

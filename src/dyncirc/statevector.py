@@ -541,6 +541,7 @@ def process_fidelity(
     wide = Circuit(n_c + k, name=circuit.name + "+ref")
     wide.instructions = list(circuit.instructions)
     wide.n_records = circuit.n_records
+    wide.meta = dict(circuit.meta)
     psi0 = choi_input(n_c, data)
 
     # ideal Choi state on (data..., ref...) only

@@ -25,6 +25,15 @@ then replayed as Pauli frames over many shots.
   record: a shot's record is the reference record XOR a flip fixed by which
   collapse coins fired, so the program replayed once over every assignment
   of the k coins gives each record's probability in units of 2^-k.
+* :meth:`Program.error_map` — the replay is linear over GF(2), so one
+  replay in which shot j fires draw j alone gives every noise site's and
+  collapse coin's end-of-circuit Pauli (the detector-error-model idea of
+  Gidney, Quantum 5, 497 (2021)).  :meth:`Program.read` reads operators
+  from it: a shot's readout flip of an operator is the XOR of the draws it
+  fires whose map Pauli anticommutes with the operator, so only those
+  (draw, seed) pairs are hashed, and no frame is replayed.
+  ``run_batch(..., read=(sx, sz))`` is that read, compiled and drawn in one
+  call, as certification's parities take it.
 
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
@@ -123,10 +132,17 @@ class CounterRandom:
     def n_seeds(self) -> int:
         return self._keys.size
 
-    def _pair_keys(self, stream_ids: np.ndarray) -> np.ndarray:
-        """The hash of each (stream, seed) pair, as a (streams, m) array."""
-        c = _mix_u64((stream_ids.reshape(-1, 1) + _U1) * np.uint64(_GOLDEN))
-        return _mix_u64(self._keys ^ c)
+    def _grid(self, stream_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every stream of ``stream_ids`` under every seed, as a (stream,
+        seed index) pair list: stream-major, m pairs a stream."""
+        m = self._keys.size
+        return np.repeat(stream_ids, m), np.tile(np.arange(m), stream_ids.size)
+
+    def _pair_keys(self, stream_ids: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """The hash of each (stream, seed) pair: stream ``stream_ids[p]``
+        under seed index ``seeds[p]``."""
+        c = _mix_u64((stream_ids + _U1) * np.uint64(_GOLDEN))
+        return _mix_u64(self._keys[seeds] ^ c)
 
     def uniform(self, stream_id, shot_ids: np.ndarray) -> np.ndarray:
         """Floats in [0, 1), one per entry of ``shot_ids`` (uint64 array),
@@ -134,41 +150,52 @@ class CounterRandom:
         also be a 1-D array of k stream ids, which adds a leading axis of
         length k: one row of draws per stream."""
         sids = np.asarray(stream_id, dtype=np.uint64)
-        x = (shot_ids + _U1) * np.uint64(_GOLDEN) + self._pair_keys(sids)[:, :, None]
+        keys = self._pair_keys(*self._grid(sids.reshape(-1))).reshape(sids.size, -1, 1)
+        x = (shot_ids + _U1) * np.uint64(_GOLDEN) + keys
         u = (_mix_u64(x) >> _SHR11) * 2.0**-53
         return u.reshape(sids.shape + u.shape[1 + self._single :])
 
-    def fired(self, stream_ids: np.ndarray, thresholds: np.ndarray, shot_ids: np.ndarray) -> np.ndarray:
-        """Packed rows, one per stream of ``stream_ids``, 64 shots a word:
-        bit ``k * r + i`` of row j is set where the draw of shot
-        ``shot_ids[i]`` (r of them) under seed k is below
-        ``thresholds[j] * 2^-53``, i.e. where :meth:`uniform` is.
+    def fired(self, stream_ids: np.ndarray, thresholds: np.ndarray, shot_ids: np.ndarray, seeds=None) -> np.ndarray:
+        """Packed rows of firing draws, 64 shots a word.  By default, one
+        row per stream of ``stream_ids``: bit ``k * r + i`` of row j is set
+        where the draw of shot ``shot_ids[i]`` (r of them) under seed k is
+        below ``thresholds[j] * 2^-53``, i.e. where :meth:`uniform` is.
+        With ``seeds``, one seed index per entry of ``stream_ids``, the
+        draws are an explicit list of (stream, seed) pairs instead: bit i of
+        row p is the draw of shot ``shot_ids[i]`` on stream
+        ``stream_ids[p]`` under seed ``seeds[p]``, against
+        ``thresholds[p]``.  The default is the pair list of every stream
+        under every seed (:meth:`_grid`), m pairs packed into a row.
 
-        Each (stream, seed) pair's hash is derived once; the shot hashes
-        are then mixed and compared as integers in one reused buffer pair,
-        a chunk of whole streams at a time, and packed."""
-        m, r, k = self._keys.size, shot_ids.size, stream_ids.size
-        shots = m * r
-        out = np.zeros((k, _n_words(shots)), dtype=np.uint64)
-        if not k or not shots:
+        Each pair's hash is derived once; the shot hashes are then mixed
+        and compared as integers in one reused buffer pair, a chunk of
+        whole rows at a time, and packed."""
+        r, group = shot_ids.size, 1  # shots a pair, pairs a row
+        if seeds is None:
+            group = self._keys.size
+            (stream_ids, seeds), thresholds = self._grid(stream_ids), np.repeat(thresholds, group)
+        width = group * r  # bits a row
+        k = stream_ids.size // max(group, 1)
+        out = np.zeros((k, _n_words(width)), dtype=np.uint64)
+        if not k or not width:
             return out
-        keys = self._pair_keys(stream_ids).reshape(-1, 1)
-        thresholds = np.repeat(thresholds, m).reshape(-1, 1)  # one per pair, like keys
+        keys = self._pair_keys(stream_ids, seeds).reshape(-1, 1)
+        thresholds = thresholds.reshape(-1, 1)  # one per pair, like keys
         ids = (shot_ids + _U1) * np.uint64(_GOLDEN)
-        rows = min(k, max(1, _DRAW_VALUES // shots))  # streams a chunk
-        x, tmp = np.empty((2, rows * shots), dtype=np.uint64)
-        hit = np.empty(rows * shots, dtype=bool)
-        packed = out.view(np.uint8)[:, : (shots + 7) // 8]
+        rows = min(k, max(1, _DRAW_VALUES // width))  # rows a chunk
+        x, tmp = np.empty((2, rows * width), dtype=np.uint64)
+        hit = np.empty(rows * width, dtype=bool)
+        packed = out.view(np.uint8)[:, : (width + 7) // 8]
         for lo in range(0, k, rows):
             hi = min(k, lo + rows)
-            n = (hi - lo) * shots
-            xs = x[:n].reshape(-1, r)  # [p, i]: shot i of (stream, seed) pair p
+            n = (hi - lo) * width
+            xs = x[:n].reshape(-1, r)  # [p, i]: shot i of pair p
             xs[:] = ids
-            xs += keys[lo * m : hi * m]
+            xs += keys[lo * group : hi * group]
             _mix_into(x[:n], tmp[:n])
             x[:n] >>= _SHR11
-            np.less(xs, thresholds[lo * m : hi * m], out=hit[:n].reshape(-1, r))
-            packed[lo:hi] = np.packbits(hit[:n].reshape(hi - lo, shots), axis=1, bitorder="little")
+            np.less(xs, thresholds[lo * group : hi * group], out=hit[:n].reshape(-1, r))
+            packed[lo:hi] = np.packbits(hit[:n].reshape(hi - lo, width), axis=1, bitorder="little")
         return out
 
 
@@ -434,20 +461,65 @@ class Program:
         """``shots`` executions of the compiled circuit, as
         :func:`run_batch` describes them: shot i's randomness depends only
         on (master_seed, shot_offset + i)."""
-        if shots < 0:
-            raise ValueError(f"negative shot count {shots}")
-        stream = CounterRandom(master_seed)
-        if stream.n_seeds == 0 or shots % stream.n_seeds:
-            raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
-        per_seed = shots // stream.n_seeds
-        end = int(shot_offset) + per_seed
-        if shot_offset < 0 or end > 1 << 64:
-            raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
-        ids = np.arange(int(shot_offset), end, dtype=np.uint64)
+        stream, ids = _shot_ids(shots, master_seed, shot_offset)
         fired = stream.fired(self.streams, self.thresholds, ids)
         records, fx, fz = self._replay(fired, shots)
         noise_rows = fired[self.streams >= _NOISE_STREAM_BASE]
         return BatchResult(records, self.reference, fx, fz, noise_rows, list(self.sites))
+
+    def error_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """The end frame of every draw fired alone, as (X rows, Z rows):
+        qubit-major with one bit per draw, as a :class:`BatchResult` frame
+        has one bit per shot, so bit j % 64 of word j // 64 in row q is
+        draw j's letter on qubit q.  The replay is linear over GF(2) (each
+        entry XORs, swaps or zeroes rows, a measurement copies a row into a
+        record difference and a ``cpauli`` XORs such differences back in),
+        and a shot that fires nothing ends in the reference state.  So one
+        replay in which shot j fires draw j alone gives every draw's
+        frame, resets and accumulators included, and a shot's frame is the
+        XOR of the frames of the draws it fires."""
+        _, fx, fz = self._replay(None, self.streams.size)
+        return fx, fz
+
+    def read(self, sx: np.ndarray, sz: np.ndarray, shots: int, master_seed=0, shot_offset: int = 0) -> np.ndarray:
+        """The readout flips of m operators, given as (m, n) booleans of X
+        and Z letters (:func:`pauli_bits`) with one seed each: the (m,
+        shots/m) booleans that ``sample(shots, master_seed,
+        shot_offset).readout_flips(sx, sz)`` holds, without a frame replay.
+
+        A shot's flip of operator k is the parity of its end frame against
+        the operator, the XOR over the draws it fires of their
+        :meth:`error_map` frames' parities.  So only the (draw, seed k)
+        pairs whose frame anticommutes with operator k are drawn, each
+        pair's shots packed into its own row (:meth:`CounterRandom.fired`),
+        and the rows of each operator are XOR-reduced into its flips."""
+        stream, ids = _shot_ids(shots, master_seed, shot_offset)
+        m, r = sx.shape[0], ids.size
+        if m != stream.n_seeds:
+            raise ValueError(f"{m} operators but {stream.n_seeds} seeds")
+        flips = np.zeros((m, _n_words(r)), dtype=np.uint64)
+        if r and self.streams.size:
+            op, draw = np.nonzero(self._anticommuting(sx, sz))  # sorted by operator
+            if op.size:
+                rows = stream.fired(self.streams[draw], self.thresholds[draw], ids, seeds=op)
+                starts = np.flatnonzero(np.diff(op, prepend=-1))
+                flips[op[starts]] = np.bitwise_xor.reduceat(rows, starts, axis=0)
+        return _unpack_rows(flips, r).astype(bool)
+
+    def _anticommuting(self, sx: np.ndarray, sz: np.ndarray) -> np.ndarray:
+        """(m, draws) uint8, 1 where operator k anticommutes with draw j's
+        :meth:`error_map` frame.  A row is the XOR of the map rows of the
+        operator's letters (its X letters read the Z rows, its Z letters
+        the X rows), packed, for ``_DRAW_VALUES`` words of rows at a time."""
+        cols = np.flatnonzero((sx | sz).any(axis=0))
+        fx, fz = (part[cols] for part in self.error_map())
+        m = sx.shape[0]
+        anti = np.zeros((m, fx.shape[1]), dtype=np.uint64)
+        step = max(1, _DRAW_VALUES // max(fx.size, 1))
+        for lo in range(0, m, step):
+            xs, zs = sx[lo : lo + step, cols, None], sz[lo : lo + step, cols, None]
+            anti[lo : lo + step] = np.bitwise_xor.reduce(zs * fx ^ xs * fz, axis=1)
+        return _unpack_rows(anti, self.streams.size)
 
     def outcomes(self) -> dict[tuple[int, ...], float]:
         """Exact distribution over the classical record of a program without
@@ -475,7 +547,8 @@ class Program:
 
     def _replay(self, fired: np.ndarray, shots: int):
         """Replay the program over ``shots`` shots, draw j firing on the
-        shots set in row j of the packed mask ``fired``.  Returns the
+        shots set in row j of the packed mask ``fired`` (on shot j alone
+        when ``fired`` is None).  Returns the
         (shots, records) record array and the final frames ``FX``, ``FZ``,
         qubit-major with 64 shots a word.
 
@@ -484,8 +557,9 @@ class Program:
         a few integer XORs rather than numpy calls on short rows; so is
         each collapse-coin accumulator."""
         n, n_words = self.n_qubits, _n_words(shots)
-        # draw j's row enters as an integer at its pauli or delta entries
-        raw = memoryview(np.ascontiguousarray(fired, dtype="<u8").view(np.uint8).reshape(-1))
+        # draw j's row enters as an integer at its pauli or delta entries;
+        # with no mask (``fired`` None), draw j fires on shot j alone
+        raw = None if fired is None else memoryview(np.ascontiguousarray(fired, dtype="<u8").view(np.uint8).reshape(-1))
         step = 8 * n_words
         FX, FZ = [0] * n, [0] * n
         acc = [0] * (2 * _ACCUMULATORS)
@@ -497,7 +571,7 @@ class Program:
             tag = entry[0]
             if tag == "pauli":
                 _, xq, zq, j = entry
-                f = int.from_bytes(raw[j * step : (j + 1) * step], "little")
+                f = 1 << j if raw is None else int.from_bytes(raw[j * step : (j + 1) * step], "little")
                 for q in xq:
                     FX[q] ^= f
                 for q in zq:
@@ -507,7 +581,7 @@ class Program:
                 g, frame = acc[a], parts[a]
                 for q in rows:
                     frame[q] ^= g
-                acc[a] = g ^ int.from_bytes(raw[j * step : (j + 1) * step], "little")
+                acc[a] = g ^ (1 << j if raw is None else int.from_bytes(raw[j * step : (j + 1) * step], "little"))
             elif tag == "settle":
                 _, a, rows = entry
                 g, frame = acc[a], parts[a]
@@ -544,6 +618,30 @@ class Program:
         for lo in range(0, self.n_records, 64):
             records[:, lo : lo + 64] = (_unpack_rows(diff_words[lo : lo + 64], shots) ^ self.ref_bits[lo : lo + 64, None]).T
         return records, _int_rows(FX, n_words), _int_rows(FZ, n_words)
+
+
+def _shot_ids(shots: int, master_seed, shot_offset: int) -> tuple[CounterRandom, np.ndarray]:
+    """The draws of ``shots`` shots split evenly over the seeds of
+    ``master_seed``, and the shot ids ``shot_offset ..`` each seed draws."""
+    if shots < 0:
+        raise ValueError(f"negative shot count {shots}")
+    stream = CounterRandom(master_seed)
+    if stream.n_seeds == 0 or shots % stream.n_seeds:
+        raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
+    end = int(shot_offset) + shots // stream.n_seeds
+    if shot_offset < 0 or end > 1 << 64:
+        raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
+    return stream, np.arange(int(shot_offset), end, dtype=np.uint64)
+
+
+@dataclass
+class Readout:
+    """Readout flips of m operators, as :meth:`Program.read` gives them
+    (``flips``), and the reference end state they flip, as
+    :class:`BatchResult` holds it."""
+
+    reference: StabilizerState
+    flips: np.ndarray
 
 
 # instructions that only mark the schedule and leave the state alone
@@ -772,7 +870,8 @@ def run_batch(
     noise=None,
     mode: str = "feed_forward",
     shot_offset: int = 0,
-) -> BatchResult:
+    read=None,
+) -> BatchResult | Readout:
     """Sample ``shots`` executions; shot i's randomness depends only on
     (master_seed, shot_offset + i), so splitting a batch across workers
     reproduces the single-batch output exactly.
@@ -794,7 +893,16 @@ def run_batch(
     it gives the records and frame that applying it on time gives.  The
     keyword stays for callers that still pass it, the benchmark harness
     among them.
+
+    ``read`` is None, or (sx, sz): m operators on the circuit register as
+    (m, n) booleans of X and Z letters (:func:`pauli_bits`), one per seed.
+    Then no frame is replayed: the result is a :class:`Readout` of the
+    flips that :meth:`BatchResult.readout_flips` would read off this
+    batch, drawn through the program's error map (:meth:`Program.read`).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return compile(circuit, noise).sample(shots, master_seed, shot_offset)
+    program = compile(circuit, noise)
+    if read is None:
+        return program.sample(shots, master_seed, shot_offset)
+    return Readout(program.reference, program.read(*read, shots, master_seed, shot_offset))

@@ -285,33 +285,81 @@ def test_batched_parities_fold_in_the_reference_correction(mode):
 
 
 def test_batched_parities_split_into_bounded_calls(monkeypatch):
+    """Parities are read through the error map (``run_batch`` with
+    ``read``) in calls of whole samples, or of one sample's shots in
+    pieces, within both the row and the byte cap; an operator the state
+    does not fix falls back to a sampled readout circuit, in pieces within
+    the caps of that path.  No split changes a value."""
     circ = C.ghz_dynamic(5)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.05, lambda_meas=0.1))
     src = cert.CircuitStateSource(circ, noise=sites)
     group = cert.ghz_stabilizer_group(5)
     ops = [group[k].mod_phase() for k in (3, 7, 12, 31, 0)]
     seeds = [11, 12, 13, 14, 15]
+    fallback = [PauliString.from_text("ZIIII")]  # e = 0 on GHZ
     whole = {shots: src.parities(ops, shots, seeds) for shots in (16, 100)}
+    whole_fallback = {shots: src.parities(fallback, shots, [16]) for shots in (16, 100)}
     calls = []
     run_batch = tb.run_batch
 
     def counted(circuit, shots, *args, **kwargs):
-        calls.append(shots)
+        calls.append((shots, kwargs.get("read") is not None))
         return run_batch(circuit, shots, *args, **kwargs)
 
     monkeypatch.setattr(tb, "run_batch", counted)
     draws = len(sites) + sum(ins.op in ("measure", "reset") for ins in circ.instructions)
-    row_bytes = circ.n_records + (circ.n_records + draws + 4 * circ.n_qubits + 7) // 8
-    # a row cap, then a byte cap that allows fewer rows than the row cap
-    for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * row_bytes + 7)):
+    readout_records = circ.n_records + 1
+    # a read call holds, per (sample, draw), a table byte and at most one
+    # drawn pair (64 bytes and its packed shots); per row, 18 bytes.  A
+    # sampled readout holds its records, packed diffs, fired mask and frames
+    read_bytes = {shots: 18 + -(-draws * (65 + 8 * ((shots + 63) // 64)) // shots) for shots in (16, 100)}
+    sample_bytes = readout_records + (readout_records + draws + 4 * circ.n_qubits + 7) // 8
+    # a row cap, then byte caps that allow fewer rows than the row cap
+    for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * read_bytes[16] + 7), (1 << 16, 30 * sample_bytes)):
         monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
         monkeypatch.setattr(cert, "_MAX_BATCH_BYTES", nbytes)
         for shots in (16, 100):
             calls.clear()
             np.testing.assert_array_equal(src.parities(ops, shots, seeds), whole[shots])
-            assert max(calls) <= min(rows, nbytes // row_bytes) and sum(calls) == len(ops) * shots
+            assert all(read for _, read in calls)
+            assert max(n for n, _ in calls) <= min(rows, nbytes // read_bytes[shots])
+            assert sum(n for n, _ in calls) == len(ops) * shots
+            calls.clear()
+            np.testing.assert_array_equal(src.parities(fallback, shots, [16]), whole_fallback[shots])
+            sampled = [n for n, read in calls if not read]
+            assert max(sampled) <= min(rows, nbytes // sample_bytes) and sum(sampled) == shots
+            assert sum(n for n, read in calls if read) == shots
+    assert len(sampled) > 1  # the last cap splits the fallback
     with pytest.raises(ValueError):
         src.parities(ops, 4, seeds[:2])
+
+
+def test_widened_copies_keep_the_schedule():
+    """The Choi-widened circuits of the sampler and of the dense oracle
+    keep the circuit's meta, so ``tally`` prices them on the same
+    schedule as the bare circuit: a deferred correction waits for no
+    feed-forward step."""
+    seen = []
+    for mode in ("feed_forward", "post_process"):
+        circ = C.long_range_cnot_dynamic(3, mode=mode)
+        wide = cert.choi_state_source(circ, (0, 4)).circuit
+        assert wide.meta == circ.meta and wide.meta is not circ.meta
+        assert C.tally(wide).feed_forward_steps == C.tally(circ).feed_forward_steps
+        seen.append(C.tally(wide).feed_forward_steps)
+    assert seen[0] > 0 and seen[1] == 0
+    circ = C.long_range_cnot_dynamic(1, mode="post_process")
+    built = []
+    real = sv.Circuit
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "Circuit", recording)
+        sv.process_fidelity(circ, sv.cnot_matrix(), (0, 2))
+    assert [c.meta for c in built] == [circ.meta]
+    assert C.tally(built[0]).feed_forward_steps == 0
 
 
 def test_choi_source_validation():
@@ -456,14 +504,86 @@ def test_cnot_variants_match_dense_at_readme_rates(variant):
     assert abs(est - exact_gate) < 3 * se
 
 
+class _FrameSource:
+    """A state source whose parities are read off sampled end frames
+    (``BatchResult.readout_flips``), one ``run_batch`` per sample: the
+    path the error-map read replaced, kept as its oracle."""
+
+    def __init__(self, src):
+        self.src, self.n_data = src, src.n_data
+
+    def parities(self, paulis, shots, seeds):
+        c = self.src.circuit
+        x, z = pauli_bits(paulis, c.n_qubits, qubits=self.src.data)
+        out = np.empty((len(paulis), shots))
+        for k, seed in enumerate(seeds):
+            res = tb.run_batch(c, shots, master_seed=int(seed), noise=self.src.noise)
+            e = res.reference.bit_expectations(x[k : k + 1], z[k : k + 1])[0]
+            assert e != 0
+            out[k] = e * np.where(res.readout_flips(x[k : k + 1], z[k : k + 1])[0], -1.0, 1.0)
+        return out
+
+
 def test_cnot_estimate_unchanged_by_batch_splits(monkeypatch):
+    """The map-read estimate equals the one read off sampled frames, and
+    no split of the read calls (rows or bytes) changes it."""
     circ = C.long_range_cnot_dynamic(2, mu=1.0)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.08, lambda_meas=0.1))
     src = cert.choi_state_source(circ, data_in=(0, 3), noise=sites)
     whole = cert.estimate_cnot_gate_fidelity(src, 40, shots_per_sample=10, seed=4)
-    for rows in (10, 30, 7):  # whole samples per call, and one sample in pieces
+    assert cert.estimate_cnot_gate_fidelity(_FrameSource(src), 40, shots_per_sample=10, seed=4) == whole
+    row_bytes = cert._map_row_bytes(src.circuit, src.noise, 10)
+    # whole samples per call, and one sample in pieces, by rows then bytes
+    caps = ((10, 1 << 24), (30, 1 << 24), (7, 1 << 24), (1 << 16, 25 * row_bytes), (1 << 16, 3 * row_bytes))
+    for rows, nbytes in caps:
         monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
+        monkeypatch.setattr(cert, "_MAX_BATCH_BYTES", nbytes)
         assert cert.estimate_cnot_gate_fidelity(src, 40, shots_per_sample=10, seed=4) == whole
+
+
+def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
+    """Both estimators sample through ``tableau.run_batch`` alone, and
+    exactly m x shots shots of it: the sampler's entry points
+    (``Program.sample`` and ``Program.read``) run only inside it, and no
+    call defers its draws past its return.  A benchmark that counts shots
+    and sampler time by wrapping ``run_batch`` relies on both."""
+    shots, inside, outside = [], [0], []
+    run_batch = tb.run_batch
+
+    def counted(circuit, n, *args, **kwargs):
+        inside[0] += 1
+        try:
+            result = run_batch(circuit, n, *args, **kwargs)
+        finally:
+            inside[0] -= 1
+        shots.append(n)
+        return result
+
+    def guarded(name):
+        method = getattr(tb.Program, name)
+
+        def call(self, *args, **kwargs):
+            if not inside[0]:
+                outside.append(name)
+            return method(self, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(tb, "run_batch", counted)
+    for name in ("sample", "read"):
+        monkeypatch.setattr(tb.Program, name, guarded(name))
+    params = N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.03, lambda_meas=0.05, mu=1.0)
+    ghz = C.ghz_dynamic(6, mu=1.0)
+    src = cert.CircuitStateSource(ghz, noise=N.attach_noise(ghz, params))
+    cert.estimate_ghz_fidelity(src, 6, 30, shots_per_sample=24, seed=2)
+    assert sum(shots) == 30 * 24 and not outside
+    shots.clear()
+    for variant in ("dynamic", "Ia", "II"):
+        circ, data_in, data_out = cli._cnot_circuit(variant, 3, 1.0, "feed_forward")
+        choi = cert.choi_state_source(circ, data_in, data_out, noise=N.attach_noise(circ, params))
+        cert.estimate_cnot_gate_fidelity(choi, 25, shots_per_sample=16, seed=3)
+        assert sum(shots) == 25 * 16 and not outside
+        shots.clear()
 
 
 def test_cnot_saturated_floor_is_two_fifths():

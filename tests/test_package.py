@@ -183,6 +183,7 @@ _READ_BY_TESTS = {
     "statevector.py:outcome_distribution": "dense record distribution, the oracle of Program.outcomes",
     "statevector.py:overlap_through_ancillas": "dense overlap with ancillas traced out",
     "statevector.py:state_fidelity": "dense pure-state fidelity",
+    "tableau.py:BatchResult.readout_flips": "flips read off sampled frames, the oracle of the error-map read (Program.read)",
     "tableau.py:CounterRandom.uniform": "the float definition of a draw, which the integer-threshold fired kernel is tested against",
     "tableau.py:Program.outcomes": "exact record distribution that sampled records are checked against",
     "stabilizer.py:StabilizerState.apply_clifford": "one gate at a time, the sequence that gate rounds are checked against",

@@ -1284,14 +1284,12 @@ _FUZZ_STEP = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5), st.lists(_FUZZ_STEP, min_size=4, max_size=16))
-def test_dense_oracle_matches_compiled_outcomes_on_random_dynamic_circuits(n, steps):
-    """Random dynamic Clifford circuits on up to 5 qubits, one instruction
-    per time step: the dense oracle's record distribution is the compiled
-    program's exact one, with every qubit read out at the end.  A cx on qubit a targets another qubit b steps on.  A cpauli
-    reads records already written, picked with repeats; for odd b it reads
-    the parity of the cpauli before it and more, which the engines fold."""
+def _fuzz_circuit(n, steps) -> C.Circuit:
+    """A random dynamic Clifford circuit on n qubits, one instruction per
+    time step.  A cx on qubit a targets another qubit b steps on.  A
+    cpauli reads records already written, picked with repeats; for odd b it
+    reads the parity of the cpauli before it and more, which the engines
+    fold."""
     circ = C.Circuit(n)
     recs, parity = [], ()
     for t, (op, a, b, letter, picks) in enumerate(steps):
@@ -1307,11 +1305,141 @@ def test_dense_oracle_matches_compiled_outcomes_on_random_dynamic_circuits(n, st
                 circ.add("cpauli", q, start=start, pauli=letter, parity=parity)
         else:
             circ.add(op, q, start=start)
+    return circ
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(_FUZZ_STEP, min_size=4, max_size=16))
+def test_dense_oracle_matches_compiled_outcomes_on_random_dynamic_circuits(n, steps):
+    """Random dynamic Clifford circuits on up to 5 qubits
+    (:func:`_fuzz_circuit`): the dense oracle's record distribution is the
+    compiled program's exact one, with every qubit read out at the end."""
+    circ = _fuzz_circuit(n, steps)
     for q in range(n):  # read every qubit out, so a wrong frame shows
         circ.measure(q, start=float(len(steps)))
     dense = sv.outcome_distribution(sv.run_branches(circ))
     exact = tb.compile(circ).outcomes()
     assert max(abs(dense.get(x, 0.0) - exact.get(x, 0.0)) for x in set(dense) | set(exact)) <= 1e-12
+
+
+def _random_paulis(rng, count, n):
+    """``count`` sign-free operators on n qubits, uniformly drawn."""
+    return [PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n))) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(_FUZZ_STEP, min_size=4, max_size=16),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from([0, 1, 63, 64, 70]),
+    st.sampled_from([0, 9, 2**64 - 70]),
+)
+def test_map_read_matches_sampled_frames_on_random_noisy_dynamic_circuits(n, steps, seed, m, per_seed, offset):
+    """The error-map read (:meth:`Program.read`) gives, bit for bit, the
+    flips that ``readout_flips`` reads off the sampled frames, on the
+    random dynamic circuits of the dense-oracle fuzz (resets, collapse
+    coins and folded feed-forward parities included) with noise sites of
+    random operators and weights, under m seeds and shot offsets."""
+    circ = _fuzz_circuit(n, steps)
+    rng = np.random.default_rng(seed)
+    n_ins = len(circ.instructions)
+    weights = (0.0, 1.0, 0.5, float(rng.random()))
+    sites = [
+        _site(int(rng.integers(n_ins + 1)), p, weights[int(rng.integers(len(weights)))])
+        for p in _random_paulis(rng, int(rng.integers(0, 6)), n)
+    ]
+    sx, sz = sb.pauli_bits(_random_paulis(rng, m, n), n)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=m)]
+    program = tb.compile(circ, sites)
+    want = program.sample(m * per_seed, seeds, offset).readout_flips(sx, sz)
+    got = program.read(sx, sz, m * per_seed, seeds, offset)
+    assert got.dtype == bool and got.shape == (m, per_seed)
+    np.testing.assert_array_equal(got, want)
+    batch = tb.run_batch(circ, m * per_seed, master_seed=seeds, noise=sites, shot_offset=offset, read=(sx, sz))
+    np.testing.assert_array_equal(batch.flips, want)
+    assert batch.reference is not None and batch.reference.n == n
+
+
+@pytest.mark.parametrize("build, mode", [("ghz", "feed_forward"), ("ghz", "post_process"), ("cnot", "feed_forward")])
+def test_map_read_matches_sampled_frames_through_delta_coded_coins(build, mode):
+    """On chains long enough for delta-coded collapse flips (which the
+    small random circuits never make), with noise: the map read equals the
+    flips read off the sampled frames, for random operators on the whole
+    register and for the chain's own stabilizer-like reads."""
+    n = 40
+    circ = C.ghz_dynamic(n, mode=mode) if build == "ghz" else C.long_range_cnot_dynamic(n, mode=mode)
+    sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.02, lambda_meas=0.03))
+    program = tb.compile(circ, sites)
+    assert any(entry[0] == "delta" for entry in program.entries)
+    rng = np.random.default_rng(n)
+    width = circ.n_qubits
+    ops = _random_paulis(rng, 5, width) + [PauliString.from_text("Z" * width), PauliString.from_text("X" * width)]
+    sx, sz = sb.pauli_bits(ops, width)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
+    for per_seed, offset in ((64, 0), (33, 2**40)):
+        want = program.sample(len(ops) * per_seed, seeds, offset).readout_flips(sx, sz)
+        np.testing.assert_array_equal(program.read(sx, sz, len(ops) * per_seed, seeds, offset), want)
+        assert want.any() and not want.all()
+
+
+def test_map_read_draws_a_collapse_coin_that_flips_a_fixed_operator():
+    """An uncorrected h then measure leaves the reference in |0>, where Z
+    reads +1, and the collapse coin flips it on about half the shots: the
+    map read draws that coin (the e = 0 fallback never sees it), beside a
+    noise site on a qubit Z does not read and one that it does, and beside
+    a reset whose coin the reset absorbs."""
+    circ = C.Circuit(3)
+    circ.add("h", 0, start=0.0)
+    circ.add("h", 2, start=0.0)
+    circ.measure(0, start=1.0)
+    circ.add("reset", 2, start=1.0)
+    sites = [_site(4, PauliString.from_text("IXI"), 0.5), _site(4, PauliString.from_text("IIX"), 0.25)]
+    program = tb.compile(circ, sites)
+    ops = [PauliString.from_text(t) for t in ("ZII", "IZI", "IIZ", "XXX")]
+    sx, sz = sb.pauli_bits(ops, 3)
+    assert program.reference.bit_expectations(sx[:3], sz[:3]).tolist() == [1, 1, 1]
+    seeds = [3, 4, 5, 6]
+    got = program.read(sx, sz, 4 * 256, seeds)
+    np.testing.assert_array_equal(got, program.sample(4 * 256, seeds).readout_flips(sx, sz))
+    assert 0.4 < got[0].mean() < 0.6 and 0.4 < got[1].mean() < 0.6 and 0.15 < got[2].mean() < 0.35
+    # the draws that can flip each operator: coin 0, site 0, site 1, and
+    # for XXX only site 0's X on qubit 1 and site 1's X on qubit 2 commute
+    fx, fz = program.error_map()
+    assert program.streams.size == 4  # coins of qubits 0 and 2, two sites
+    assert program._anticommuting(sx, sz).tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert _bits(fx, 4).tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert not fz.any()
+
+
+def test_map_read_validates_its_split():
+    program = tb.compile(C.ghz_dynamic(3))
+    sx, sz = sb.pauli_bits([PauliString.from_text(t) for t in ("XXX", "ZZI")], 3)
+    assert program.read(sx, sz, 0, [1, 2]).shape == (2, 0)
+    with pytest.raises(ValueError, match="2 operators but 3 seeds"):
+        program.read(sx, sz, 6, [1, 2, 3])
+    with pytest.raises(ValueError, match="do not split evenly"):
+        program.read(sx, sz, 5, [1, 2])
+    with pytest.raises(ValueError, match="shot ids"):
+        program.read(sx, sz, 4, [1, 2], shot_offset=2**64 - 1)
+
+
+def test_fired_pair_list_matches_the_full_grid():
+    """The pair-list kernel draws each (stream, seed) pair exactly as the
+    full grid does: row p is the seed-p block of its stream's grid row."""
+    ids = np.arange(5, 75, dtype=np.uint64)
+    streams = np.array([0, 7, tb._NOISE_STREAM_BASE + 3], dtype=np.uint64)
+    thresholds = np.array([2**52, 2**50, 2**53 - 1], dtype=np.uint64)
+    seeds = [11, 2**63 - 5, 0, 2**70]
+    rnd = tb.CounterRandom(seeds)
+    grid = _bits(rnd.fired(streams, thresholds, ids), len(seeds) * ids.size).reshape(3, len(seeds), -1)
+    j = np.array([2, 0, 0, 1, 2, 2])
+    k = np.array([0, 0, 3, 1, 1, 2])
+    rows = rnd.fired(streams[j], thresholds[j], ids, seeds=k)
+    assert rows.shape == (j.size, 2)
+    np.testing.assert_array_equal(_bits(rows, ids.size), grid[j, k])
+    assert rnd.fired(streams[:0], thresholds[:0], ids, seeds=k[:0]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
