@@ -12,11 +12,12 @@ estimation (DFE) of a stabilizer state:
   tuple.  Averaging uniformly drawn ones gives the process fidelity,
   converted to average gate fidelity at d = 4.
 
-Every sample of an estimate is drawn from one compiled program of the
-circuit, through its error map (:class:`CircuitStateSource`).  Sample k
-depends only on (seed, k); results do not depend on evaluation order.  Estimates are
-returned raw — sampling noise may push them outside [0, 1] and they are
-never clipped.
+Every parity of an estimate is read through the error map of one
+compiled program (:class:`CircuitStateSource`): the circuit's own, or,
+for an operator its reference state does not fix, that of the
+operator's readout circuit.  Sample k depends only on (seed, k); results
+do not depend on evaluation order.  Estimates are returned raw —
+sampling noise may push them outside [0, 1] and they are never clipped.
 """
 
 from __future__ import annotations
@@ -174,12 +175,6 @@ def pauli_readout_circuit(circuit: Circuit, basis: dict[int, str]) -> tuple[Circ
     return new, recs
 
 
-def _parities(records: np.ndarray, cols: list[int]) -> np.ndarray:
-    if not cols:
-        return np.ones(records.shape[0])
-    return 1.0 - 2.0 * (records[:, cols].astype(int).sum(axis=1) % 2)
-
-
 # ---------------------------------------------------------------------------
 # shot providers
 # ---------------------------------------------------------------------------
@@ -215,34 +210,29 @@ def _map_row_bytes(circuit: Circuit, noise, shots: int) -> int:
     return 18 + -(-per_sample // max(shots, 1))
 
 
-def _sample_row_bytes(circuit: Circuit, noise) -> int:
-    """Bytes a row (shot) of a sampling call holds: a byte per record, and
-    one bit per record (the packed diff), per draw (the fired mask) and
-    per qubit in each of four frame rows (two replayed, two read out)."""
-    c = circuit
-    return c.n_records + (c.n_records + _draws(c, noise) + 4 * c.n_qubits + 7) // 8
-
-
 class CircuitStateSource:
     """Measures Pauli expectation parities on the output state of a circuit.
 
     ``source.parities(paulis, shots, seeds)`` samples ``shots`` shots of
     each (sign-free) Pauli in ``paulis`` — given on the ``data_qubits``
-    register — under its own seed, with the attached noise sites.  All
-    samples go through one :func:`tableau.run_batch` call on the circuit
-    itself (split into calls of bounded rows and bytes).  A shot ends in
-    ``F * ref``, so a Pauli S with expectation e = +-1 on the reference
-    state reads ``e * (-1)^<F, S>``; the call reads that flip through the
-    compiled program's error map (``run_batch(..., read=...)``,
-    :meth:`tableau.Program.read`): F is the product of the end Paulis of
-    the noise sites and collapse coins the shot fires, so only the draws
-    whose end Pauli anticommutes with S are drawn, and no frame is
-    replayed.  A circuit whose corrections are deferred to
-    post-processing is read the same way: F then carries each shot's
-    correction, as feed-forward would have applied it.  An operator with e = 0
-    on the reference has a random outcome per shot; it falls back to a
-    readout circuit (:func:`pauli_readout_circuit`) sampled on its own.  The
-    shot-for-shot values equal those of that readout circuit.
+    register — under its own seed, with the attached noise sites.  Every
+    parity is read through :func:`tableau.run_batch` with ``read``, in
+    calls of bounded rows and bytes.  A shot ends in ``F * ref``, so a
+    Pauli S with expectation e = +-1 on the reference state reads
+    ``e * (-1)^<F, S>``; ``run_batch`` reads that flip through the
+    compiled program's error map (:meth:`tableau.Program.read`): F is the
+    product of the end Paulis of the noise sites and collapse coins the
+    shot fires, so only the draws whose end Pauli anticommutes with S are
+    drawn, and no frame is replayed.  A circuit whose corrections are
+    deferred to post-processing is read the same way: F then carries each
+    shot's correction, as feed-forward would have applied it.
+
+    An operator with e = 0 on the reference has a random outcome per shot;
+    ``run_batch`` leaves its row 0, and it is read on its readout circuit
+    (:func:`pauli_readout_circuit`) instead, as Z on every measured qubit.
+    The measurements fix that operator, and its flip is the X frame of the
+    measured qubits, which nothing after them changes, so each shot's value
+    is the record parity of the readout circuit.
 
     ``parities`` and ``n_data`` are the state-source protocol that
     :func:`estimate_ghz_fidelity` and :func:`estimate_cnot_gate_fidelity`
@@ -271,10 +261,9 @@ class CircuitStateSource:
         # every operator on the circuit register, as qubit columns, once
         x, z = pauli_bits(paulis, c.n_qubits, qubits=self.data)
         out = np.empty((len(paulis), shots))
-        e = None
         for rows, cols in _blocks(len(paulis), shots, _max_rows(_map_row_bytes(c, self.noise, shots))):
             seeds_k = seeds[rows]
-            res = tb.run_batch(
+            out[rows, cols] = tb.run_batch(
                 c,
                 len(seeds_k) * (cols.stop - cols.start),
                 master_seed=seeds_k,
@@ -282,27 +271,17 @@ class CircuitStateSource:
                 shot_offset=cols.start,
                 read=(x[rows], z[rows]),
             )
-            if e is None:  # the reference state is the same in every batch of this circuit
-                e = res.reference.bit_expectations(x, z)
-            par = e[rows, None] * np.where(res.flips, -1.0, 1.0)
-            for k in np.nonzero(e[rows] == 0)[0]:
-                par[k] = self._read_out(paulis[rows][k], cols.stop - cols.start, seeds_k[k], cols.start)
-            out[rows, cols] = par
+        for k in np.flatnonzero(out[:, :1] == 0):  # the rows run_batch left 0: e = 0
+            out[k] = self._read_out(paulis[k], shots, seeds[k])
         return out
 
-    def _read_out(self, pauli: PauliString, shots: int, seed: int, shot_offset: int) -> np.ndarray:
-        """Parities of an operator the reference state does not fix, from its
-        own readout circuit."""
+    def _read_out(self, pauli: PauliString, shots: int, seed: int) -> np.ndarray:
+        """Parities of an operator the reference state does not fix: Z on
+        every qubit its readout circuit measures, read on that circuit."""
         basis = {self.data[q]: pauli.letter(q) for q in pauli.support}
-        circ, recs = pauli_readout_circuit(self.circuit, basis)
-        cols = [recs[q] for q in sorted(basis)]
-        out = np.empty(shots)
-        step = _max_rows(_sample_row_bytes(circ, self.noise))
-        for lo in range(0, shots, step):
-            hi = min(lo + step, shots)
-            res = tb.run_batch(circ, hi - lo, master_seed=seed, noise=self.noise, shot_offset=shot_offset + lo)
-            out[lo:hi] = _parities(res.records, cols)
-        return out
+        readout, _ = pauli_readout_circuit(self.circuit, basis)
+        measured = CircuitStateSource(readout, data_qubits=sorted(basis), noise=self.noise)
+        return measured.parities([PauliString(len(basis), 0, (1 << len(basis)) - 1)], shots, [seed])[0]
 
 
 def _blocks(m: int, shots: int, max_rows: int):

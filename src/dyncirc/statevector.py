@@ -24,6 +24,7 @@ from itertools import product
 import numpy as np
 
 from .circuits import Circuit
+from .noise import NoiseSite
 from .pauli import PauliString
 
 MAX_QUBITS = 14
@@ -497,9 +498,16 @@ def average_state_fidelity(
     outcomes and noise configurations; ancillas outside ``keep`` traced out."""
     if keep is None:
         keep = tuple(range(circuit.n_qubits))
+    return _noise_average(circuit, target, tuple(keep), sites, initial)
+
+
+def _noise_average(circuit: Circuit, target: np.ndarray, keep: tuple[int, ...], sites, initial) -> float:
+    """The fidelity with ``target`` on ``keep`` of each noise configuration
+    of ``sites`` (:func:`enumerate_noise`), run from ``initial``, weighted
+    by its probability and summed."""
     total = 0.0
     for p_cfg, ins in enumerate_noise(sites):
-        total += p_cfg * _execute(circuit, ins, initial).fidelity(target, tuple(keep))
+        total += p_cfg * _execute(circuit, ins, initial).fidelity(target, keep)
     return total
 
 
@@ -553,15 +561,11 @@ def process_fidelity(
 
     out_positions = tuple(data if data_out is None else data_out)
     keep = out_positions + tuple(range(n_c, n_c + k))
-    total = 0.0
-    for p_cfg, ins in enumerate_noise(sites):
-        # pad the inserted Paulis onto the reference-extended register
-        ins_wide = {
-            idx: [PauliString(n_c + k, p.x_bits, p.z_bits) for p in ps]
-            for idx, ps in ins.items()
-        }
-        total += p_cfg * _execute(wide, ins_wide, psi0).fidelity(tgt, keep)
-    return total
+    # the noise sites, padded onto the reference-extended register
+    wide_sites = [
+        NoiseSite(s.before_index, PauliString(n_c + k, s.pauli.x_bits, s.pauli.z_bits), s.omega) for s in sites
+    ]
+    return _noise_average(wide, tgt, keep, wide_sites, psi0)
 
 
 def cnot_matrix() -> np.ndarray:

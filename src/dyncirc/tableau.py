@@ -32,8 +32,9 @@ then replayed as Pauli frames over many shots.
   from it: a shot's readout flip of an operator is the XOR of the draws it
   fires whose map Pauli anticommutes with the operator, so only those
   (draw, seed) pairs are hashed, and no frame is replayed.
-  ``run_batch(..., read=(sx, sz))`` is that read, compiled and drawn in one
-  call, as certification's parities take it.
+  ``run_batch(..., read=(sx, sz))`` compiles and reads in one call and
+  returns parities, as certification takes them: it reads only the
+  operators the reference state fixes (e = +-1), as ``e * (-1)^flip``.
 
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
@@ -461,8 +462,8 @@ class Program:
         """``shots`` executions of the compiled circuit, as
         :func:`run_batch` describes them: shot i's randomness depends only
         on (master_seed, shot_offset + i)."""
-        stream, ids = _shot_ids(shots, master_seed, shot_offset)
-        fired = stream.fired(self.streams, self.thresholds, ids)
+        stream = CounterRandom(master_seed)
+        fired = stream.fired(self.streams, self.thresholds, _shot_ids(shots, stream.n_seeds, shot_offset))
         records, fx, fz = self._replay(fired, shots)
         noise_rows = fired[self.streams >= _NOISE_STREAM_BASE]
         return BatchResult(records, self.reference, fx, fz, noise_rows, list(self.sites))
@@ -493,7 +494,8 @@ class Program:
         pairs whose frame anticommutes with operator k are drawn, each
         pair's shots packed into its own row (:meth:`CounterRandom.fired`),
         and the rows of each operator are XOR-reduced into its flips."""
-        stream, ids = _shot_ids(shots, master_seed, shot_offset)
+        stream = CounterRandom(master_seed)
+        ids = _shot_ids(shots, stream.n_seeds, shot_offset)
         m, r = sx.shape[0], ids.size
         if m != stream.n_seeds:
             raise ValueError(f"{m} operators but {stream.n_seeds} seeds")
@@ -620,28 +622,17 @@ class Program:
         return records, _int_rows(FX, n_words), _int_rows(FZ, n_words)
 
 
-def _shot_ids(shots: int, master_seed, shot_offset: int) -> tuple[CounterRandom, np.ndarray]:
-    """The draws of ``shots`` shots split evenly over the seeds of
-    ``master_seed``, and the shot ids ``shot_offset ..`` each seed draws."""
+def _shot_ids(shots: int, n_seeds: int, shot_offset: int) -> np.ndarray:
+    """The shot ids ``shot_offset ..`` each of ``n_seeds`` seeds draws,
+    with ``shots`` split evenly over them."""
     if shots < 0:
         raise ValueError(f"negative shot count {shots}")
-    stream = CounterRandom(master_seed)
-    if stream.n_seeds == 0 or shots % stream.n_seeds:
-        raise ValueError(f"{shots} shots do not split evenly over {stream.n_seeds} seeds")
-    end = int(shot_offset) + shots // stream.n_seeds
+    if n_seeds == 0 or shots % n_seeds:
+        raise ValueError(f"{shots} shots do not split evenly over {n_seeds} seeds")
+    end = int(shot_offset) + shots // n_seeds
     if shot_offset < 0 or end > 1 << 64:
         raise ValueError(f"shot ids {shot_offset}..{end - 1} outside 0..2^64-1")
-    return stream, np.arange(int(shot_offset), end, dtype=np.uint64)
-
-
-@dataclass
-class Readout:
-    """Readout flips of m operators, as :meth:`Program.read` gives them
-    (``flips``), and the reference end state they flip, as
-    :class:`BatchResult` holds it."""
-
-    reference: StabilizerState
-    flips: np.ndarray
+    return np.arange(int(shot_offset), end, dtype=np.uint64)
 
 
 # instructions that only mark the schedule and leave the state alone
@@ -871,7 +862,7 @@ def run_batch(
     mode: str = "feed_forward",
     shot_offset: int = 0,
     read=None,
-) -> BatchResult | Readout:
+) -> BatchResult | np.ndarray:
     """Sample ``shots`` executions; shot i's randomness depends only on
     (master_seed, shot_offset + i), so splitting a batch across workers
     reproduces the single-batch output exactly.
@@ -896,13 +887,28 @@ def run_batch(
 
     ``read`` is None, or (sx, sz): m operators on the circuit register as
     (m, n) booleans of X and Z letters (:func:`pauli_bits`), one per seed.
-    Then no frame is replayed: the result is a :class:`Readout` of the
-    flips that :meth:`BatchResult.readout_flips` would read off this
-    batch, drawn through the program's error map (:meth:`Program.read`).
+    Then no frame is replayed: the result is the (m, shots/m) float array
+    of their parities, ``e * (-1)^flip`` for an operator with expectation
+    e = +-1 on the reference state, its flip what
+    :meth:`BatchResult.readout_flips` would read off this batch.  Only
+    those operators are read, through the program's error map
+    (:meth:`Program.read`); the row of an operator the reference does not
+    fix (e = 0) is left 0, and none of its draws is hashed.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     program = compile(circuit, noise)
     if read is None:
         return program.sample(shots, master_seed, shot_offset)
-    return Readout(program.reference, program.read(*read, shots, master_seed, shot_offset))
+    sx, sz = read
+    seeds = [master_seed] if isinstance(master_seed, (int, np.integer)) else master_seed
+    seeds = seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
+    if sx.shape[0] != seeds.size:
+        raise ValueError(f"{sx.shape[0]} operators but {seeds.size} seeds")
+    out = np.zeros((seeds.size, _shot_ids(shots, seeds.size, shot_offset).size))
+    e = program.reference.bit_expectations(sx, sz)
+    fixed = np.flatnonzero(e)
+    if fixed.size:  # Program.read refuses zero seeds
+        flips = program.read(sx[fixed], sz[fixed], fixed.size * out.shape[1], seeds[fixed], shot_offset)
+        out[fixed] = e[fixed, None] * np.where(flips, -1.0, 1.0)
+    return out

@@ -288,8 +288,8 @@ def test_batched_parities_split_into_bounded_calls(monkeypatch):
     """Parities are read through the error map (``run_batch`` with
     ``read``) in calls of whole samples, or of one sample's shots in
     pieces, within both the row and the byte cap; an operator the state
-    does not fix falls back to a sampled readout circuit, in pieces within
-    the caps of that path.  No split changes a value."""
+    does not fix is read the same way on its readout circuit, in pieces
+    within the caps of that circuit.  No split changes a value."""
     circ = C.ghz_dynamic(5)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.05, lambda_meas=0.1))
     src = cert.CircuitStateSource(circ, noise=sites)
@@ -303,33 +303,36 @@ def test_batched_parities_split_into_bounded_calls(monkeypatch):
     run_batch = tb.run_batch
 
     def counted(circuit, shots, *args, **kwargs):
-        calls.append((shots, kwargs.get("read") is not None))
+        calls.append((circuit.n_records, shots, kwargs.get("read") is not None))
         return run_batch(circuit, shots, *args, **kwargs)
 
     monkeypatch.setattr(tb, "run_batch", counted)
     draws = len(sites) + sum(ins.op in ("measure", "reset") for ins in circ.instructions)
-    readout_records = circ.n_records + 1
-    # a read call holds, per (sample, draw), a table byte and at most one
-    # drawn pair (64 bytes and its packed shots); per row, 18 bytes.  A
-    # sampled readout holds its records, packed diffs, fired mask and frames
-    read_bytes = {shots: 18 + -(-draws * (65 + 8 * ((shots + 63) // 64)) // shots) for shots in (16, 100)}
-    sample_bytes = readout_records + (readout_records + draws + 4 * circ.n_qubits + 7) // 8
+
+    def read_bytes(draws, shots):
+        # per (sample, draw), a table byte and at most one drawn pair (64
+        # bytes and its packed shots); per row, 18 bytes
+        return 18 + -(-draws * (65 + 8 * ((shots + 63) // 64)) // shots)
+
+    own = {shots: read_bytes(draws, shots) for shots in (16, 100)}
+    readout = {shots: read_bytes(draws + 1, shots) for shots in (16, 100)}  # one more measurement
     # a row cap, then byte caps that allow fewer rows than the row cap
-    for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * read_bytes[16] + 7), (1 << 16, 30 * sample_bytes)):
+    for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * own[16] + 7), (1 << 16, 30 * readout[100])):
         monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
         monkeypatch.setattr(cert, "_MAX_BATCH_BYTES", nbytes)
         for shots in (16, 100):
             calls.clear()
             np.testing.assert_array_equal(src.parities(ops, shots, seeds), whole[shots])
-            assert all(read for _, read in calls)
-            assert max(n for n, _ in calls) <= min(rows, nbytes // read_bytes[shots])
-            assert sum(n for n, _ in calls) == len(ops) * shots
+            assert all(read for *_, read in calls)
+            assert max(n for _, n, _ in calls) <= min(rows, nbytes // own[shots])
+            assert sum(n for _, n, _ in calls) == len(ops) * shots
             calls.clear()
             np.testing.assert_array_equal(src.parities(fallback, shots, [16]), whole_fallback[shots])
-            sampled = [n for n, read in calls if not read]
-            assert max(sampled) <= min(rows, nbytes // sample_bytes) and sum(sampled) == shots
-            assert sum(n for n, read in calls if read) == shots
-    assert len(sampled) > 1  # the last cap splits the fallback
+            assert all(read for *_, read in calls)
+            split = [n for records, n, _ in calls if records > circ.n_records]  # the readout circuit's
+            assert max(split) <= min(rows, nbytes // readout[shots]) and sum(split) == shots
+            assert sum(n for records, n, _ in calls if records == circ.n_records) == shots
+    assert len(split) > 1  # the last cap splits the fallback
     with pytest.raises(ValueError):
         src.parities(ops, 4, seeds[:2])
 
@@ -546,8 +549,11 @@ def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
     exactly m x shots shots of it: the sampler's entry points
     (``Program.sample`` and ``Program.read``) run only inside it, and no
     call defers its draws past its return.  A benchmark that counts shots
-    and sampler time by wrapping ``run_batch`` relies on both."""
-    shots, inside, outside = [], [0], []
+    and sampler time by wrapping ``run_batch`` relies on both.  Every
+    parity takes the one read path, operators the state does not fix
+    (e = 0) included: each ``run_batch`` call passes ``read``, and no
+    frame is ever sampled (``Program.sample``)."""
+    shots, inside, outside, ran = [], [0], [], []
     run_batch = tb.run_batch
 
     def counted(circuit, n, *args, **kwargs):
@@ -556,18 +562,22 @@ def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
             result = run_batch(circuit, n, *args, **kwargs)
         finally:
             inside[0] -= 1
-        shots.append(n)
+        shots.append((n, kwargs.get("read") is not None))
         return result
 
     def guarded(name):
         method = getattr(tb.Program, name)
 
         def call(self, *args, **kwargs):
+            ran.append(name)
             if not inside[0]:
                 outside.append(name)
             return method(self, *args, **kwargs)
 
         return call
+
+    def one_path():
+        return all(read for _, read in shots) and "sample" not in ran and not outside
 
     monkeypatch.setattr(tb, "run_batch", counted)
     for name in ("sample", "read"):
@@ -576,14 +586,44 @@ def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
     ghz = C.ghz_dynamic(6, mu=1.0)
     src = cert.CircuitStateSource(ghz, noise=N.attach_noise(ghz, params))
     cert.estimate_ghz_fidelity(src, 6, 30, shots_per_sample=24, seed=2)
-    assert sum(shots) == 30 * 24 and not outside
+    assert sum(n for n, _ in shots) == 30 * 24 and one_path()
+    shots.clear()
+    # e = +1, +1, 0, 0 on GHZ_6
+    mixed = [PauliString.from_text(t) for t in ("XXXXXX", "ZZIIII", "ZIIIII", "IXIYII")]
+    src.parities(mixed, 24, [1, 2, 3, 4])
+    assert len(shots) == 1 + 2 and one_path()  # the circuit, then a readout circuit per e = 0 operator
     shots.clear()
     for variant in ("dynamic", "Ia", "II"):
         circ, data_in, data_out = cli._cnot_circuit(variant, 3, 1.0, "feed_forward")
         choi = cert.choi_state_source(circ, data_in, data_out, noise=N.attach_noise(circ, params))
         cert.estimate_cnot_gate_fidelity(choi, 25, shots_per_sample=16, seed=3)
-        assert sum(shots) == 25 * 16 and not outside
+        assert sum(n for n, _ in shots) == 25 * 16 and one_path()
         shots.clear()
+        # e = +1, 0, +1 on the Choi state of CNOT
+        choi.parities([PauliString.from_text(t) for t in ("XXXI", "ZIII", "ZIZI")], 16, [5, 6, 7])
+        assert len(shots) == 1 + 1 and one_path()
+        shots.clear()
+    assert "read" in ran
+
+
+def test_unfixed_operators_are_left_out_of_the_circuit_read(monkeypatch):
+    """An operator the reference does not fix (e = 0) hashes no draw of
+    the circuit itself: ``run_batch`` hands ``Program.read`` only the
+    operators the reference fixes, and the e = 0 operator is read once,
+    on its readout circuit (one more record)."""
+    circ = C.ghz_dynamic(5)
+    src = cert.CircuitStateSource(circ, noise=N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.05, lambda_meas=0.1)))
+    reads = []
+    read = tb.Program.read
+
+    def counted(self, sx, sz, *args, **kwargs):
+        reads.append((self.n_records, sx.shape[0]))
+        return read(self, sx, sz, *args, **kwargs)
+
+    monkeypatch.setattr(tb.Program, "read", counted)
+    ops = [cert.ghz_stabilizer_group(5)[7].mod_phase(), PauliString.from_text("ZIIII")]
+    src.parities(ops, 16, [1, 2])
+    assert reads == [(circ.n_records, 1), (circ.n_records + 1, 1)]
 
 
 def test_cnot_saturated_floor_is_two_fifths():

@@ -1341,7 +1341,9 @@ def test_map_read_matches_sampled_frames_on_random_noisy_dynamic_circuits(n, ste
     flips that ``readout_flips`` reads off the sampled frames, on the
     random dynamic circuits of the dense-oracle fuzz (resets, collapse
     coins and folded feed-forward parities included) with noise sites of
-    random operators and weights, under m seeds and shot offsets."""
+    random operators and weights, under m seeds and shot offsets; and
+    ``run_batch`` with ``read`` gives the parities ``e * (-1)^flip``, e
+    the reference expectation (a row of 0 where e = 0)."""
     circ = _fuzz_circuit(n, steps)
     rng = np.random.default_rng(seed)
     n_ins = len(circ.instructions)
@@ -1357,9 +1359,9 @@ def test_map_read_matches_sampled_frames_on_random_noisy_dynamic_circuits(n, ste
     got = program.read(sx, sz, m * per_seed, seeds, offset)
     assert got.dtype == bool and got.shape == (m, per_seed)
     np.testing.assert_array_equal(got, want)
+    e = program.reference.bit_expectations(sx, sz)
     batch = tb.run_batch(circ, m * per_seed, master_seed=seeds, noise=sites, shot_offset=offset, read=(sx, sz))
-    np.testing.assert_array_equal(batch.flips, want)
-    assert batch.reference is not None and batch.reference.n == n
+    np.testing.assert_array_equal(batch, e[:, None] * np.where(want, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("build, mode", [("ghz", "feed_forward"), ("ghz", "post_process"), ("cnot", "feed_forward")])
