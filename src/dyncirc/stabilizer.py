@@ -5,10 +5,12 @@ set {H, S, S†, X, Y, Z, CNOT}, mid-circuit measurement (deterministic and
 random outcomes), reset, and single-qubit Pauli corrections.  The 2n
 generator rows are bit lanes, 64 rows per machine word, in arrays indexed
 [lane word, qubit] (Stim's tableau layout, Gidney, Quantum 5, 497 (2021)):
-a run of gates on disjoint qubits is a few word operations on their
-gathered columns, and a layer of measurements is collapsed at once, its
-pivots found by an elimination over the measured qubits' X columns and the
-rows it rewrites read out of their lane words once and written back once.
+a round of gates on disjoint qubits is a few word operations on their
+gathered columns, a chain of narrow rounds the same word rules on its
+columns read once as Python ints, and a layer of measurements is collapsed
+at once, its pivots found by an elimination over the measured qubits' X
+columns and the rows it rewrites read out of their lane words once and
+written back once.
 It runs the reference pass of the frame program that
 :func:`dyncirc.tableau.compile` emits.
 """
@@ -98,6 +100,13 @@ _CACHED_ROWS = 256
 # cost more than the rows' int products
 _WIDE_TARGETS = 24
 
+# Fewest qubits a round of a gate run touches for it to be applied on
+# gathered numpy columns wherever it stands: a stretch of narrower rounds
+# is applied on int columns, which cost more per gate and lane word but
+# save a few numpy calls per round (at 50 lane words, two rounds of eight
+# CNOTs already cost more as ints)
+_WIDE_ROUND = 16
+
 
 def _transpose64(a: np.ndarray) -> np.ndarray:
     """Transpose, in place, the 64 x 64 bit matrix of each column of the
@@ -123,9 +132,9 @@ def _transpose64(a: np.ndarray) -> np.ndarray:
 
 
 def _columns(qs) -> slice | list:
-    """Two or more qubit indices as a slice when they step evenly upwards,
-    so that columns are read and written through views, else as a list."""
-    step = qs[1] - qs[0]
+    """Qubit indices as a slice when they step evenly upwards, so that
+    columns are read and written through views, else as a list."""
+    step = qs[1] - qs[0] if len(qs) > 1 else 1
     if step > 0 and all(b - a == step for a, b in zip(qs, qs[1:])):
         return slice(qs[0], qs[-1] + 1, step)
     return list(qs)
@@ -189,12 +198,14 @@ class StabilizerState:
     qubit q of rows 64w .. 64w + 63, row i in bit i % 64 of lane word
     i // 64, and bit i % 64 of ``_r[i // 64]`` is set where row i has sign
     -1.  A gate is then a few word operations on one or two qubit columns,
-    and a run of gates on disjoint qubits the same operations on gathered
-    columns (:meth:`apply_gates`).  A measurement layer is collapsed at once
-    (:meth:`_collapse`), a single measurement or reset being a layer of one,
-    and its deterministic outcomes are read together as Z expectations
-    (:meth:`bit_expectations`).  Readers that need rows in row order take
-    them from :meth:`_rows`, through the collapse's own lane transpose.
+    a round of gates on disjoint qubits the same operations on gathered
+    columns, and a stretch of narrow rounds the same operations on its
+    columns as ints (:meth:`apply_gates`).  A measurement layer is
+    collapsed at once (:meth:`_collapse`), a single measurement or reset
+    being a layer of one, and its deterministic outcomes are read together
+    as Z expectations (:meth:`bit_expectations`).  Readers that need rows
+    in row order take them from :meth:`_rows`, through the collapse's own
+    lane transpose.
 
     The outcome of a collapse is kept per qubit until a gate acts on that
     qubit (a Pauli with X or Y there flips it), so measuring it again costs
@@ -271,9 +282,13 @@ class StabilizerState:
     def apply_gates(self, gates) -> None:
         """Apply Clifford gates in order, each ``(name, qubits)`` as
         :meth:`apply_clifford` takes them.  Consecutive gates on disjoint
-        qubits form one round, applied as one column gather and scatter per
-        gate name: each gate of a round reads and writes only its own
-        columns, so their sign updates XOR together."""
+        qubits form one round: each gate of a round reads and writes only
+        its own columns, so their sign updates XOR together.  A stretch of
+        two or more rounds on fewer than ``_WIDE_ROUND`` qubits each is
+        applied on int columns (:meth:`_int_rounds`); any other round, a
+        lone narrow one included, as one column gather and scatter per
+        gate name (:meth:`_gather_round`).  Every gate is checked before
+        any is applied."""
         n = self.n
         rounds, batch, used, touched = [], {}, set(), []
         for gate, qubits in gates:
@@ -287,7 +302,7 @@ class StabilizerState:
                 if not 0 <= q < n:
                     self._check(q)
             if not used.isdisjoint(qubits):
-                rounds.append(batch)
+                rounds.append((batch, len(used)))
                 batch, used = {}, set()
             used.update(qubits)
             touched += qubits
@@ -296,33 +311,82 @@ class StabilizerState:
                 batch[gate] = [qubits]
             else:
                 group.append(qubits)
-        rounds.append(batch)
-        X, Z, r = self._X, self._Z, self._r
-        for batch in rounds:
-            for gate, qs in batch.items():
-                # each operand position's qubits, as one index, a slice or a list
-                cols = qs[0] if len(qs) == 1 else [_columns(v) for v in zip(*qs)]
-                if gate == "cx":
-                    c, t = cols
-                    xc, zt = X[:, c], Z[:, t]
-                    sign = xc & zt & ~(X[:, t] ^ Z[:, c])
-                    X[:, t] ^= xc
-                    Z[:, c] ^= zt
-                else:
-                    (q,) = cols
-                    x, z = X[:, q], Z[:, q]
-                    if gate == "h":
-                        sign = x & z
-                        X[:, q], Z[:, q] = z, x.copy()
-                    elif gate in ("s", "sdg"):
-                        sign = x & (z if gate == "s" else ~z)
-                        Z[:, q] ^= x
-                    else:  # a Pauli: x flips rows with Z, z those with X, y both
-                        sign = z if gate == "x" else x if gate == "z" else x ^ z
-                r ^= sign if sign.ndim == 1 else np.bitwise_xor.reduce(sign, axis=1)
+        rounds.append((batch, len(used)))
+        stretches = [[]]  # consecutive narrow rounds, each wide round alone
+        for batch, width in rounds:
+            if width < _WIDE_ROUND:
+                stretches[-1].append(batch)
+            else:
+                stretches += [[batch], []]
+        for stretch in stretches:
+            if len(stretch) > 1:
+                self._int_rounds(stretch)
+            elif stretch:
+                self._gather_round(stretch[0])
         if self._known:
             for q in touched:
                 self._known.pop(q, None)
+
+    def _gather_round(self, batch: dict) -> None:
+        """One round of :meth:`apply_gates` (gate name -> operand tuples)
+        as word operations on the gathered columns of each gate name."""
+        X, Z = self._X, self._Z
+        for gate, qs in batch.items():
+            # each operand position's qubits, as one index, a slice or a list
+            cols = qs[0] if len(qs) == 1 else [_columns(v) for v in zip(*qs)]
+            if gate == "cx":
+                c, t = cols
+                xc, zt = X[:, c], Z[:, t]
+                sign = xc & zt & ~(X[:, t] ^ Z[:, c])
+                X[:, t] ^= xc
+                Z[:, c] ^= zt
+            else:
+                (q,) = cols
+                x, z = X[:, q], Z[:, q]
+                if gate == "h":
+                    sign = x & z
+                    X[:, q], Z[:, q] = z, x.copy()
+                elif gate in ("s", "sdg"):
+                    sign = x & (z if gate == "s" else ~z)
+                    Z[:, q] ^= x
+                else:  # a Pauli: x flips rows with Z, z those with X, y both
+                    sign = z if gate == "x" else x if gate == "z" else x ^ z
+            self._r ^= sign if sign.ndim == 1 else np.bitwise_xor.reduce(sign, axis=1)
+
+    def _int_rounds(self, rounds: list[dict]) -> None:
+        """Rounds of :meth:`apply_gates` in order, on the X and Z columns of
+        the qubits they touch read once as ints (all lane words of a column
+        in one int) and the signs as one int, written back once: the word
+        rules of :meth:`_gather_round`, one gate at a time."""
+        cols = sorted({q for batch in rounds for qs in batch.values() for g in qs for q in g})
+        size, k = 8 * self._r.size, len(cols)
+        sel = _columns(cols)
+        raw = self._T[:, :, sel].transpose(0, 2, 1).tobytes()
+        col = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+        x, z = dict(zip(cols, col[:k])), dict(zip(cols, col[k:]))
+        r = int.from_bytes(self._r.tobytes(), "little")
+        for batch in rounds:
+            for gate, qs in batch.items():
+                if gate == "cx":
+                    for c, t in qs:
+                        xc, zt = x[c], z[t]
+                        r ^= xc & zt & ~(x[t] ^ z[c])
+                        x[t] ^= xc
+                        z[c] ^= zt
+                elif gate == "h":
+                    for (q,) in qs:
+                        r ^= x[q] & z[q]
+                        x[q], z[q] = z[q], x[q]
+                elif gate in ("s", "sdg"):
+                    for (q,) in qs:
+                        r ^= x[q] & (z[q] if gate == "s" else ~z[q])
+                        z[q] ^= x[q]
+                else:  # a Pauli
+                    for (q,) in qs:
+                        r ^= z[q] if gate == "x" else x[q] if gate == "z" else x[q] ^ z[q]
+        out = b"".join([v.to_bytes(size, "little") for part in (x, z) for v in part.values()])
+        self._T[:, :, sel] = np.frombuffer(out, dtype="<u8").reshape(2, k, -1).transpose(0, 2, 1)
+        self._r[:] = np.frombuffer(r.to_bytes(size, "little"), dtype="<u8")
 
     def apply_pauli(self, p: PauliString) -> None:
         """Multiply the state by ``p`` (global phase dropped): each generator

@@ -397,30 +397,123 @@ def test_lane_row_transposes_agree_and_invert(words, n, monkeypatch):
         np.testing.assert_array_equal(back, lanes)
 
 
-def test_gate_rounds_match_one_gate_at_a_time():
-    """apply_gates on runs that repeat qubits, step evenly or not, and mix
-    every gate equals one apply_clifford per gate."""
+def _random_gate(n, rng, on=None):
+    """A gate of any name, on qubit ``on`` when given."""
+    gate = (*_LAYER_CLIFFORDS, "cx")[int(rng.integers(7 if n > 1 else 6))]
+    a = int(rng.integers(n)) if on is None else on
+    if gate != "cx":
+        return gate, (a,)
+    b = int(rng.integers(n - 1))
+    b += b >= a
+    return gate, (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def _chain(n, rng, length, first=None):
+    """``length`` gates, each sharing a qubit with the one before."""
+    gates = [_random_gate(n, rng, first)]
+    while len(gates) < length:
+        gates.append(_random_gate(n, rng, int(rng.choice(gates[-1][1]))))
+    return gates
+
+
+def test_gate_rounds_match_one_gate_at_a_time(monkeypatch):
+    """apply_gates equals one apply_clifford per gate, through either
+    kernel and the width rule between them, on one to five lane words:
+    random runs that repeat qubits and step evenly or not, dependent chains
+    (each gate shares a qubit with the one before), and a chain, wide
+    rounds and a chain again, every gate name among them.  A bad gate in
+    the middle of a run raises before any gate of it is applied."""
     rng = np.random.default_rng(11)
-    for n in (2, 5, 70, 130):
-        ref = _random_state(n, rng)
-        batched = ref.copy()
-        for _ in range(6):
-            gates = []
-            for _ in range(int(rng.integers(1, 2 * n))):
-                if n > 1 and rng.random() < 0.4:
-                    gates.append(("cx", tuple(int(v) for v in rng.choice(n, size=2, replace=False))))
-                else:
-                    gates.append((_LAYER_CLIFFORDS[int(rng.integers(6))], (int(rng.integers(n)),)))
-            gates += [("h", (q,)) for q in range(0, n, 2)] + [("cx", (q, q + 1)) for q in range(1, n - 1, 2)]
-            batched.apply_gates(gates)
-            for g, qs in gates:
-                ref.apply_clifford(g, *qs)
-            np.testing.assert_array_equal(batched._T, ref._T)
-            np.testing.assert_array_equal(batched._r, ref._r)
-            assert batched._known == ref._known
-    with pytest.raises(ValueError, match="distinct"):
-        batched.apply_gates([("h", (0,)), ("cx", (1, 1))])
-    np.testing.assert_array_equal(batched._T, ref._T)
+    for wide_round in (sb._WIDE_ROUND, 0, 10**9):  # as set, every round gathered, every stretch as ints
+        monkeypatch.setattr(sb, "_WIDE_ROUND", wide_round)
+        for n in (2, 5, 40, 70, 130):
+            ref = _random_state(n, rng)
+            ref.measure(0)
+            batched = ref.copy()
+            wide = [("h", (q,)) for q in range(0, n, 2)] + [("cx", (q, q + 1)) for q in range(1, n - 1, 2)]
+            runs = [
+                [_random_gate(n, rng) for _ in range(int(rng.integers(1, 2 * n)))] + wide,
+                _chain(n, rng, 3 * n),
+                _chain(n, rng, 9) + wide + _chain(n, rng, 9),
+            ]
+            for gates in runs:
+                batched.apply_gates(gates)
+                for g, qs in gates:
+                    ref.apply_clifford(g, *qs)
+                np.testing.assert_array_equal(batched._T, ref._T)
+                np.testing.assert_array_equal(batched._r, ref._r)
+                assert batched._known == ref._known
+            batched.measure(0)
+            before = batched.copy()
+            assert batched._known
+            for bad, match in ((("cx", (1, 1)), "distinct"), (("t", (0,)), "supported"), (("h", (n,)), "range")):
+                with pytest.raises(ValueError, match=match):
+                    batched.apply_gates(_chain(n, rng, 9, first=0) + [bad] + _chain(n, rng, 9))
+                np.testing.assert_array_equal(batched._T, before._T)
+                np.testing.assert_array_equal(batched._r, before._r)
+                assert batched._known == before._known
+
+
+def _compiled(circ):
+    """What a compile emits and leaves in its reference state, arrays as
+    (dtype, values) so that programs compare bit for bit."""
+    prog = tb.compile(circ)
+
+    def plain(v):
+        return (v.dtype.str, v.tolist()) if isinstance(v, np.ndarray) else v
+
+    return (
+        [tuple(plain(v) for v in e) for e in prog.entries],
+        *(plain(v) for v in (prog.streams, prog.thresholds, prog.ref_bits, prog.reference._T, prog.reference._r)),
+    )
+
+
+def _choi_cnot(variant, n):
+    circ = C.long_range_cnot_dynamic(n) if variant == "dynamic" else C.long_range_cnot_unitary(variant, n)
+    data_out = None if circ.output_map is None else (circ.output_map[0], circ.output_map[n + 1])
+    return certify.choi_state_source(circ, (0, n + 1), data_out).circuit
+
+
+def test_compile_is_bit_identical_across_the_gate_kernels(monkeypatch):
+    """GHZ chains and Choi-widened CNOT chains compile to the same entries,
+    draws, reference record and reference tableau whether each gate run is
+    applied as int columns, gathered rounds or a mix, or one gate a call."""
+    circuits = [build(n) for build in (C.ghz_dynamic, C.ghz_unitary) for n in (*range(4, 17), 100)]
+    circuits += [_choi_cnot(v, n) for v in ("dynamic", "Ia", "Ib", "Ic", "II") for n in (*range(2, 13), 100)]
+    batched = [_compiled(c) for c in circuits]
+    kernel = tb.StabilizerState.apply_gates
+    monkeypatch.setattr(tb.StabilizerState, "apply_gates", lambda self, gates: [kernel(self, (g,)) for g in gates])
+    for circ, got in zip(circuits, batched):
+        assert got == _compiled(circ), circ.name
+
+
+def test_narrow_gate_runs_take_one_int_pass(monkeypatch):
+    """A unitary chain's gates each share a qubit with the one before, so
+    its run is all narrow rounds: compiling the Choi-widened Ic chain or
+    the GHZ tree makes one int-column pass per gate run and no numpy round.
+    The wide rounds of ghz_dynamic(1600) still take the numpy gather."""
+    calls = []
+    for name in ("_gather_round", "_int_rounds"):
+        kernel = getattr(sb.StabilizerState, name)
+
+        def counted(self, arg, name=name, kernel=kernel):
+            calls.append((name, arg))
+            return kernel(self, arg)
+
+        monkeypatch.setattr(sb.StabilizerState, name, counted)
+    for circ in (_choi_cnot("Ic", 12), C.ghz_unitary(16)):
+        calls.clear()
+        tb.compile(circ)
+        assert [name for name, _ in calls] == ["_int_rounds"]
+        rounds = calls[0][1]
+        assert len(rounds) > 8
+        gates = sum(ins.op == "cx" or ins.op in sb._ONE_QUBIT_CLIFFORDS for ins in circ.instructions)
+        assert sum(len(qs) for r in rounds for qs in r.values()) == gates
+    calls.clear()
+    tb.compile(C.ghz_dynamic(1600))
+    assert {name for name, _ in calls} == {"_gather_round"}
+    widths = [len({q for qs in batch.values() for g in qs for q in g}) for _, batch in calls]
+    assert len(widths) == 4 and min(widths) >= sb._WIDE_ROUND
 
 
 @pytest.mark.parametrize("build", [C.ghz_dynamic, C.long_range_cnot_dynamic], ids=["ghz", "cnot"])
