@@ -12,18 +12,19 @@ estimation (DFE) of a stabilizer state:
   tuple.  Averaging uniformly drawn ones gives the process fidelity,
   converted to average gate fidelity at d = 4.
 
-Every parity of an estimate is read through the error map of one
-compiled program (:class:`CircuitStateSource`): the circuit's own, or,
-for an operator its reference state does not fix, that of the
-operator's readout circuit.  Sample k depends only on (seed, k); results
-do not depend on evaluation order.  Estimates are returned raw —
-sampling noise may push them outside [0, 1] and they are never clipped.
+Every parity of an estimate is read in one sampler call through the
+error map of the circuit's compiled program (:class:`CircuitStateSource`);
+an operator its reference state does not fix reads a fair coin a shot.
+Sample k depends only on (seed, k); results do not depend on evaluation
+order.  Estimates are returned raw — sampling noise may push them outside
+[0, 1] and they are never clipped.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -180,59 +181,25 @@ def pauli_readout_circuit(circuit: Circuit, basis: dict[int, str]) -> tuple[Circ
 # ---------------------------------------------------------------------------
 
 
-# Bounds on one ``run_batch`` call: rows, and bytes of the per-row state it
-# holds.  A sweep point's samples are split into calls of whole samples
-# within both, so memory stays bounded in m*shots.
-_MAX_BATCH_ROWS = 1 << 16
-_MAX_BATCH_BYTES = 1 << 24
-
-
-def _max_rows(row_bytes: int) -> int:
-    return max(1, min(_MAX_BATCH_ROWS, _MAX_BATCH_BYTES // row_bytes))
-
-
-def _draws(circuit: Circuit, noise) -> int:
-    """An upper bound on the draws of the compiled circuit: one per noise
-    site and per measurement or reset (a random collapse draws a coin)."""
-    return len(noise) + sum(ins.op in ("measure", "reset") for ins in circuit.instructions)
-
-
-def _map_row_bytes(circuit: Circuit, noise, shots: int) -> int:
-    """Bytes a row (shot) of a ``read`` call holds, with ``shots`` rows a
-    sample.  Per (operator, draw) it holds a byte of the anticommutation
-    table and, when that pair is drawn, 64 bytes of its indices, stream
-    id, threshold and key and its packed row of the sample's shots; per
-    row, the flip as a byte and a boolean and the parity as two floats.
-    The hashing itself runs in chunks of ``tableau._DRAW_VALUES`` values,
-    and the error map is one replay of one shot per draw, which does not
-    grow with the rows."""
-    per_sample = _draws(circuit, noise) * (65 + 8 * ((shots + 63) // 64))
-    return 18 + -(-per_sample // max(shots, 1))
-
-
 class CircuitStateSource:
     """Measures Pauli expectation parities on the output state of a circuit.
 
     ``source.parities(paulis, shots, seeds)`` samples ``shots`` shots of
     each (sign-free) Pauli in ``paulis`` — given on the ``data_qubits``
-    register — under its own seed, with the attached noise sites.  Every
-    parity is read through :func:`tableau.run_batch` with ``read``, in
-    calls of bounded rows and bytes.  A shot ends in ``F * ref``, so a
-    Pauli S with expectation e = +-1 on the reference state reads
-    ``e * (-1)^<F, S>``; ``run_batch`` reads that flip through the
-    compiled program's error map (:meth:`tableau.Program.read`): F is the
-    product of the end Paulis of the noise sites and collapse coins the
-    shot fires, so only the draws whose end Pauli anticommutes with S are
-    drawn, and no frame is replayed.  A circuit whose corrections are
-    deferred to post-processing is read the same way: F then carries each
-    shot's correction, as feed-forward would have applied it.
-
-    An operator with e = 0 on the reference has a random outcome per shot;
-    ``run_batch`` leaves its row 0, and it is read on its readout circuit
-    (:func:`pauli_readout_circuit`) instead, as Z on every measured qubit.
-    The measurements fix that operator, and its flip is the X frame of the
-    measured qubits, which nothing after them changes, so each shot's value
-    is the record parity of the readout circuit.
+    register, distinct qubits of the circuit — under its own seed, with
+    the attached noise sites.  All of them are read in one
+    :func:`tableau.run_batch` call with ``read``, which bounds its own
+    memory.  A shot ends in ``F * ref``, so a Pauli S with expectation
+    e = +-1 on the reference state reads ``e * (-1)^<F, S>``; ``run_batch``
+    reads that flip through the compiled program's error map
+    (:meth:`tableau.Program.read`): F is the product of the end Paulis of
+    the noise sites and collapse coins the shot fires, so only the draws
+    whose end Pauli anticommutes with S are drawn, and no frame is
+    replayed.  A circuit whose corrections are deferred to post-processing
+    is read the same way: F then carries each shot's correction, as
+    feed-forward would have applied it.  An operator with e = 0 on the
+    reference is unfixed on every shot, and ``run_batch`` reads it as a
+    hashed fair coin per (seed, shot).
 
     ``parities`` and ``n_data`` are the state-source protocol that
     :func:`estimate_ghz_fidelity` and :func:`estimate_cnot_gate_fidelity`
@@ -240,8 +207,15 @@ class CircuitStateSource:
     """
 
     def __init__(self, circuit: Circuit, data_qubits=None, noise=()):
+        n = circuit.n_qubits
         self.circuit = circuit
-        self.data = tuple(data_qubits) if data_qubits is not None else tuple(range(circuit.n_qubits))
+        self.data = tuple(data_qubits) if data_qubits is not None else tuple(range(n))
+        outside = sorted({q for q in self.data if not 0 <= q < n})
+        if outside:
+            raise ValueError(f"data qubits {outside} outside the circuit's qubits 0..{n - 1}")
+        repeated = sorted(q for q, count in Counter(self.data).items() if count > 1)
+        if repeated:
+            raise ValueError(f"data qubits {repeated} repeated")
         self.noise = list(noise)
 
     @property
@@ -257,45 +231,11 @@ class CircuitStateSource:
         for p in paulis:
             if p.n != self.n_data:
                 raise ValueError(f"operator on {p.n} qubits, source exposes {self.n_data}")
+        if len(paulis) == 0:  # run_batch takes at least one seed
+            return np.empty((0, shots))
         c = self.circuit
-        # every operator on the circuit register, as qubit columns, once
-        x, z = pauli_bits(paulis, c.n_qubits, qubits=self.data)
-        out = np.empty((len(paulis), shots))
-        for rows, cols in _blocks(len(paulis), shots, _max_rows(_map_row_bytes(c, self.noise, shots))):
-            seeds_k = seeds[rows]
-            out[rows, cols] = tb.run_batch(
-                c,
-                len(seeds_k) * (cols.stop - cols.start),
-                master_seed=seeds_k,
-                noise=self.noise,
-                shot_offset=cols.start,
-                read=(x[rows], z[rows]),
-            )
-        for k in np.flatnonzero(out[:, :1] == 0):  # the rows run_batch left 0: e = 0
-            out[k] = self._read_out(paulis[k], shots, seeds[k])
-        return out
-
-    def _read_out(self, pauli: PauliString, shots: int, seed: int) -> np.ndarray:
-        """Parities of an operator the reference state does not fix: Z on
-        every qubit its readout circuit measures, read on that circuit."""
-        basis = {self.data[q]: pauli.letter(q) for q in pauli.support}
-        readout, _ = pauli_readout_circuit(self.circuit, basis)
-        measured = CircuitStateSource(readout, data_qubits=sorted(basis), noise=self.noise)
-        return measured.parities([PauliString(len(basis), 0, (1 << len(basis)) - 1)], shots, [seed])[0]
-
-
-def _blocks(m: int, shots: int, max_rows: int):
-    """(sample slice, shot range) blocks covering an m x shots draw, each at
-    most ``max_rows`` rows: whole samples together, or one sample's shots in
-    pieces when a single sample is larger than that."""
-    if shots <= max_rows:
-        step = max_rows // max(shots, 1)
-        for lo in range(0, m, step):
-            yield slice(lo, min(lo + step, m)), slice(0, shots)
-        return
-    for k in range(m):
-        for lo in range(0, shots, max_rows):
-            yield slice(k, k + 1), slice(lo, min(lo + max_rows, shots))
+        read = pauli_bits(paulis, c.n_qubits, qubits=self.data)
+        return tb.run_batch(c, len(paulis) * shots, master_seed=seeds, noise=self.noise, read=read)
 
 
 def choi_state_source(circuit: Circuit, data_in, data_out=None, noise=()) -> CircuitStateSource:

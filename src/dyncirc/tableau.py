@@ -22,19 +22,22 @@ then replayed as Pauli frames over many shots.
   of flip widths.  Results leave the replay as uint64 words, 64 shots a
   word.
   :meth:`Program.outcomes` is the exact distribution of the classical
-  record: a shot's record is the reference record XOR a flip fixed by which
-  collapse coins fired, so the program replayed once over every assignment
-  of the k coins gives each record's probability in units of 2^-k.
+  record: a shot's record is the reference record XOR the record flips of
+  the collapse coins it fires, so the distribution is uniform over the
+  reference record XOR the span of the coins' flips, which one replay
+  gives (below).
 * :meth:`Program.error_map` — the replay is linear over GF(2), so one
   replay in which shot j fires draw j alone gives every noise site's and
   collapse coin's end-of-circuit Pauli (the detector-error-model idea of
   Gidney, Quantum 5, 497 (2021)).  :meth:`Program.read` reads operators
   from it: a shot's readout flip of an operator is the XOR of the draws it
   fires whose map Pauli anticommutes with the operator, so only those
-  (draw, seed) pairs are hashed, and no frame is replayed.
+  (draw, seed) pairs are hashed, and no frame is replayed; it bounds its
+  own memory (``_READ_BYTES``) by reading a chunk of operators at a time.
   ``run_batch(..., read=(sx, sz))`` compiles and reads in one call and
-  returns parities, as certification takes them: it reads only the
-  operators the reference state fixes (e = +-1), as ``e * (-1)^flip``.
+  returns parities, as certification takes them: ``e * (-1)^flip`` for an
+  operator the reference state fixes (e = +-1), and a fair coin a shot for
+  one it does not fix (e = 0).
 
 Randomness is counter-based: every random event in the compiled program owns
 a stream id, and the value drawn for (stream, shot) is a hash of the pair.
@@ -72,8 +75,19 @@ _ACCUMULATORS = 2
 # no more as direct XORs than as a delta entry plus the settles it implies
 _DELTA_MIN_LETTERS = 8
 
-# Most collapse coins Program.outcomes enumerates (2^k shots for k coins)
-_OUTCOME_COINS = 20
+# Largest rank of the record flips Program.outcomes lists (2^rank records)
+_OUTCOME_RANK = 20
+
+# Most bytes one chunk of Program.read holds.  Per (operator, draw) pair:
+# a byte of the anticommutation table and, when the pair is drawn, 64
+# bytes of its indices, stream id, threshold and key and 8 bytes a word of
+# its packed shots
+_READ_BYTES = 1 << 24
+
+# The stream of the fair coin that reads an operator the reference state
+# does not fix, drawn at weight 1/2 (threshold 2^52).  No program draws it:
+# collapse coins count up from 0 and noise sites from _NOISE_STREAM_BASE
+_UNFIXED_STREAM = _MASK64
 
 
 # ---------------------------------------------------------------------------
@@ -493,28 +507,42 @@ class Program:
         :meth:`error_map` frames' parities.  So only the (draw, seed k)
         pairs whose frame anticommutes with operator k are drawn, each
         pair's shots packed into its own row (:meth:`CounterRandom.fired`),
-        and the rows of each operator are XOR-reduced into its flips."""
+        and the rows of each operator are XOR-reduced into its flips.
+
+        Its memory is bounded by ``_READ_BYTES`` at any m and shots: with
+        every draw of an operator counted as drawn, the operators are read
+        a chunk at a time, and an operator too large alone has its shots
+        drawn a range of whole 64-shot words at a time."""
         stream = CounterRandom(master_seed)
         ids = _shot_ids(shots, stream.n_seeds, shot_offset)
-        m, r = sx.shape[0], ids.size
+        m, r, draws = sx.shape[0], ids.size, self.streams.size
         if m != stream.n_seeds:
             raise ValueError(f"{m} operators but {stream.n_seeds} seeds")
         flips = np.zeros((m, _n_words(r)), dtype=np.uint64)
-        if r and self.streams.size:
-            op, draw = np.nonzero(self._anticommuting(sx, sz))  # sorted by operator
-            if op.size:
-                rows = stream.fired(self.streams[draw], self.thresholds[draw], ids, seeds=op)
-                starts = np.flatnonzero(np.diff(op, prepend=-1))
-                flips[op[starts]] = np.bitwise_xor.reduceat(rows, starts, axis=0)
+        if not (r and draws):
+            return _unpack_rows(flips, r).astype(bool)
+        words = max(1, min(flips.shape[1], (_READ_BYTES // draws - 65) // 8))  # shot words a range
+        step = max(1, _READ_BYTES // (draws * (65 + 8 * words)))  # operators a chunk
+        fx, fz = self.error_map()
+        for lo in range(0, m, step):
+            op, draw = np.nonzero(self._anticommuting(sx[lo : lo + step], sz[lo : lo + step], fx, fz))
+            if not op.size:
+                continue
+            starts = np.flatnonzero(np.diff(op, prepend=-1))  # op is sorted
+            for w in range(0, flips.shape[1], words):
+                part = ids[64 * w : 64 * (w + words)]
+                rows = stream.fired(self.streams[draw], self.thresholds[draw], part, seeds=op + lo)
+                flips[lo + op[starts], w : w + words] = np.bitwise_xor.reduceat(rows, starts, axis=0)
         return _unpack_rows(flips, r).astype(bool)
 
-    def _anticommuting(self, sx: np.ndarray, sz: np.ndarray) -> np.ndarray:
+    def _anticommuting(self, sx: np.ndarray, sz: np.ndarray, fx: np.ndarray, fz: np.ndarray) -> np.ndarray:
         """(m, draws) uint8, 1 where operator k anticommutes with draw j's
-        :meth:`error_map` frame.  A row is the XOR of the map rows of the
-        operator's letters (its X letters read the Z rows, its Z letters
-        the X rows), packed, for ``_DRAW_VALUES`` words of rows at a time."""
+        frame in the error map (``fx``, ``fz``, as :meth:`error_map` gives
+        it).  A row is the XOR of the map rows of the operator's letters
+        (its X letters read the Z rows, its Z letters the X rows), packed,
+        for ``_DRAW_VALUES`` words of rows at a time."""
         cols = np.flatnonzero((sx | sz).any(axis=0))
-        fx, fz = (part[cols] for part in self.error_map())
+        fx, fz = fx[cols], fz[cols]
         m = sx.shape[0]
         anti = np.zeros((m, fx.shape[1]), dtype=np.uint64)
         step = max(1, _DRAW_VALUES // max(fx.size, 1))
@@ -525,27 +553,38 @@ class Program:
 
     def outcomes(self) -> dict[tuple[int, ...], float]:
         """Exact distribution over the classical record of a program without
-        noise sites: the program replayed once for each of the 2^k
-        assignments of its k random collapse coins, each of probability
-        2^-k (deterministic collapses draw no coin).  Shot s fires coin j
-        where bit j of s is set: coin j < 6 repeats within a word, and coin
-        j >= 6 fires on whole words, those whose index has bit j - 6 set.
-        Keys are bit tuples ordered by record index.  A program with more
-        than ``_OUTCOME_COINS`` coins is refused."""
+        noise sites.  A shot's record is the reference record XOR the
+        record flips of the collapse coins it fires (the replay is linear,
+        :meth:`error_map`), and the coins are fair and independent, so the
+        distribution is uniform over the reference record XOR the span of
+        those flips.  One replay in which shot j fires coin j alone gives
+        the flips; a GF(2) elimination over them as int bitsets gives the
+        rank, and the span is listed from the independent ones, each record
+        of probability 2^-rank (deterministic collapses draw no coin).
+        Keys are bit tuples ordered by record index, sorted.  A span of
+        rank above ``_OUTCOME_RANK`` is refused before it is listed."""
         if self.sites:
             raise ValueError("exact outcomes need a program without noise sites")
-        k = self.streams.size
-        if k > _OUTCOME_COINS:
+        flips = self._replay(None, self.streams.size)[0] ^ self.ref_bits  # row j: coin j's record flip
+        basis, independent = [], []  # reduced flips, highest first, and the coins that added them
+        for j, row in enumerate(flips):
+            f = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for b in basis:
+                f = min(f, f ^ b)
+            if f:
+                basis.append(f)
+                basis.sort(reverse=True)
+                independent.append(j)
+        if len(basis) > _OUTCOME_RANK:
             raise ValueError(
-                f"exact outcomes over k={k} collapse coins would replay 2^{k} shots; at most {_OUTCOME_COINS} coins"
+                f"exact outcomes over a span of rank {len(basis)} would list 2^{len(basis)} records; "
+                f"at most rank {_OUTCOME_RANK}"
             )
-        shots = 1 << k
-        words = np.arange(_n_words(shots), dtype=np.uint64)
-        fired = np.empty((k, words.size), dtype=np.uint64)
-        for j in range(k):
-            fired[j] = sum(1 << b for b in range(64) if b >> j & 1) if j < 6 else -((words >> np.uint64(j - 6)) & _U1)
-        rows, counts = np.unique(self._replay(fired, shots)[0], axis=0, return_counts=True)
-        return {tuple(row.tolist()): int(c) / shots for row, c in zip(rows, counts)}
+        span = self.ref_bits[None]
+        for j in independent:
+            span = np.vstack([span, span ^ flips[j]])
+        rows = np.unique(span, axis=0)
+        return {tuple(row.tolist()): 1.0 / len(rows) for row in rows}
 
     def _replay(self, fired: np.ndarray, shots: int):
         """Replay the program over ``shots`` shots, draw j firing on the
@@ -891,9 +930,14 @@ def run_batch(
     of their parities, ``e * (-1)^flip`` for an operator with expectation
     e = +-1 on the reference state, its flip what
     :meth:`BatchResult.readout_flips` would read off this batch.  Only
-    those operators are read, through the program's error map
-    (:meth:`Program.read`); the row of an operator the reference does not
-    fix (e = 0) is left 0, and none of its draws is hashed.
+    those operators are read through the program's error map
+    (:meth:`Program.read`).  An operator the reference does not fix (e = 0)
+    hashes none of the program's draws: its row is one fair coin per
+    (seed, shot), drawn at weight 1/2 on ``_UNFIXED_STREAM``, as
+    ``(-1)^coin``.  That is its exact distribution: a shot ends in
+    ``F * ref`` for a Pauli F, whose stabilizer group is the reference's
+    up to signs, so the operator is unfixed on every shot and its outcome
+    is a fair coin whatever F is.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -905,10 +949,15 @@ def run_batch(
     seeds = seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
     if sx.shape[0] != seeds.size:
         raise ValueError(f"{sx.shape[0]} operators but {seeds.size} seeds")
-    out = np.zeros((seeds.size, _shot_ids(shots, seeds.size, shot_offset).size))
+    ids = _shot_ids(shots, seeds.size, shot_offset)
+    out = np.empty((seeds.size, ids.size))
     e = program.reference.bit_expectations(sx, sz)
-    fixed = np.flatnonzero(e)
+    fixed, free = np.flatnonzero(e), np.flatnonzero(e == 0)
     if fixed.size:  # Program.read refuses zero seeds
-        flips = program.read(sx[fixed], sz[fixed], fixed.size * out.shape[1], seeds[fixed], shot_offset)
+        flips = program.read(sx[fixed], sz[fixed], fixed.size * ids.size, seeds[fixed], shot_offset)
         out[fixed] = e[fixed, None] * np.where(flips, -1.0, 1.0)
+    if free.size:
+        stream = np.array([_UNFIXED_STREAM], dtype=np.uint64)
+        coins = CounterRandom(seeds[free]).fired(stream, np.array([1 << 52], dtype=np.uint64), ids)
+        out[free] = np.where(_unpack_rows(coins, free.size * ids.size).reshape(free.size, -1), -1.0, 1.0)
     return out

@@ -185,6 +185,7 @@ def test_state_source_basics():
     assert src.n_data == 4
     ones = src.parities([PauliString(4)], 5, [0])[0]
     assert ones.shape == (5,) and (ones == 1.0).all()
+    assert src.parities([], 5, []).shape == (0, 5)
     with pytest.raises(ValueError):
         src.parities([PauliString(3)], 5, [0])
     # <ZZZZ> and <XXXX> are +1 on GHZ_4
@@ -207,13 +208,42 @@ def _readout_parities(circ, data, pauli, shots, seed, noise):
     return 1.0 - 2.0 * bits
 
 
+def _check_parities(src, ops, shots, seeds):
+    """Reads ``ops`` on ``src`` in one call and checks every row against a
+    read of its operator alone.  A row the reference state fixes (e = +-1)
+    must equal, shot for shot, the parity its readout circuit records.  A
+    row it does not fix (e = 0) must hold +-1 values that the noise does
+    not change and that a read from a shot offset continues; the mean of
+    those rows must lie within 4 sigma of 0.  Returns the parities and e."""
+    got = src.parities(ops, shots, seeds)
+    assert got.shape == (len(ops), shots)
+    c = src.circuit
+    x, z = pauli_bits(ops, c.n_qubits, qubits=src.data)
+    e = tb.compile(c).reference.bit_expectations(x, z)
+    quiet = cert.CircuitStateSource(c, src.data).parities(ops, shots, seeds)
+    half = shots // 2
+    for k, (op, seed) in enumerate(zip(ops, seeds)):
+        np.testing.assert_array_equal(src.parities([op], shots, [seed])[0], got[k])
+        if e[k]:
+            np.testing.assert_array_equal(got[k], _readout_parities(c, src.data, op, shots, seed, src.noise))
+            continue
+        assert set(got[k]) <= {-1.0, 1.0}
+        np.testing.assert_array_equal(got[k], quiet[k])
+        read = (x[k : k + 1], z[k : k + 1])
+        tail = tb.run_batch(c, shots - half, master_seed=[seed], noise=src.noise, shot_offset=half, read=read)
+        np.testing.assert_array_equal(tail[0], got[k, half:])
+    coins = got[e == 0]
+    assert coins.size and abs(coins.mean()) < 4 / np.sqrt(coins.size)
+    return got, e
+
+
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
 @pytest.mark.parametrize("n", [6, 67])
 def test_batched_parities_match_readout_circuits_per_shot(mode, n):
-    """The one-batch source reads every shot's parity from its end frame;
-    each must equal the parity a readout circuit records for that shot,
-    noisy sites, operators the state does not fix (e = 0) and two frame
-    words (n = 67) included."""
+    """The one-batch source reads every shot's parity of an operator the
+    state fixes from its end frame; each must equal the parity a readout
+    circuit records for that shot, noisy sites and two frame words (n = 67)
+    included.  Operators the state does not fix (e = 0) read fair coins."""
     circ = C.ghz_dynamic(n, mode=mode)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.01, lambda_cnot=0.03, lambda_meas=0.05))
     rng = np.random.default_rng(n)
@@ -224,13 +254,8 @@ def test_batched_parities_match_readout_circuits_per_shot(mode, n):
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
     shots = 24
     for data in (tuple(range(n)), tuple(reversed(range(n)))):
-        src = cert.CircuitStateSource(circ, data_qubits=data, noise=sites)
-        got = src.parities(ops, shots, seeds)
-        assert got.shape == (len(ops), shots)
-        for k, (op, seed) in enumerate(zip(ops, seeds)):
-            want = _readout_parities(circ, data, op, shots, seed, sites)
-            np.testing.assert_array_equal(got[k], want)
-            np.testing.assert_array_equal(src.parities([op], shots, [seed])[0], want)
+        got, e = _check_parities(cert.CircuitStateSource(circ, data_qubits=data, noise=sites), ops, shots, seeds)
+        assert e.tolist().count(0) == 2
     # the operators the GHZ state does not fix really are random here
     assert set(got[-2]) == {-1.0, 1.0}
 
@@ -268,10 +293,8 @@ def test_batched_parities_fold_in_the_reference_correction(mode):
         sites = [_site(2, on("XII"), 0.2), _site(6, on("IZI"), 0.3)]
         ops = [on(t) for t in ("XXI", "ZZI", "YYI", "ZII", "IIZ", "XYZ")]
         seeds = [5, 6, 7, 8, 9, 10]
-        src = cert.CircuitStateSource(circ, noise=sites)
-        got = src.parities(ops, 32, seeds)
-        for k, (op, seed) in enumerate(zip(ops, seeds)):
-            np.testing.assert_array_equal(got[k], _readout_parities(circ, range(n), op, 32, seed, sites))
+        _, e = _check_parities(cert.CircuitStateSource(circ, noise=sites), ops, 32, seeds)
+        assert e.tolist() == [-1, -1, -1, 0, -1, 0]
         noiseless = cert.CircuitStateSource(circ).parities(ops[:3], 4, seeds[:3])
         # corrected state: -XX, -ZZ (hence -YY)
         np.testing.assert_array_equal(noiseless, -np.ones((3, 4)))
@@ -284,55 +307,65 @@ def test_batched_parities_fold_in_the_reference_correction(mode):
                 assert not tb._unpack_rows(rows, 64 * rows.shape[1])[:, past].any()
 
 
+def _record_read_chunks(monkeypatch):
+    """Patches ``Program.read``'s helpers to record, for each draw of a
+    chunk of operators, (operators in the chunk, words of shots drawn)."""
+    chunks = []
+    anticommuting, fired = tb.Program._anticommuting, tb.CounterRandom.fired
+
+    def chunk(self, sx, *args):
+        chunks.append([sx.shape[0], 0])
+        return anticommuting(self, sx, *args)
+
+    def drawn(self, streams, thresholds, ids, seeds=None):
+        if seeds is not None:  # a pair-list draw of Program.read
+            chunks[-1][1] = max(chunks[-1][1], -(-ids.size // 64))
+        return fired(self, streams, thresholds, ids, seeds)
+
+    monkeypatch.setattr(tb.Program, "_anticommuting", chunk)
+    monkeypatch.setattr(tb.CounterRandom, "fired", drawn)
+    return chunks
+
+
 def test_batched_parities_split_into_bounded_calls(monkeypatch):
-    """Parities are read through the error map (``run_batch`` with
-    ``read``) in calls of whole samples, or of one sample's shots in
-    pieces, within both the row and the byte cap; an operator the state
-    does not fix is read the same way on its readout circuit, in pieces
-    within the caps of that circuit.  No split changes a value."""
+    """Parities are read in one ``run_batch`` call, whatever the shots,
+    and ``Program.read`` bounds its own memory by ``_READ_BYTES``: it reads
+    the operators a chunk at a time, and an operator too large alone a
+    range of whole 64-shot words at a time, so that no chunk holds more
+    than (operators x draws) x (65 + 8 words) bytes.  An operator the state
+    does not fix (e = 0) takes no part in the chunks.  No split changes a
+    value."""
     circ = C.ghz_dynamic(5)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.05, lambda_meas=0.1))
     src = cert.CircuitStateSource(circ, noise=sites)
     group = cert.ghz_stabilizer_group(5)
-    ops = [group[k].mod_phase() for k in (3, 7, 12, 31, 0)]
-    seeds = [11, 12, 13, 14, 15]
-    fallback = [PauliString.from_text("ZIIII")]  # e = 0 on GHZ
-    whole = {shots: src.parities(ops, shots, seeds) for shots in (16, 100)}
-    whole_fallback = {shots: src.parities(fallback, shots, [16]) for shots in (16, 100)}
+    ops = [group[k].mod_phase() for k in (3, 7, 12, 31, 0)] + [PauliString.from_text("ZIIII")]  # e = 0 on GHZ
+    seeds = [11, 12, 13, 14, 15, 16]
+    all_shots = (16, 100, 300)
+    whole = {shots: src.parities(ops, shots, seeds) for shots in all_shots}
+    draws = tb.compile(circ, sites).streams.size
     calls = []
     run_batch = tb.run_batch
 
     def counted(circuit, shots, *args, **kwargs):
-        calls.append((circuit.n_records, shots, kwargs.get("read") is not None))
+        calls.append(kwargs.get("read") is not None)
         return run_batch(circuit, shots, *args, **kwargs)
 
     monkeypatch.setattr(tb, "run_batch", counted)
-    draws = len(sites) + sum(ins.op in ("measure", "reset") for ins in circ.instructions)
-
-    def read_bytes(draws, shots):
-        # per (sample, draw), a table byte and at most one drawn pair (64
-        # bytes and its packed shots); per row, 18 bytes
-        return 18 + -(-draws * (65 + 8 * ((shots + 63) // 64)) // shots)
-
-    own = {shots: read_bytes(draws, shots) for shots in (16, 100)}
-    readout = {shots: read_bytes(draws + 1, shots) for shots in (16, 100)}  # one more measurement
-    # a row cap, then byte caps that allow fewer rows than the row cap
-    for rows, nbytes in ((48, 1 << 24), (1 << 16, 40 * own[16] + 7), (1 << 16, 30 * readout[100])):
-        monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
-        monkeypatch.setattr(cert, "_MAX_BATCH_BYTES", nbytes)
-        for shots in (16, 100):
+    chunks = _record_read_chunks(monkeypatch)
+    # budgets of a few operators a chunk, then of one operator whose shots
+    # are drawn a word at a time
+    for budget in (2 * draws * 73 + 7, 3 * draws * 81, draws * 73):
+        monkeypatch.setattr(tb, "_READ_BYTES", budget)
+        for shots in all_shots:
             calls.clear()
+            chunks.clear()
             np.testing.assert_array_equal(src.parities(ops, shots, seeds), whole[shots])
-            assert all(read for *_, read in calls)
-            assert max(n for _, n, _ in calls) <= min(rows, nbytes // own[shots])
-            assert sum(n for _, n, _ in calls) == len(ops) * shots
-            calls.clear()
-            np.testing.assert_array_equal(src.parities(fallback, shots, [16]), whole_fallback[shots])
-            assert all(read for *_, read in calls)
-            split = [n for records, n, _ in calls if records > circ.n_records]  # the readout circuit's
-            assert max(split) <= min(rows, nbytes // readout[shots]) and sum(split) == shots
-            assert sum(n for records, n, _ in calls if records == circ.n_records) == shots
-    assert len(split) > 1  # the last cap splits the fallback
+            assert calls == [True]
+            assert sum(m for m, _ in chunks) == len(ops) - 1 and len(chunks) > 1
+            for m, words in chunks:
+                assert words <= -(-shots // 64) and m * draws * (65 + 8 * words) <= budget
+    assert max(words for _, words in chunks) == 1  # 300 shots, five words, a word at a time
     with pytest.raises(ValueError):
         src.parities(ops, 4, seeds[:2])
 
@@ -376,14 +409,28 @@ def test_choi_source_validation():
         src.parities([PauliString.from_text("XX")], 4, [0])
 
 
+def test_state_sources_reject_repeated_or_outside_data_qubits():
+    """A repeated data qubit would read one qubit for two (a Choi source
+    with ``data_out=(0, 0)`` read F = 0.5), and one outside the circuit
+    failed in numpy's indexing; both are refused, naming the qubits."""
+    circ = C.long_range_cnot_dynamic(2)
+    with pytest.raises(ValueError, match=r"data qubits \[0\] repeated"):
+        cert.choi_state_source(circ, (0, 3), (0, 0))
+    with pytest.raises(ValueError, match=r"data qubits \[9\] outside the circuit's qubits 0..3"):
+        cert.CircuitStateSource(circ, data_qubits=(0, 1, 2, 3, 9))
+    with pytest.raises(ValueError, match=r"data qubits \[-1\] outside"):
+        cert.CircuitStateSource(circ, data_qubits=(-1, 0))
+    assert cert.choi_state_source(circ, (0, 3), (3, 0)).data == (3, 0, 4, 5)
+
+
 @pytest.mark.parametrize(
     "variant,mode", [("dynamic", "feed_forward"), ("dynamic", "post_process"), ("II", "feed_forward")]
 )
 def test_choi_source_matches_readout_circuits_per_shot(variant, mode):
-    """Every Choi stabilizer, and operators the Choi state does not fix,
-    read the same parity shot for shot from the end frames as from a
-    readout circuit on the widened circuit; and the widened circuit fires
-    the same noise on the same shots as the circuit itself."""
+    """Every Choi stabilizer reads the same parity shot for shot from the
+    end frames as from a readout circuit on the widened circuit, and
+    operators the Choi state does not fix read fair coins; the widened
+    circuit fires the same noise on the same shots as the circuit itself."""
     circ, data_in, data_out = cli._cnot_circuit(variant, 3, 3.65, mode)
     assert (data_out is not None) == (variant == "II")
     sites = N.attach_noise(circ, N.NoiseParams(lambda_idle=0.03, lambda_cnot=0.05, lambda_meas=0.05, mu=3.65))
@@ -393,10 +440,8 @@ def test_choi_source_matches_readout_circuits_per_shot(variant, mode):
     rng = np.random.default_rng(3)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(ops))]
     shots = 32
-    got = src.parities(ops, shots, seeds)
-    for k, (op, seed) in enumerate(zip(ops, seeds)):
-        want = _readout_parities(src.circuit, src.data, op, shots, seed, src.noise)
-        np.testing.assert_array_equal(got[k], want)
+    got, e = _check_parities(src, ops, shots, seeds)
+    assert (e[:16] != 0).all() and (e[16:] == 0).all()
     assert set(got[-3]) == {-1.0, 1.0}  # ZIII is random on a Choi state
     assert (got[:16] != 1.0).any()  # the noise does flip stabilizers
 
@@ -456,10 +501,13 @@ def test_ghz_noisy_dynamic_matches_dense_average():
 
 
 def test_ghz_estimate_can_go_negative():
-    # |1000> has exact fidelity 0; a five-sample estimate lands below zero on
-    # this seed and is returned as-is (no clipping to [0, 1])
-    circ = C.Circuit(4)
-    circ.add("x", 0, start=0.0)
+    # GHZ with Z on qubit 0 has exact fidelity 0 and fixes every GHZ
+    # stabilizer (the ones with X letters at the opposite sign); a
+    # five-sample estimate lands below zero on this seed and is returned
+    # as-is (no clipping to [0, 1])
+    circ = C.ghz_unitary(4)
+    circ.add("z", 0, start=circ.makespan)
+    assert sv.average_state_fidelity(circ, sv.ghz_state(4)) == pytest.approx(0.0, abs=1e-12)
     src = cert.CircuitStateSource(circ)
     est, se = cert.estimate_ghz_fidelity(src, 4, 5, shots_per_sample=2, seed=1)
     assert est < 0.0
@@ -529,19 +577,21 @@ class _FrameSource:
 
 def test_cnot_estimate_unchanged_by_batch_splits(monkeypatch):
     """The map-read estimate equals the one read off sampled frames, and
-    no split of the read calls (rows or bytes) changes it."""
+    no chunking of the read (``_READ_BYTES``) changes it."""
     circ = C.long_range_cnot_dynamic(2, mu=1.0)
     sites = N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.08, lambda_meas=0.1))
     src = cert.choi_state_source(circ, data_in=(0, 3), noise=sites)
     whole = cert.estimate_cnot_gate_fidelity(src, 40, shots_per_sample=10, seed=4)
     assert cert.estimate_cnot_gate_fidelity(_FrameSource(src), 40, shots_per_sample=10, seed=4) == whole
-    row_bytes = cert._map_row_bytes(src.circuit, src.noise, 10)
-    # whole samples per call, and one sample in pieces, by rows then bytes
-    caps = ((10, 1 << 24), (30, 1 << 24), (7, 1 << 24), (1 << 16, 25 * row_bytes), (1 << 16, 3 * row_bytes))
-    for rows, nbytes in caps:
-        monkeypatch.setattr(cert, "_MAX_BATCH_ROWS", rows)
-        monkeypatch.setattr(cert, "_MAX_BATCH_BYTES", nbytes)
+    draws = tb.compile(src.circuit, src.noise).streams.size
+    chunks = _record_read_chunks(monkeypatch)
+    # 25, 7 and 1 operators a chunk, of the 40 (one word of shots each)
+    for ops in (25, 7, 1):
+        budget = ops * draws * 73
+        monkeypatch.setattr(tb, "_READ_BYTES", budget)
+        chunks.clear()
         assert cert.estimate_cnot_gate_fidelity(src, 40, shots_per_sample=10, seed=4) == whole
+        assert max(m for m, _ in chunks) == ops and len(chunks) == -(-40 // ops)
 
 
 def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
@@ -551,8 +601,8 @@ def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
     call defers its draws past its return.  A benchmark that counts shots
     and sampler time by wrapping ``run_batch`` relies on both.  Every
     parity takes the one read path, operators the state does not fix
-    (e = 0) included: each ``run_batch`` call passes ``read``, and no
-    frame is ever sampled (``Program.sample``)."""
+    (e = 0) included: one ``run_batch`` call with ``read`` a ``parities``
+    call, and no frame is ever sampled (``Program.sample``)."""
     shots, inside, outside, ran = [], [0], [], []
     run_batch = tb.run_batch
 
@@ -591,7 +641,10 @@ def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
     # e = +1, +1, 0, 0 on GHZ_6
     mixed = [PauliString.from_text(t) for t in ("XXXXXX", "ZZIIII", "ZIIIII", "IXIYII")]
     src.parities(mixed, 24, [1, 2, 3, 4])
-    assert len(shots) == 1 + 2 and one_path()  # the circuit, then a readout circuit per e = 0 operator
+    assert shots == [(4 * 24, True)] and one_path()
+    shots.clear()
+    src.parities(mixed[2:], 24, [3, 4])  # e = 0 alone
+    assert shots == [(2 * 24, True)] and one_path()
     shots.clear()
     for variant in ("dynamic", "Ia", "II"):
         circ, data_in, data_out = cli._cnot_circuit(variant, 3, 1.0, "feed_forward")
@@ -601,29 +654,29 @@ def test_estimators_draw_every_shot_inside_run_batch(monkeypatch):
         shots.clear()
         # e = +1, 0, +1 on the Choi state of CNOT
         choi.parities([PauliString.from_text(t) for t in ("XXXI", "ZIII", "ZIZI")], 16, [5, 6, 7])
-        assert len(shots) == 1 + 1 and one_path()
+        assert shots == [(3 * 16, True)] and one_path()
         shots.clear()
     assert "read" in ran
 
 
 def test_unfixed_operators_are_left_out_of_the_circuit_read(monkeypatch):
     """An operator the reference does not fix (e = 0) hashes no draw of
-    the circuit itself: ``run_batch`` hands ``Program.read`` only the
-    operators the reference fixes, and the e = 0 operator is read once,
-    on its readout circuit (one more record)."""
+    the circuit: ``run_batch`` hands ``Program.read`` only the operators
+    the reference fixes, and no readout circuit is compiled."""
     circ = C.ghz_dynamic(5)
     src = cert.CircuitStateSource(circ, noise=N.attach_noise(circ, N.NoiseParams(lambda_cnot=0.05, lambda_meas=0.1)))
-    reads = []
-    read = tb.Program.read
+    reads, compiled = [], []
+    read, compile_ = tb.Program.read, tb.compile
 
     def counted(self, sx, sz, *args, **kwargs):
         reads.append((self.n_records, sx.shape[0]))
         return read(self, sx, sz, *args, **kwargs)
 
     monkeypatch.setattr(tb.Program, "read", counted)
+    monkeypatch.setattr(tb, "compile", lambda c, *args: compiled.append(c) or compile_(c, *args))
     ops = [cert.ghz_stabilizer_group(5)[7].mod_phase(), PauliString.from_text("ZIIII")]
     src.parities(ops, 16, [1, 2])
-    assert reads == [(circ.n_records, 1), (circ.n_records + 1, 1)]
+    assert reads == [(circ.n_records, 1)] and compiled == [circ]
 
 
 def test_cnot_saturated_floor_is_two_fifths():

@@ -167,6 +167,7 @@ def test_no_orphaned_private_helpers():
 # cross-checks
 _READ_BY_TESTS = {
     "certify.py:GhzStabilizerGroup.generator": "the GHZ generators that sampled group elements are built from",
+    "certify.py:pauli_readout_circuit": "measured readouts, the per-shot oracle of the parities of fixed operators",
     "noise.py:NoiseParams.from_json": "reads back to_json's document, so the round trip is checked",
     "noise.py:PauliLindbladChannel": "the channel that criterion 5 composes and bounds",
     "noise.py:PauliLindbladChannel.process_fidelity_lower_bound": "the exp(-sum of rates) bound criterion 5 checks",

@@ -1436,7 +1436,7 @@ def test_map_read_matches_sampled_frames_on_random_noisy_dynamic_circuits(n, ste
     coins and folded feed-forward parities included) with noise sites of
     random operators and weights, under m seeds and shot offsets; and
     ``run_batch`` with ``read`` gives the parities ``e * (-1)^flip``, e
-    the reference expectation (a row of 0 where e = 0)."""
+    the reference expectation (a row of +-1 coins where e = 0)."""
     circ = _fuzz_circuit(n, steps)
     rng = np.random.default_rng(seed)
     n_ins = len(circ.instructions)
@@ -1454,7 +1454,9 @@ def test_map_read_matches_sampled_frames_on_random_noisy_dynamic_circuits(n, ste
     np.testing.assert_array_equal(got, want)
     e = program.reference.bit_expectations(sx, sz)
     batch = tb.run_batch(circ, m * per_seed, master_seed=seeds, noise=sites, shot_offset=offset, read=(sx, sz))
-    np.testing.assert_array_equal(batch, e[:, None] * np.where(want, -1.0, 1.0))
+    fixed = e != 0
+    np.testing.assert_array_equal(batch[fixed], e[fixed, None] * np.where(want[fixed], -1.0, 1.0))
+    assert np.isin(batch[~fixed], (-1.0, 1.0)).all()
 
 
 @pytest.mark.parametrize("build, mode", [("ghz", "feed_forward"), ("ghz", "post_process"), ("cnot", "feed_forward")])
@@ -1482,9 +1484,10 @@ def test_map_read_matches_sampled_frames_through_delta_coded_coins(build, mode):
 def test_map_read_draws_a_collapse_coin_that_flips_a_fixed_operator():
     """An uncorrected h then measure leaves the reference in |0>, where Z
     reads +1, and the collapse coin flips it on about half the shots: the
-    map read draws that coin (the e = 0 fallback never sees it), beside a
-    noise site on a qubit Z does not read and one that it does, and beside
-    a reset whose coin the reset absorbs."""
+    map read draws that coin (Z is fixed, e = +1, so no fair coin of an
+    unfixed operator stands in for it), beside a noise site on a qubit Z
+    does not read and one that it does, and beside a reset whose coin the
+    reset absorbs."""
     circ = C.Circuit(3)
     circ.add("h", 0, start=0.0)
     circ.add("h", 2, start=0.0)
@@ -1503,7 +1506,7 @@ def test_map_read_draws_a_collapse_coin_that_flips_a_fixed_operator():
     # for XXX only site 0's X on qubit 1 and site 1's X on qubit 2 commute
     fx, fz = program.error_map()
     assert program.streams.size == 4  # coins of qubits 0 and 2, two sites
-    assert program._anticommuting(sx, sz).tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert program._anticommuting(sx, sz, fx, fz).tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     assert _bits(fx, 4).tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert not fz.any()
 
@@ -1936,17 +1939,55 @@ def test_outcomes_need_a_program_without_noise():
 
 
 def test_outcomes_refuse_more_coins_than_the_cap():
-    """30 independent H-then-measure qubits: 2^30 shots, so refused before
-    any enumeration."""
+    """30 independent H-then-measure qubits: 2^30 records, a span of rank
+    30, so refused before any enumeration.  The cap is on the rank, not on
+    the coins: 30 random resets write no record, so their one outcome is
+    listed."""
     circ = C.Circuit(30)
     for q in range(30):
         circ.add("h", q, start=0.0)
+    resets = C.Circuit(30)
+    for op, start in (("h", 0.0), ("reset", 1.0)):
+        for q in range(30):
+            resets.add(op, q, start=start)
+    program = tb.compile(resets)
+    assert program.streams.size == 30 and program.outcomes() == {(): 1.0}
     for q in range(30):
         circ.measure(q, start=1.0)
     program = tb.compile(circ)
-    assert program.streams.size == 30 > tb._OUTCOME_COINS
-    with pytest.raises(ValueError, match="k=30 collapse coins"):
+    assert program.streams.size == 30 > tb._OUTCOME_RANK
+    with pytest.raises(ValueError, match="span of rank 30 would list 2\\^30 records; at most rank 20"):
         program.outcomes()
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_outcomes_of_reset_coins_match_dense(n):
+    """Resets of qubits entangled with others draw coins that reach the
+    records only through those others: the compiled outcomes, the
+    reference record XOR the span of the coins' record flips, equal the
+    dense oracle's distribution at n up to 12."""
+    rng = np.random.default_rng(n)
+    circ = C.Circuit(n)
+    for q in range(0, n, 2):  # Bell pairs
+        circ.add("h", q, start=0.0)
+    for q in range(0, n, 2):
+        circ.add("cx", q, q + 1, start=1.0)
+    t = 2.0
+    for q in rng.choice(n // 2, n // 4, replace=False):  # reset one qubit of half the pairs
+        circ.add("reset", 2 * int(q) + int(rng.integers(2)), start=t)
+    for _ in range(2 * n):
+        t += 1.0
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        circ.add("cx", a, b, start=t)
+    resets = tb.compile(circ).streams.size
+    for q in range(n):
+        circ.measure(q, start=t + 1.0)
+    program = tb.compile(circ)
+    flips = program._replay(None, program.streams.size)[0] ^ program.ref_bits
+    assert resets == n // 4 and flips[:resets].any(axis=1).all()  # every reset's coin reaches the records
+    dense = sv.outcome_distribution(sv.run_branches(circ))
+    exact = program.outcomes()
+    assert max(abs(dense.get(x, 0.0) - exact.get(x, 0.0)) for x in set(dense) | set(exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["feed_forward", "post_process"])
